@@ -41,10 +41,15 @@ from typing import Any, Callable, Protocol, Sequence
 
 from repro.core.config import StatisticsConfig
 from repro.errors import ConfigurationError
-from repro.lsm.columnar import ColumnarChunk, split_matter_anti
+from repro.lsm.columnar import (
+    ColumnarChunk,
+    columnar_chunk_stream,
+    split_matter_anti,
+)
 from repro.lsm.component import DiskComponent
 from repro.lsm.events import ComponentWriteContext, RecordSink
 from repro.lsm.record import Record
+from repro.lsm.tree import DEFAULT_WRITE_BATCH_SIZE
 from repro.obs.registry import (
     Counter,
     Gauge,
@@ -118,9 +123,9 @@ class StatisticsSink(Protocol):
 class _Instruments:
     """Registry instruments bound once per collector.
 
-    The per-record tap (:meth:`_RegistrationSink.accept`) runs inside
-    the ingestion hot path, so it only touches pre-bound counters --
-    with the no-op registry those are shared do-nothing objects.
+    The tap (:meth:`_RegistrationSink.accept_many`) runs inside the
+    ingestion hot path, so it only touches pre-bound counters -- with
+    the no-op registry those are shared do-nothing objects.
     """
 
     component_writes: Counter
@@ -194,7 +199,7 @@ class _RegistrationSink:
     def __init__(
         self,
         registration: _Registration,
-        context: ComponentWriteContext,
+        key_extractor: Callable[[Record], Any],
         builder: SynopsisBuilder,
         anti_builder: SynopsisBuilder,
         sink: StatisticsSink,
@@ -205,7 +210,7 @@ class _RegistrationSink:
         self._extractor = (
             registration.value_extractor
             if registration.value_extractor is not None
-            else context.key_extractor
+            else key_extractor
         )
         self._builder = builder
         self._anti_builder = anti_builder
@@ -214,77 +219,51 @@ class _RegistrationSink:
         self._instruments = instruments
 
     def accept(self, record: Record) -> None:
-        value = self._extractor(record)
-        if value is None:
-            # Attribute extractors return None for tombstones (no
-            # payload) or records missing the attribute.
-            self._metrics.values_skipped += 1
-            self._instruments.values_skipped.inc()
-            return
-        if record.antimatter:
-            self._metrics.antimatter_records_observed += 1
-            self._instruments.antimatter_records.inc()
-            self._anti_builder.add(value)
-        else:
-            self._metrics.matter_records_observed += 1
-            self._instruments.matter_records.inc()
-            self._builder.add(value)
+        """Observe one record: a chunk of one through :meth:`accept_many`
+        (the API edge for callers holding single records)."""
+        self.accept_many(ColumnarChunk.from_records((record,)))
 
-    def accept_many(
-        self, records: "Sequence[Record] | ColumnarChunk"
-    ) -> None:
-        """Observe one slice of the bulkload stream (batched hot path).
+    def accept_many(self, chunk: ColumnarChunk) -> None:
+        """Observe one chunk of the bulkload stream.
 
-        Splits the chunk into matter/anti-matter value lists in one
-        pass and feeds each builder's ``add_many`` tight loop; produces
-        bit-identical synopses to per-record :meth:`accept` calls.
-
-        Columnar chunks split through their columns (and, for raw-key
-        registrations over pure-matter integer chunks, hand the typed
-        key buffer straight to ``add_many`` with no copy at all);
-        extractors the columnar registry cannot map fall back to the
-        chunk's memoized ``records()`` materialisation.
+        Splits the chunk's columns into matter/anti-matter value
+        sequences in one pass and feeds each builder's ``add_many``;
+        for raw-key registrations over pure-matter integer chunks the
+        typed key buffer goes straight to ``add_many`` with no copy at
+        all.  ``None`` values are skipped: attribute extractors yield
+        them for tombstones (no payload) and records missing the
+        attribute.  An extractor the columnar registry cannot map is
+        called per record over the chunk's memoized ``records()``.
         """
-        extractor = self._extractor
-        if isinstance(records, ColumnarChunk):
-            split = split_matter_anti(records, extractor)
-            if split is not None:
-                matter_seq, anti_seq, skipped = split
-                self._observe_split(matter_seq, anti_seq, skipped)
-                return
-            records = records.records()
-        matter_values: list[Any] = []
-        anti_values: list[Any] = []
-        skipped = 0
-        for record in records:
-            value = extractor(record)
-            if value is None:
-                skipped += 1
-            elif record.antimatter:
-                anti_values.append(value)
-            else:
-                matter_values.append(value)
-        self._observe_split(matter_values, anti_values, skipped)
-
-    def _observe_split(
-        self,
-        matter_values: Sequence[Any],
-        anti_values: Sequence[Any],
-        skipped: int,
-    ) -> None:
+        split = split_matter_anti(chunk, self._extractor)
+        if split is None:
+            extractor = self._extractor
+            matter_values: list[Any] = []
+            anti_values: list[Any] = []
+            skipped = 0
+            for record in chunk.records():
+                value = extractor(record)
+                if value is None:
+                    skipped += 1
+                elif record.antimatter:
+                    anti_values.append(value)
+                else:
+                    matter_values.append(value)
+            split = matter_values, anti_values, skipped
+        matter_seq, anti_seq, skipped = split
         metrics = self._metrics
         instruments = self._instruments
         if skipped:
             metrics.values_skipped += skipped
             instruments.values_skipped.inc(skipped)
-        if anti_values:
-            metrics.antimatter_records_observed += len(anti_values)
-            instruments.antimatter_records.inc(len(anti_values))
-            self._anti_builder.add_many(anti_values)
-        if matter_values:
-            metrics.matter_records_observed += len(matter_values)
-            instruments.matter_records.inc(len(matter_values))
-            self._builder.add_many(matter_values)
+        if anti_seq:
+            metrics.antimatter_records_observed += len(anti_seq)
+            instruments.antimatter_records.inc(len(anti_seq))
+            self._anti_builder.add_many(anti_seq)
+        if matter_seq:
+            metrics.matter_records_observed += len(matter_seq)
+            instruments.matter_records.inc(len(matter_seq))
+            self._builder.add_many(matter_seq)
 
     def finish(self, component: DiskComponent) -> None:
         started = time.perf_counter()
@@ -313,14 +292,11 @@ class _CompositeSink:
         self._sinks = sinks
 
     def accept(self, record: Record) -> None:
-        for sink in self._sinks:
-            sink.accept(record)
+        self.accept_many(ColumnarChunk.from_records((record,)))
 
-    def accept_many(
-        self, records: "Sequence[Record] | ColumnarChunk"
-    ) -> None:
+    def accept_many(self, chunk: ColumnarChunk) -> None:
         for sink in self._sinks:
-            sink.accept_many(records)
+            sink.accept_many(chunk)
 
     def finish(self, component: DiskComponent) -> None:
         for sink in self._sinks:
@@ -461,16 +437,30 @@ class StatisticsCollector:
     def begin_component_write(
         self, context: ComponentWriteContext
     ) -> RecordSink | None:
-        registrations = self._registrations.get(context.index_name)
+        sink = self._open_sink(
+            context.index_name, context.key_extractor, context.expected_records
+        )
+        if sink is not None:
+            self.metrics.record_event(context.event_type.value)
+            self._instruments.component_writes.inc()
+        return sink
+
+    def _open_sink(
+        self,
+        index_name: str,
+        key_extractor: Callable[[Record], Any],
+        expected_records: int,
+    ) -> "_RegistrationSink | _CompositeSink | None":
+        """The tap for one component of ``index_name`` (live write or
+        recovery re-derivation), or ``None`` with nothing registered."""
+        registrations = self._registrations.get(index_name)
         if not registrations:
             return None
-        self.metrics.record_event(context.event_type.value)
-        self._instruments.component_writes.inc()
         sinks = [
             _RegistrationSink(
                 registration,
-                context,
-                *self._builder_pair(registration, context.expected_records),
+                key_extractor,
+                *self._builder_pair(registration, expected_records),
                 self.sink,
                 self.metrics,
                 self._instruments,
@@ -500,71 +490,24 @@ class StatisticsCollector:
         """Re-derive and republish synopses for recovered components.
 
         Crash recovery reinstates disk components from the manifest
-        without replaying the component-write stream, so the synopses
-        their pre-crash incarnations published must be rebuilt by
-        scanning the components directly.  Each component is summarised
-        with the same builder geometry as the original write (the
-        descriptor persists ``expected_records``), so deterministic
-        synopsis families reproduce the pre-crash payloads exactly;
-        randomised families (reservoir samples) are only statistically
-        equivalent.
+        without replaying the component-write stream, so each
+        component's scan is re-chunked and fed through the same tap a
+        live write uses.  The builders get the same geometry as the
+        original write (the descriptor persists ``expected_records``),
+        so deterministic synopsis families reproduce the pre-crash
+        payloads exactly; randomised families (reservoir samples) are
+        only statistically equivalent.
         """
-        registrations = self._registrations.get(index_name)
-        if not registrations:
-            return
+        pairs = len(self._registrations.get(index_name, ()))
         for component in components:
-            for registration in registrations:
-                extractor = (
-                    registration.value_extractor
-                    if registration.value_extractor is not None
-                    else key_extractor
-                )
-                builder, anti_builder = self._builder_pair(
-                    registration, component.expected_records
-                )
-                matter_values: list[Any] = []
-                anti_values: list[Any] = []
-                skipped = 0
-                for record in component.scan():
-                    value = extractor(record)
-                    if value is None:
-                        skipped += 1
-                    elif record.antimatter:
-                        anti_values.append(value)
-                    else:
-                        matter_values.append(value)
-                if skipped:
-                    self.metrics.values_skipped += skipped
-                    self._instruments.values_skipped.inc(skipped)
-                if anti_values:
-                    self._anti_add(anti_builder, anti_values)
-                if matter_values:
-                    self._matter_add(builder, matter_values)
-                started = time.perf_counter()
-                synopsis = builder.build()
-                anti_synopsis = anti_builder.build()
-                elapsed = time.perf_counter() - started
-                self.metrics.finalize_seconds += elapsed
-                self._instruments.build_seconds.observe(elapsed)
-                _note_sketch_shipment(
-                    self.metrics, self._instruments, synopsis, anti_synopsis
-                )
-                self.sink.publish(
-                    registration.statistics_key,
-                    component.uid,
-                    synopsis,
-                    anti_synopsis,
-                )
-                self.metrics.synopses_published += 2
-                self._instruments.synopses_published.inc(2)
-                self._instruments.synopses_rederived.inc(2)
-
-    def _matter_add(self, builder: SynopsisBuilder, values: list[Any]) -> None:
-        self.metrics.matter_records_observed += len(values)
-        self._instruments.matter_records.inc(len(values))
-        builder.add_many(values)
-
-    def _anti_add(self, builder: SynopsisBuilder, values: list[Any]) -> None:
-        self.metrics.antimatter_records_observed += len(values)
-        self._instruments.antimatter_records.inc(len(values))
-        builder.add_many(values)
+            sink = self._open_sink(
+                index_name, key_extractor, component.expected_records
+            )
+            if sink is None:  # nothing registered on this index
+                return
+            for chunk in columnar_chunk_stream(
+                component.scan(), DEFAULT_WRITE_BATCH_SIZE
+            ):
+                sink.accept_many(chunk)
+            sink.finish(component)
+            self._instruments.synopses_rederived.inc(2 * pairs)

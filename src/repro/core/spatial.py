@@ -24,10 +24,10 @@ from dataclasses import dataclass
 from repro.core.catalog import StatisticsCatalog
 from repro.core.collector import StatisticsSink
 from repro.errors import ConfigurationError
+from repro.lsm.columnar import ColumnarChunk, split_matter_anti
 from repro.lsm.component import DiskComponent
 from repro.lsm.dataset import Dataset
 from repro.lsm.events import ComponentWriteContext, RecordSink
-from repro.lsm.record import Record
 from repro.synopses.multidim.base2d import (
     Synopsis2D,
     Synopsis2DBuilder,
@@ -72,12 +72,21 @@ class _SpatialComponentSink:
         self._anti_builder = anti_builder
         self._sink = sink
 
-    def accept(self, record: Record) -> None:
-        x, y = self._context.key_extractor(record)
-        if record.antimatter:
-            self._anti_builder.add(x, y)
-        else:
+    def accept_many(self, chunk: ColumnarChunk) -> None:
+        extractor = self._context.key_extractor
+        split = split_matter_anti(chunk, extractor)
+        if split is None:  # extractor without a registered column twin
+            records = chunk.records()
+            split = (
+                [extractor(r) for r in records if not r.antimatter],
+                [extractor(r) for r in records if r.antimatter],
+                0,
+            )
+        points, anti_points, _skipped = split
+        for x, y in points:
             self._builder.add(x, y)
+        for x, y in anti_points:
+            self._anti_builder.add(x, y)
 
     def finish(self, component: DiskComponent) -> None:
         self._sink.publish(

@@ -9,9 +9,7 @@ machine-checkable artifacts.  This module provides:
   ingestion work targets::
 
       ingest-throughput   bulkload stream -> component, stats attached
-                          (columnar batched AND per-record compat
-                          path, plus their ratio -- the columnar
-                          pipeline's win itself, docs/DATAPATH.md)
+                          (the columnar chunk path, docs/DATAPATH.md)
       flush-latency       memtable -> disk component
       merge-throughput    merge cursor -> merged component
       estimate-latency    Algorithm 2 over the catalog (cache warm)
@@ -45,8 +43,8 @@ machine-checkable artifacts.  This module provides:
   latency).
 
 Wall-clock numbers are hardware-bound; the ratio metrics (e.g.
-``ingest.columnar_speedup``) are not, which is what makes a committed
-baseline meaningful across runners (see docs/BENCHMARKING.md).
+``ndv.wire.compression_ratio``) are not, which is what makes a
+committed baseline meaningful across runners (see docs/BENCHMARKING.md).
 """
 
 from __future__ import annotations
@@ -80,7 +78,7 @@ from repro.lsm.pacing import MergePacer
 from repro.lsm.record import Record
 from repro.lsm.scheduler import make_scheduler
 from repro.lsm.storage import SimulatedDisk
-from repro.lsm.tree import DEFAULT_WRITE_BATCH_SIZE, LSMTree
+from repro.lsm.tree import LSMTree
 from repro.obs.registry import MetricsRegistry, use_registry
 from repro.synopses.base import SynopsisType
 from repro.synopses.factory import create_builder
@@ -214,8 +212,6 @@ _BUDGET = 64
 # metric name -> (unit, direction); direction names the GOOD direction.
 METRIC_SPECS: dict[str, tuple[str, str]] = {
     "ingest.throughput.columnar": ("records/s", "higher"),
-    "ingest.throughput.per_record": ("records/s", "higher"),
-    "ingest.columnar_speedup": ("ratio", "higher"),
     "flush.latency": ("s", "lower"),
     "flush.throughput": ("records/s", "higher"),
     "merge.throughput": ("records/s", "higher"),
@@ -266,8 +262,6 @@ BENCHMARK_NAMES = (
 # "the benchmark ran but stopped emitting the metric" (a regression).
 METRIC_SOURCES: dict[str, str] = {
     "ingest.throughput.columnar": "ingest-throughput",
-    "ingest.throughput.per_record": "ingest-throughput",
-    "ingest.columnar_speedup": "ingest-throughput",
     "flush.latency": "flush-latency",
     "flush.throughput": "flush-latency",
     "merge.throughput": "merge-throughput",
@@ -360,56 +354,24 @@ def _bench_ingest(
     scale: PerfScale, seed: int, timer: Callable[[], float]
 ) -> dict[str, float]:
     """Bulkload a sorted record stream through a statistics-observed
-    tree, on the columnar batched path and the per-record compat path.
-
-    ``ingest.columnar_speedup`` is the columnar pipeline's acceptance
-    ratio (docs/DATAPATH.md): both modes consume identical input and
-    produce identical components, so the ratio isolates the
-    representation change."""
+    tree (the columnar chunk path, docs/DATAPATH.md)."""
     n = scale.ingest_records
     records = [Record.matter(key) for key in range(n)]
 
-    def one(batch: int | None) -> float:
-        tree = LSMTree(
-            "bench.ingest",
-            SimulatedDisk(),
-            event_bus=EventBus(),
-            write_batch_size=batch,
-        )
+    def one(count: int) -> float:
+        tree = LSMTree("bench.ingest", SimulatedDisk(), event_bus=EventBus())
         _attach_equi_width_collector(tree, _DOMAIN)
+        stream = iter(records[:count])
         started = timer()
-        tree.bulkload(iter(records), expected_records=n)
-        return n / max(timer() - started, 1e-9)
+        tree.bulkload(stream, expected_records=count)
+        return count / max(timer() - started, 1e-9)
 
-    # One small untimed pass per mode warms allocator/bytecode caches so
-    # the first timed mode is not penalised for running cold.
-    warm = records[: min(2_000, n)]
-
-    def warmup(batch: int | None) -> None:
-        tree = LSMTree(
-            "bench.ingest.warm",
-            SimulatedDisk(),
-            event_bus=EventBus(),
-            write_batch_size=batch,
-        )
-        _attach_equi_width_collector(tree, _DOMAIN)
-        tree.bulkload(iter(warm), expected_records=len(warm))
-
-    warmup(DEFAULT_WRITE_BATCH_SIZE)
-    warmup(None)
-    # Alternate modes and keep each mode's best pass: the minimum time
-    # (max throughput) is the least noise-contaminated observation, and
-    # interleaving keeps transient machine load from biasing one mode.
-    columnar = 0.0
-    per_record = 0.0
-    for _ in range(2):
-        columnar = max(columnar, one(DEFAULT_WRITE_BATCH_SIZE))
-        per_record = max(per_record, one(None))
-    return {
-        "ingest.throughput.columnar": columnar,
-        "ingest.throughput.per_record": per_record,
-        "ingest.columnar_speedup": columnar / per_record,
-    }
+    # One small untimed pass warms allocator/bytecode caches so the
+    # first timed pass is not penalised for running cold.
+    one(min(2_000, n))
+    # Keep the best of two passes: the minimum time (max throughput)
+    # is the least noise-contaminated observation.
+    return {"ingest.throughput.columnar": max(one(n), one(n))}
 
 
 def _bench_flush(
@@ -1028,8 +990,7 @@ def _bench_ndv(
 
     ``ndv.wire.compression_ratio`` is hardware-independent -- dense
     register bytes over HBS-encoded bytes of the same deterministic
-    sketch -- so like ``ingest.columnar_speedup`` it gates
-    meaningfully across heterogeneous runners.
+    sketch -- so it gates meaningfully across heterogeneous runners.
     """
     n = scale.ndv_records
     registers = 1 << DEFAULT_NDV_PRECISION

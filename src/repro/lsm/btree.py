@@ -18,7 +18,7 @@ from operator import lt
 from typing import Any, Iterable, Iterator
 
 from repro.errors import BulkloadError, StorageError
-from repro.lsm.columnar import ColumnarChunk
+from repro.lsm.columnar import ColumnarChunk, columnar_chunk_stream
 from repro.lsm.record import Record
 from repro.lsm.storage import FileHandle, SimulatedDisk
 from repro.util.npbackend import int64_view
@@ -39,22 +39,10 @@ DEFAULT_FANOUT = 64
 """Children per interior page."""
 
 
-class _LeafPage:
-    """A leaf holding sorted records plus a next-sibling pointer."""
-
-    __slots__ = ("keys", "records", "next_leaf")
-
-    def __init__(self, records: list[Record]) -> None:
-        self.records = records
-        self.keys = [record.key for record in records]
-        self.next_leaf: int | None = None
-
-
 class _ColumnarLeafPage:
-    """A leaf holding sorted rows as columns (the columnar build path).
+    """A leaf holding sorted rows as columns plus a next-sibling pointer.
 
-    Exposes the same ``keys``/``records``/``next_leaf`` surface as
-    :class:`_LeafPage`, but stores the key/value/anti/seqnum columns a
+    Stores the key/value/anti/seqnum columns a
     :class:`~repro.lsm.columnar.ColumnarChunk` delivered -- ``Record``
     objects are materialised lazily (and memoized) the first time a
     read actually touches the leaf, so the ingest path never allocates
@@ -77,6 +65,23 @@ class _ColumnarLeafPage:
         self.seqnums = seqnums
         self.next_leaf: int | None = None
         self._records: list[Record] | None = None
+
+    @classmethod
+    def head_of(
+        cls,
+        keys: list[Any],
+        values: list[Any] | None,
+        anti: list[bool] | None,
+        seqnums: list[int],
+        count: int,
+    ) -> "_ColumnarLeafPage":
+        """A leaf owning copies of the first ``count`` buffered rows."""
+        return cls(
+            keys[:count],
+            values[:count] if values is not None else None,
+            anti[:count] if anti is not None else None,
+            seqnums[:count],
+        )
 
     @property
     def records(self) -> list[Record]:
@@ -259,73 +264,59 @@ def build_btree(
 ) -> DiskBTree:
     """Bulkload an immutable B-tree from a key-sorted record stream.
 
-    Raises :class:`~repro.errors.BulkloadError` when the stream is not
+    The record-stream edge adapter over :func:`build_btree_chunks`: the
+    stream is sliced into one columnar chunk per leaf.  Raises
+    :class:`~repro.errors.BulkloadError` when the stream is not
     strictly sorted by key (LSM components never contain duplicate keys:
     reconciliation keeps one entry per key).
     """
-    if leaf_capacity <= 1 or fanout <= 1:
-        raise BulkloadError("leaf_capacity and fanout must both exceed 1")
-
-    file = disk.create_file()
-    leaf_page_nos: list[int] = []
-    leaf_min_keys: list[Any] = []
-    leaves: list[_LeafPage] = []
-
-    buffer: list[Record] = []
-    previous_key: Any = None
-    num_records = 0
-    for record in records:
-        if previous_key is not None and not previous_key < record.key:
-            raise BulkloadError(
-                f"bulkload stream not strictly sorted: {previous_key!r} "
-                f"followed by {record.key!r}"
-            )
-        previous_key = record.key
-        buffer.append(record)
-        num_records += 1
-        if len(buffer) == leaf_capacity:
-            _emit_leaf(file, buffer, leaf_page_nos, leaf_min_keys, leaves)
-            buffer = []
-    if buffer:
-        _emit_leaf(file, buffer, leaf_page_nos, leaf_min_keys, leaves)
-
-    return _seal_tree(
-        file, leaf_page_nos, leaf_min_keys, leaves, fanout, num_records
+    return build_btree_chunks(
+        disk,
+        columnar_chunk_stream(records, leaf_capacity),
+        leaf_capacity=leaf_capacity,
+        fanout=fanout,
     )
 
 
 def build_btree_chunks(
     disk: SimulatedDisk,
-    chunks: "Iterable[list[Record] | ColumnarChunk]",
+    chunks: Iterable[ColumnarChunk],
     leaf_capacity: int = DEFAULT_LEAF_CAPACITY,
     fanout: int = DEFAULT_FANOUT,
 ) -> DiskBTree:
-    """Bulkload an immutable B-tree from a stream of key-sorted chunks.
+    """Bulkload an immutable B-tree from a stream of key-sorted
+    columnar chunks (the component-write path).
 
-    The chunked twin of :func:`build_btree` (the batched ingestion hot
-    path).  Chunks may be plain ``list[Record]`` slices or
-    :class:`~repro.lsm.columnar.ColumnarChunk` columns; columnar chunks
-    take the fast lane -- sortedness is validated over the typed key
-    column (vectorised when the numpy backend is on), leaves are packed
-    by column slicing into :class:`_ColumnarLeafPage` objects, and no
-    ``Record`` is ever allocated at build time.  The resulting tree is
-    structurally identical to the per-record build of the flattened
-    stream; only the in-memory page representation differs.
+    Sortedness is validated over the typed key column (vectorised when
+    the numpy backend is on), leaves are packed by column slicing into
+    :class:`_ColumnarLeafPage` objects, and no ``Record`` is ever
+    allocated at build time.  A build that raises deletes its
+    half-written file; a simulated crash (a ``BaseException``) leaves
+    it as the orphan recovery GC expects.
     """
     if leaf_capacity <= 1 or fanout <= 1:
         raise BulkloadError("leaf_capacity and fanout must both exceed 1")
 
     file = disk.create_file()
+    try:
+        return _pack_leaves(file, chunks, leaf_capacity, fanout)
+    except Exception:
+        file.delete()
+        raise
+
+
+def _pack_leaves(
+    file: FileHandle,
+    chunks: Iterable[ColumnarChunk],
+    leaf_capacity: int,
+    fanout: int,
+) -> DiskBTree:
+    """Fill ``file`` with leaves sliced off the chunk columns, then
+    stack the interior levels and seal it."""
     leaf_page_nos: list[int] = []
     leaf_min_keys: list[Any] = []
-    leaves: list[Any] = []
+    leaves: list[_ColumnarLeafPage] = []
 
-    # Record-list chunks buffer records; columnar chunks buffer columns.
-    # A single stream never mixes the two in practice (the tree's write
-    # path is all-columnar, the public API compatibility tests are
-    # all-lists), but interleaving is tolerated: each representation
-    # drains its buffer below leaf capacity before the other appends.
-    buffer: list[Record] = []
     key_buf: list[Any] = []
     value_buf: list[Any] | None = None
     anti_buf: list[bool] | None = None
@@ -333,79 +324,46 @@ def build_btree_chunks(
     previous_key: Any = None
     num_records = 0
 
-    def emit_columnar() -> None:
-        nonlocal key_buf, value_buf, anti_buf, seq_buf
-        while len(key_buf) >= leaf_capacity:
-            leaf = _ColumnarLeafPage(
-                key_buf[:leaf_capacity],
-                value_buf[:leaf_capacity] if value_buf is not None else None,
-                anti_buf[:leaf_capacity] if anti_buf is not None else None,
-                seq_buf[:leaf_capacity],
-            )
-            _register_leaf(file, leaf, leaf_page_nos, leaf_min_keys, leaves)
-            del key_buf[:leaf_capacity]
-            if value_buf is not None:
-                del value_buf[:leaf_capacity]
-            if anti_buf is not None:
-                del anti_buf[:leaf_capacity]
-            del seq_buf[:leaf_capacity]
+    def emit_leaf() -> None:
+        # Up to one leaf's worth off the front of the buffers (the
+        # tail leaf is simply a short slice).
+        leaf = _ColumnarLeafPage.head_of(
+            key_buf, value_buf, anti_buf, seq_buf, leaf_capacity
+        )
+        leaf_page_nos.append(file.append_page(leaf))
+        leaf_min_keys.append(leaf.keys[0])
+        leaves.append(leaf)
+        del key_buf[:leaf_capacity]
+        if value_buf is not None:
+            del value_buf[:leaf_capacity]
+        if anti_buf is not None:
+            del anti_buf[:leaf_capacity]
+        del seq_buf[:leaf_capacity]
 
     for chunk in chunks:
         if not len(chunk):
             continue
-        if isinstance(chunk, ColumnarChunk):
-            if buffer:
-                raise BulkloadError(
-                    "columnar chunk arrived while record-list rows were "
-                    "buffered; a chunk stream must not interleave "
-                    "representations mid-leaf"
-                )
-            keys = chunk.keys_list()
-            previous_key = _check_chunk_sorted(chunk, keys, previous_key)
-            num_records += len(keys)
-            key_buf.extend(keys)
-            seq_buf.extend(chunk.seqnums)
-            if chunk.values is not None:
-                if value_buf is None:
-                    value_buf = [None] * (len(key_buf) - len(keys))
-                value_buf.extend(chunk.values)
-            elif value_buf is not None:
-                value_buf.extend([None] * len(keys))
-            if chunk.anti is not None:
-                if anti_buf is None:
-                    anti_buf = [False] * (len(key_buf) - len(keys))
-                anti_buf.extend(chunk.anti)
-            elif anti_buf is not None:
-                anti_buf.extend([False] * len(keys))
-            emit_columnar()
-            continue
-        if key_buf:
-            raise BulkloadError(
-                "record-list chunk arrived while columnar rows were "
-                "buffered; a chunk stream must not interleave "
-                "representations mid-leaf"
-            )
-        key = previous_key
-        for record in chunk:
-            if key is not None and not key < record.key:
-                raise BulkloadError(
-                    f"bulkload stream not strictly sorted: {key!r} "
-                    f"followed by {record.key!r}"
-                )
-            key = record.key
-        previous_key = key
-        num_records += len(chunk)
-        buffer.extend(chunk)
-        while len(buffer) >= leaf_capacity:
-            _emit_leaf(
-                file, buffer[:leaf_capacity], leaf_page_nos, leaf_min_keys, leaves
-            )
-            del buffer[:leaf_capacity]
-    if buffer:
-        _emit_leaf(file, buffer, leaf_page_nos, leaf_min_keys, leaves)
+        keys = chunk.keys_list()
+        previous_key = _check_chunk_sorted(chunk, keys, previous_key)
+        num_records += len(keys)
+        key_buf.extend(keys)
+        seq_buf.extend(chunk.seqnums)
+        if chunk.values is not None:
+            if value_buf is None:
+                value_buf = [None] * (len(key_buf) - len(keys))
+            value_buf.extend(chunk.values)
+        elif value_buf is not None:
+            value_buf.extend([None] * len(keys))
+        if chunk.anti is not None:
+            if anti_buf is None:
+                anti_buf = [False] * (len(key_buf) - len(keys))
+            anti_buf.extend(chunk.anti)
+        elif anti_buf is not None:
+            anti_buf.extend([False] * len(keys))
+        while len(key_buf) >= leaf_capacity:
+            emit_leaf()
     if key_buf:
-        leaf = _ColumnarLeafPage(key_buf, value_buf, anti_buf, seq_buf)
-        _register_leaf(file, leaf, leaf_page_nos, leaf_min_keys, leaves)
+        emit_leaf()
 
     return _seal_tree(
         file, leaf_page_nos, leaf_min_keys, leaves, fanout, num_records
@@ -476,7 +434,7 @@ def _seal_tree(
     file: FileHandle,
     leaf_page_nos: list[int],
     leaf_min_keys: list[Any],
-    leaves: list[Any],
+    leaves: list[_ColumnarLeafPage],
     fanout: int,
     num_records: int,
 ) -> DiskBTree:
@@ -513,27 +471,3 @@ def _seal_tree(
         num_records=num_records,
         first_leaf=leaf_page_nos[0],
     )
-
-
-def _emit_leaf(
-    file: FileHandle,
-    buffer: list[Record],
-    page_nos: list[int],
-    min_keys: list[Any],
-    leaves: list[Any],
-) -> None:
-    # Callers hand over a fresh list (rebound or sliced), so the page
-    # takes ownership without copying.
-    _register_leaf(file, _LeafPage(buffer), page_nos, min_keys, leaves)
-
-
-def _register_leaf(
-    file: FileHandle,
-    leaf: Any,
-    page_nos: list[int],
-    min_keys: list[Any],
-    leaves: list[Any],
-) -> None:
-    page_nos.append(file.append_page(leaf))
-    min_keys.append(leaf.keys[0])
-    leaves.append(leaf)

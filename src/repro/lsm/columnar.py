@@ -1,15 +1,14 @@
 """Columnar chunks: the write path's record representation.
 
-The batched ingestion path (PR 3) moved the component-write pipeline
-from one record at a time to chunk at a time, but each chunk was still
-a ``list[Record]`` -- every stage paid per-record attribute walks and,
-on the bulkload path, a fresh ``Record`` allocation per input row.
-This module replaces that representation with :class:`ColumnarChunk`:
-one key column, one value column, one anti-matter column and one
-seqnum column per chunk, flowing end-to-end through
+Every disk component is built from a stream of :class:`ColumnarChunk`
+objects -- one key column, one value column, one anti-matter column
+and one seqnum column per chunk -- so no stage pays per-record
+attribute walks and a bulkload allocates no ``Record`` per input row.
+The chunks flow end-to-end through
 
-    memtable ``sorted_columnar_chunks`` / bulkload stamping
-      -> ``LSMTree._build_index_chunked`` (bloom + observer taps)
+    memtable ``sorted_columnar_chunks`` / bulkload stamping /
+    merge-cursor re-chunking (``columnar_chunk_stream``)
+      -> ``LSMTree._write_component`` (bloom + observer taps)
       -> ``build_btree_chunks`` (columnar leaf packing)
       -> ``StatisticsCollector`` / ``SynopsisBuilder.add_many``
 
@@ -17,9 +16,10 @@ Integer key columns additionally freeze into a typed ``array('q')``
 buffer, which downstream consumers may wrap in a zero-copy numpy view
 when the optional numpy backend is enabled (``repro.util.npbackend``).
 
-The full contract -- column layout, dtype rules, ownership, when the
-per-record fallback engages, and how the oracle equivalence against the
-``write_batch_size=None`` path is verified -- is docs/DATAPATH.md.
+The full contract -- column layout, dtype rules, ownership, when a
+consumer falls back to materialised records, and how equivalence with
+the naive per-record reference (``tests/lsm/reference.py``) is
+verified -- is docs/DATAPATH.md.
 """
 
 from __future__ import annotations
@@ -60,12 +60,12 @@ class ColumnarChunk:
 
     Chunks are write-once: no consumer may mutate a column (numpy views
     over ``typed_keys`` share its buffer).  ``records()`` is the escape
-    hatch back to ``Record`` objects for consumers that predate the
-    columnar contract -- it materialises lazily, memoizes (so the cost
-    is paid at most once per chunk however many consumers iterate), and
-    counts one ``ingest.columnar.fallbacks`` tick unless the records
-    were supplied at construction (the memtable path, where they
-    already existed).
+    hatch back to ``Record`` objects for consumers with no column to
+    read (the R-tree adapter, an unregistered value extractor) -- it
+    materialises lazily, memoizes (so the cost is paid at most once
+    per chunk however many consumers iterate), and counts one
+    ``ingest.columnar.fallbacks`` tick unless the records were supplied
+    at construction (the memtable path, where they already existed).
     """
 
     __slots__ = (
@@ -152,7 +152,7 @@ class ColumnarChunk:
             values,
             anti,
             antimatter_count,
-            seqnums if seqnums is not None else range(len(keys)),
+            seqnums if seqnums is not None else [0] * len(keys),
         )
 
     # -- accessors -------------------------------------------------------
@@ -184,12 +184,12 @@ class ColumnarChunk:
     def records(self) -> list[Record]:
         """Materialise the chunk as ``Record`` objects (memoized).
 
-        This is the per-record compatibility fallback: index builders
-        without a columnar twin and observer sinks without columnar
-        awareness iterate the chunk, which lands here.  Each chunk
-        materialises at most once -- later callers share the memo --
-        and each lazy materialisation counts one
-        ``ingest.columnar.fallbacks`` tick (docs/OBSERVABILITY.md).
+        Consumers with no column to read iterate the chunk, which
+        lands here: the R-tree chunk adapter, a statistics registration
+        whose extractor has no column twin, an observer sink written
+        against records.  Each chunk materialises at most once -- later
+        callers share the memo -- and each lazy materialisation counts
+        one ``ingest.columnar.fallbacks`` tick (docs/OBSERVABILITY.md).
         """
         if self._records is None:
             get_registry().counter("ingest.columnar.fallbacks").inc()
@@ -233,9 +233,9 @@ def columnar_chunk_stream(
 ) -> Iterator[ColumnarChunk]:
     """Drain a record stream into consecutive columnar chunks.
 
-    The columnar twin of :func:`repro.lsm.cursor.chunk_stream`, used
-    where the source is inherently per-record (the merge cursor's
-    reconciled stream); ordering is preserved exactly.
+    The edge adapter for sources that are inherently per-record (the
+    merge cursor's reconciled stream, a recovered component's scan, the
+    record-stream ``build_btree``); ordering is preserved exactly.
     """
     if chunk_size < 1:
         raise ValueError(f"chunk_size must be >= 1, got {chunk_size}")
@@ -249,12 +249,12 @@ def columnar_chunk_stream(
 
 # -- summary-column extraction -------------------------------------------
 #
-# The statistics collector's per-record path maps each record through a
-# value extractor (record -> summarised value).  To keep the columnar
-# path extractor-free, known extractor *functions* register a column
-# twin here (chunk -> value column); attribute extractors instead carry
-# a ``payload_field`` attribute naming the payload key they read.  An
-# extractor with neither registration falls back to ``chunk.records()``.
+# A statistics registration names its summarised value by an extractor
+# (record -> value).  So the collector never has to call it per row,
+# known extractor *functions* register a column twin here (chunk ->
+# value column); attribute extractors instead carry a ``payload_field``
+# attribute naming the payload key they read.  An extractor with
+# neither registration falls back to ``chunk.records()``.
 
 _SUMMARY_COLUMNS: dict[Any, Callable[[ColumnarChunk], list[Any]]] = {}
 _RAW_KEY_EXTRACTORS: set[Any] = set()
@@ -291,11 +291,10 @@ def split_matter_anti(
     for one statistics registration, without materialising records.
 
     Row order is preserved within each class and ``None`` values are
-    skipped, exactly mirroring the per-record tap loop -- so feeding
-    the results to ``add_many`` is bit-identical to per-record ``add``
-    calls.  Returns ``None`` for extractors with no registered column
-    twin and no ``payload_field`` tag; the caller then falls back to
-    ``chunk.records()``.
+    skipped, so feeding the results to ``add_many`` is bit-identical
+    to per-record ``add`` calls in stream order.  Returns ``None`` for
+    extractors with no registered column twin and no ``payload_field``
+    tag; the caller then falls back to ``chunk.records()``.
     """
     column_fn = _SUMMARY_COLUMNS.get(extractor)
     if column_fn is None:

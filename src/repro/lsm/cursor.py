@@ -19,31 +19,11 @@ which is what lets synopses be rebuilt from scratch during merges.
 from __future__ import annotations
 
 import heapq
-import itertools
 from typing import Iterable, Iterator
 
 from repro.lsm.record import Record
 
-__all__ = ["merge_streams", "reconcile", "chunk_stream"]
-
-
-def chunk_stream(
-    stream: Iterable[Record], chunk_size: int
-) -> Iterator[list[Record]]:
-    """Drain a record stream into consecutive slices of ``chunk_size``.
-
-    The batched component-write path wraps the merge cursor (and any
-    other per-record stream) with this so sinks and index builders see
-    lists instead of single records; ordering is preserved exactly.
-    """
-    if chunk_size < 1:
-        raise ValueError(f"chunk_size must be >= 1, got {chunk_size}")
-    iterator = iter(stream)
-    while True:
-        chunk = list(itertools.islice(iterator, chunk_size))
-        if not chunk:
-            return
-        yield chunk
+__all__ = ["merge_streams", "reconcile"]
 
 
 def merge_streams(streams: Iterable[Iterator[Record]]) -> Iterator[Record]:

@@ -172,7 +172,7 @@ class Dataset:
         memtable_capacity: int = DEFAULT_MEMTABLE_CAPACITY,
         merge_policy: MergePolicy | None = None,
         event_bus: EventBus | None = None,
-        write_batch_size: int | None = DEFAULT_WRITE_BATCH_SIZE,
+        write_batch_size: int = DEFAULT_WRITE_BATCH_SIZE,
         durable: bool = False,
         wal_enabled: bool = True,
         wal_group_size: int = DEFAULT_WAL_GROUP_SIZE,
@@ -457,31 +457,15 @@ class Dataset:
         with self._dml_lock:
             pk = self._pk_of(document)
             seqnum = self.sequence.next()
-            if self._wal is not None:
-                writes = [
-                    (self.primary, Record.matter(pk, document, seqnum=seqnum))
-                ]
-                for spec in self._all_specs():
-                    writes.append(
-                        (
-                            self._secondary[spec.name],
-                            Record.matter(
-                                (*spec.key_of(document), pk), seqnum=seqnum
-                            ),
-                        )
+            writes = [(self.primary, Record.matter(pk, document, seqnum=seqnum))]
+            for spec in self._all_specs():
+                writes.append(
+                    (
+                        self._secondary[spec.name],
+                        Record.matter((*spec.key_of(document), pk), seqnum=seqnum),
                     )
-                self._apply_logged(seqnum, writes)
-            else:
-                self.primary.write_record(
-                    Record.matter(pk, document, seqnum=seqnum)
                 )
-                for spec in self._all_specs():
-                    self._secondary[spec.name].write_record(
-                        Record.matter(
-                            (*spec.key_of(document), pk), seqnum=seqnum
-                        )
-                    )
-                self._after_write()
+            self._apply(seqnum, writes)
         self._h_ingest_op.observe(time.perf_counter() - started)
 
     def insert_many(self, documents: Iterable[dict[str, Any]]) -> int:
@@ -534,41 +518,18 @@ class Dataset:
             if old is None:
                 return False
             seqnum = self.sequence.next()
-            if self._wal is not None:
-                writes = [
-                    (self.primary, Record.matter(pk, document, seqnum=seqnum))
-                ]
-                for spec in self._all_specs():
-                    old_sk, new_sk = spec.key_of(old), spec.key_of(document)
-                    if old_sk == new_sk:
-                        continue
-                    tree = self._secondary[spec.name]
-                    writes.append(
-                        (tree, Record.anti((*old_sk, pk), seqnum=seqnum))
-                    )
-                    writes.append(
-                        (tree, Record.matter((*new_sk, pk), seqnum=seqnum))
-                    )
-                self._apply_logged(seqnum, writes)
-            else:
-                self.primary.write_record(
-                    Record.matter(pk, document, seqnum=seqnum)
-                )
-                for spec in self._all_specs():
-                    old_sk, new_sk = spec.key_of(old), spec.key_of(document)
-                    if old_sk == new_sk:
-                        # The existing secondary entry still points at
-                        # the live record; touching it would double-count
-                        # the record in per-component statistics.
-                        continue
-                    tree = self._secondary[spec.name]
-                    tree.write_record(
-                        Record.anti((*old_sk, pk), seqnum=seqnum)
-                    )
-                    tree.write_record(
-                        Record.matter((*new_sk, pk), seqnum=seqnum)
-                    )
-                self._after_write()
+            writes = [(self.primary, Record.matter(pk, document, seqnum=seqnum))]
+            for spec in self._all_specs():
+                old_sk, new_sk = spec.key_of(old), spec.key_of(document)
+                if old_sk == new_sk:
+                    # The existing secondary entry still points at the
+                    # live record; touching it would double-count the
+                    # record in per-component statistics.
+                    continue
+                tree = self._secondary[spec.name]
+                writes.append((tree, Record.anti((*old_sk, pk), seqnum=seqnum)))
+                writes.append((tree, Record.matter((*new_sk, pk), seqnum=seqnum)))
+            self._apply(seqnum, writes)
         self._h_ingest_op.observe(time.perf_counter() - started)
         return True
 
@@ -580,25 +541,15 @@ class Dataset:
             if old is None:
                 return False
             seqnum = self.sequence.next()
-            if self._wal is not None:
-                writes = [(self.primary, Record.anti(pk, seqnum=seqnum))]
-                for spec in self._all_specs():
-                    writes.append(
-                        (
-                            self._secondary[spec.name],
-                            Record.anti(
-                                (*spec.key_of(old), pk), seqnum=seqnum
-                            ),
-                        )
+            writes = [(self.primary, Record.anti(pk, seqnum=seqnum))]
+            for spec in self._all_specs():
+                writes.append(
+                    (
+                        self._secondary[spec.name],
+                        Record.anti((*spec.key_of(old), pk), seqnum=seqnum),
                     )
-                self._apply_logged(seqnum, writes)
-            else:
-                self.primary.write_record(Record.anti(pk, seqnum=seqnum))
-                for spec in self._all_specs():
-                    self._secondary[spec.name].write_record(
-                        Record.anti((*spec.key_of(old), pk), seqnum=seqnum)
-                    )
-                self._after_write()
+                )
+            self._apply(seqnum, writes)
         self._h_ingest_op.observe(time.perf_counter() - started)
         return True
 
@@ -795,15 +746,16 @@ class Dataset:
         (re-raising failures captured off-thread)."""
         self._scheduler.drain()
 
-    def _apply_logged(
+    def _apply(
         self, seqnum: int, writes: "list[tuple[LSMTree, Record]]"
     ) -> None:
-        """Durably log one operation's records (all trees, one seqnum,
-        one atomic WAL entry), then apply them to the memtables."""
-        assert self._wal is not None
-        self._wal.log_op(
-            seqnum, [(tree.name, record) for tree, record in writes]
-        )
+        """Apply one operation's records to the memtables -- after, with
+        a WAL attached, durably logging them (all trees, one seqnum,
+        one atomic WAL entry)."""
+        if self._wal is not None:
+            self._wal.log_op(
+                seqnum, [(tree.name, record) for tree, record in writes]
+            )
         for tree, record in writes:
             tree.write_record(record)
         self._after_write()

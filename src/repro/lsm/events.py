@@ -5,18 +5,15 @@ the LSM lifecycle" (paper abstract).  Concretely, every disk component
 is written by a single ``bulkload()`` routine consuming a key-sorted
 record stream, and observers may *tap* that stream: before the write
 starts each registered observer is offered a :class:`ComponentWriteContext`
-and may return a per-record sink; every record flowing to disk is also
+and may return a sink; every chunk of records flowing to disk is also
 fed to the sink, and when the component is sealed the sink is finished
 with the resulting component.  Observing therefore costs no extra I/O --
 precisely the paper's design.
 
-On the batched write path the stream arrives as columnar chunks
-(:class:`repro.lsm.columnar.ColumnarChunk`, docs/DATAPATH.md) rather
-than ``list[Record]`` slices.  Chunks iterate as records, so sinks
-that only implement :meth:`RecordSink.accept` keep working through
-:func:`accept_batch` at the cost of one memoized materialisation per
-chunk; columnar-aware sinks (the statistics collector) instead read the
-chunk's columns directly.
+The stream arrives as columnar chunks
+(:class:`repro.lsm.columnar.ColumnarChunk`, docs/DATAPATH.md).  A sink
+reads the columns it needs; one that wants ``Record`` objects iterates
+the chunk, at the cost of one memoized materialisation per chunk.
 """
 
 from __future__ import annotations
@@ -26,6 +23,7 @@ import threading
 from dataclasses import dataclass
 from typing import Any, Callable, Protocol, Sequence
 
+from repro.lsm.columnar import ColumnarChunk
 from repro.lsm.component import DiskComponent
 from repro.lsm.record import Record
 from repro.obs.registry import MetricsRegistry, get_registry
@@ -34,10 +32,8 @@ __all__ = [
     "LSMEventType",
     "ComponentWriteContext",
     "RecordSink",
-    "BatchingRecordSink",
     "LSMEventObserver",
     "EventBus",
-    "accept_batch",
 ]
 
 
@@ -78,46 +74,12 @@ class ComponentWriteContext:
 class RecordSink(Protocol):
     """Per-component-write consumer of the bulkload stream."""
 
-    def accept(self, record: Record) -> None:
-        """Observe one record on its way to disk."""
+    def accept_many(self, chunk: ColumnarChunk) -> None:
+        """Observe one chunk of consecutive stream records on its way
+        to disk."""
 
     def finish(self, component: DiskComponent) -> None:
         """The write completed and produced ``component``."""
-
-
-class BatchingRecordSink(RecordSink, Protocol):
-    """A sink that can consume the bulkload stream a slice at a time.
-
-    The batched ingestion path drains the stream in chunks and offers
-    each chunk through :meth:`accept_many`; sinks without the method
-    fall back transparently to per-record :meth:`accept` via
-    :func:`accept_batch`.  ``accept_many(chunk)`` must be semantically
-    identical to ``for r in chunk: accept(r)``.
-
-    The chunk may be a ``list[Record]`` or a columnar chunk; both are
-    sized, iterable record sequences.  Columnar-aware sinks may
-    additionally test for :class:`repro.lsm.columnar.ColumnarChunk`
-    and read its columns instead of iterating (docs/DATAPATH.md).
-    """
-
-    def accept_many(self, records: Sequence[Record]) -> None:
-        """Observe a slice of consecutive stream records."""
-
-
-def accept_batch(sink: RecordSink, records: Sequence[Record]) -> None:
-    """Feed one stream chunk to ``sink``, batched when it supports it.
-
-    With a columnar chunk and a per-record-only sink, the iteration
-    triggers the chunk's memoized ``records()`` materialisation --
-    counted once per chunk under ``ingest.columnar.fallbacks``.
-    """
-    accept_many = getattr(sink, "accept_many", None)
-    if accept_many is not None:
-        accept_many(records)
-        return
-    accept = sink.accept
-    for record in records:
-        accept(record)
 
 
 class LSMEventObserver(Protocol):

@@ -79,35 +79,17 @@ class MemTable:
         return self._map.get(key)
 
     def sorted_records(self) -> Iterator[Record]:
-        """All entries (matter and anti-matter) in key order.
-
-        This is exactly the stream handed to ``bulkload()`` on a flush.
-        """
+        """All entries (matter and anti-matter) in key order."""
         return iter(self._map.values())
-
-    def sorted_record_chunks(self, chunk_size: int) -> Iterator[list[Record]]:
-        """All entries in key order, drained ``chunk_size`` at a time.
-
-        The batched flush path consumes this instead of
-        :meth:`sorted_records` so downstream sinks and the component
-        builder observe slices rather than single records.
-        """
-        if chunk_size < 1:
-            raise ValueError(f"chunk_size must be >= 1, got {chunk_size}")
-        records = iter(self._map.values())
-        while True:
-            chunk = list(itertools.islice(records, chunk_size))
-            if not chunk:
-                return
-            yield chunk
 
     def sorted_columnar_chunks(
         self, chunk_size: int
     ) -> Iterator[ColumnarChunk]:
-        """All entries in key order as columnar chunks (the flush hot
-        path).  The source records are retained as each chunk's
-        materialisation memo, so a downstream per-record fallback costs
-        nothing extra here -- see docs/DATAPATH.md.
+        """All entries in key order as columnar chunks: exactly the
+        stream handed to ``bulkload()`` on a flush.  The source records
+        are retained as each chunk's materialisation memo, so a consumer
+        that iterates a chunk as records costs nothing extra here -- see
+        docs/DATAPATH.md.
         """
         if chunk_size < 1:
             raise ValueError(f"chunk_size must be >= 1, got {chunk_size}")

@@ -29,10 +29,11 @@ from bisect import bisect_left
 from typing import Any, Iterable, Iterator
 
 from repro.errors import BulkloadError
+from repro.lsm.columnar import ColumnarChunk
 from repro.lsm.record import Record
 from repro.lsm.storage import FileHandle, SimulatedDisk
 
-__all__ = ["MBR", "DiskRTree", "build_rtree"]
+__all__ = ["MBR", "DiskRTree", "build_rtree", "build_rtree_chunks"]
 
 
 class MBR:
@@ -215,12 +216,48 @@ def build_rtree(
 ) -> DiskRTree:
     """Bulkload a spatial component from a lex-sorted record stream.
 
-    Drop-in compatible with :func:`repro.lsm.btree.build_btree`, so it
-    plugs into ``LSMTree(index_builder=build_rtree)``.
+    Names the R-tree structure in ``LSMTree(index_builder=build_rtree)``;
+    the tree's write path reaches it through :func:`build_rtree_chunks`.
+    A build that raises deletes its half-written file; a simulated
+    crash (a ``BaseException``) leaves the orphan for recovery GC.
     """
     if leaf_capacity <= 1 or fanout <= 1:
         raise BulkloadError("leaf_capacity and fanout must both exceed 1")
     file = disk.create_file()
+    try:
+        return _pack_rtree(file, records, leaf_capacity, fanout)
+    except Exception:
+        file.delete()
+        raise
+
+
+def build_rtree_chunks(
+    disk: SimulatedDisk,
+    chunks: Iterable[ColumnarChunk],
+    leaf_capacity: int = 64,
+    fanout: int = 64,
+) -> DiskRTree:
+    """The R-tree's chunk adapter for the LSM component-write path.
+
+    R-tree leaves hold ``Record`` objects (their MBRs are computed from
+    the keys at build time), so each chunk is materialised once through
+    its memoized ``records()`` -- free for flush and merge chunks, one
+    ``ingest.columnar.fallbacks`` tick per bulkload chunk.
+    """
+    return build_rtree(
+        disk,
+        (record for chunk in chunks for record in chunk.records()),
+        leaf_capacity=leaf_capacity,
+        fanout=fanout,
+    )
+
+
+def _pack_rtree(
+    file: FileHandle,
+    records: Iterable[Record],
+    leaf_capacity: int,
+    fanout: int,
+) -> DiskRTree:
     leaves: list[_LeafPage] = []
     leaf_page_nos: list[int] = []
 

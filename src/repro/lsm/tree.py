@@ -4,9 +4,9 @@ Ties together the mutable in-memory component, the immutable disk
 components, the merge policy and the event bus.  All three component-
 creating operations -- flush, merge and initial bulkload -- funnel
 through one ``_write_component`` routine that consumes a key-sorted
-record stream, which is exactly the paper's unified ``bulkload()``
-abstraction (Section 3.1) and the single place where statistics
-observers tap the data flow.
+stream of columnar chunks (docs/DATAPATH.md), which is exactly the
+paper's unified ``bulkload()`` abstraction (Section 3.1) and the single
+place where statistics observers tap the data flow.
 """
 
 from __future__ import annotations
@@ -37,13 +37,13 @@ from repro.lsm.events import (
     EventBus,
     LSMEventType,
     RecordSink,
-    accept_batch,
 )
 from repro.lsm.manifest import ComponentDescriptor, Manifest
 from repro.lsm.memtable import MemTable
 from repro.lsm.merge_policy import MergePolicy, NoMergePolicy
 from repro.lsm.pacing import MergePacer
 from repro.lsm.record import Record
+from repro.lsm.rtree import build_rtree, build_rtree_chunks
 from repro.lsm.storage import SimulatedDisk
 from repro.lsm.wal import WriteAheadLog
 from repro.obs.registry import MetricsRegistry, get_registry, sanitize_segment
@@ -61,14 +61,16 @@ DEFAULT_MEMTABLE_CAPACITY = 4096
 """Records buffered in memory before an automatic flush."""
 
 DEFAULT_WRITE_BATCH_SIZE = 512
-"""Records drained per chunk on the batched component-write path."""
+"""Records per columnar chunk on the component-write path."""
 
 _CHUNK_INDEX_BUILDERS: dict[Any, Callable[..., Any]] = {
     build_btree: build_btree_chunks,
+    build_rtree: build_rtree_chunks,
 }
-"""Chunk-consuming twins of per-record index builders.  Builders
-without a twin (e.g. the LSM-ified R-tree) receive a flattened record
-stream, so custom physical structures keep working unchanged."""
+"""The chunk-consuming builder behind each ``index_builder`` a tree may
+name.  The component-write path only ever builds from columnar chunks,
+so a structure joins the LSM lifecycle by registering its chunk builder
+here; an unregistered ``index_builder`` is rejected at construction."""
 
 
 class SequenceGenerator:
@@ -94,11 +96,9 @@ class SequenceGenerator:
     def reserve(self, count: int) -> range:
         """Atomically claim ``count`` consecutive sequence numbers.
 
-        The columnar bulkload path stamps a whole chunk with one
-        reservation instead of ``count`` lock round-trips; the numbers
-        issued are exactly those ``count`` successive :meth:`next`
-        calls would have produced, so the per-record oracle path
-        assigns identical seqnums.
+        Bulkload stamps a whole chunk with one reservation instead of
+        ``count`` lock round-trips; the numbers issued are exactly
+        those ``count`` successive :meth:`next` calls would produce.
         """
         if count < 0:
             raise ValueError(f"reserve of negative count {count}")
@@ -143,7 +143,7 @@ class LSMTree:
         bloom_fpp: float | None = 0.01,
         index_builder: Callable[..., Any] | None = None,
         registry: MetricsRegistry | None = None,
-        write_batch_size: int | None = DEFAULT_WRITE_BATCH_SIZE,
+        write_batch_size: int = DEFAULT_WRITE_BATCH_SIZE,
         manifest: Manifest | None = None,
         wal: WriteAheadLog | None = None,
         crash_injector: CrashInjector | None = None,
@@ -153,9 +153,9 @@ class LSMTree:
             raise StorageError(
                 f"memtable_capacity must be >= 1, got {memtable_capacity}"
             )
-        if write_batch_size is not None and write_batch_size < 1:
+        if not isinstance(write_batch_size, int) or write_batch_size < 1:
             raise StorageError(
-                f"write_batch_size must be >= 1 or None, got {write_batch_size}"
+                f"write_batch_size must be an int >= 1, got {write_batch_size!r}"
             )
         self.name = name
         self.disk = disk
@@ -176,10 +176,18 @@ class LSMTree:
         self.auto_flush = auto_flush
         self.bloom_fpp = bloom_fpp
         # The physical structure of disk components: defaults to the
-        # B-tree; LSM-ified R-trees plug in build_rtree here.  Any
-        # builder must accept (disk, records, leaf_capacity, fanout)
-        # and return the DiskBTree scan/lookup interface.
+        # B-tree; LSM-ified R-trees name build_rtree here.  The name
+        # selects a registered chunk builder, called as (disk, chunks,
+        # leaf_capacity, fanout) and returning the DiskBTree
+        # scan/lookup interface.
         self.index_builder = index_builder if index_builder is not None else build_btree
+        try:
+            self._index_chunk_builder = _CHUNK_INDEX_BUILDERS[self.index_builder]
+        except KeyError:
+            raise StorageError(
+                f"LSM tree {name!r}: index_builder {self.index_builder!r} has "
+                "no chunk builder registered in _CHUNK_INDEX_BUILDERS"
+            ) from None
         # Durability hooks.  With a manifest, every component-creating
         # operation becomes two-phase (begin/commit entries) so recovery
         # can tell installed components from half-built orphans.  The
@@ -197,10 +205,7 @@ class LSMTree:
         # build path consults it -- flushes and bulkloads are what the
         # pacer protects, so they always run unthrottled.
         self.merge_pacer = merge_pacer
-        # None disables batching: the legacy per-record tap/build path
-        # (kept as the compatibility fallback and the perf baseline).
         self.write_batch_size = write_batch_size
-        self._index_chunk_builder = _CHUNK_INDEX_BUILDERS.get(self.index_builder)
         # Newest first, matching lookup order.
         self._components: list[DiskComponent] = []
         # Rotated memtables awaiting a background flush, oldest first.
@@ -218,8 +223,7 @@ class LSMTree:
         # for the remainder of that component write.
         self.observer_failures = 0
         # Instruments bind once at construction (docs/OBSERVABILITY.md);
-        # the per-record tap loop stays registry-free -- record counts
-        # are added in bulk when a component seals.
+        # record counts are added in bulk when a component seals.
         self._obs = registry if registry is not None else get_registry()
         self._m_flush = self._obs.counter("lsm.flush.count")
         self._m_merge = self._obs.counter("lsm.merge.count")
@@ -373,17 +377,11 @@ class LSMTree:
             self._wal.sync()
         if self._manifest is not None:
             self._manifest.begin("flush", self.name, txn=txn)
-        batch = self.write_batch_size
         with span("lsm.flush", self._obs):
             component = self._write_component(
                 LSMEventType.FLUSH,
                 ComponentId(*seq_range),
-                stream=(memtable.sorted_records() if batch is None else None),
-                chunks=(
-                    memtable.sorted_columnar_chunks(batch)
-                    if batch is not None
-                    else None
-                ),
+                memtable.sorted_columnar_chunks(self.write_batch_size),
                 expected_records=len(memtable),
             )
             self._fire("flush.build")
@@ -430,20 +428,10 @@ class LSMTree:
             )
         batch = self.write_batch_size
 
-        def stamped() -> Iterator[Record]:
-            for record in records:
-                if record.antimatter:
-                    raise BulkloadError("bulkload stream contains anti-matter")
-                yield Record.matter(
-                    record.key, record.value, seqnum=self.sequence.next()
-                )
-
         def stamped_chunks() -> Iterator[ColumnarChunk]:
-            # The columnar hot lane: the input records are read once
-            # into key/value columns and the whole chunk is stamped
-            # with one seqnum reservation -- no per-row Record is ever
-            # allocated, yet the seqnums (and therefore the component)
-            # are identical to the per-record oracle path above.
+            # The input records are read once into key/value columns
+            # and the whole chunk is stamped with one seqnum
+            # reservation -- no per-row Record is ever allocated.
             iterator = iter(records)
             while True:
                 keys: list[Any] = []
@@ -469,8 +457,7 @@ class LSMTree:
                 LSMEventType.BULKLOAD,
                 # Placeholder id; fixed below once seqnums are known.
                 None,
-                stream=(stamped() if batch is None else None),
-                chunks=(stamped_chunks() if batch is not None else None),
+                stamped_chunks(),
                 expected_records=expected_records,
             )
             end_seq = self.sequence.last
@@ -507,9 +494,14 @@ class LSMTree:
             includes_oldest = indices[-1] == len(self._components) - 1
             ordered = [self._components[i] for i in indices]  # newest first
 
-        merged_stream = reconcile(
-            merge_streams([c.scan() for c in ordered]),
-            keep_antimatter=not includes_oldest,
+        # The merge cursor is inherently per-record; it is re-chunked
+        # here, at the edge, so the writer below sees only chunks.
+        merged_chunks = columnar_chunk_stream(
+            reconcile(
+                merge_streams([c.scan() for c in ordered]),
+                keep_antimatter=not includes_oldest,
+            ),
+            self.write_batch_size,
         )
         replaced_files: tuple[int, ...] = ()
         if self._manifest is not None:
@@ -521,7 +513,7 @@ class LSMTree:
             component = self._write_component(
                 LSMEventType.MERGE,
                 ComponentId.merged([c.component_id for c in ordered]),
-                merged_stream,
+                merged_chunks,
                 expected_records=sum(c.record_count for c in ordered),
                 merged_components=tuple(ordered),
                 pacer=self.merge_pacer,
@@ -636,8 +628,7 @@ class LSMTree:
                 bloom = BloomFilter.for_capacity(
                     max(1, descriptor.expected_records), self.bloom_fpp
                 )
-                for record in btree.iter_all():
-                    bloom.add(record.key)
+                bloom.add_all(record.key for record in btree.iter_all())
             built[descriptor.ordinal] = DiskComponent(
                 ComponentId(descriptor.min_seq, descriptor.max_seq),
                 btree,
@@ -654,12 +645,17 @@ class LSMTree:
         self,
         event_type: LSMEventType,
         component_id: ComponentId | None,
-        stream: Iterable[Record] | None = None,
+        chunks: Iterable[ColumnarChunk],
         expected_records: int = 0,
         merged_components: tuple[DiskComponent, ...] = (),
-        chunks: "Iterable[ColumnarChunk | list[Record]] | None" = None,
         pacer: MergePacer | None = None,
     ) -> DiskComponent:
+        """The paper's unified ``bulkload()``: build one disk component
+        from a key-sorted stream of columnar chunks.  The Bloom filter
+        and every observer sink see each chunk on its way into the
+        index builder, which packs leaves by slicing columns.  Observer
+        fault isolation is at chunk granularity: a sink that raises is
+        dropped for the rest of the write and never finished."""
         context = ComponentWriteContext(
             event_type=event_type,
             index_name=self.name,
@@ -667,159 +663,55 @@ class LSMTree:
             key_extractor=self.key_extractor,
             merged_components=merged_components,
         )
-        sinks = self.event_bus.open_sinks(context)
-        counts = {"matter": 0, "anti": 0}
+        live_sinks = self.event_bus.open_sinks(context)
         bloom = (
             BloomFilter.for_capacity(max(1, expected_records), self.bloom_fpp)
             if self.bloom_fpp is not None
             else None
         )
+        total = 0
+        anti = 0
 
-        live_sinks = list(sinks)
-        batch = self.write_batch_size
-
-        if batch is not None:
-            if chunks is None:
-                assert stream is not None
-                chunks = columnar_chunk_stream(stream, batch)
-            btree = self._build_index_chunked(
-                chunks, counts, bloom, live_sinks, pacer
-            )
-        else:
-            if stream is None:
-                assert chunks is not None
-                # Per-record compat mode fed columnar chunks: flatten
-                # through the memoized materialisation so each chunk
-                # builds its Record objects at most once.
-                stream = (
-                    record
-                    for chunk in chunks
-                    for record in (
-                        chunk.records()
-                        if isinstance(chunk, ColumnarChunk)
-                        else chunk
-                    )
-                )
-            btree = self._build_index_per_record(
-                stream, counts, bloom, live_sinks, pacer
-            )
-        component = DiskComponent(
-            component_id if component_id is not None else ComponentId(0, 0),
-            btree,
-            matter_count=counts["matter"],
-            antimatter_count=counts["anti"],
-            bloom=bloom,
-        )
-        # Bulk-increment once per component so the per-record loop above
-        # never touches the registry.
-        self._m_matter.inc(counts["matter"])
-        self._m_anti.inc(counts["anti"])
-        self._finish_sinks(live_sinks, component)
-        return component
-
-    def _build_index_per_record(
-        self,
-        stream: Iterable[Record],
-        counts: dict[str, int],
-        bloom: BloomFilter | None,
-        live_sinks: list[RecordSink],
-        pacer: MergePacer | None = None,
-    ) -> Any:
-        """The legacy per-record tap/build path (compatibility fallback)."""
-
-        def tapped() -> Iterator[Record]:
-            for record in stream:
-                if pacer is not None:
-                    pacer.pace(1)
-                if record.antimatter:
-                    counts["anti"] += 1
-                else:
-                    counts["matter"] += 1
-                if bloom is not None:
-                    bloom.add(record.key)
-                for sink in list(live_sinks):
-                    try:
-                        sink.accept(record)
-                    except Exception:
-                        live_sinks.remove(sink)
-                        self.observer_failures += 1
-                        self._m_observer_failures.inc()
-                yield record
-
-        return self.index_builder(
-            self.disk, tapped(), leaf_capacity=self.leaf_capacity, fanout=self.fanout
-        )
-
-    def _build_index_chunked(
-        self,
-        chunks: "Iterable[ColumnarChunk | list[Record]]",
-        counts: dict[str, int],
-        bloom: BloomFilter | None,
-        live_sinks: list[RecordSink],
-        pacer: MergePacer | None = None,
-    ) -> Any:
-        """The batched hot path: observers and the Bloom filter see one
-        chunk at a time, and chunk-aware index builders fill leaves by
-        slicing columns.  Chunks are normally :class:`ColumnarChunk`;
-        plain ``list[Record]`` chunks remain accepted for callers of the
-        pre-columnar chunk protocol.  Observer fault isolation stays at
-        chunk granularity: a sink that raises is dropped for the rest of
-        the write, exactly as on the per-record path."""
-
-        def tapped_chunks() -> "Iterator[ColumnarChunk | list[Record]]":
+        def tapped() -> Iterator[ColumnarChunk]:
+            nonlocal total, anti
             for chunk in chunks:
                 # Pacing happens at chunk boundaries: the merge yields
                 # the worker (and the GIL) here while it sleeps off its
                 # token deficit, never mid-chunk.  Bytes are unaffected.
                 if pacer is not None:
                     pacer.pace(len(chunk))
-                if isinstance(chunk, ColumnarChunk):
-                    anti = chunk.antimatter_count
-                    keys = chunk.keys_list()
-                    self._m_col_chunks.inc()
-                    self._h_col_chunk_records.observe(len(chunk))
-                else:
-                    anti = 0
-                    for record in chunk:
-                        if record.antimatter:
-                            anti += 1
-                    keys = [record.key for record in chunk]
-                counts["anti"] += anti
-                counts["matter"] += len(chunk) - anti
+                self._m_col_chunks.inc()
+                self._h_col_chunk_records.observe(len(chunk))
+                total += len(chunk)
+                anti += chunk.antimatter_count
                 if bloom is not None:
-                    bloom.add_all(keys)
+                    bloom.add_all(chunk.keys_list())
                 for sink in list(live_sinks):
                     try:
-                        accept_batch(sink, chunk)
+                        sink.accept_many(chunk)
                     except Exception:
                         live_sinks.remove(sink)
                         self.observer_failures += 1
                         self._m_observer_failures.inc()
                 yield chunk
 
-        if self._index_chunk_builder is not None:
-            return self._index_chunk_builder(
-                self.disk,
-                tapped_chunks(),
-                leaf_capacity=self.leaf_capacity,
-                fanout=self.fanout,
-            )
-        # Custom builders without a chunk twin receive a flat record
-        # stream; the memoized materialisation keeps the cost to one
-        # Record build per chunk even when an observer also fell back.
-        flattened = (
-            record
-            for chunk in tapped_chunks()
-            for record in (
-                chunk.records() if isinstance(chunk, ColumnarChunk) else chunk
-            )
-        )
-        return self.index_builder(
+        btree = self._index_chunk_builder(
             self.disk,
-            flattened,
+            tapped(),
             leaf_capacity=self.leaf_capacity,
             fanout=self.fanout,
         )
+        component = DiskComponent(
+            component_id if component_id is not None else ComponentId(0, 0),
+            btree,
+            matter_count=total - anti,
+            antimatter_count=anti,
+            bloom=bloom,
+        )
+        self._m_matter.inc(total - anti)
+        self._m_anti.inc(anti)
+        self._finish_sinks(live_sinks, component)
+        return component
 
     def _finish_sinks(
         self, sinks: list[RecordSink], component: DiskComponent

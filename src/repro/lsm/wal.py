@@ -12,11 +12,12 @@ points mirror the real thing:
   never observe a *torn* operation (primary updated, secondary not).
 
 * **Group commit.**  Entries buffer in memory and are committed to one
-  log page per group (reusing the PR 3 ``write_batch_size`` notion of a
-  chunk), amortising the page write the way group commit amortises the
-  fsync.  The crash model keeps this honest: a buffered-but-uncommitted
-  group is lost on crash, and crash points only exist at instants where
-  the buffer is empty (see :mod:`repro.lsm.crashpoints`).
+  log page per group (the same notion of a chunk as the component-write
+  path's ``write_batch_size``), amortising the page write the way group
+  commit amortises the fsync.  The crash model keeps this honest: a
+  buffered-but-uncommitted group is lost on crash, and crash points
+  only exist at instants where the buffer is empty (see
+  :mod:`repro.lsm.crashpoints`).
 
 * **Truncate at flush.**  Once a flush transaction commits, the logged
   operations live in disk components and the log restarts as a fresh

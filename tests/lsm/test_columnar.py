@@ -1,12 +1,12 @@
-"""The columnar chunk representation and its compatibility fallbacks.
+"""The columnar chunk representation and its materialisation fallbacks.
 
 docs/DATAPATH.md is the contract under test: column layout and dtype
 rules, lazy/memoized ``records()`` materialisation (counted as
-``ingest.columnar.fallbacks``), the columnar B-tree leaf packing, and
-the two compatibility lanes -- ``write_batch_size=None`` per-record
-mode and custom index builders without a chunk twin -- which must
-consume columnar chunks while materialising ``Record`` objects at most
-once per chunk.
+``ingest.columnar.fallbacks``), the columnar B-tree leaf packing
+(checked against ``tests/lsm/reference.py``), and the consumers that
+read records rather than columns -- the R-tree chunk adapter and an
+observer that iterates its chunks -- which must materialise ``Record``
+objects at most once per chunk.
 """
 
 import pytest
@@ -18,12 +18,13 @@ from repro.lsm.columnar import (
     columnar_chunk_stream,
     split_matter_anti,
 )
-from repro.lsm.events import EventBus, LSMEventType
+from repro.lsm.events import EventBus
 from repro.lsm.record import Record
 from repro.lsm.rtree import build_rtree
 from repro.lsm.storage import SimulatedDisk
 from repro.lsm.tree import LSMTree, _default_key_extractor
 from repro.obs.registry import MetricsRegistry, use_registry
+from tests.lsm.reference import reference_component
 
 
 def _fallbacks(registry):
@@ -64,7 +65,8 @@ class TestColumnarChunk:
 
     def test_from_columns_defaults(self):
         chunk = ColumnarChunk.from_columns([4, 8])
-        assert chunk.seqnums == range(2)
+        assert list(chunk.seqnums) == [0, 0]  # unstamped, like Record's default
+        assert chunk.records() == [Record.matter(4), Record.matter(8)]
         assert chunk.values is None
         assert chunk.anti is None
 
@@ -147,17 +149,25 @@ class TestSplitMatterAnti:
 
 class TestColumnarBTreeBuild:
     def test_columnar_build_matches_per_record(self):
-        records = [Record.matter(key, {"k": key}) for key in range(1000)]
-        flat = build_btree(SimulatedDisk(), iter(records))
-        chunked = build_btree_chunks(
-            SimulatedDisk(), columnar_chunk_stream(iter(records), 64)
-        )
-        assert [(r.key, r.value) for r in chunked.scan()] == [
-            (r.key, r.value) for r in flat.scan()
+        records = [
+            Record.matter(key, {"k": key}, seqnum=key + 7) for key in range(1000)
         ]
-        assert chunked.num_records == flat.num_records
-        assert chunked.lookup(517).key == 517
-        assert chunked.lookup(-1) is None
+        leaves = reference_component(records, 1000, 64, None)[0]
+        for build in (
+            lambda disk: build_btree(disk, iter(records)),
+            lambda disk: build_btree_chunks(
+                disk, columnar_chunk_stream(iter(records), 100)
+            ),
+        ):
+            tree = build(SimulatedDisk())
+            assert [
+                tree._read_page(page_no).records
+                for page_no in range(len(leaves))  # leaves are appended first
+            ] == leaves
+            assert list(tree.scan()) == records
+            assert tree.num_records == 1000
+            assert tree.lookup(517) == records[517]
+            assert tree.lookup(-1) is None
 
     def test_columnar_unsorted_within_chunk_rejected(self):
         chunk = ColumnarChunk.from_columns([2, 1])
@@ -172,41 +182,26 @@ class TestColumnarBTreeBuild:
         with pytest.raises(BulkloadError, match="not strictly sorted"):
             build_btree_chunks(SimulatedDisk(), iter(chunks))
 
-    def test_mixed_representations_mid_leaf_rejected(self):
-        chunks = [
-            ColumnarChunk.from_columns([1]),
-            [Record.matter(2)],
-        ]
-        with pytest.raises(BulkloadError, match="interleave"):
-            build_btree_chunks(SimulatedDisk(), iter(chunks), leaf_capacity=4)
 
-    def test_list_chunks_still_accepted(self):
-        records = [Record.matter(key) for key in range(100)]
-        chunked = build_btree_chunks(
-            SimulatedDisk(), iter([records[:60], records[60:]])
-        )
-        assert [r.key for r in chunked.scan()] == list(range(100))
-
-
-class _PerRecordOnlySink:
-    """An observer sink without ``accept_many`` (forces iteration)."""
+class _IteratingSink:
+    """An observer sink that reads records, not columns."""
 
     def __init__(self):
         self.keys = []
 
-    def accept(self, record):
-        self.keys.append(record.key)
+    def accept_many(self, chunk):
+        self.keys.extend(record.key for record in chunk)
 
     def finish(self, component):
         pass
 
 
-class _PerRecordObserver:
+class _IteratingObserver:
     def __init__(self):
         self.sinks = []
 
     def begin_component_write(self, context):
-        sink = _PerRecordOnlySink()
+        sink = _IteratingSink()
         self.sinks.append(sink)
         return sink
 
@@ -215,34 +210,10 @@ class _PerRecordObserver:
 
 
 class TestCompatFallbacks:
-    def test_per_record_mode_materialises_each_chunk_once(self):
-        # write_batch_size=None fed columnar chunks (the satellite-4
-        # regression): the flattening must reuse the memoized
-        # materialisation, one Record build per chunk, not two.
-        registry = MetricsRegistry()
-        with use_registry(registry):
-            tree = LSMTree(
-                "t.compat",
-                SimulatedDisk(),
-                event_bus=EventBus(),
-                write_batch_size=None,
-                registry=registry,
-            )
-            chunks = [
-                ColumnarChunk.from_columns([0, 1, 2], seqnums=range(3)),
-                ColumnarChunk.from_columns([3, 4], seqnums=range(3, 5)),
-            ]
-            component = tree._write_component(
-                LSMEventType.BULKLOAD, None, chunks=iter(chunks)
-            )
-        assert component.matter_count == 5
-        assert [r.key for r in component.scan()] == [0, 1, 2, 3, 4]
-        assert _fallbacks(registry) == len(chunks)
-
     def test_custom_builder_flattening_materialises_once(self):
-        # An index builder without a chunk twin (the LSM-ified R-tree)
-        # plus a per-record-only observer: both iterate every chunk,
-        # but the memo keeps it to one materialisation per chunk.
+        # The R-tree's chunk adapter plus an observer that iterates its
+        # chunks: both read every chunk as records, but the memo keeps
+        # it to one materialisation per bulkload chunk.
         registry = MetricsRegistry()
         n = 100
         with use_registry(registry):
@@ -254,7 +225,7 @@ class TestCompatFallbacks:
                 write_batch_size=16,
                 registry=registry,
             )
-            observer = _PerRecordObserver()
+            observer = _IteratingObserver()
             tree.event_bus.subscribe(observer)
             tree.bulkload(
                 (Record.matter((k, k * 2, k)) for k in range(n)),
@@ -267,7 +238,7 @@ class TestCompatFallbacks:
 
     def test_flush_chunks_never_fall_back(self):
         # Memtable flush chunks carry their source records as the memo,
-        # so even a per-record-only observer costs no materialisation.
+        # so even an observer that iterates them costs no materialisation.
         registry = MetricsRegistry()
         with use_registry(registry):
             tree = LSMTree(
@@ -278,7 +249,7 @@ class TestCompatFallbacks:
                 write_batch_size=8,
                 registry=registry,
             )
-            tree.event_bus.subscribe(_PerRecordObserver())
+            tree.event_bus.subscribe(_IteratingObserver())
             for key in range(50):
                 tree.upsert(key)
             tree.flush()

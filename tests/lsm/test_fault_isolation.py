@@ -3,25 +3,31 @@
 The framework's selling point is being a lightweight passenger on the
 LSM lifecycle; a bug or resource failure in a synopsis builder (or in
 the network sink shipping it) must not fail the flush/merge itself.
+Isolation is at chunk granularity: the chunk a sink raises on is the
+last one it is offered, and neither the component nor a healthy peer
+(held against ``tests/lsm/reference.py``) notices.
 """
-
-import pytest
 
 from repro.lsm.storage import SimulatedDisk
 from repro.lsm.tree import LSMTree
+from tests.lsm.reference import ReferenceObserver
+
+CHUNK = 4  # records per chunk in these trees
 
 
 class _ExplodingSink:
-    """Fails on the Nth accepted record (or on finish)."""
+    """Fails on the chunk carrying the Nth record (or on finish)."""
 
     def __init__(self, fail_at=None, fail_on_finish=False):
         self.fail_at = fail_at
         self.fail_on_finish = fail_on_finish
         self.accepted = 0
+        self.chunks = 0
         self.finished = 0
 
-    def accept(self, record):
-        self.accepted += 1
+    def accept_many(self, chunk):
+        self.accepted += len(chunk)
+        self.chunks += 1
         if self.fail_at is not None and self.accepted >= self.fail_at:
             raise RuntimeError("injected accept failure")
 
@@ -42,14 +48,17 @@ class _Observer:
         pass
 
 
-def _tree_with(sink):
-    tree = LSMTree("t", SimulatedDisk(), memtable_capacity=1000)
-    tree.event_bus.subscribe(_Observer(sink))
+def _tree_with(*sinks):
+    tree = LSMTree(
+        "t", SimulatedDisk(), memtable_capacity=1000, write_batch_size=CHUNK
+    )
+    for sink in sinks:
+        tree.event_bus.subscribe(_Observer(sink))
     return tree
 
 
 def test_accept_failure_does_not_break_flush():
-    sink = _ExplodingSink(fail_at=3)
+    sink = _ExplodingSink(fail_at=CHUNK + 1)
     tree = _tree_with(sink)
     for i in range(10):
         tree.upsert(i, i)
@@ -57,8 +66,10 @@ def test_accept_failure_does_not_break_flush():
     assert component is not None
     assert component.matter_count == 10
     assert tree.observer_failures == 1
-    # The failed sink was dropped mid-stream and never finished.
-    assert sink.accepted == 3
+    # The failed sink was dropped mid-stream -- after the second of
+    # three chunks, the one carrying the fatal record -- and never
+    # finished.
+    assert (sink.chunks, sink.accepted) == (2, 2 * CHUNK)
     assert sink.finished == 0
     # Data remains fully readable.
     assert tree.count_range() == 10
@@ -76,20 +87,23 @@ def test_finish_failure_does_not_break_flush():
 def test_healthy_observer_unaffected_by_failing_peer():
     failing = _ExplodingSink(fail_at=1)
     healthy = _ExplodingSink()  # never fails
-    tree = LSMTree("t", SimulatedDisk(), memtable_capacity=1000)
-    tree.event_bus.subscribe(_Observer(failing))
-    tree.event_bus.subscribe(_Observer(healthy))
+    tree = _tree_with(failing, healthy)
+    reference = ReferenceObserver([tree])
+    tree.event_bus.subscribe(reference)
     for i in range(5):
         tree.upsert(i, i)
     tree.flush()
-    assert healthy.accepted == 5
+    assert (failing.chunks, failing.finished) == (1, 0)
+    assert (healthy.chunks, healthy.accepted) == (2, 5)
     assert healthy.finished == 1
     assert tree.observer_failures == 1
+    # The component itself is exactly what the reference builds.
+    assert reference.mismatches() == []
 
 
 def test_merge_survives_observer_failure():
     sink = _ExplodingSink(fail_at=1)
-    tree = LSMTree("t", SimulatedDisk(), memtable_capacity=1000)
+    tree = _tree_with()
     tree.upsert(1, "a")
     tree.flush()
     tree.upsert(2, "b")

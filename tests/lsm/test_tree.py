@@ -242,8 +242,8 @@ class TestEvents:
             recorder = self
 
             class Sink:
-                def accept(self, record):
-                    recorder.records.append(record)
+                def accept_many(self, chunk):
+                    recorder.records.extend(chunk)
 
                 def finish(self, component):
                     recorder.components.append(component)
