@@ -9,7 +9,9 @@ machine-checkable artifacts.  This module provides:
   ingestion work targets::
 
       ingest-throughput   bulkload stream -> component, stats attached
-                          (the columnar chunk path, docs/DATAPATH.md)
+                          (the columnar chunk path, docs/DATAPATH.md),
+                          plus Fig. 2a's stats-on / NoStats ratio per
+                          paper family
       flush-latency       memtable -> disk component
       merge-throughput    merge cursor -> merged component
       estimate-latency    Algorithm 2 over the catalog (cache warm)
@@ -206,12 +208,21 @@ FULL_SCALE = PerfScale(
 """The default preset (a minute or two)."""
 
 _DOMAIN = Domain(0, 2**20 - 1)
+_INGEST_DOMAIN = Domain(0, 2**30 - 1)
+_OVERHEAD_FAMILIES = (
+    SynopsisType.EQUI_WIDTH,
+    SynopsisType.EQUI_HEIGHT,
+    SynopsisType.WAVELET,
+)
 _VALUE_DOMAIN = Domain(0, 4_095)
 _BUDGET = 64
 
 # metric name -> (unit, direction); direction names the GOOD direction.
 METRIC_SPECS: dict[str, tuple[str, str]] = {
     "ingest.throughput.columnar": ("records/s", "higher"),
+    "ingest.stats_overhead.equi_width": ("ratio", "lower"),
+    "ingest.stats_overhead.equi_height": ("ratio", "lower"),
+    "ingest.stats_overhead.wavelet": ("ratio", "lower"),
     "flush.latency": ("s", "lower"),
     "flush.throughput": ("records/s", "higher"),
     "merge.throughput": ("records/s", "higher"),
@@ -262,6 +273,9 @@ BENCHMARK_NAMES = (
 # "the benchmark ran but stopped emitting the metric" (a regression).
 METRIC_SOURCES: dict[str, str] = {
     "ingest.throughput.columnar": "ingest-throughput",
+    "ingest.stats_overhead.equi_width": "ingest-throughput",
+    "ingest.stats_overhead.equi_height": "ingest-throughput",
+    "ingest.stats_overhead.wavelet": "ingest-throughput",
     "flush.latency": "flush-latency",
     "flush.throughput": "flush-latency",
     "merge.throughput": "merge-throughput",
@@ -339,12 +353,16 @@ class _NullSink:
         pass
 
 
-def _attach_equi_width_collector(tree: LSMTree, domain: Domain) -> None:
-    """Subscribe an equi-width collector to ``tree``'s event bus."""
+def _attach_collector(
+    tree: LSMTree,
+    domain: Domain,
+    synopsis_type: SynopsisType = SynopsisType.EQUI_WIDTH,
+) -> None:
+    """Subscribe a collector of ``synopsis_type`` to ``tree``'s event bus."""
     from repro.core.collector import StatisticsCollector
 
     collector = StatisticsCollector(
-        StatisticsConfig(SynopsisType.EQUI_WIDTH, budget=_BUDGET), _NullSink()
+        StatisticsConfig(synopsis_type, budget=_BUDGET), _NullSink()
     )
     collector.register_index(tree.name, domain)
     tree.event_bus.subscribe(collector)
@@ -353,25 +371,48 @@ def _attach_equi_width_collector(tree: LSMTree, domain: Domain) -> None:
 def _bench_ingest(
     scale: PerfScale, seed: int, timer: Callable[[], float]
 ) -> dict[str, float]:
-    """Bulkload a sorted record stream through a statistics-observed
-    tree (the columnar chunk path, docs/DATAPATH.md)."""
-    n = scale.ingest_records
-    records = [Record.matter(key) for key in range(n)]
+    """Bulkload a sorted record stream through a tree (the columnar
+    chunk path, docs/DATAPATH.md): throughput with an equi-width
+    collector attached, and Fig. 2a's overhead ratios -- each of the
+    paper's three families against the same bulkload with no collector.
 
-    def one(count: int) -> float:
+    The ratios divide two best-of-N times from the same process, taken
+    in alternating passes after a warm-up, so the machine's speed
+    cancels; the keys are sparse over a 2^30 domain so the wavelet
+    builder's gap filling, its dominant cost, is exercised.
+    """
+    n = scale.ingest_records
+    stride = _INGEST_DOMAIN.length // n
+    records = [
+        Record.matter(i * stride + (seed + i * 7_919) % stride) for i in range(n)
+    ]
+
+    def one(count: int, synopsis_type: SynopsisType | None) -> float:
         tree = LSMTree("bench.ingest", SimulatedDisk(), event_bus=EventBus())
-        _attach_equi_width_collector(tree, _DOMAIN)
+        if synopsis_type is not None:
+            _attach_collector(tree, _INGEST_DOMAIN, synopsis_type)
         stream = iter(records[:count])
         started = timer()
         tree.bulkload(stream, expected_records=count)
-        return count / max(timer() - started, 1e-9)
+        return max(timer() - started, 1e-9)
 
-    # One small untimed pass warms allocator/bytecode caches so the
-    # first timed pass is not penalised for running cold.
-    one(min(2_000, n))
-    # Keep the best of two passes: the minimum time (max throughput)
-    # is the least noise-contaminated observation.
-    return {"ingest.throughput.columnar": max(one(n), one(n))}
+    configurations = (None, *_OVERHEAD_FAMILIES)
+    best = dict.fromkeys(configurations, float("inf"))
+    # One small untimed pass per configuration warms allocator/bytecode
+    # caches so the first timed pass is not penalised for running cold.
+    for synopsis_type in configurations:
+        one(min(2_000, n), synopsis_type)
+    # Keep the best of two passes: the minimum time is the least
+    # noise-contaminated observation.
+    for _round in range(2):
+        for synopsis_type in configurations:
+            best[synopsis_type] = min(best[synopsis_type], one(n, synopsis_type))
+    results = {"ingest.throughput.columnar": n / best[SynopsisType.EQUI_WIDTH]}
+    for synopsis_type in _OVERHEAD_FAMILIES:
+        results[f"ingest.stats_overhead.{synopsis_type.value}"] = (
+            best[synopsis_type] / best[None]
+        )
+    return results
 
 
 def _bench_flush(
@@ -386,7 +427,7 @@ def _bench_flush(
         event_bus=EventBus(),
         auto_flush=False,
     )
-    _attach_equi_width_collector(tree, _DOMAIN)
+    _attach_collector(tree, _DOMAIN)
     # A seeded permutation: flushes sort, so give them real work.
     step = 514_229  # coprime with any power of two
     for i in range(n):
@@ -410,7 +451,7 @@ def _bench_merge(
         event_bus=EventBus(),
         auto_flush=False,
     )
-    _attach_equi_width_collector(tree, _DOMAIN)
+    _attach_collector(tree, _DOMAIN)
     for part in range(parts):
         for i in range(per):
             # Interleaved keys so the merge cursor actually interleaves.

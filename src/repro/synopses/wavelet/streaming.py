@@ -21,18 +21,40 @@ are zero and need never be materialised).  The total work is
 ``O(n logM)`` for ``n`` distinct positions, independent of the domain
 length.
 
-The output is bit-for-bit the same coefficient set as
+**The stack is a binary counter.**  Its entries tile ``[0, covered)``
+with aligned dyadic blocks of strictly decreasing size, and there is
+exactly one such tiling: the binary expansion of ``covered``.  So "a
+level-``l`` entry is on the stack" *is* "bit ``l`` of ``covered`` is
+set", the stack is one ``averages[level]`` list, pushing a block is
+incrementing the counter, and the cascade of sibling merges is the carry
+rippling through a run of set bits.  Nothing about the arithmetic
+changes with that representation: each merge still computes
+``(right - left) / 2.0`` and ``(left + right) / 2.0`` from the same two
+floats, and merges still happen in stream order.
+
+**Thresholding drops early, never differently.**  A coefficient's weight
+is ``abs(value) * 2.0 ** (level / 2.0)`` -- the expression
+:func:`~repro.synopses.wavelet.coefficient.normalized_weight` evaluates,
+tabulated per level, so the same floats.  :class:`BoundedMinHeap`, once
+full, rejects an item whose weight is ``<=`` its minimum; the kernel
+makes that same comparison against the cached ``min_weight()`` before
+building the coefficient object.  What it skips the heap would have
+rejected, and the heap orders ties by insertion *rank*, which skipping
+rejected items leaves unchanged among the admitted ones -- so the
+retained set, its values and even the order ``finish`` returns them in
+are those of offering every coefficient to the heap.
+
+The output is therefore bit-for-bit the coefficient set of the
+tuple-stack formulation (kept as ``tests/synopses/reference_wavelet.py``
+and compared exactly by a property test), and equal to
 :func:`repro.synopses.wavelet.classic.classic_decompose` applied to the
-full prefix-sum signal -- a property the test suite checks exhaustively.
+full prefix-sum signal, which the test suite also checks.
 """
 
 from __future__ import annotations
 
 from repro.errors import SynopsisError
-from repro.synopses.wavelet.coefficient import (
-    WaveletCoefficient,
-    normalized_weight,
-)
+from repro.synopses.wavelet.coefficient import WaveletCoefficient
 from repro.util.bounded_heap import BoundedMinHeap
 
 __all__ = ["StreamingWaveletTransform"]
@@ -66,11 +88,18 @@ class StreamingWaveletTransform:
         self.encode_prefix_sum = encode_prefix_sum
         self._heap = BoundedMinHeap(budget) if budget is not None else None
         self._kept: list[WaveletCoefficient] = []  # used when budget is None
-        # Stack entries are (level, key, average): the average over the
-        # dyadic positions [key * 2^level, (key+1) * 2^level - 1].
-        self._stack: list[tuple[int, int, float]] = []
+        # The binary counter: ``_averages[level]`` is live exactly when
+        # bit ``level`` of ``_covered`` is set, and then holds the average
+        # over the aligned block of ``2^level`` positions ending where the
+        # lower set bits of ``_covered`` begin.
+        self._averages = [0.0] * (levels + 1)
         self._covered = 0  # positions transformed so far
         self._prefix = 0.0  # running sum of frequencies
+        # ``normalized_weight``'s own expression, once per level.
+        self._weights = [2.0 ** (level / 2.0) for level in range(levels + 1)]
+        # The heap's minimum weight once it is full; until then (and
+        # always when there is no budget) no weight is this low.
+        self._threshold = -1.0
         self._finished = False
 
     def add(self, position: int, frequency: float) -> None:
@@ -89,11 +118,12 @@ class StreamingWaveletTransform:
             )
         # The gap before this tuple carries the unchanged prefix sum
         # (or zeros, in raw-frequency mode).
-        self._fill_gap(position)
+        if self._covered < position:
+            self._fill_gap(position)
         self._prefix += frequency
         leaf_value = self._prefix if self.encode_prefix_sum else frequency
-        self._push(0, position, leaf_value)
-        self._covered += 1
+        # ``end`` right behind the leaf: no fill block follows it.
+        self._carry(0, leaf_value, position + 1, 0.0)
 
     def finish(self) -> list[WaveletCoefficient]:
         """Close the transform and return the retained coefficients.
@@ -106,9 +136,13 @@ class StreamingWaveletTransform:
             raise SynopsisError("transform already finished")
         self._finished = True
         self._fill_gap(self.length)
-        assert len(self._stack) == 1 and self._stack[0][0] == self.levels
-        overall_average = self._stack[0][2]
-        self._emit(0, overall_average)
+        overall_average = self._averages[self.levels]
+        if overall_average != 0.0:
+            self._admit(
+                abs(overall_average) * self._weights[self.levels],
+                0,
+                overall_average,
+            )
         if self._heap is not None:
             return list(self._heap.items())
         return self._kept
@@ -118,45 +152,85 @@ class StreamingWaveletTransform:
     def _fill_gap(self, end: int) -> None:
         """Cover positions ``[covered, end)`` -- all holding the current
         prefix value (zero in raw-frequency mode) -- with maximal
-        aligned dyadic intervals."""
-        fill_value = self._prefix if self.encode_prefix_sum else 0.0
-        while self._covered < end:
-            gap = end - self._covered
-            if self._covered == 0:
-                alignment = self.levels
-            else:
-                # Largest power of two dividing ``covered``.
-                alignment = (self._covered & -self._covered).bit_length() - 1
-            level = min(alignment, gap.bit_length() - 1)
-            self._push(level, self._covered >> level, fill_value)
-            self._covered += 1 << level
+        aligned dyadic intervals (the paper's ``calcDyadicIntervals``).
 
-    def _push(self, level: int, key: int, average: float) -> None:
-        """Push a completed dyadic interval; cascade sibling averaging.
-
-        The stack invariant -- strictly decreasing levels from the
-        bottom -- may be violated by the push; restoring it averages
-        equal-level siblings, emitting their detail coefficient (the
-        paper's "domino effect", Figure 1b).
+        Ascending phase: while the block aligned at the lowest set bit
+        of ``covered`` fits in the gap it is the maximal interval, and
+        being the right sibling of the live entry at that level it
+        carries (:meth:`_carry` keeps going until one no longer fits).
+        Descending phase: what is left of the gap is shorter than
+        ``covered``'s alignment, so its blocks -- one per set bit of the
+        remainder -- have no left sibling yet and are plain stores.
         """
-        self._stack.append((level, key, average))
-        while len(self._stack) >= 2 and self._stack[-1][0] == self._stack[-2][0]:
-            same_level, right_key, right_value = self._stack.pop()
-            _level, left_key, left_value = self._stack.pop()
-            assert left_key + 1 == right_key and left_key % 2 == 0
-            parent_level = same_level + 1
-            detail = (right_value - left_value) / 2.0
-            index = (1 << (self.levels - parent_level)) + (right_key >> 1)
-            self._emit(index, detail)
-            self._stack.append(
-                (parent_level, right_key >> 1, (left_value + right_value) / 2.0)
-            )
+        fill_value = self._prefix if self.encode_prefix_sum else 0.0
+        covered = self._covered
+        if covered:
+            lowest = covered & -covered
+            if covered + lowest <= end:
+                self._carry(lowest.bit_length() - 1, fill_value, end, fill_value)
+                covered = self._covered
+        averages = self._averages
+        remainder = end - covered
+        while remainder:
+            lowest = remainder & -remainder
+            averages[lowest.bit_length() - 1] = fill_value
+            remainder ^= lowest
+        self._covered = end
 
-    def _emit(self, index: int, value: float) -> None:
-        if value == 0.0:
-            return  # zero coefficients never survive thresholding
+    def _carry(
+        self, level: int, average: float, end: int, fill_value: float
+    ) -> None:
+        """Add the block of ``2^level`` positions at ``covered`` (which
+        is aligned to it), then ``fill_value`` blocks for as long as the
+        ascending phase of a gap ending at ``end`` lasts.
+
+        Incrementing the counter: every set bit from ``level`` up is a
+        live left sibling; averaging with it emits their detail
+        coefficient and carries into the next level (the paper's
+        "domino effect", Figure 1b) until a clear bit takes the result.
+        That bit is now the lowest one set, so if a fill block of the
+        same size still fits before ``end`` it is the next maximal
+        interval and the right sibling of what was just stored: the
+        same walk continues from there.
+        """
+        covered = self._covered
+        averages = self._averages
+        weights = self._weights
+        threshold = self._threshold
+        top = self.levels
+        bit = 1 << level
+        while True:
+            added = bit
+            while covered & bit:
+                left = averages[level]
+                level += 1
+                bit <<= 1
+                detail = (average - left) / 2.0
+                average = (left + average) / 2.0
+                if detail == 0.0:
+                    continue  # zero coefficients never survive thresholding
+                weight = abs(detail) * weights[level]
+                if weight <= threshold:
+                    continue  # lighter than all a full heap retains
+                self._admit(
+                    weight, (1 << (top - level)) + (covered >> level), detail
+                )
+                threshold = self._threshold
+            averages[level] = average
+            covered += added
+            if covered + bit > end:
+                break
+            average = fill_value
+        self._covered = covered
+
+    def _admit(self, weight: float, index: int, value: float) -> None:
+        """Offer a non-zero coefficient to the heap (or keep it, when
+        there is no budget) and refresh the cached threshold."""
         coefficient = WaveletCoefficient(index, value)
-        if self._heap is not None:
-            self._heap.add(normalized_weight(index, value, self.levels), coefficient)
-        else:
+        heap = self._heap
+        if heap is None:
             self._kept.append(coefficient)
+            return
+        heap.add(weight, coefficient)
+        if len(heap) == heap.capacity:
+            self._threshold = heap.min_weight()

@@ -14,9 +14,10 @@ synopses "lose some accuracy along the way" (Section 3.5).
 
 from __future__ import annotations
 
+import math
 from typing import Any, Sequence
 
-from repro.errors import SynopsisError
+from repro.errors import DomainError, SynopsisError
 from repro.synopses.base import Synopsis, SynopsisBuilder, SynopsisType
 from repro.synopses.wavelet.coefficient import (
     WaveletCoefficient,
@@ -47,6 +48,20 @@ class WaveletSynopsis(Synopsis):
             )
         super().__init__(domain, budget, total_count)
         self.levels = domain.levels
+        # ``prefix_value`` only ever visits error-tree nodes, so a stray
+        # index would be ignored and a NaN/inf would poison estimates
+        # silently: both mean the coefficients were corrupted on the way.
+        node_count = 1 << self.levels
+        for index, value in coefficients.items():
+            if not 0 <= index < node_count:
+                raise SynopsisError(
+                    f"coefficient index {index} outside the error tree "
+                    f"[0, {node_count})"
+                )
+            if not math.isfinite(value):
+                raise SynopsisError(
+                    f"coefficient {index} has non-finite value {value}"
+                )
         self.coefficients = dict(coefficients)
 
     @property
@@ -113,13 +128,27 @@ class WaveletSynopsis(Synopsis):
 
     @classmethod
     def from_payload(cls, payload: dict[str, Any]) -> "WaveletSynopsis":
-        """Inverse of :meth:`to_payload`."""
-        return cls(
-            Domain(*payload["domain"]),
-            payload["budget"],
-            {int(i): float(v) for i, v in payload["coefficients"]},
-            payload["total_count"],
-        )
+        """Inverse of :meth:`to_payload`; a payload with missing,
+        ill-typed, duplicate or out-of-tree fields is a
+        :class:`SynopsisError`, never a synopsis that estimates wrong."""
+        try:
+            pairs = [(index, value) for index, value in payload["coefficients"]]
+            if not all(
+                isinstance(index, int) and isinstance(value, (int, float))
+                for index, value in pairs
+            ):
+                raise TypeError("coefficients must be [int, number] pairs")
+            coefficients = {index: float(value) for index, value in pairs}
+            if len(coefficients) != len(pairs):
+                raise ValueError("duplicate coefficient index")
+            return cls(
+                Domain(*payload["domain"]),
+                payload["budget"],
+                coefficients,
+                payload["total_count"],
+            )
+        except (KeyError, TypeError, ValueError, DomainError) as exc:
+            raise SynopsisError(f"malformed wavelet payload: {exc!r}") from exc
 
 
 def _threshold(
@@ -162,23 +191,27 @@ class WaveletBuilder(SynopsisBuilder):
         run boundaries are fully determined by the value sequence --
         chunking cannot split a run because the pending run carries
         across chunks in ``_current_value``/``_current_frequency``.
-        Duplicate values only bump the pending frequency, so the stack
-        cascade runs once per distinct value, exactly as per-record
-        ``_add`` calls would; coefficients are bit-identical across the
-        per-record, list-chunk, and columnar paths (float arithmetic
-        included: the same ``transform_add`` calls happen in the same
-        order with the same arguments).
+        Duplicate values only bump the pending frequency, so the
+        transform's carry walk runs once per distinct value, exactly as
+        per-record ``_add`` calls would: the same ``transform.add``
+        calls happen in the same order with the same arguments, and the
+        transform itself is deterministic float for float (its module
+        docstring has the argument), so coefficients are bit-identical
+        whatever the chunking.  ``add_many`` has already checked every
+        value against the domain and the sort order, so the position is
+        the plain offset ``value - lo``; ``transform.add`` still checks
+        it is in range and strictly increasing.
         """
         current = self._current_value
         frequency = self._current_frequency
         transform_add = self._transform.add
-        position = self.domain.position
+        lo = self.domain.lo
         for value in values:
             if value == current:
                 frequency += 1
             else:
                 if current is not None:
-                    transform_add(position(current), float(frequency))
+                    transform_add(current - lo, float(frequency))
                 current = value
                 frequency = 1
         self._current_value = current
@@ -188,7 +221,7 @@ class WaveletBuilder(SynopsisBuilder):
     def _flush_pending(self) -> None:
         if self._current_value is not None:
             self._transform.add(
-                self.domain.position(self._current_value),
+                self._current_value - self.domain.lo,
                 float(self._current_frequency),
             )
 

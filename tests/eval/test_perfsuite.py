@@ -75,6 +75,20 @@ class TestRunSuite:
     def test_every_benchmark_name_registered(self):
         assert set(BENCHMARK_NAMES) == set(perfsuite._BENCHMARKS)
 
+    def test_ingest_benchmark_emits_fig2_overhead_ratios(self):
+        report = run_suite(
+            quick=True, seed=1, repetitions=1, only=("ingest-throughput",)
+        )
+        metrics = report["metrics"]
+        assert metrics["ingest.throughput.columnar"]["median"] > 0
+        for family in ("equi_width", "equi_height", "wavelet"):
+            ratio = metrics[f"ingest.stats_overhead.{family}"]
+            assert (ratio["unit"], ratio["direction"]) == ("ratio", "lower")
+            # Same process, same stream, a collector added: a schema
+            # test, so only the sign of the overhead is asserted (with
+            # slack for timer noise on a loaded runner).
+            assert ratio["median"] > 0.5
+
     def test_ndv_benchmark_metrics(self):
         report = run_suite(quick=True, seed=5, repetitions=1, only=("ndv",))
         metrics = report["metrics"]

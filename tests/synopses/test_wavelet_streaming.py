@@ -1,4 +1,5 @@
-"""Streaming transform tests: Algorithm 1 equals the classic transform."""
+"""Streaming transform tests: Algorithm 1 equals the classic transform,
+and the binary-counter kernel equals the tuple-stack reference."""
 
 import pytest
 from hypothesis import given, settings
@@ -12,6 +13,7 @@ from repro.synopses.wavelet.coefficient import (
     preorder_sort_key,
 )
 from repro.synopses.wavelet.streaming import StreamingWaveletTransform
+from tests.synopses.reference_wavelet import ReferenceWaveletTransform
 
 
 def _streaming_coefficients(tuples, levels, budget=None):
@@ -34,15 +36,19 @@ class TestPaperFigure1:
 
     TUPLES = [(2, 2.0), (6, 1.0)]
 
+    # Small integers over a power-of-two length: every average and
+    # detail is a dyadic rational, so float arithmetic is exact and the
+    # two algorithms must agree to the bit, not approximately.
+
     def test_matches_classic(self):
-        assert _streaming_coefficients(self.TUPLES, 3) == pytest.approx(
-            _classic_coefficients(self.TUPLES, 3)
+        assert _streaming_coefficients(self.TUPLES, 3) == _classic_coefficients(
+            self.TUPLES, 3
         )
 
     def test_overall_average(self):
         # Prefix sum [0 0 2 2 2 2 3 3] has average 14/8 = 1.75.
         coefficients = _streaming_coefficients(self.TUPLES, 3)
-        assert coefficients[0] == pytest.approx(1.75)
+        assert coefficients[0] == 1.75
 
 
 class TestEdges:
@@ -50,13 +56,13 @@ class TestEdges:
         assert _streaming_coefficients([], 4) == {}
 
     def test_single_position_at_start(self):
-        assert _streaming_coefficients([(0, 5.0)], 2) == pytest.approx(
-            _classic_coefficients([(0, 5.0)], 2)
+        assert _streaming_coefficients([(0, 5.0)], 2) == _classic_coefficients(
+            [(0, 5.0)], 2
         )
 
     def test_single_position_at_end(self):
-        assert _streaming_coefficients([(3, 5.0)], 2) == pytest.approx(
-            _classic_coefficients([(3, 5.0)], 2)
+        assert _streaming_coefficients([(3, 5.0)], 2) == _classic_coefficients(
+            [(3, 5.0)], 2
         )
 
     def test_levels_zero(self):
@@ -64,8 +70,8 @@ class TestEdges:
 
     def test_dense_stream(self):
         tuples = [(i, float(i % 3)) for i in range(16)]
-        assert _streaming_coefficients(tuples, 4) == pytest.approx(
-            _classic_coefficients(tuples, 4)
+        assert _streaming_coefficients(tuples, 4) == _classic_coefficients(
+            tuples, 4
         )
 
     def test_rejects_non_increasing_positions(self):
@@ -152,3 +158,60 @@ def test_streaming_equals_classic(case):
     assert _streaming_coefficients(tuples, levels) == pytest.approx(
         _classic_coefficients(tuples, levels)
     )
+
+
+def _finish(transform_class, tuples, levels, budget, encode_prefix_sum):
+    transform = transform_class(levels, budget, encode_prefix_sum)
+    for position, frequency in tuples:
+        transform.add(position, frequency)
+    return transform.finish()
+
+
+@st.composite
+def _sparse_streams(draw):
+    """``(levels, sorted (position, frequency) tuples)`` over domains up
+    to 2^40, clustered so that gaps of every size and runs of adjacent
+    positions (long carry chains) both occur."""
+    levels = draw(st.integers(0, 40))
+    last = (1 << levels) - 1
+    anchors = draw(st.lists(st.integers(0, last), max_size=12))
+    near = draw(st.lists(st.integers(-3, 3), max_size=4))
+    positions = {0, last} if draw(st.booleans()) else set()
+    for anchor in anchors:
+        positions.add(anchor)
+        positions.update(min(max(anchor + d, 0), last) for d in near)
+    if draw(st.booleans()):
+        # Tie-heavy: one frequency everywhere, so many coefficients
+        # share a weight and the heap's tie order decides who stays.
+        frequency = float(draw(st.integers(1, 4)))
+        frequencies = [frequency] * len(positions)
+    else:
+        frequencies = draw(
+            st.lists(
+                st.integers(1, 1000).map(float),
+                min_size=len(positions),
+                max_size=len(positions),
+            )
+        )
+    return levels, list(zip(sorted(positions), frequencies))
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    _sparse_streams(),
+    st.sampled_from([None, 1, 3, 256]),
+    st.booleans(),
+)
+def test_kernel_equals_reference_transform(stream, budget, encode_prefix_sum):
+    """The binary-counter kernel retains the very coefficients the
+    tuple-stack transform does: same indices, same floats, and the same
+    order out of the heap (``WaveletSynopsis._merge`` re-thresholds with
+    a stable sort over that order, so it is part of the result)."""
+    levels, tuples = stream
+    got = _finish(
+        StreamingWaveletTransform, tuples, levels, budget, encode_prefix_sum
+    )
+    expected = _finish(
+        ReferenceWaveletTransform, tuples, levels, budget, encode_prefix_sum
+    )
+    assert got == expected

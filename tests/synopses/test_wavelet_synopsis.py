@@ -118,6 +118,60 @@ class TestPayload:
         assert clone.coefficients == synopsis.coefficients
         assert clone.total_count == synopsis.total_count
 
+    def test_rejects_coefficient_outside_error_tree(self):
+        # A 16-position domain has error-tree nodes 0..15; prefix_value
+        # would never visit 16 or -3, so they must not load at all.
+        for index in (16, 999, -3):
+            with pytest.raises(SynopsisError, match="outside the error tree"):
+                WaveletSynopsis(Domain(0, 15), 8, {0: 5.0, index: 2.0}, 10)
+        WaveletSynopsis(Domain(0, 15), 8, {0: 5.0, 15: 2.0}, 10)
+
+    def test_rejects_non_finite_coefficient(self):
+        for value in (float("nan"), float("inf"), float("-inf")):
+            with pytest.raises(SynopsisError, match="non-finite"):
+                WaveletSynopsis(Domain(0, 15), 8, {0: 5.0, 3: value}, 10)
+
+    GOOD_PAYLOAD = {
+        "type": "wavelet",
+        "domain": [0, 15],
+        "budget": 8,
+        "total_count": 10,
+        "coefficients": [[0, 5.0], [3, -1.5]],
+    }
+
+    def test_good_payload_loads(self):
+        loaded = WaveletSynopsis.from_payload(self.GOOD_PAYLOAD)
+        assert loaded.coefficients == {0: 5.0, 3: -1.5}
+
+    @pytest.mark.parametrize(
+        "fields",
+        [
+            # The ISSUE's example: loaded fine and estimated as if the
+            # stray entries were not there.
+            {"coefficients": [[0, 5.0], [999, float("nan")], [-3, 2.0]]},
+            {"coefficients": [[0, 5.0], [0, 6.0]]},  # duplicate index
+            {"coefficients": [[2.5, 1.0]]},  # fractional index
+            {"coefficients": [[2, "1.0"]]},  # string value
+            {"coefficients": [[1, 2.0, 3.0]]},  # not pairs
+            {"coefficients": 7},
+            {"budget": "8"},
+            {"total_count": None},
+            {"domain": [15, 0]},
+            {"domain": [0]},
+        ],
+    )
+    def test_corrupted_payload_fails_typed(self, fields):
+        with pytest.raises(SynopsisError):
+            WaveletSynopsis.from_payload({**self.GOOD_PAYLOAD, **fields})
+
+    @pytest.mark.parametrize(
+        "missing", ["domain", "budget", "total_count", "coefficients"]
+    )
+    def test_missing_payload_field_fails_typed(self, missing):
+        payload = {k: v for k, v in self.GOOD_PAYLOAD.items() if k != missing}
+        with pytest.raises(SynopsisError, match="malformed wavelet payload"):
+            WaveletSynopsis.from_payload(payload)
+
     def test_payload_is_preordered(self):
         from repro.synopses.wavelet.coefficient import preorder_sort_key
 
@@ -155,3 +209,20 @@ def test_merge_matches_union_build(values_a, values_b):
         assert merged.estimate(lo, hi) == pytest.approx(
             union.estimate(lo, hi), abs=1e-6
         )
+
+
+@settings(max_examples=50)
+@given(
+    st.lists(st.integers(1000, 1099), max_size=80),
+    st.sampled_from([1, 4, 16, 128]),
+)
+def test_payload_roundtrip_is_identity(values, budget):
+    """``from_payload(to_payload(s))`` is ``s``: same fields, and the
+    same payload again (so catalog dedup by payload stays exact)."""
+    synopsis = _build(values, budget=budget, domain=Domain(1000, 1099))
+    clone = WaveletSynopsis.from_payload(synopsis.to_payload())
+    assert (clone.domain, clone.budget, clone.total_count, clone.levels) == (
+        synopsis.domain, synopsis.budget, synopsis.total_count, synopsis.levels
+    )
+    assert clone.coefficients == synopsis.coefficients
+    assert clone.to_payload() == synopsis.to_payload()
