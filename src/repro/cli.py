@@ -93,21 +93,8 @@ from repro.eval.experiments import (
     fig9,
 )
 from repro.eval.experiments import extensions, ndv
-from repro.cluster.crashcheck import (
-    format_report as format_crash_report,
-    run_crashcheck,
-)
-from repro.cluster.faultcheck import format_report, run_faultcheck
-from repro.cluster.racecheck import (
-    DEFAULT_SEEDS,
-    QUICK_SEEDS,
-    format_report as format_race_report,
-    run_racecheck,
-)
-from repro.cluster.servecheck import (
-    format_report as format_serve_report,
-    run_servecheck,
-)
+from repro.cluster import crashcheck, faultcheck, racecheck, servecheck
+from repro.cluster.racecheck import DEFAULT_SEEDS, QUICK_SEEDS
 from repro.errors import ClusterError
 from repro.eval.experiments.common import ExperimentScale
 from repro.obs.export import render_json, render_text, write_snapshot
@@ -416,61 +403,17 @@ def main(argv: list[str] | None = None) -> int:
     if args.command == "bench":
         return _run_bench(args)
 
-    if args.command == "faultcheck":
+    if args.command in _CHECKS:
+        arguments, run, render = _CHECKS[args.command]
         try:
-            report = run_faultcheck(
-                seed=args.seed,
-                records=args.records,
-                drop=args.drop,
-                duplicate=args.duplicate,
-                reorder=args.reorder,
-                delay=args.delay,
-            )
+            report = run(**arguments(args))
         except (ClusterError, ValueError) as exc:
             # A plan hostile enough that recovery cannot converge (e.g.
-            # --drop 1.0), or invalid probabilities.
-            print(f"faultcheck failed: {exc}", file=sys.stderr)
+            # faultcheck --drop 1.0), or invalid probabilities.
+            print(f"{args.command} failed: {exc}", file=sys.stderr)
             return 1
-        print(format_report(report))
+        print(render(report))
         return 0 if report.converged else 1
-
-    if args.command == "crashcheck":
-        try:
-            crash_report = run_crashcheck(seed=args.seed, records=args.records)
-        except (ClusterError, ValueError) as exc:
-            print(f"crashcheck failed: {exc}", file=sys.stderr)
-            return 1
-        print(format_crash_report(crash_report))
-        return 0 if crash_report.converged else 1
-
-    if args.command == "servecheck":
-        try:
-            serve_report = run_servecheck(
-                seed=args.seed, records=args.records
-            )
-        except (ClusterError, ValueError) as exc:
-            print(f"servecheck failed: {exc}", file=sys.stderr)
-            return 1
-        print(format_serve_report(serve_report))
-        return 0 if serve_report.converged else 1
-
-    if args.command == "racecheck":
-        if args.seed is not None:
-            seeds = tuple(args.seed)
-        else:
-            seeds = QUICK_SEEDS if args.quick else DEFAULT_SEEDS
-        try:
-            race_report = run_racecheck(
-                seeds=seeds,
-                records=args.records,
-                paced=args.paced,
-                memory=args.memory,
-            )
-        except (ClusterError, ValueError) as exc:
-            print(f"racecheck failed: {exc}", file=sys.stderr)
-            return 1
-        print(format_race_report(race_report))
-        return 0 if race_report.converged else 1
 
     scale = _SCALES[args.scale]
     out_dir = Path(args.out) if args.out else None
@@ -479,6 +422,52 @@ def main(argv: list[str] | None = None) -> int:
         print(_run_experiment(name, scale, out_dir))
         print()
     return 0
+
+
+def _flags_as_given(args: argparse.Namespace) -> dict[str, Any]:
+    """Every flag of these commands is named after the runner keyword
+    it sets, so the parsed namespace passes straight through."""
+    arguments = dict(vars(args))
+    del arguments["command"]
+    return arguments
+
+
+def _race_arguments(args: argparse.Namespace) -> dict[str, Any]:
+    if args.seed is not None:
+        seeds = tuple(args.seed)
+    else:
+        seeds = QUICK_SEEDS if args.quick else DEFAULT_SEEDS
+    return {
+        "seeds": seeds,
+        "records": args.records,
+        "paced": args.paced,
+        "memory": args.memory,
+    }
+
+
+# command -> (parsed arguments -> runner keywords, runner, report formatter)
+_CHECKS: dict[str, tuple[Callable, Callable, Callable]] = {
+    "faultcheck": (
+        _flags_as_given,
+        faultcheck.run_faultcheck,
+        faultcheck.format_report,
+    ),
+    "crashcheck": (
+        _flags_as_given,
+        crashcheck.run_crashcheck,
+        crashcheck.format_report,
+    ),
+    "racecheck": (
+        _race_arguments,
+        racecheck.run_racecheck,
+        racecheck.format_report,
+    ),
+    "servecheck": (
+        _flags_as_given,
+        servecheck.run_servecheck,
+        servecheck.format_report,
+    ),
+}
 
 
 def _run_stats(args: argparse.Namespace) -> int:

@@ -1,7 +1,6 @@
 """Simulated shared-nothing cluster (the paper's 4+1-node testbed)."""
 
 from repro.cluster.cluster import LSMCluster
-from repro.cluster.faultcheck import FaultCheckReport, format_report, run_faultcheck
 from repro.cluster.faults import (
     FaultPlan,
     FeedFaultPlan,
@@ -26,10 +25,6 @@ from repro.cluster.network import Network, NetworkStats
 from repro.cluster.node import NetworkStatisticsSink, RetryPolicy, StorageNode
 from repro.cluster.partitioner import HashPartitioner
 from repro.cluster.query import DistributedQueryExecutor, DistributedQueryResult
-from repro.cluster.servecheck import (
-    ServeCheckReport,
-    run_servecheck,
-)
 from repro.cluster.serving import EstimateService
 
 __all__ = [
@@ -44,11 +39,6 @@ __all__ = [
     "FeedFaults",
     "FeedFaultPlan",
     "RetryPolicy",
-    "FaultCheckReport",
-    "run_faultcheck",
-    "format_report",
-    "ServeCheckReport",
-    "run_servecheck",
     "HashPartitioner",
     "DistributedQueryExecutor",
     "DistributedQueryResult",

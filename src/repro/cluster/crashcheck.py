@@ -1,19 +1,15 @@
 """Seeded crash-recovery verification behind ``repro crashcheck``.
 
-Runs a scripted durable-cluster ingest once crash-free (the baseline),
-then once per registered crash point with a seeded
-:class:`~repro.lsm.crashpoints.CrashInjector` armed.  When the
-simulated process death fires, every node is crash-restarted (all
-in-memory state lost, disks survive), statistics recovery drains, the
-interrupted operation is retried if and only if its effect is absent
-(the client-side at-least-once retry), and the rest of the script runs
-to completion.  The run must then be *bit-identical* to the baseline
-in three respects:
-
-1. reconciled primary and secondary scans of every partition,
-2. the master catalog (entries and synopsis payloads, uid-rank
-   normalised), and
-3. a sweep of range estimates.
+Runs the :mod:`repro.verify` op script on the canonical durable
+cluster once crash-free (the baseline), then once per registered crash
+point with a seeded :class:`~repro.lsm.crashpoints.CrashInjector`
+armed.  When the simulated process death fires,
+:func:`repro.verify.run_script` crash-restarts every node (all
+in-memory state lost, disks survive), drains statistics recovery,
+retries the interrupted operation if and only if its effect is absent
+(the client-side at-least-once retry) and runs the rest of the script.
+The run's image (:func:`repro.verify.image`: contents, catalog,
+estimates) must then be *bit-identical* to the baseline's.
 
 A negative control runs the same harness on a durable cluster with the
 WAL disabled and must demonstrably lose acknowledged records -- the
@@ -31,28 +27,12 @@ bit-identical to the same synchronous baseline.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any
+from functools import partial
 
-from repro.cluster.cluster import LSMCluster
-from repro.cluster.faultcheck import _catalog_image
-from repro.cluster.node import RetryPolicy
-from repro.core.config import StatisticsConfig
-from repro.lsm.crashpoints import (
-    CRASH_POINTS,
-    CrashInjector,
-    CrashPlan,
-    SimulatedCrash,
-)
-from repro.lsm.dataset import IndexSpec
-from repro.lsm.merge_policy import ConstantMergePolicy
-from repro.obs.registry import MetricsRegistry, use_registry
-from repro.synopses.base import SynopsisType
-from repro.types import Domain
+from repro import verify
+from repro.lsm.crashpoints import CRASH_POINTS, CrashInjector, CrashPlan
 
 __all__ = ["CrashCheckReport", "run_crashcheck", "format_report"]
-
-_DATASET = "crash"
-_BULKLOAD_COUNT = 64
 
 # The crash points a background flush/merge task passes through; the
 # concurrent sweep arms exactly these on a virtual-scheduler cluster.
@@ -83,236 +63,43 @@ class CrashCheckReport:
     problems: tuple[str, ...]
 
 
-def _doc(pk: int) -> dict[str, Any]:
-    return {"id": pk, "value": (pk * 13) % 1024}
-
-
-def _build_cluster(
-    wal_enabled: bool = True,
-    crash_injector: CrashInjector | None = None,
-    scheduler: str = "sync",
-    scheduler_seed: int = 0,
-) -> LSMCluster:
-    cluster = LSMCluster(
-        num_nodes=2,
-        partitions_per_node=2,
-        stats_config=StatisticsConfig(SynopsisType.EQUI_WIDTH, budget=32),
-        retry_policy=RetryPolicy.immediate(max_attempts=3),
-        durable=True,
-        wal_enabled=wal_enabled,
-        crash_injector=crash_injector,
-        scheduler=scheduler,
-        scheduler_seed=scheduler_seed,
-    )
-    cluster.create_dataset(
-        _DATASET,
-        primary_key="id",
-        primary_domain=Domain(0, 2**20 - 1),
-        indexes=[IndexSpec("value_idx", "value", Domain(0, 1023))],
-        memtable_capacity=32,
-        merge_policy_factory=lambda: ConstantMergePolicy(max_components=3),
-    )
-    return cluster
-
-
-def _ops(records: int) -> list[tuple[str, Any]]:
-    """The scripted workload: an initial bulkload, then inserts,
-    deletes and an explicit final flush -- enough lifecycle traffic to
-    pass every registered crash point several times."""
-    ops: list[tuple[str, Any]] = [
-        ("bulkload", tuple(range(_BULKLOAD_COUNT)))
-    ]
-    for pk in range(_BULKLOAD_COUNT, records):
-        ops.append(("insert", pk))
-    for pk in range(0, records, 17):
-        ops.append(("delete", pk))
-    ops.append(("flush", None))
-    return ops
-
-
-def _apply(cluster: LSMCluster, op: str, arg: Any) -> None:
-    if op == "bulkload":
-        cluster.bulkload(_DATASET, [_doc(pk) for pk in arg])
-    elif op == "insert":
-        cluster.insert(_DATASET, _doc(arg))
-    elif op == "delete":
-        cluster.delete(_DATASET, arg)
-    else:
-        cluster.flush_all(_DATASET)
-
-
-def _retry(cluster: LSMCluster, op: str, arg: Any) -> None:
-    """Re-apply the operation the crash interrupted, but only where
-    its effect is absent -- the client-side at-least-once retry that a
-    durable engine's idempotence must tolerate."""
-    if op == "bulkload":
-        _retry_bulkload(cluster, arg)
-    elif op == "insert":
-        if cluster.get(_DATASET, arg) is None:
-            cluster.insert(_DATASET, _doc(arg))
-    elif op == "delete":
-        if cluster.get(_DATASET, arg) is not None:
-            cluster.delete(_DATASET, arg)
-    else:
-        cluster.flush_all(_DATASET)
-
-
-def _retry_bulkload(cluster: LSMCluster, pks: tuple[int, ...]) -> None:
-    """Reload only the partitions whose load transaction was voided.
-
-    A bulkload commits per partition (one manifest transaction each),
-    so after a mid-load crash some partitions hold their component and
-    the rest recovered empty; reloading an already-loaded partition
-    would violate the load-into-empty contract.
-    """
-    batches: dict[int, list[dict[str, Any]]] = {}
-    for pk in pks:
-        batches.setdefault(cluster.partitioner.partition_of(pk), []).append(
-            _doc(pk)
-        )
-    for partition_id, batch in batches.items():
-        node = cluster._partition_owner[partition_id]
-        dataset = node.dataset(_DATASET, partition_id)
-        if dataset.primary.components or dataset.primary.memtable:
-            continue  # this partition's load already committed
-        batch.sort(key=lambda document: document["id"])
-        node.bulkload(_DATASET, partition_id, batch)
-
-
-def _run_script(
-    cluster: LSMCluster, records: int
-) -> SimulatedCrash | None:
-    """Run the workload; on a simulated crash, restart every node,
-    recover, retry the interrupted op and finish the script."""
-    ops = _ops(records)
-    position = 0
-    try:
-        for position, (op, arg) in enumerate(ops):
-            _apply(cluster, op, arg)
-    except SimulatedCrash as crash:
-        cluster.restart_nodes()
-        cluster.recover_statistics()
-        op, arg = ops[position]
-        _retry(cluster, op, arg)
-        for op, arg in ops[position + 1 :]:
-            _apply(cluster, op, arg)
-        cluster.drain_maintenance()
-        cluster.recover_statistics()
-        return crash
-    cluster.drain_maintenance()
-    cluster.recover_statistics()
-    return None
-
-
-def _contents_image(cluster: LSMCluster) -> dict:
-    """Reconciled per-partition scans as comparable plain data."""
-    image: dict = {}
-    for node in cluster.nodes:
-        for partition_id in node.partition_ids:
-            dataset = node.dataset(_DATASET, partition_id)
-            image[(node.node_id, partition_id, "primary")] = tuple(
-                (record.key, record.value["value"])
-                for record in dataset.primary.scan()
-            )
-            image[(node.node_id, partition_id, "value_idx")] = tuple(
-                record.key
-                for record in dataset.scan_secondary("value_idx")
-            )
-    return image
-
-
-def _estimate_sweep(cluster: LSMCluster) -> list[float]:
-    return [
-        cluster.estimate(_DATASET, "value_idx", lo, lo + width)
-        for lo in range(0, 1024, 64)
-        for width in (0, 15, 255)
-    ]
-
-
-def _compare(point: str, baseline: dict, recovered: dict) -> list[str]:
-    """Diff the three baseline images against a recovered run's."""
-    problems: list[str] = []
-    if baseline["contents"] != recovered["contents"]:
-        diverged = sorted(
-            key
-            for key in baseline["contents"]
-            if baseline["contents"][key] != recovered["contents"].get(key)
-        )
-        problems.append(f"{point}: partition contents diverged: {diverged[:4]}")
-    expected, actual = baseline["catalog"], recovered["catalog"]
-    if set(expected) != set(actual):
-        missing = sorted(set(expected) - set(actual))
-        extra = sorted(set(actual) - set(expected))
-        problems.append(
-            f"{point}: catalog entries differ "
-            f"(missing {missing[:3]}, extra {extra[:3]})"
-        )
-    else:
-        diverged = [key for key in expected if expected[key] != actual[key]]
-        if diverged:
-            problems.append(
-                f"{point}: synopsis payloads diverged for {diverged[:3]}"
-            )
-    if baseline["estimates"] != recovered["estimates"]:
-        deltas = [
-            (index, expected_value, actual_value)
-            for index, (expected_value, actual_value) in enumerate(
-                zip(baseline["estimates"], recovered["estimates"])
-            )
-            if expected_value != actual_value
-        ]
-        problems.append(f"{point}: estimates diverged: {deltas[:3]}")
-    return problems
-
-
-def _images(cluster: LSMCluster) -> dict:
-    return {
-        "contents": _contents_image(cluster),
-        "catalog": _catalog_image(cluster),
-        "estimates": _estimate_sweep(cluster),
-    }
-
-
 def run_crashcheck(seed: int = 0, records: int = 512) -> CrashCheckReport:
     """Verify bit-identical recovery at every registered crash point."""
-    with use_registry(MetricsRegistry()):
-        baseline_cluster = _build_cluster()
-        crash = _run_script(baseline_cluster, records)
-        assert crash is None  # no injector armed
-        baseline = _images(baseline_cluster)
-        baseline_live = baseline_cluster.count_records(_DATASET)
+    script = partial(verify.run_script, records=records)
+    baseline = verify.observe("baseline", script)
+    baseline_live = baseline.cluster.count_records(verify.DATASET)
+    problems = list(baseline.problems)
 
-    problems: list[str] = []
+    def crash_at(point: str, label: str, **mode) -> verify.Observed | None:
+        """One seeded crash at ``point``; ``None`` when it never fired
+        (the comparison would prove nothing)."""
+        injector = CrashInjector.seeded(seed, point)
+        run = verify.observe(label, script, crash_injector=injector, **mode)
+        if injector.fired is None:
+            problems.append(
+                f"{label}: crash never fired (planned hit "
+                f"{injector.plan.hit}, passages "
+                f"{injector.hits.get(point, 0)})"
+            )
+            return None
+        problems.extend(verify.compare(label, baseline.image, run.image))
+        problems.extend(run.problems)
+        return run
+
     crashes_fired = 0
     orphans_deleted = 0
     replayed_ops = 0
     rederived = 0
     stale_drops = 0
     for point in CRASH_POINTS:
-        registry = MetricsRegistry()
-        with use_registry(registry):
-            injector = CrashInjector.seeded(seed, point)
-            cluster = _build_cluster(crash_injector=injector)
-            crash = _run_script(cluster, records)
-            if crash is None:
-                problems.append(
-                    f"{point}: crash never fired (planned hit "
-                    f"{injector.plan.hit}, passages "
-                    f"{injector.hits.get(point, 0)})"
-                )
-                continue
-            crashes_fired += 1
-            problems.extend(_compare(point, baseline, _images(cluster)))
-            if cluster.statistics_backlog():
-                problems.append(
-                    f"{point}: {cluster.statistics_backlog()} statistics "
-                    "messages still parked after recovery"
-                )
-        counters = registry.snapshot()["counters"]
-        orphans_deleted += counters.get("recovery.orphans.deleted", 0)
-        replayed_ops += counters.get("recovery.replayed.ops", 0)
-        rederived += counters.get("collector.synopses.rederived", 0)
-        stale_drops += counters.get("cluster.stats.stale_epoch", 0)
+        run = crash_at(point, point)
+        if run is None:
+            continue
+        crashes_fired += 1
+        orphans_deleted += run.counters.get("recovery.orphans.deleted", 0)
+        replayed_ops += run.counters.get("recovery.replayed.ops", 0)
+        rederived += run.counters.get("collector.synopses.rederived", 0)
+        stale_drops += run.counters.get("cluster.stats.stale_epoch", 0)
 
     # Concurrent sweep: the same lifecycle points, but the flush/merge
     # that dies is a *background* task on the (deterministic) virtual
@@ -322,46 +109,26 @@ def run_crashcheck(seed: int = 0, records: int = 512) -> CrashCheckReport:
     # synchronous crash-free baseline.
     concurrent_fired = 0
     for point in _CONCURRENT_POINTS:
-        with use_registry(MetricsRegistry()):
-            injector = CrashInjector.seeded(seed, point)
-            cluster = _build_cluster(
-                crash_injector=injector, scheduler="virtual", scheduler_seed=seed
-            )
-            crash = _run_script(cluster, records)
-            if crash is None:
-                problems.append(
-                    f"virtual:{point}: crash never fired (planned hit "
-                    f"{injector.plan.hit}, passages "
-                    f"{injector.hits.get(point, 0)})"
-                )
-                continue
-            concurrent_fired += 1
-            problems.extend(
-                _compare(f"virtual:{point}", baseline, _images(cluster))
-            )
-            if cluster.statistics_backlog():
-                problems.append(
-                    f"virtual:{point}: {cluster.statistics_backlog()} "
-                    "statistics messages still parked after recovery"
-                )
+        run = crash_at(
+            point, f"virtual:{point}", scheduler="virtual", scheduler_seed=seed
+        )
+        concurrent_fired += run is not None
 
     # Negative control: same harness, WAL disabled.  The crash loses
     # the acknowledged records sitting in memtables; only the one
     # interrupted operation is retried, so the loss must be visible.
-    with use_registry(MetricsRegistry()):
-        control_injector = CrashInjector(CrashPlan("flush.build", 1))
-        control = _build_cluster(
-            wal_enabled=False, crash_injector=control_injector
+    control_injector = CrashInjector(CrashPlan("flush.build", 1))
+    control = verify.observe(
+        "control", script, wal_enabled=False, crash_injector=control_injector
+    )
+    control_lost = baseline_live - control.cluster.count_records(verify.DATASET)
+    if control_injector.fired is None:
+        problems.append("control: crash never fired")
+    elif control_lost <= 0:
+        problems.append(
+            "control: WAL-less crash lost no acknowledged records "
+            f"(lost={control_lost}) -- the check proves nothing"
         )
-        control_crash = _run_script(control, records)
-        control_lost = baseline_live - control.count_records(_DATASET)
-        if control_crash is None:
-            problems.append("control: crash never fired")
-        elif control_lost <= 0:
-            problems.append(
-                "control: WAL-less crash lost no acknowledged records "
-                f"(lost={control_lost}) -- the check proves nothing"
-            )
 
     return CrashCheckReport(
         seed=seed,

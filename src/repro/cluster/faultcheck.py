@@ -1,14 +1,11 @@
 """Seeded chaos verification behind ``repro faultcheck``.
 
-Runs the same scripted cluster ingest twice -- once on a perfect wire,
-once under a seeded :class:`~repro.cluster.faults.FaultPlan` with the
-retrying sinks -- then recovers the chaotic run and verifies it
-converged to the *exact* state of the fault-free run:
-
-1. the master catalog holds the same set of
-   ``(index, node, partition, component)`` entries with bit-identical
-   synopsis payloads, and
-2. a sweep of range estimates answers bit-identically.
+Runs the :mod:`repro.verify` op script's feed form twice -- once on a
+perfect wire, once under a seeded
+:class:`~repro.cluster.faults.FaultPlan` with the retrying sinks --
+then recovers the chaotic run and verifies it converged to the *exact*
+image (:func:`repro.verify.image`: contents, catalog, estimates) of
+the fault-free run.
 
 Because the local LSM pipeline is oblivious to statistics-delivery
 failures (the sink never blocks ingestion), both runs build identical
@@ -31,23 +28,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from repro import verify
 from repro.cluster.cluster import LSMCluster
 from repro.cluster.faults import FaultPlan, FeedFaultPlan, FeedFaults, LinkFaults
-from repro.cluster.feeds import (
-    ChangestreamFeed,
-    DatasetFeedAdapter,
-    FeedCursorStore,
-    FeedOperation,
-    FeedRecord,
-    ResumableFeedConsumer,
-)
-from repro.cluster.node import RetryPolicy
-from repro.core.config import StatisticsConfig
-from repro.lsm.dataset import IndexSpec
-from repro.lsm.merge_policy import ConstantMergePolicy
-from repro.obs.registry import MetricsRegistry, use_registry
-from repro.synopses.base import SynopsisType
-from repro.types import Domain
+from repro.cluster.feeds import ChangestreamFeed
 
 __all__ = ["FaultCheckReport", "run_faultcheck", "format_report"]
 
@@ -72,84 +56,21 @@ class FaultCheckReport:
     problems: tuple[str, ...]
 
 
-def _build_cluster(fault_plan: FaultPlan | None) -> LSMCluster:
-    cluster = LSMCluster(
-        num_nodes=2,
-        partitions_per_node=2,
-        stats_config=StatisticsConfig(SynopsisType.EQUI_WIDTH, budget=32),
-        fault_plan=fault_plan,
-        retry_policy=RetryPolicy.immediate(max_attempts=3),
-    )
-    cluster.create_dataset(
-        "chaos",
-        primary_key="id",
-        primary_domain=Domain(0, 2**20 - 1),
-        indexes=[IndexSpec("value_idx", "value", Domain(0, 1023))],
-        memtable_capacity=32,
-        merge_policy_factory=lambda: ConstantMergePolicy(max_components=3),
-    )
-    return cluster
-
-
 def _ingest(
     cluster: LSMCluster, records: int, feed_plan: FeedFaultPlan | None = None
-) -> None:
-    """Deterministic ingest through the feed path: inserts, deletes
-    (anti-matter) and a final flush -- enough flush/merge traffic to
-    exercise publishes and retracts.  With a ``feed_plan`` the
-    changestream transport injects disconnects, partial batches and
-    duplicate deliveries, which the consumer must absorb without
-    changing the applied operation sequence."""
-    ops = [
-        FeedRecord(
-            FeedOperation.INSERT, {"id": pk, "value": (pk * 13) % 1024}
-        )
-        for pk in range(records)
-    ] + [
-        FeedRecord(FeedOperation.DELETE, {"id": pk})
-        for pk in range(0, records, 17)
-    ]
-    consumer = ResumableFeedConsumer(
-        ChangestreamFeed("chaos_ingest", ops, fault_plan=feed_plan),
-        DatasetFeedAdapter(cluster, "chaos"),
-        FeedCursorStore(cluster.nodes[0].disk),
-        retry_policy=RetryPolicy.immediate(max_attempts=5),
+) -> int:
+    """Drain the op script's feed form into the cluster -- inserts and
+    deletes (anti-matter), enough flush/merge traffic to exercise
+    publishes and retracts -- and return the statistics-recovery round
+    count.  With a ``feed_plan`` the changestream transport injects
+    disconnects, partial batches and duplicate deliveries, which the
+    consumer must absorb without changing the applied operation
+    sequence."""
+    source = ChangestreamFeed(
+        "chaos_ingest", verify.feed_records(records), fault_plan=feed_plan
     )
-    consumer.run()
-
-
-def _catalog_image(cluster: LSMCluster) -> dict:
-    """The master catalog as comparable plain data.
-
-    Component uids come from a process-global counter, so two runs in
-    the same process assign different absolute uids to corresponding
-    components; they are normalised to their rank within each
-    ``(index, node, partition)`` group (uid order is creation order).
-    """
-    grouped: dict[tuple[str, str, int], list] = {}
-    catalog = cluster.master.catalog
-    for index_name in catalog.index_names():
-        for entry in catalog.entries_for(index_name):
-            grouped.setdefault(
-                (index_name, entry.node_id, entry.partition_id), []
-            ).append(entry)
-    image = {}
-    for (index_name, node_id, partition_id), entries in grouped.items():
-        entries.sort(key=lambda e: e.component_uid)
-        for rank, entry in enumerate(entries):
-            image[(index_name, node_id, partition_id, rank)] = (
-                entry.synopsis.to_payload(),
-                entry.anti_synopsis.to_payload(),
-            )
-    return image
-
-
-def _estimate_sweep(cluster: LSMCluster) -> list[float]:
-    return [
-        cluster.estimate("chaos", "value_idx", lo, lo + width)
-        for lo in range(0, 1024, 64)
-        for width in (0, 15, 255)
-    ]
+    verify.feed_consumer(cluster, source).run()
+    return cluster.recover_statistics()
 
 
 def run_faultcheck(
@@ -163,13 +84,11 @@ def run_faultcheck(
     feed_duplicate: float = 0.05,
 ) -> FaultCheckReport:
     """Run the chaos ingest and verify convergence to the baseline."""
-    # Each run gets its own registry so the chaos run's fault metrics
-    # are not polluted by baseline traffic (instruments bind at
-    # construction time).
-    with use_registry(MetricsRegistry()):
-        baseline = _build_cluster(fault_plan=None)
-        _ingest(baseline, records)
-
+    # The wire faults only need a live process, so both runs stay
+    # in-memory clusters (the feed cursor still has node 0's disk).
+    baseline = verify.observe(
+        "baseline", lambda cluster: _ingest(cluster, records), durable=False
+    )
     plan = FaultPlan(
         seed=seed,
         default=LinkFaults(
@@ -183,52 +102,25 @@ def run_faultcheck(
         seed=seed,
         faults=FeedFaults(disconnect=feed_disconnect, duplicate=feed_duplicate),
     )
-    chaos_registry = MetricsRegistry()
-    with use_registry(chaos_registry):
-        chaotic = _build_cluster(fault_plan=plan)
-        _ingest(chaotic, records, feed_plan=feed_plan)
-        recovery_rounds = chaotic.recover_statistics()
+    chaotic = verify.observe(
+        "chaos",
+        lambda cluster: _ingest(cluster, records, feed_plan),
+        fault_plan=plan,
+        durable=False,
+    )
+    problems = (
+        baseline.problems
+        + verify.compare("chaos", baseline.image, chaotic.image)
+        + chaotic.problems
+    )
 
-    problems: list[str] = []
-    expected = _catalog_image(baseline)
-    actual = _catalog_image(chaotic)
-    if set(expected) != set(actual):
-        missing = sorted(set(expected) - set(actual))
-        extra = sorted(set(actual) - set(expected))
-        if missing:
-            problems.append(f"catalog missing entries: {missing[:5]}")
-        if extra:
-            problems.append(f"catalog has extra entries: {extra[:5]}")
-    else:
-        diverged = [key for key in expected if expected[key] != actual[key]]
-        if diverged:
-            problems.append(f"synopsis payloads diverged for: {diverged[:5]}")
-
-    if not problems:
-        baseline_estimates = _estimate_sweep(baseline)
-        chaotic_estimates = _estimate_sweep(chaotic)
-        if baseline_estimates != chaotic_estimates:
-            deltas = [
-                (index, expected_value, actual_value)
-                for index, (expected_value, actual_value) in enumerate(
-                    zip(baseline_estimates, chaotic_estimates)
-                )
-                if expected_value != actual_value
-            ]
-            problems.append(f"estimates diverged: {deltas[:5]}")
-
-    if chaotic.statistics_backlog():
-        problems.append(
-            f"{chaotic.statistics_backlog()} messages still parked after recovery"
-        )
-
-    counters = chaos_registry.snapshot()["counters"]
+    counters = chaotic.counters
     return FaultCheckReport(
         seed=seed,
         records=records,
         converged=not problems,
-        catalog_entries=chaotic.master.catalog.entry_count(),
-        recovery_rounds=recovery_rounds,
+        catalog_entries=chaotic.cluster.master.catalog.entry_count(),
+        recovery_rounds=chaotic.outcome,
         dropped=counters.get("network.dropped", 0),
         duplicated=counters.get("network.duplicated", 0),
         reordered=counters.get("network.reordered", 0),

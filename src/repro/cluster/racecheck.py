@@ -7,8 +7,8 @@ partition contents, master catalog and a sweep of range estimates --
 to one that did everything inline (the legacy synchronous mode, which
 is also the crash-recovery oracle).
 
-The check runs a scripted ingest (bulkload, inserts, deletes, periodic
-explicit flushes) three ways:
+The check runs the :mod:`repro.verify` op script on the canonical
+cluster three ways:
 
 1. ``scheduler="sync"`` -- the baseline.  Every flush and merge happens
    inline with the triggering write.
@@ -19,33 +19,16 @@ explicit flushes) three ways:
 3. ``scheduler="threads"`` once per sweep seed -- real worker threads,
    real preemption.  The OS schedule is not replayable, so each seed's
    run is simply one more sample of the nondeterminism.
-
-Catalog images are uid-rank normalised (component uids come from a
-global counter, so their absolute values depend on the global
-interleaving of flushes across partitions; their *order within a
-partition's index* is what statistics correctness depends on, and lane
-FIFO preserves it).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any
+from functools import partial
 
-from repro.cluster.cluster import LSMCluster
-from repro.cluster.faultcheck import _catalog_image
-from repro.cluster.node import RetryPolicy
-from repro.core.config import StatisticsConfig
-from repro.lsm.dataset import IndexSpec
-from repro.lsm.merge_policy import ConstantMergePolicy
-from repro.obs.registry import MetricsRegistry, use_registry
-from repro.synopses.base import SynopsisType
-from repro.types import Domain
+from repro import verify
 
 __all__ = ["RaceCheckReport", "run_racecheck", "format_report", "DEFAULT_SEEDS"]
-
-_DATASET = "race"
-_BULKLOAD_COUNT = 64
 
 #: Paced-mode merge budget (records/second).  High enough that the
 #: scripted workload finishes promptly, low enough that thread-mode
@@ -79,135 +62,6 @@ class RaceCheckReport:
     problems: tuple[str, ...]
 
 
-def _doc(pk: int) -> dict[str, Any]:
-    return {"id": pk, "value": (pk * 13) % 1024}
-
-
-def _build_cluster(
-    scheduler: str = "sync",
-    seed: int = 0,
-    paced: bool = False,
-    memory: bool = False,
-) -> LSMCluster:
-    return LSMCluster(
-        num_nodes=2,
-        partitions_per_node=2,
-        stats_config=StatisticsConfig(SynopsisType.EQUI_WIDTH, budget=32),
-        retry_policy=RetryPolicy.immediate(max_attempts=3),
-        durable=True,
-        scheduler=scheduler,
-        scheduler_seed=seed,
-        merge_pacing_rate=PACED_MERGE_RATE if paced else None,
-        memory_budget=MEMORY_CHECK_BUDGET if memory else None,
-    )
-
-
-def _run_workload(cluster: LSMCluster, records: int) -> None:
-    """The scripted ingest: enough flush/merge lifecycle traffic that
-    background lanes stay busy while the DML thread keeps writing."""
-    cluster.create_dataset(
-        _DATASET,
-        primary_key="id",
-        primary_domain=Domain(0, 2**20 - 1),
-        indexes=[IndexSpec("value_idx", "value", Domain(0, 1023))],
-        memtable_capacity=32,
-        merge_policy_factory=lambda: ConstantMergePolicy(max_components=3),
-    )
-    cluster.bulkload(_DATASET, [_doc(pk) for pk in range(_BULKLOAD_COUNT)])
-    for pk in range(_BULKLOAD_COUNT, records):
-        cluster.insert(_DATASET, _doc(pk))
-        # A mid-script explicit flush exercises the drain barrier while
-        # merge continuations may still be queued behind it.
-        if pk == _BULKLOAD_COUNT + records // 2:
-            cluster.flush_all(_DATASET)
-    for pk in range(0, records, 17):
-        cluster.delete(_DATASET, pk)
-    cluster.flush_all(_DATASET)
-    cluster.drain_maintenance()
-    cluster.recover_statistics()
-    cluster.shutdown()
-
-
-def _contents_image(cluster: LSMCluster) -> dict:
-    """Reconciled per-partition scans as comparable plain data."""
-    image: dict = {}
-    for node in cluster.nodes:
-        for partition_id in node.partition_ids:
-            dataset = node.dataset(_DATASET, partition_id)
-            image[(node.node_id, partition_id, "primary")] = tuple(
-                (record.key, record.value["value"])
-                for record in dataset.primary.scan()
-            )
-            image[(node.node_id, partition_id, "value_idx")] = tuple(
-                record.key for record in dataset.scan_secondary("value_idx")
-            )
-            image[(node.node_id, partition_id, "structure")] = tuple(
-                tuple(
-                    component.record_count
-                    for component in dataset.secondary_tree(index).components
-                )
-                if index != "primary"
-                else tuple(
-                    component.record_count
-                    for component in dataset.primary.components
-                )
-                for index in ("primary", "value_idx")
-            )
-    return image
-
-
-def _estimate_sweep(cluster: LSMCluster) -> list[float]:
-    return [
-        cluster.estimate(_DATASET, "value_idx", lo, lo + width)
-        for lo in range(0, 1024, 64)
-        for width in (0, 15, 255)
-    ]
-
-
-def _images(cluster: LSMCluster) -> dict:
-    return {
-        "contents": _contents_image(cluster),
-        "catalog": _catalog_image(cluster),
-        "estimates": _estimate_sweep(cluster),
-    }
-
-
-def _compare(label: str, baseline: dict, concurrent: dict) -> list[str]:
-    """Diff the three baseline images against a concurrent run's."""
-    problems: list[str] = []
-    if baseline["contents"] != concurrent["contents"]:
-        diverged = sorted(
-            key
-            for key in baseline["contents"]
-            if baseline["contents"][key] != concurrent["contents"].get(key)
-        )
-        problems.append(f"{label}: partition contents diverged: {diverged[:4]}")
-    expected, actual = baseline["catalog"], concurrent["catalog"]
-    if set(expected) != set(actual):
-        missing = sorted(set(expected) - set(actual))
-        extra = sorted(set(actual) - set(expected))
-        problems.append(
-            f"{label}: catalog entries differ "
-            f"(missing {missing[:3]}, extra {extra[:3]})"
-        )
-    else:
-        diverged = [key for key in expected if expected[key] != actual[key]]
-        if diverged:
-            problems.append(
-                f"{label}: synopsis payloads diverged for {diverged[:3]}"
-            )
-    if baseline["estimates"] != concurrent["estimates"]:
-        deltas = [
-            (index, expected_value, actual_value)
-            for index, (expected_value, actual_value) in enumerate(
-                zip(baseline["estimates"], concurrent["estimates"])
-            )
-            if expected_value != actual_value
-        ]
-        problems.append(f"{label}: estimates diverged: {deltas[:3]}")
-    return problems
-
-
 def run_racecheck(
     seeds: tuple[int, ...] = DEFAULT_SEEDS,
     records: int = 512,
@@ -227,64 +81,52 @@ def run_racecheck(
     of DML-thread state), and the pool backpressure/cache capacity
     responses only move timing.
     """
-    baseline_registry = MetricsRegistry()
-    with use_registry(baseline_registry):
-        baseline_cluster = _build_cluster(paced=paced, memory=memory)
-        _run_workload(baseline_cluster, records)
-        baseline = _images(baseline_cluster)
-
-    problems: list[str] = []
+    # Both knobs are image-affecting or timing-affecting for *every*
+    # run, so the baseline carries them too.
+    shared = {
+        "merge_pacing_rate": PACED_MERGE_RATE if paced else None,
+        "memory_budget": MEMORY_CHECK_BUDGET if memory else None,
+    }
+    script = partial(verify.run_script, records=records)
+    baseline = verify.observe("sync baseline", script, **shared)
+    problems = list(baseline.problems)
     # The synchronous oracle has no background tasks, so a recorded
     # stall there is phantom backpressure (the wait() accounting bug
     # this guards against).
-    baseline_stalls = baseline_registry.snapshot()["counters"].get(
-        "scheduler.stalls", 0
-    )
+    baseline_stalls = baseline.counters.get("scheduler.stalls", 0)
     if baseline_stalls:
         problems.append(
             f"sync baseline recorded {baseline_stalls} stall(s); "
             "synchronous maintenance can never stall on itself"
         )
-    if memory:
-        # The memory sweep is vacuous unless the tight budget actually
-        # triggered arbitration on the baseline.
-        early_flushes = baseline_registry.snapshot()["counters"].get(
-            "memory.pressure.early_flush", 0
+    # The memory sweep is vacuous unless the tight budget actually
+    # triggered arbitration on the baseline.
+    if memory and not baseline.counters.get("memory.pressure.early_flush", 0):
+        problems.append(
+            "memory mode ran but the baseline recorded zero early "
+            "flushes -- the budget is too generous to exercise "
+            "arbitration"
         )
-        if not early_flushes:
-            problems.append(
-                "memory mode ran but the baseline recorded zero early "
-                "flushes -- the budget is too generous to exercise "
-                "arbitration"
-            )
     runs = 0
     background_tasks = 0
     stalls = 0
     for seed in seeds:
         for mode in ("virtual", "threads"):
-            registry = MetricsRegistry()
-            with use_registry(registry):
-                cluster = _build_cluster(
-                    scheduler=mode, seed=seed, paced=paced, memory=memory
+            label = f"{mode}[seed={seed}]"
+            try:
+                run = verify.observe(
+                    label, script, scheduler=mode, scheduler_seed=seed, **shared
                 )
-                label = f"{mode}[seed={seed}]"
-                try:
-                    _run_workload(cluster, records)
-                except Exception as error:  # noqa: BLE001 - report, keep sweeping
-                    problems.append(f"{label}: workload failed: {error!r}")
-                    continue
-                runs += 1
-                problems.extend(_compare(label, baseline, _images(cluster)))
-                if cluster.statistics_backlog():
-                    problems.append(
-                        f"{label}: {cluster.statistics_backlog()} statistics "
-                        "messages still parked after the drain"
-                    )
-            counters = registry.snapshot()["counters"]
-            submitted = counters.get("scheduler.tasks.submitted", 0)
-            completed = counters.get("scheduler.tasks.completed", 0)
+            except Exception as error:  # noqa: BLE001 - report, keep sweeping
+                problems.append(f"{label}: workload failed: {error!r}")
+                continue
+            runs += 1
+            problems.extend(verify.compare(label, baseline.image, run.image))
+            problems.extend(run.problems)
+            submitted = run.counters.get("scheduler.tasks.submitted", 0)
+            completed = run.counters.get("scheduler.tasks.completed", 0)
             background_tasks += completed
-            stalls += counters.get("scheduler.stalls", 0)
+            stalls += run.counters.get("scheduler.stalls", 0)
             if submitted == 0:
                 problems.append(
                     f"{label}: no background tasks ran -- the mode fell "

@@ -10,8 +10,8 @@ batches, duplicate deliveries).  The killed cluster is crash-restarted
 (:meth:`~repro.cluster.cluster.LSMCluster.restart_nodes`), a fresh
 consumer resumes from the durable cursor, replays the uncheckpointed
 gap (at-least-once) and deduplicates it against the applied high-water
-mark.  Both runs must end **bit-identical**: partition contents, master
-catalog (uid-rank normalised) and a sweep of range estimates.  The leg
+mark.  Both runs must end in a **bit-identical** image
+(:func:`repro.verify.image`: contents, catalog, estimates).  The leg
 is vacuous unless the resume actually replayed records, so
 ``replayed == 0`` is itself a failure.
 
@@ -33,30 +33,22 @@ import threading
 from dataclasses import dataclass
 from typing import Any
 
+from repro import verify
 from repro.cluster.cluster import LSMCluster
-from repro.cluster.faultcheck import _catalog_image
 from repro.cluster.faults import FeedFaultPlan, FeedFaults
 from repro.cluster.feeds import (
     ChangestreamFeed,
-    DatasetFeedAdapter,
-    FeedCursorStore,
     FeedOperation,
     FeedRecord,
     ResumableFeedConsumer,
 )
 from repro.cluster.serving import EstimateService
-from repro.core.config import StatisticsConfig
 from repro.errors import OverloadedError
-from repro.lsm.dataset import IndexSpec
-from repro.lsm.merge_policy import ConstantMergePolicy
-from repro.obs.registry import MetricsRegistry, use_registry
-from repro.synopses.base import SynopsisType
-from repro.types import Domain
 from repro.util.retry import RetryPolicy
 
 __all__ = ["ServeCheckReport", "run_servecheck", "format_report"]
 
-_DATASET = "serve"
+_DATASET = verify.DATASET
 _CHECKPOINT_EVERY = 64
 _FLUSH_EVERY = 48
 _JOIN_DEADLINE_SECONDS = 30.0
@@ -111,109 +103,17 @@ def _feed_records(seed: int, count: int) -> list[FeedRecord]:
     return records
 
 
-def _build_cluster(scheduler: str = "sync") -> LSMCluster:
-    cluster = LSMCluster(
-        num_nodes=2,
-        partitions_per_node=2,
-        stats_config=StatisticsConfig(SynopsisType.EQUI_WIDTH, budget=32),
-        retry_policy=RetryPolicy.immediate(max_attempts=3),
-        durable=True,
-        scheduler=scheduler,
-    )
-    cluster.create_dataset(
-        _DATASET,
-        primary_key="id",
-        primary_domain=Domain(0, 2**20 - 1),
-        indexes=[IndexSpec("value_idx", "value", Domain(0, 1023))],
-        memtable_capacity=32,
-        merge_policy_factory=lambda: ConstantMergePolicy(max_components=3),
-    )
-    return cluster
-
-
 def _consumer(
-    cluster: LSMCluster,
-    source: ChangestreamFeed,
+    cluster: LSMCluster, source: ChangestreamFeed
 ) -> ResumableFeedConsumer:
-    return ResumableFeedConsumer(
+    # ``flush_every`` is keyed to absolute log position, so the
+    # interrupted and the uninterrupted run cut identical components.
+    return verify.feed_consumer(
+        cluster,
         source,
-        DatasetFeedAdapter(cluster, _DATASET),
-        # The cursor lives in node 0's superblock: one durable home per
-        # feed, surviving the same crashes its data does.
-        FeedCursorStore(cluster.nodes[0].disk),
         checkpoint_every=_CHECKPOINT_EVERY,
-        retry_policy=RetryPolicy.immediate(max_attempts=5),
         flush_every=_FLUSH_EVERY,
     )
-
-
-def _contents_image(cluster: LSMCluster) -> dict:
-    """Reconciled per-partition scans as comparable plain data."""
-    image: dict = {}
-    for node in cluster.nodes:
-        for partition_id in node.partition_ids:
-            dataset = node.dataset(_DATASET, partition_id)
-            image[(node.node_id, partition_id, "primary")] = tuple(
-                (record.key, record.value["value"])
-                for record in dataset.primary.scan()
-            )
-            image[(node.node_id, partition_id, "value_idx")] = tuple(
-                record.key for record in dataset.scan_secondary("value_idx")
-            )
-    return image
-
-
-def _estimate_sweep(cluster: LSMCluster) -> list[float]:
-    return [
-        cluster.estimate(_DATASET, "value_idx", lo, lo + width)
-        for lo in range(0, 1024, 64)
-        for width in (0, 15, 255)
-    ]
-
-
-def _images(cluster: LSMCluster) -> dict:
-    return {
-        "contents": _contents_image(cluster),
-        "catalog": _catalog_image(cluster),
-        "estimates": _estimate_sweep(cluster),
-    }
-
-
-def _settle(cluster: LSMCluster) -> None:
-    cluster.drain_maintenance()
-    cluster.recover_statistics()
-
-
-def _compare(baseline: dict, resumed: dict) -> list[str]:
-    problems: list[str] = []
-    if baseline["contents"] != resumed["contents"]:
-        diverged = sorted(
-            key
-            for key in baseline["contents"]
-            if baseline["contents"][key] != resumed["contents"].get(key)
-        )
-        problems.append(f"partition contents diverged: {diverged[:4]}")
-    expected, actual = baseline["catalog"], resumed["catalog"]
-    if set(expected) != set(actual):
-        missing = sorted(set(expected) - set(actual))
-        extra = sorted(set(actual) - set(expected))
-        problems.append(
-            f"catalog entries differ (missing {missing[:3]}, extra {extra[:3]})"
-        )
-    else:
-        diverged = [key for key in expected if expected[key] != actual[key]]
-        if diverged:
-            problems.append(f"synopsis payloads diverged for {diverged[:3]}")
-    if baseline["estimates"] != resumed["estimates"]:
-        deltas = [
-            (index, expected_value, actual_value)
-            for index, (expected_value, actual_value) in enumerate(
-                zip(baseline["estimates"], resumed["estimates"])
-            )
-            if expected_value != actual_value
-        ]
-        problems.append(f"estimates diverged: {deltas[:3]}")
-    return problems
 
 
 def _pick_kill_point(seed: int, records: int) -> int:
@@ -235,50 +135,42 @@ def _run_resume_leg(
     kill_at = _pick_kill_point(seed, records)
 
     # Uninterrupted oracle on a perfect feed.
-    with use_registry(MetricsRegistry()):
-        baseline_cluster = _build_cluster()
-        baseline_stats = _consumer(
-            baseline_cluster, ChangestreamFeed(f"serve{seed}", feed_records)
-        ).run()
-        _settle(baseline_cluster)
-        baseline = _images(baseline_cluster)
+    baseline = verify.observe(
+        "baseline",
+        lambda cluster: _consumer(
+            cluster, ChangestreamFeed(f"serve{seed}", feed_records)
+        ).run(),
+    )
 
-    # Chaos run: feed faults armed, killed mid-feed, crash-restarted,
-    # resumed from the durable cursor by a brand-new consumer.
-    chaos_registry = MetricsRegistry()
-    with use_registry(chaos_registry):
-        chaos_cluster = _build_cluster()
+    def killed_and_resumed(cluster: LSMCluster):
+        """Feed faults armed, killed mid-feed, crash-restarted, resumed
+        from the durable cursor by a brand-new consumer."""
         plan = FeedFaultPlan(
             seed=seed, faults=FeedFaults(disconnect=0.03, duplicate=0.05)
         )
         source = ChangestreamFeed(f"serve{seed}", feed_records, fault_plan=plan)
-        first = _consumer(chaos_cluster, source)
-        first_stats = first.run(stop_after=kill_at)
-        chaos_cluster.restart_nodes()
-        chaos_cluster.recover_statistics()
-        resume = _consumer(chaos_cluster, source)
-        resume_stats = resume.run()
-        _settle(chaos_cluster)
-        resumed = _images(chaos_cluster)
+        first_stats = _consumer(cluster, source).run(stop_after=kill_at)
+        cluster.restart_nodes()
+        cluster.recover_statistics()
+        return first_stats, _consumer(cluster, source).run()
 
-    problems.extend(_compare(baseline, resumed))
+    resumed = verify.observe("resume", killed_and_resumed)
+    first_stats, resume_stats = resumed.outcome
+    problems.extend(baseline.problems)
+    problems.extend(verify.compare("resume", baseline.image, resumed.image))
+    problems.extend(resumed.problems)
     if resume_stats.replayed == 0:
         problems.append(
             f"vacuous resume: kill at {kill_at} replayed nothing "
             "(the crash landed on a checkpoint boundary)"
         )
     total_applied = first_stats.applied + resume_stats.applied
-    if total_applied != baseline_stats.applied:
+    if total_applied != baseline.outcome.applied:
         problems.append(
             f"applied-record mismatch: interrupted run applied "
-            f"{total_applied}, uninterrupted {baseline_stats.applied}"
+            f"{total_applied}, uninterrupted {baseline.outcome.applied}"
         )
-    if chaos_cluster.statistics_backlog():
-        problems.append(
-            f"{chaos_cluster.statistics_backlog()} statistics messages "
-            "still parked after resume"
-        )
-    counters = chaos_registry.snapshot()["counters"]
+    counters = resumed.counters
     return {
         "kill_at": kill_at,
         "replayed": resume_stats.replayed,
@@ -292,14 +184,13 @@ def _run_resume_leg(
 def _run_overload_leg(
     seed: int, records: int, problems: list[str]
 ) -> dict[str, Any]:
-    registry = MetricsRegistry()
-    with use_registry(registry):
-        cluster = _build_cluster(scheduler="threads")
+    def saturate(cluster: LSMCluster) -> int:
         for record in _feed_records(seed, records):
             if record.operation is FeedOperation.INSERT:
                 cluster.insert(_DATASET, record.document)
         cluster.flush_all(_DATASET)
-        _settle(cluster)
+        cluster.drain_maintenance()
+        cluster.recover_statistics()
         # Warm the merged-synopsis cache so degraded answers exist.
         cluster.estimate_detailed(_DATASET, "value_idx", 0, 255)
 
@@ -385,9 +276,11 @@ def _run_overload_leg(
                 "degraded mode shed a request despite a warm cache"
             )
         degraded_service.shutdown()
-        cluster.shutdown()
+        return service.peak_queue_depth
 
-    counters = registry.snapshot()["counters"]
+    run = verify.observe("overload", saturate, scheduler="threads")
+    problems.extend(run.problems)
+    counters = run.counters
     if not counters.get("serve.rejected", 0):
         problems.append("no serve.rejected counted anywhere in the leg")
     return {
@@ -395,7 +288,7 @@ def _run_overload_leg(
         "rejected": counters.get("serve.rejected", 0),
         "degraded": counters.get("serve.degraded", 0),
         "timeouts": counters.get("serve.timeouts", 0),
-        "peak_queue_depth": service.peak_queue_depth,
+        "peak_queue_depth": run.outcome,
     }
 
 

@@ -11,6 +11,7 @@ answers subsequent queries from the cache until new statistics arrive
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass
 
@@ -134,7 +135,11 @@ class CardinalityEstimator:
         # Slow path: combine every per-component synopsis, merging along
         # the way when the type allows it.
         entries = self.catalog.entries_for(index_name)
-        total = 0.0
+        # Summed exactly at the end (``math.fsum``): the catalog lists
+        # entries in arrival order, which a background scheduler
+        # permutes, and a running float sum would let the schedule show
+        # in the last ulp of an unmergeable family's estimate.
+        contributions: list[float] = []
         merged: Synopsis | None = None
         merged_anti: Synopsis | None = None
         # Merging requires one homogeneous mergeable family; a catalog
@@ -148,9 +153,10 @@ class CardinalityEstimator:
         merge_seconds = 0.0
         merges_ran = 0
         for entry in entries:
-            contribution = entry.synopsis.estimate(lo, hi)
-            contribution -= entry.anti_synopsis.estimate(lo, hi)
-            total += contribution
+            contributions.append(
+                entry.synopsis.estimate(lo, hi)
+                - entry.anti_synopsis.estimate(lo, hi)
+            )
             if mergeable and self.cache is not None:
                 if merged is None:
                     merged, merged_anti = entry.synopsis, entry.anti_synopsis
@@ -184,7 +190,7 @@ class CardinalityEstimator:
         elapsed = time.perf_counter() - started
         self._observe(elapsed, entries[0].synopsis if entries else None)
         return EstimateResult(
-            max(total, 0.0),
+            max(math.fsum(contributions), 0.0),
             len(entries),
             False,
             elapsed,

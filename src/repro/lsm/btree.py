@@ -21,7 +21,6 @@ from repro.errors import BulkloadError, StorageError
 from repro.lsm.columnar import ColumnarChunk, columnar_chunk_stream
 from repro.lsm.record import Record
 from repro.lsm.storage import FileHandle, SimulatedDisk
-from repro.util.npbackend import int64_view
 
 __all__ = [
     "DiskBTree",
@@ -287,12 +286,11 @@ def build_btree_chunks(
     """Bulkload an immutable B-tree from a stream of key-sorted
     columnar chunks (the component-write path).
 
-    Sortedness is validated over the typed key column (vectorised when
-    the numpy backend is on), leaves are packed by column slicing into
-    :class:`_ColumnarLeafPage` objects, and no ``Record`` is ever
-    allocated at build time.  A build that raises deletes its
-    half-written file; a simulated crash (a ``BaseException``) leaves
-    it as the orphan recovery GC expects.
+    Sortedness is validated over the key column, leaves are packed by
+    column slicing into :class:`_ColumnarLeafPage` objects, and no
+    ``Record`` is ever allocated at build time.  A build that raises
+    deletes its half-written file; a simulated crash (a
+    ``BaseException``) leaves it as the orphan recovery GC expects.
     """
     if leaf_capacity <= 1 or fanout <= 1:
         raise BulkloadError("leaf_capacity and fanout must both exceed 1")
@@ -344,7 +342,7 @@ def _pack_leaves(
         if not len(chunk):
             continue
         keys = chunk.keys_list()
-        previous_key = _check_chunk_sorted(chunk, keys, previous_key)
+        previous_key = _check_chunk_sorted(keys, previous_key)
         num_records += len(keys)
         key_buf.extend(keys)
         seq_buf.extend(chunk.seqnums)
@@ -370,40 +368,21 @@ def _pack_leaves(
     )
 
 
-def _check_chunk_sorted(
-    chunk: ColumnarChunk, keys: list[Any], previous_key: Any
-) -> Any:
+def _check_chunk_sorted(keys: list[Any], previous_key: Any) -> Any:
     """Validate strict ascent of one columnar chunk (and its boundary
-    against the previous chunk); returns the chunk's last key.
-
-    With the numpy backend on and typed keys present, the in-chunk
-    check runs as one vectorised comparison over the ``int64`` view --
-    the same ``<`` semantics the pure-Python pass applies, so both
-    backends accept and reject identical streams.
-    """
+    against the previous chunk); returns the chunk's last key."""
     if previous_key is not None and not previous_key < keys[0]:
         raise BulkloadError(
             f"bulkload stream not strictly sorted: {previous_key!r} "
             f"followed by {keys[0]!r}"
         )
-    if len(keys) > 1:
-        ascending = False
-        view = (
-            int64_view(chunk.typed_keys)
-            if chunk.typed_keys is not None
-            else None
-        )
-        if view is not None:
-            ascending = bool((view[1:] > view[:-1]).all())
-        else:
-            ascending = all(map(lt, keys, islice(keys, 1, None)))
-        if not ascending:
-            for left, right in zip(keys, islice(keys, 1, None)):
-                if not left < right:
-                    raise BulkloadError(
-                        f"bulkload stream not strictly sorted: {left!r} "
-                        f"followed by {right!r}"
-                    )
+    if len(keys) > 1 and not all(map(lt, keys, islice(keys, 1, None))):
+        for left, right in zip(keys, islice(keys, 1, None)):
+            if not left < right:
+                raise BulkloadError(
+                    f"bulkload stream not strictly sorted: {left!r} "
+                    f"followed by {right!r}"
+                )
     return keys[-1]
 
 

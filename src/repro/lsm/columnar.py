@@ -13,8 +13,7 @@ The chunks flow end-to-end through
       -> ``StatisticsCollector`` / ``SynopsisBuilder.add_many``
 
 Integer key columns additionally freeze into a typed ``array('q')``
-buffer, which downstream consumers may wrap in a zero-copy numpy view
-when the optional numpy backend is enabled (``repro.util.npbackend``).
+buffer that synopsis builders consume without a normalising copy.
 
 The full contract -- column layout, dtype rules, ownership, when a
 consumer falls back to materialised records, and how equivalence with
@@ -58,10 +57,10 @@ class ColumnarChunk:
       rows were bulk-stamped, which is both the cheapest and the most
       compressible representation.
 
-    Chunks are write-once: no consumer may mutate a column (numpy views
-    over ``typed_keys`` share its buffer).  ``records()`` is the escape
-    hatch back to ``Record`` objects for consumers with no column to
-    read (the R-tree adapter, an unregistered value extractor) -- it
+    Chunks are write-once: no consumer may mutate a column.
+    ``records()`` is the escape hatch back to ``Record`` objects for
+    consumers with no column to read (the R-tree adapter, an
+    unregistered value extractor) -- it
     materialises lazily, memoizes (so the cost is paid at most once
     per chunk however many consumers iterate), and counts one
     ``ingest.columnar.fallbacks`` tick unless the records were supplied

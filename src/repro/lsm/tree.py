@@ -48,7 +48,6 @@ from repro.lsm.storage import SimulatedDisk
 from repro.lsm.wal import WriteAheadLog
 from repro.obs.registry import MetricsRegistry, get_registry, sanitize_segment
 from repro.obs.tracing import span
-from repro.util.npbackend import numpy_backend_enabled
 
 __all__ = [
     "LSMTree",
@@ -236,16 +235,13 @@ class LSMTree:
             f"lsm.components.{sanitize_segment(name)}"
         )
         # Columnar data-path instruments (docs/DATAPATH.md): chunk
-        # traffic, the chunk-size distribution, and whether the numpy
-        # compute backend is active.  Fallback materialisations are
-        # counted by the chunks themselves (repro.lsm.columnar).
+        # traffic and the chunk-size distribution.  Fallback
+        # materialisations are counted by the chunks themselves
+        # (repro.lsm.columnar).
         self._m_col_chunks = self._obs.counter("ingest.columnar.chunks")
         self._h_col_chunk_records = self._obs.histogram(
             "ingest.columnar.chunk_records",
             buckets=(1.0, 8.0, 64.0, 256.0, 1024.0, 4096.0, 16384.0),
-        )
-        self._obs.gauge("ingest.columnar.numpy_backend").set(
-            1.0 if numpy_backend_enabled() else 0.0
         )
 
     def _fire(self, point: str) -> None:
@@ -646,7 +642,7 @@ class LSMTree:
         event_type: LSMEventType,
         component_id: ComponentId | None,
         chunks: Iterable[ColumnarChunk],
-        expected_records: int = 0,
+        expected_records: int,
         merged_components: tuple[DiskComponent, ...] = (),
         pacer: MergePacer | None = None,
     ) -> DiskComponent:
@@ -707,6 +703,7 @@ class LSMTree:
             matter_count=total - anti,
             antimatter_count=anti,
             bloom=bloom,
+            expected_records=expected_records,
         )
         self._m_matter.inc(total - anti)
         self._m_anti.inc(anti)

@@ -27,7 +27,7 @@ from typing import Any, ClassVar, Iterable, Sequence
 
 from repro.errors import MergeabilityError, SynopsisError
 from repro.types import Domain
-from repro.util.npbackend import INT64_TYPECODE, int64_view
+from repro.util.npbackend import INT64_TYPECODE
 
 __all__ = ["SynopsisType", "Synopsis", "SynopsisBuilder"]
 
@@ -209,27 +209,19 @@ class SynopsisBuilder(ABC):
 
         A typed ``array('q')`` chunk (the columnar pipeline's zero-copy
         key column, docs/DATAPATH.md) is consumed without the
-        normalising copy -- its elements are already plain 64-bit ints
-        -- and, when the numpy backend is on, validated through a
-        zero-copy vectorised pass that checks the identical predicates.
+        normalising copy -- its elements are already plain 64-bit ints.
         """
         if self._built:
             raise SynopsisError("builder already finalised")
         chunk: Sequence[int]
         if isinstance(values, array) and values.typecode == INT64_TYPECODE:
             chunk = values  # iteration/indexing yield plain Python ints
-            view = int64_view(values)
         else:
             chunk = [int(value) for value in values]  # normalise numpy scalars
-            view = None
         if not chunk:
             return
         lo, hi = self.domain.lo, self.domain.hi
-        if view is not None:
-            in_domain = lo <= int(view.min()) and int(view.max()) <= hi
-        else:
-            in_domain = lo <= min(chunk) and max(chunk) <= hi
-        if not in_domain:
+        if not (lo <= min(chunk) and max(chunk) <= hi):
             bad = next(v for v in chunk if v < lo or v > hi)
             raise SynopsisError(
                 f"value {bad} outside domain [{lo}, {hi}]"
@@ -240,13 +232,7 @@ class SynopsisBuilder(ABC):
                     f"builder requires non-decreasing input: {chunk[0]} "
                     f"after {self._last_value}"
                 )
-            if view is not None:
-                is_sorted = bool((view[1:] >= view[:-1]).all())
-            else:
-                is_sorted = all(
-                    left <= right for left, right in zip(chunk, chunk[1:])
-                )
-            if not is_sorted:
+            if not all(left <= right for left, right in zip(chunk, chunk[1:])):
                 for left, right in zip(chunk, chunk[1:]):
                     if right < left:
                         raise SynopsisError(

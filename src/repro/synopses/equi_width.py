@@ -13,13 +13,11 @@ merge is an element-wise sum of bucket counts (Section 3.5).
 
 from __future__ import annotations
 
-from array import array
 from typing import Any, Sequence
 
 from repro.errors import SynopsisError
 from repro.synopses.base import Synopsis, SynopsisBuilder, SynopsisType
 from repro.types import Domain
-from repro.util.npbackend import INT64_TYPECODE, bucket_counts, int64_view
 
 __all__ = ["EquiWidthHistogram", "EquiWidthBuilder"]
 
@@ -112,23 +110,13 @@ class EquiWidthBuilder(SynopsisBuilder):
         """Batched bucket fill.
 
         Exactness: bucket assignment is pure integer arithmetic
-        (``(value - lo) // width``) with no order dependence, so the
-        scalar loop, the per-record path, and the vectorised
-        ``bincount`` tally over a typed column (numpy backend on) all
-        produce identical counts -- not merely statistically equal.
+        (``(value - lo) // width``) with no order dependence, so this
+        loop and the per-record path produce identical counts -- not
+        merely statistically equal.
         """
         counts = self._counts
         lo = self.domain.lo
         width = self._width
-        if isinstance(values, array) and values.typecode == INT64_TYPECODE:
-            view = int64_view(values)
-            if view is not None:
-                for index, tally in enumerate(
-                    bucket_counts(view, lo, width, len(counts))
-                ):
-                    counts[index] += tally
-                self._count += len(values)
-                return
         for value in values:
             counts[(value - lo) // width] += 1
         self._count += len(values)

@@ -43,11 +43,6 @@ from typing import Any, Sequence
 from repro.errors import MergeabilityError, SynopsisError
 from repro.synopses.base import Synopsis, SynopsisBuilder, SynopsisType
 from repro.types import Domain
-from repro.util.npbackend import (
-    INT64_TYPECODE,
-    int64_view,
-    numpy_backend_enabled,
-)
 
 __all__ = [
     "DEFAULT_HASH_SEED",
@@ -402,25 +397,12 @@ class HyperLogLogBuilder(SynopsisBuilder):
     def _add_many(self, values: Sequence[int]) -> None:
         """Batched register update (the columnar ingest lane).
 
-        A typed ``array('q')`` chunk with the numpy backend enabled is
-        hashed and ranked vectorised; otherwise a tight scalar loop
-        runs.  Both paths perform the identical 64-bit integer
-        arithmetic (numpy ``uint64`` wraps exactly like the masked
-        Python ints) and registers update through an order-insensitive
-        max, so every chunking and both backends are register-identical
-        to per-record ``add`` -- the oracle property the test battery
-        asserts.
+        The loop is :func:`hash64` and :meth:`_observe_hash` inlined:
+        the identical 64-bit integer arithmetic, with registers updated
+        through an order-insensitive max, so every chunking is
+        register-identical to per-record ``add`` -- the oracle property
+        the test battery asserts.
         """
-        if (
-            numpy_backend_enabled()
-            and isinstance(values, array)
-            and values.typecode == INT64_TYPECODE
-        ):
-            view = int64_view(values)
-            if view is not None:
-                self._add_many_numpy(view)
-                self._count += len(values)
-                return
         seed = self.hash_seed
         registers = self._registers
         value_bits = self._value_bits
@@ -436,31 +418,6 @@ class HyperLogLogBuilder(SynopsisBuilder):
             if rank > registers[index]:
                 registers[index] = rank
         self._count += len(values)
-
-    def _add_many_numpy(self, view: Any) -> None:
-        """Vectorised splitmix64 + rank over an ``int64`` view."""
-        import numpy as np
-
-        u64 = np.uint64
-        x = view.astype(np.uint64)  # two's-complement wrap == & _MASK64
-        x += u64(self.hash_seed & _MASK64)
-        x = (x ^ (x >> u64(30))) * u64(0xBF58476D1CE4E5B9)
-        x = (x ^ (x >> u64(27))) * u64(0x94D049BB133111EB)
-        x ^= x >> u64(31)
-        index = (x >> u64(self._value_bits)).astype(np.int64)
-        w = x & u64(self._value_mask)
-        # Exact bit_length via binary reduction (float log2 would round
-        # wrong near 2**53); bit_length(0) == 0 gives the max rank.
-        bits = np.zeros(len(w), dtype=np.uint8)
-        for shift in (32, 16, 8, 4, 2, 1):
-            high = w >> u64(shift)
-            has_high = high > 0
-            bits[has_high] += shift
-            w = np.where(has_high, high, w)
-        bits += (w > 0).astype(np.uint8)
-        rank = (self._value_bits + 1 - bits).astype(np.uint8)
-        registers = np.frombuffer(self._registers, dtype=np.uint8)
-        np.maximum.at(registers, index, rank)
 
     def _build(self) -> HyperLogLogSynopsis:
         return HyperLogLogSynopsis(

@@ -1,108 +1,20 @@
-"""The optional numpy backend behind the columnar data path.
+"""The typed-column constant of the columnar data path.
 
 The columnar chunk pipeline (docs/DATAPATH.md) stores typed integer
-columns as stdlib ``array('q')`` buffers.  That representation is the
-*only* storage format -- the numpy backend never changes what a chunk
-holds, it changes how consumers *compute* over it: when the flag is on,
-hot validation passes (domain min/max, sortedness) and the equi-width
-bucket fill wrap the column's buffer in a zero-copy ``int64`` view via
-``numpy.frombuffer`` and run vectorised.  Because both backends read
-the identical bytes and perform the identical integer arithmetic, the
-results are bit-identical by construction -- the oracle property tests
-assert it anyway.
-
-The flag is process-wide, defaulting to the ``REPRO_COLUMNAR_NUMPY``
-environment variable (CI runs the tier-1 suite once with it set).  It
-is a *compute* switch, so flipping it mid-stream is safe: chunks built
-under one setting are consumed correctly under the other.
+columns as stdlib ``array('q')`` buffers -- the only storage format,
+and the one every consumer computes over directly.
 """
 
 from __future__ import annotations
 
-import os
-from array import array
-from contextlib import contextmanager
-from typing import Any, Iterator
-
-try:  # numpy is a declared dependency, but stay importable without it
-    import numpy as _np
-except ImportError:  # pragma: no cover - numpy ships with the image
-    _np = None
-
-__all__ = [
-    "INT64_TYPECODE",
-    "numpy_available",
-    "numpy_backend_enabled",
-    "set_numpy_backend",
-    "numpy_backend",
-    "int64_view",
-    "bucket_counts",
-]
+__all__ = ["INT64_TYPECODE", "numpy_backend_enabled"]
 
 INT64_TYPECODE = "q"
 """The stdlib ``array`` typecode of every typed integer column."""
 
-_ENV_FLAG = "REPRO_COLUMNAR_NUMPY"
-
-_enabled = _np is not None and os.environ.get(_ENV_FLAG, "0") not in ("", "0")
-
-
-def numpy_available() -> bool:
-    """Whether numpy importing succeeded in this process."""
-    return _np is not None
-
 
 def numpy_backend_enabled() -> bool:
-    """Whether columnar consumers should compute through numpy views."""
-    return _enabled
-
-
-def set_numpy_backend(enabled: bool) -> None:
-    """Switch the process-wide columnar compute backend.
-
-    Raises ``RuntimeError`` when enabling without numpy installed.
-    """
-    global _enabled
-    if enabled and _np is None:  # pragma: no cover - numpy ships baked in
-        raise RuntimeError("numpy backend requested but numpy is unavailable")
-    _enabled = bool(enabled)
-
-
-@contextmanager
-def numpy_backend(enabled: bool) -> Iterator[None]:
-    """Scoped backend switch (the oracle tests run both settings)."""
-    previous = _enabled
-    set_numpy_backend(enabled)
-    try:
-        yield
-    finally:
-        set_numpy_backend(previous)
-
-
-def int64_view(column: "array[int]") -> Any | None:
-    """A zero-copy ``int64`` ndarray over a typed column's buffer, or
-    ``None`` when the numpy backend is off.
-
-    The view shares the column's memory (``numpy.frombuffer`` of the
-    array's buffer), so it must be treated as read-only -- columns are
-    immutable once a chunk is built (docs/DATAPATH.md ownership rules).
-    """
-    if not _enabled or _np is None:
-        return None
-    return _np.frombuffer(column, dtype=_np.int64)
-
-
-def bucket_counts(
-    view: Any, lo: int, width: int, num_buckets: int
-) -> list[int]:
-    """Histogram an ``int64`` view into equi-width buckets.
-
-    Computes ``(value - lo) // width`` per element -- the identical
-    integer arithmetic as the scalar loop (numpy's ``//`` matches
-    Python floor division for int64) -- and tallies with ``bincount``.
-    Returns plain Python ints.
-    """
-    assert _np is not None
-    return _np.bincount(
-        (view - lo) // width, minlength=num_buckets
-    ).tolist()
+    """Always ``False``.  Kept only because the frozen benchmark driver
+    (``e2ebench/run.py``) imports it to record the setting in its
+    report; it goes when the next benchmark PR drops that import."""
+    return False

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro import verify
 from repro.cluster.cluster import LSMCluster
 from repro.cluster.crashcheck import format_report, run_crashcheck
 from repro.cluster.faults import FaultPlan, LinkFaults
@@ -161,3 +162,48 @@ def test_crashcheck_converges():
     assert report.concurrent_crashes_fired == len(
         report.concurrent_points_checked
     )
+
+
+def test_recovered_merged_component_keeps_its_build_geometry():
+    # A merge sizes its Bloom filter and (equi-height) bucket height
+    # from the sum of its inputs *before* reconciliation; the merged
+    # component must remember that number, or recovery re-derives both
+    # from the smaller reconciled count and stops being bit-identical.
+    cluster = LSMCluster(
+        num_nodes=1,
+        partitions_per_node=1,
+        stats_config=StatisticsConfig(SynopsisType.EQUI_HEIGHT, budget=8),
+        durable=True,
+    )
+    cluster.create_dataset(
+        verify.DATASET,
+        primary_key="id",
+        primary_domain=Domain(0, 2**20 - 1),
+        indexes=[IndexSpec("value_idx", "value", Domain(0, 1023))],
+        memtable_capacity=32,
+        merge_policy_factory=lambda: ConstantMergePolicy(max_components=2),
+    )
+    for pk in range(64):
+        cluster.insert(verify.DATASET, verify.doc(pk))
+    for pk in range(0, 64, 2):
+        cluster.delete(verify.DATASET, pk)
+    for pk in range(64, 96):
+        cluster.insert(verify.DATASET, verify.doc(pk))
+    cluster.flush_all(verify.DATASET)
+    cluster.recover_statistics()
+
+    def geometry():
+        primary = cluster.nodes[0].dataset(verify.DATASET, 0).primary
+        return [
+            (c.record_count, c.expected_records, c.bloom.num_bits)
+            for c in primary.components
+        ]
+
+    live_geometry, live = geometry(), verify.image(cluster)
+    # Newest first: the last flush, then the merge of three 32-record
+    # flushes whose 32 deletes annihilated 32 inserts.
+    assert [g[:2] for g in live_geometry] == [(32, 32), (32, 96)]
+    cluster.restart_nodes()
+    cluster.recover_statistics()
+    assert geometry() == live_geometry
+    assert verify.compare("restart", live, verify.image(cluster)) == []

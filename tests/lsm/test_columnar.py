@@ -275,4 +275,3 @@ class TestCompatFallbacks:
         histogram = snapshot["histograms"]["ingest.columnar.chunk_records"]
         assert histogram["count"] == 4
         assert histogram["sum"] == 100
-        assert "ingest.columnar.numpy_backend" in snapshot["gauges"]

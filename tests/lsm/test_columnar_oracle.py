@@ -1,12 +1,11 @@
 """The component-write path's oracle: bit-identity with the naive reference.
 
 docs/DATAPATH.md promises that the columnar chunk representation is a
-*pure* optimisation: for any operation sequence, any chunk size, and
-either compute backend (numpy flag on or off), every component written
--- its leaves, Bloom bits, record counts and every synopsis payload
-published for it, across every synopsis family (GK compress cadence
-and reservoir RNG draws are sequence-sensitive, so this is a strong
-property) -- equals what ``tests/lsm/reference.py`` builds one record
+*pure* optimisation: for any operation sequence and any chunk size,
+every component written -- its leaves, Bloom bits, record counts and
+every synopsis payload published for it, across every synopsis family
+(GK compress cadence and reservoir RNG draws are sequence-sensitive, so
+this is a strong property) -- equals what ``tests/lsm/reference.py`` builds one record
 at a time from the same stream.  Hypothesis drives the operation
 sequences; scripted dataset lifecycles additionally cover secondary,
 composite and spatial indexes, attribute statistics, merge and crash
@@ -35,7 +34,6 @@ from repro.obs.registry import MetricsRegistry, use_registry
 from repro.synopses.base import SynopsisType
 from repro.synopses.multidim.factory2d import create_builder_2d
 from repro.types import Domain
-from repro.util.npbackend import numpy_backend
 from tests.lsm.reference import ReferenceObserver, reference_synopsis_pair
 
 DOMAIN = Domain(0, 1023)
@@ -57,10 +55,10 @@ def _observe(bus, trees, synopsis_type):
     return observer
 
 
-def _tree_lifecycle(synopsis_type, ops, batch, numpy_on):
+def _tree_lifecycle(synopsis_type, ops, batch):
     """Bulkload + upserts/deletes + flushes + merge under one config,
     every component checked against the reference as it is written."""
-    with use_registry(MetricsRegistry()), numpy_backend(numpy_on):
+    with use_registry(MetricsRegistry()):
         tree = LSMTree(
             "t.primary",
             SimulatedDisk(),
@@ -113,8 +111,7 @@ _OPS = st.lists(
 @given(ops=_OPS, batch=st.sampled_from([1, 7, 512]))
 @settings(max_examples=10, deadline=None)
 def test_columnar_lifecycle_bit_identical(synopsis_type, ops, batch):
-    for numpy_on in (False, True):
-        _tree_lifecycle(synopsis_type, ops, batch, numpy_on)
+    _tree_lifecycle(synopsis_type, ops, batch)
 
 
 def _make_dataset(disk, batch, recover=False):
@@ -157,9 +154,9 @@ def _doc(pk):
     return {"id": pk, "value": (pk * 13) % 256, "extra": (pk * 7) % 256}
 
 
-def _dataset_lifecycle(synopsis_type, batch, numpy_on):
+def _dataset_lifecycle(synopsis_type, batch):
     """Bulkload, DML with automatic flush/merge, crash, recovery."""
-    with use_registry(MetricsRegistry()), numpy_backend(numpy_on):
+    with use_registry(MetricsRegistry()):
         disk = SimulatedDisk()
         dataset = _make_dataset(disk, batch)
         observer = _attach(dataset, synopsis_type)
@@ -217,8 +214,7 @@ def _published(observer, component):
 )
 def test_scripted_dataset_lifecycle_with_recovery(synopsis_type):
     for batch in (7, 512):
-        for numpy_on in (False, True):
-            _dataset_lifecycle(synopsis_type, batch, numpy_on)
+        _dataset_lifecycle(synopsis_type, batch)
 
 
 class _SpatialReferenceObserver(ReferenceObserver):
