@@ -87,13 +87,15 @@ def main() -> None:
     changes = [
         FeedRecord(
             FeedOperation.UPDATE,
-            {**tweets[pk], "value": (tweets[pk]["value"] + 17_000) % VALUE_DOMAIN.length},
+            {
+                **tweets[pk],
+                "value": (tweets[pk]["value"] + 17_000) % VALUE_DOMAIN.length,
+            },
         )
         for pk in range(0, NUM_TWEETS, 7)
     ]
     changes += [
-        FeedRecord(FeedOperation.DELETE, tweets[pk])
-        for pk in range(1, NUM_TWEETS, 7)
+        FeedRecord(FeedOperation.DELETE, tweets[pk]) for pk in range(1, NUM_TWEETS, 7)
     ]
     changeable = ChangeableFeed(changes, stage_size=2_000)
     counts = changeable.run(adapter)

@@ -64,16 +64,16 @@ def main() -> None:
         dataset.event_bus.subscribe(collector)
         slots[synopsis_type] = CardinalityEstimator(catalog, cache)
 
-    print(f"Ingesting {NUM_RECORDS} log records (Constant merge policy, 5 components)...")
+    print(
+        f"Ingesting {NUM_RECORDS} log records (Constant merge policy, 5 components)..."
+    )
     documents = list(WorldCupGenerator(NUM_RECORDS, seed=4).generate())
     for document in documents:
         dataset.insert(document)
     dataset.flush()
 
     print(f"\nPer-field relative error of a 1%-of-range query (budget {BUDGET}):")
-    header = f"{'field':>10} {'true':>7}" + "".join(
-        f" {t.value:>12}" for t in slots
-    )
+    header = f"{'field':>10} {'true':>7}" + "".join(f" {t.value:>12}" for t in slots)
     print(header)
     for field in WORLDCUP_FIELDS:
         truth = FrequencyIndex(doc[field.name] for doc in documents)

@@ -25,7 +25,7 @@ from repro.lsm.dataset import IndexSpec, secondary_index_name
 from repro.lsm.memory import MemoryArbiter
 from repro.lsm.merge_policy import MergePolicy
 from repro.lsm.pacing import MergePacer
-from repro.lsm.scheduler import DEFAULT_MAX_WORKERS, make_scheduler
+from repro.lsm.scheduler import make_scheduler
 from repro.lsm.tree import DEFAULT_MEMTABLE_CAPACITY
 from repro.types import Domain
 
@@ -52,7 +52,6 @@ class LSMCluster:
         crash_injector: CrashInjector | None = None,
         scheduler: str = "sync",
         scheduler_seed: int = 0,
-        scheduler_workers: int = DEFAULT_MAX_WORKERS,
         merge_pacing_rate: float | None = None,
         memory_budget: int | None = None,
     ) -> None:
@@ -91,7 +90,6 @@ class LSMCluster:
                     lambda node_id=node_id: make_scheduler(
                         scheduler,
                         seed=f"{scheduler_seed}:{node_id}",
-                        max_workers=scheduler_workers,
                     )
                 )
             )

@@ -336,6 +336,12 @@ class StorageNode:
         and WAL; with ``reset_stats`` the sink first disowns the
         pre-restart catalog entries (enqueued before any re-derived
         publish, so FIFO ordering keeps the master coherent).
+
+        Statistics are registered for the primary key and the
+        single-field secondary indexes (what ``StatisticsManager.attach``
+        does); composite-key and spatial indexes are maintained and
+        queryable but ship no 2-D statistics -- the wire has no 2-D
+        payload.
         """
         merge_policy_factory = schema["merge_policy_factory"]
         dataset = Dataset(
@@ -374,7 +380,7 @@ class StorageNode:
             collector.register_index(
                 dataset.primary.name, schema["primary_domain"]
             )
-            for spec in schema["indexes"]:
+            for spec in dataset.indexes.values():
                 collector.register_index(
                     dataset.secondary_tree(spec.name).name, spec.domain
                 )

@@ -12,13 +12,6 @@ from repro.core.persistence import load_catalog, save_catalog
 from repro.core.config import DEFAULT_BUDGET, StatisticsConfig
 from repro.core.estimator import CardinalityEstimator, EstimateResult
 from repro.core.manager import LocalStatisticsSink, StatisticsManager
-from repro.core.spatial import (
-    SpatialCardinalityEstimator,
-    SpatialEstimateResult,
-    SpatialStatisticsCollector,
-    SpatialStatisticsConfig,
-    SpatialStatisticsManager,
-)
 
 __all__ = [
     "StatisticsConfig",
@@ -37,9 +30,4 @@ __all__ = [
     "EstimateResult",
     "LocalStatisticsSink",
     "StatisticsManager",
-    "SpatialStatisticsConfig",
-    "SpatialStatisticsCollector",
-    "SpatialCardinalityEstimator",
-    "SpatialEstimateResult",
-    "SpatialStatisticsManager",
 ]

@@ -15,11 +15,17 @@ during an LSM-merge we choose to create new synopses from scratch
 directly on the newly merged component, discarding earlier statistics
 altogether" (Section 3.5).
 
-Two kinds of registration:
+Three kinds of registration, all riding the same tap, sinks, catalog
+and estimator:
 
 * :meth:`StatisticsCollector.register_index` -- statistics on the
   index's own key (PK or SK), the paper's shipped scope; the sorted
   order comes for free from the index.
+* :meth:`StatisticsCollector.register_composite_index` -- 2-D
+  statistics on a composite-key B-tree or an R-tree (Section 5), whose
+  stream delivers ``(x, y)`` pairs in the lexicographic order the
+  :mod:`repro.synopses.multidim` builders need; the family and budget
+  are pinned per registration, like the NDV lane's.
 * :meth:`StatisticsCollector.register_attribute` -- statistics on an
   arbitrary record attribute observed through an index's stream, in
   which the attribute's values arrive *unsorted*.  Only order-
@@ -45,6 +51,7 @@ from repro.lsm.columnar import (
     ColumnarChunk,
     columnar_chunk_stream,
     split_matter_anti,
+    summary_column_fn,
 )
 from repro.lsm.component import DiskComponent
 from repro.lsm.events import ComponentWriteContext, RecordSink
@@ -60,6 +67,7 @@ from repro.obs.registry import (
 from repro.synopses.base import Synopsis, SynopsisBuilder, SynopsisType
 from repro.synopses.factory import create_builder
 from repro.synopses.hll import HyperLogLogSynopsis, ndv_statistics_key
+from repro.synopses.multidim import Synopsis2DType, create_builder_2d
 from repro.types import Domain
 
 __all__ = [
@@ -161,14 +169,15 @@ class _Registration:
 
     ``synopsis_type``/``budget`` of ``None`` mean "use the configured
     family"; the NDV sketch lane pins them to ``HLL_SKETCH`` and its
-    register count so it can ride *any* primary family.
+    register count so it can ride *any* primary family, and a
+    composite-key registration pins a 2-D family over a domain pair.
     """
 
     statistics_key: str
     index_name: str
-    domain: Domain
+    domain: Domain | tuple[Domain, Domain]
     value_extractor: Callable[[Record], Any] | None  # None -> index key
-    synopsis_type: SynopsisType | None = None
+    synopsis_type: SynopsisType | Synopsis2DType | None = None
     budget: int | None = None
 
 
@@ -212,6 +221,9 @@ class _RegistrationSink:
             if registration.value_extractor is not None
             else key_extractor
         )
+        # An extractor with no column to read fails the write here,
+        # typed, before a single chunk flows.
+        summary_column_fn(self._extractor)
         self._builder = builder
         self._anti_builder = anti_builder
         self._sink = sink
@@ -232,25 +244,11 @@ class _RegistrationSink:
         typed key buffer goes straight to ``add_many`` with no copy at
         all.  ``None`` values are skipped: attribute extractors yield
         them for tombstones (no payload) and records missing the
-        attribute.  An extractor the columnar registry cannot map is
-        called per record over the chunk's memoized ``records()``.
+        attribute.
         """
-        split = split_matter_anti(chunk, self._extractor)
-        if split is None:
-            extractor = self._extractor
-            matter_values: list[Any] = []
-            anti_values: list[Any] = []
-            skipped = 0
-            for record in chunk.records():
-                value = extractor(record)
-                if value is None:
-                    skipped += 1
-                elif record.antimatter:
-                    anti_values.append(value)
-                else:
-                    matter_values.append(value)
-            split = matter_values, anti_values, skipped
-        matter_seq, anti_seq, skipped = split
+        matter_seq, anti_seq, skipped = split_matter_anti(
+            chunk, self._extractor
+        )
         metrics = self._metrics
         instruments = self._instruments
         if skipped:
@@ -363,14 +361,38 @@ class StatisticsCollector:
                     return None
                 return payload.get(attribute)
 
-            # Tag the closure so the columnar tap can read the payload
-            # column directly instead of materialising records
-            # (ColumnarChunk.payload_column has identical None rules).
+            # The tag is what the columnar tap reads: the payload column
+            # it names (ColumnarChunk.payload_column has identical None
+            # rules).  An untagged custom extractor is rejected when
+            # the tap opens.
             value_extractor.payload_field = attribute  # type: ignore[attr-defined]
 
         key = attribute_statistics_key(index_name, attribute)
         self._register(_Registration(key, index_name, domain, value_extractor))
         return key
+
+    def register_composite_index(
+        self,
+        index_name: str,
+        domains: tuple[Domain, Domain],
+        synopsis_type: Synopsis2DType = Synopsis2DType.GRID,
+        budget: int = 1024,
+    ) -> None:
+        """Enable 2-D statistics on a composite-key B-tree or R-tree
+        index, whose key extractor yields ``(x, y)`` pairs.
+
+        The estimator then takes a rectangle ``(lo_x, hi_x, lo_y,
+        hi_y)`` where a 1-D index takes ``(lo, hi)``.  2-D statistics
+        are local: neither the cluster wire nor ``load_catalog``
+        deserialises a 2-D payload.
+        """
+        if budget < 1:
+            raise ConfigurationError(f"budget must be >= 1, got {budget}")
+        self._register(
+            _Registration(
+                index_name, index_name, domains, None, synopsis_type, budget
+            )
+        )
 
     def _register(self, registration: _Registration) -> None:
         bucket = self._registrations.setdefault(registration.index_name, [])
@@ -410,13 +432,15 @@ class StatisticsCollector:
             if registration.budget is not None
             else self.config.budget
         )
+        domain = registration.domain
+        if isinstance(synopsis_type, Synopsis2DType):
+            return (
+                create_builder_2d(synopsis_type, domain, budget),
+                create_builder_2d(synopsis_type, domain, budget),
+            )
         return (
-            create_builder(
-                synopsis_type, registration.domain, budget, expected_records
-            ),
-            create_builder(
-                synopsis_type, registration.domain, budget, expected_records
-            ),
+            create_builder(synopsis_type, domain, budget, expected_records),
+            create_builder(synopsis_type, domain, budget, expected_records),
         )
 
     def registered_keys(self) -> list[str]:
@@ -426,11 +450,6 @@ class StatisticsCollector:
             for bucket in self._registrations.values()
             for registration in bucket
         )
-
-    # Backwards-compatible alias: index registrations keyed by name.
-    def registered_indexes(self) -> list[str]:
-        """All statistics keys (index names and attribute keys)."""
-        return self.registered_keys()
 
     # -- LSMEventObserver ----------------------------------------------------
 

@@ -2,7 +2,10 @@
 
 For a range query on an indexed attribute the total estimate combines
 every catalogued per-component synopsis: regular estimates add,
-anti-matter estimates subtract (Section 3.3).  For mergeable synopsis
+anti-matter estimates subtract (Section 3.3).  The query's bounds are
+whatever the index's synopses take -- ``(lo, hi)`` for a 1-D index, the
+rectangle ``(lo_x, hi_x, lo_y, hi_y)`` for a composite-key or R-tree
+index -- and are handed through untouched.  For mergeable synopsis
 types the estimator opportunistically folds the per-component synopses
 into one merged pair, caches it on the cluster-controller side, and
 answers subsequent queries from the cache until new statistics arrive
@@ -109,11 +112,12 @@ class CardinalityEstimator:
                 f"estimator.estimate.seconds.{label}"
             ).observe(elapsed)
 
-    def estimate(self, index_name: str, lo: int, hi: int) -> float:
-        """The cardinality estimate for ``lo <= key <= hi``."""
-        return self.estimate_detailed(index_name, lo, hi).estimate
+    def estimate(self, index_name: str, *bounds: int) -> float:
+        """The cardinality estimate for ``lo <= key <= hi`` (or, on a
+        2-D index, for the inclusive rectangle)."""
+        return self.estimate_detailed(index_name, *bounds).estimate
 
-    def estimate_detailed(self, index_name: str, lo: int, hi: int) -> EstimateResult:
+    def estimate_detailed(self, index_name: str, *bounds: int) -> EstimateResult:
         """Estimate with overhead/caching diagnostics."""
         started = time.perf_counter()
         version = self.catalog.version_for(index_name)
@@ -123,8 +127,8 @@ class CardinalityEstimator:
             cached = self.cache.get(index_name, version)
             if cached is not None:
                 estimate = max(
-                    cached.synopsis.estimate(lo, hi)
-                    - cached.anti_synopsis.estimate(lo, hi),
+                    cached.synopsis.estimate(*bounds)
+                    - cached.anti_synopsis.estimate(*bounds),
                     0.0,
                 )
                 elapsed = time.perf_counter() - started
@@ -154,8 +158,8 @@ class CardinalityEstimator:
         merges_ran = 0
         for entry in entries:
             contributions.append(
-                entry.synopsis.estimate(lo, hi)
-                - entry.anti_synopsis.estimate(lo, hi)
+                entry.synopsis.estimate(*bounds)
+                - entry.anti_synopsis.estimate(*bounds)
             )
             if mergeable and self.cache is not None:
                 if merged is None:

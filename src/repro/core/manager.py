@@ -21,6 +21,7 @@ from repro.core.estimator import (
 from repro.lsm.dataset import Dataset
 from repro.obs.registry import MetricsRegistry, get_registry
 from repro.synopses.base import Synopsis
+from repro.synopses.multidim import Synopsis2DType
 
 __all__ = ["LocalStatisticsSink", "StatisticsManager"]
 
@@ -110,6 +111,29 @@ class StatisticsManager:
             self.collector.register_index(tree.name, spec.domain)
         dataset.event_bus.subscribe(self.collector)
 
+    def attach_composite(
+        self,
+        dataset: Dataset,
+        synopsis_type: Synopsis2DType = Synopsis2DType.GRID,
+        budget: int = 1024,
+    ) -> None:
+        """Enable 2-D statistics for every composite-key and R-tree
+        index of a dataset (both stream lexicographically ordered
+        ``(x, y)`` pairs); :meth:`estimate` then takes a rectangle."""
+        if self.collector is None:
+            return
+        for spec in (
+            *dataset.composite_indexes.values(),
+            *dataset.spatial_indexes.values(),
+        ):
+            self.collector.register_composite_index(
+                dataset.secondary_tree(spec.name).name,
+                spec.domains,
+                synopsis_type,
+                budget,
+            )
+        dataset.event_bus.subscribe(self.collector)
+
     def register_attribute(
         self, dataset: Dataset, attribute: str, domain
     ) -> None:
@@ -130,17 +154,19 @@ class StatisticsManager:
         key = attribute_statistics_key(dataset.primary.name, attribute)
         return self.estimator.estimate(key, lo, hi)
 
-    def estimate(self, dataset: Dataset, index_name: str, lo: int, hi: int) -> float:
-        """Range-cardinality estimate on one of the dataset's indexes
-        (``"primary"`` or a secondary index name)."""
-        return self.estimate_detailed(dataset, index_name, lo, hi).estimate
+    def estimate(self, dataset: Dataset, index_name: str, *bounds: int) -> float:
+        """Cardinality estimate on one of the dataset's indexes
+        (``"primary"`` or a secondary index name): ``lo, hi`` for a
+        range, ``lo_x, hi_x, lo_y, hi_y`` for a rectangle on a
+        composite-key or R-tree index."""
+        return self.estimate_detailed(dataset, index_name, *bounds).estimate
 
     def estimate_detailed(
-        self, dataset: Dataset, index_name: str, lo: int, hi: int
+        self, dataset: Dataset, index_name: str, *bounds: int
     ) -> EstimateResult:
         """Like :meth:`estimate`, with overhead/caching diagnostics."""
         return self.estimator.estimate_detailed(
-            self._full_name(dataset, index_name), lo, hi
+            self._full_name(dataset, index_name), *bounds
         )
 
     def estimate_ndv(self, dataset: Dataset, index_name: str = "primary") -> float:

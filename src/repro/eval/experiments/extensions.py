@@ -16,7 +16,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.core.spatial import SpatialStatisticsConfig, SpatialStatisticsManager
+from repro.core.config import StatisticsConfig
+from repro.core.manager import StatisticsManager
 from repro.eval.experiments.common import ExperimentScale, SMALL_SCALE
 from repro.eval.metrics import ErrorAccumulator
 from repro.eval.reporting import format_table
@@ -156,10 +157,8 @@ def run_rtree(scale: ExperimentScale = SMALL_SCALE) -> dict:
         memtable_capacity=_RT_POINTS // 8,
         merge_policy=ConstantMergePolicy(4),
     )
-    manager = SpatialStatisticsManager(
-        SpatialStatisticsConfig(Synopsis2DType.GRID, budget=1024)
-    )
-    manager.attach(dataset)
+    manager = StatisticsManager(StatisticsConfig())
+    manager.attach_composite(dataset, Synopsis2DType.GRID, budget=1024)
 
     xs = rng.integers(0, _RT_X.length, size=_RT_POINTS)
     ys = np.clip(xs + rng.integers(-300, 300, size=_RT_POINTS), 0, _RT_Y.hi)

@@ -26,6 +26,8 @@ __all__ = [
     "DiskBTree",
     "build_btree",
     "build_btree_chunks",
+    "ColumnarLeafPage",
+    "pack_columnar_leaves",
     "btree_from_descriptor",
     "DEFAULT_LEAF_CAPACITY",
     "DEFAULT_FANOUT",
@@ -38,7 +40,7 @@ DEFAULT_FANOUT = 64
 """Children per interior page."""
 
 
-class _ColumnarLeafPage:
+class ColumnarLeafPage:
     """A leaf holding sorted rows as columns plus a next-sibling pointer.
 
     Stores the key/value/anti/seqnum columns a
@@ -73,7 +75,7 @@ class _ColumnarLeafPage:
         anti: list[bool] | None,
         seqnums: list[int],
         count: int,
-    ) -> "_ColumnarLeafPage":
+    ) -> "ColumnarLeafPage":
         """A leaf owning copies of the first ``count`` buffered rows."""
         return cls(
             keys[:count],
@@ -287,7 +289,7 @@ def build_btree_chunks(
     columnar chunks (the component-write path).
 
     Sortedness is validated over the key column, leaves are packed by
-    column slicing into :class:`_ColumnarLeafPage` objects, and no
+    column slicing into :class:`ColumnarLeafPage` objects, and no
     ``Record`` is ever allocated at build time.  A build that raises
     deletes its half-written file; a simulated crash (a
     ``BaseException``) leaves it as the orphan recovery GC expects.
@@ -297,39 +299,42 @@ def build_btree_chunks(
 
     file = disk.create_file()
     try:
-        return _pack_leaves(file, chunks, leaf_capacity, fanout)
+        leaf_page_nos, leaves = pack_columnar_leaves(file, chunks, leaf_capacity)
+        return _seal_tree(file, leaf_page_nos, leaves, fanout)
     except Exception:
         file.delete()
         raise
 
 
-def _pack_leaves(
+def pack_columnar_leaves(
     file: FileHandle,
     chunks: Iterable[ColumnarChunk],
     leaf_capacity: int,
-    fanout: int,
-) -> DiskBTree:
-    """Fill ``file`` with leaves sliced off the chunk columns, then
-    stack the interior levels and seal it."""
+) -> tuple[list[int], list[ColumnarLeafPage]]:
+    """Fill ``file`` with sibling-chained leaves sliced off the chunk
+    columns; returns their page numbers and the leaves themselves.
+
+    The leaf level every disk structure shares: leaves are filled in
+    stream order whatever is stacked on top of them (separator keys
+    for a B-tree, bounding rectangles for an R-tree), so the caller
+    adds its interior levels and seals the file.
+    """
     leaf_page_nos: list[int] = []
-    leaf_min_keys: list[Any] = []
-    leaves: list[_ColumnarLeafPage] = []
+    leaves: list[ColumnarLeafPage] = []
 
     key_buf: list[Any] = []
     value_buf: list[Any] | None = None
     anti_buf: list[bool] | None = None
     seq_buf: list[int] = []
     previous_key: Any = None
-    num_records = 0
 
     def emit_leaf() -> None:
         # Up to one leaf's worth off the front of the buffers (the
         # tail leaf is simply a short slice).
-        leaf = _ColumnarLeafPage.head_of(
+        leaf = ColumnarLeafPage.head_of(
             key_buf, value_buf, anti_buf, seq_buf, leaf_capacity
         )
         leaf_page_nos.append(file.append_page(leaf))
-        leaf_min_keys.append(leaf.keys[0])
         leaves.append(leaf)
         del key_buf[:leaf_capacity]
         if value_buf is not None:
@@ -343,7 +348,6 @@ def _pack_leaves(
             continue
         keys = chunk.keys_list()
         previous_key = _check_chunk_sorted(keys, previous_key)
-        num_records += len(keys)
         key_buf.extend(keys)
         seq_buf.extend(chunk.seqnums)
         if chunk.values is not None:
@@ -362,10 +366,10 @@ def _pack_leaves(
             emit_leaf()
     if key_buf:
         emit_leaf()
-
-    return _seal_tree(
-        file, leaf_page_nos, leaf_min_keys, leaves, fanout, num_records
-    )
+    # Chain the sibling pointers now that page numbers are known.
+    for leaf, next_page in zip(leaves, leaf_page_nos[1:]):
+        leaf.next_leaf = next_page
+    return leaf_page_nos, leaves
 
 
 def _check_chunk_sorted(keys: list[Any], previous_key: Any) -> Any:
@@ -412,16 +416,10 @@ def btree_from_descriptor(
 def _seal_tree(
     file: FileHandle,
     leaf_page_nos: list[int],
-    leaf_min_keys: list[Any],
-    leaves: list[_ColumnarLeafPage],
+    leaves: list[ColumnarLeafPage],
     fanout: int,
-    num_records: int,
 ) -> DiskBTree:
-    """Chain sibling leaves, stack interior levels and seal the file."""
-    # Chain the sibling pointers now that page numbers are known.
-    for leaf, next_page in zip(leaves, leaf_page_nos[1:]):
-        leaf.next_leaf = next_page
-
+    """Stack separator levels over packed leaves and seal the file."""
     if not leaf_page_nos:
         file.seal()
         return DiskBTree(file, None, 0, 0, None)
@@ -429,7 +427,7 @@ def _seal_tree(
     # Stack interior levels until a single root remains.
     height = 0
     level_pages = leaf_page_nos
-    level_keys = leaf_min_keys
+    level_keys = [leaf.keys[0] for leaf in leaves]
     while len(level_pages) > 1:
         height += 1
         next_pages: list[int] = []
@@ -447,6 +445,6 @@ def _seal_tree(
         file,
         root_page=level_pages[0],
         height=height,
-        num_records=num_records,
+        num_records=sum(len(leaf.keys) for leaf in leaves),
         first_leaf=leaf_page_nos[0],
     )

@@ -15,10 +15,10 @@ The chunks flow end-to-end through
 Integer key columns additionally freeze into a typed ``array('q')``
 buffer that synopsis builders consume without a normalising copy.
 
-The full contract -- column layout, dtype rules, ownership, when a
-consumer falls back to materialised records, and how equivalence with
-the naive per-record reference (``tests/lsm/reference.py``) is
-verified -- is docs/DATAPATH.md.
+The full contract -- column layout, dtype rules, ownership, how a
+statistics extractor names its column, and how equivalence with the
+naive per-record reference (``tests/lsm/reference.py``) is verified --
+is docs/DATAPATH.md.
 """
 
 from __future__ import annotations
@@ -27,8 +27,8 @@ import itertools
 from array import array
 from typing import Any, Callable, Iterable, Iterator, Sequence
 
+from repro.errors import ConfigurationError
 from repro.lsm.record import Record
-from repro.obs.registry import get_registry
 from repro.util.npbackend import INT64_TYPECODE
 
 __all__ = [
@@ -36,6 +36,7 @@ __all__ = [
     "columnar_chunk_stream",
     "register_summary_extractor",
     "split_matter_anti",
+    "summary_column_fn",
 ]
 
 
@@ -57,14 +58,9 @@ class ColumnarChunk:
       rows were bulk-stamped, which is both the cheapest and the most
       compressible representation.
 
-    Chunks are write-once: no consumer may mutate a column.
-    ``records()`` is the escape hatch back to ``Record`` objects for
-    consumers with no column to read (the R-tree adapter, an
-    unregistered value extractor) -- it
-    materialises lazily, memoizes (so the cost is paid at most once
-    per chunk however many consumers iterate), and counts one
-    ``ingest.columnar.fallbacks`` tick unless the records were supplied
-    at construction (the memtable path, where they already existed).
+    Chunks are write-once: no consumer may mutate a column.  Every
+    consumer reads columns; ``Record`` objects are only ever built
+    from them on the read side (a B-tree or R-tree leaf, lazily).
     """
 
     __slots__ = (
@@ -74,7 +70,6 @@ class ColumnarChunk:
         "anti",
         "antimatter_count",
         "seqnums",
-        "_records",
         "_length",
     )
 
@@ -86,7 +81,6 @@ class ColumnarChunk:
         anti: list[bool] | None,
         antimatter_count: int,
         seqnums: Sequence[int],
-        records: list[Record] | None = None,
     ) -> None:
         self._keys = keys
         self.typed_keys = typed_keys
@@ -94,19 +88,13 @@ class ColumnarChunk:
         self.anti = anti
         self.antimatter_count = antimatter_count
         self.seqnums = seqnums
-        self._records = records
         self._length = len(keys) if keys is not None else len(typed_keys)  # type: ignore[arg-type]
 
     # -- construction ----------------------------------------------------
 
     @classmethod
     def from_records(cls, records: Sequence[Record]) -> "ColumnarChunk":
-        """Columnarise an existing record slice (flush/merge paths).
-
-        The source records are retained as the materialisation memo --
-        they exist anyway, so ``records()`` on such a chunk is free and
-        never counts as a fallback.
-        """
+        """Columnarise an existing record slice (flush/merge paths)."""
         records = list(records)
         keys = [record.key for record in records]
         anti = [record.antimatter for record in records]
@@ -119,7 +107,6 @@ class ColumnarChunk:
             anti if antimatter_count else None,
             antimatter_count,
             [record.seqnum for record in records],
-            records=records,
         )
 
     @classmethod
@@ -180,42 +167,6 @@ class ColumnarChunk:
             for value in values
         ]
 
-    def records(self) -> list[Record]:
-        """Materialise the chunk as ``Record`` objects (memoized).
-
-        Consumers with no column to read iterate the chunk, which
-        lands here: the R-tree chunk adapter, a statistics registration
-        whose extractor has no column twin, an observer sink written
-        against records.  Each chunk materialises at most once -- later
-        callers share the memo -- and each lazy materialisation counts
-        one ``ingest.columnar.fallbacks`` tick (docs/OBSERVABILITY.md).
-        """
-        if self._records is None:
-            get_registry().counter("ingest.columnar.fallbacks").inc()
-            keys = self.keys_list()
-            values = self.values
-            anti = self.anti
-            seqnums = self.seqnums
-            if values is None and anti is None:
-                self._records = [
-                    Record(keys[i], None, False, seqnums[i])
-                    for i in range(self._length)
-                ]
-            else:
-                self._records = [
-                    Record(
-                        keys[i],
-                        values[i] if values is not None else None,
-                        anti[i] if anti is not None else False,
-                        seqnums[i],
-                    )
-                    for i in range(self._length)
-                ]
-        return self._records
-
-    def __iter__(self) -> Iterator[Record]:
-        return iter(self.records())
-
 
 def _freeze_keys(keys: list[Any]) -> "array[int] | None":
     """The typed twin of a key column, or ``None`` for keys that are
@@ -253,7 +204,7 @@ def columnar_chunk_stream(
 # known extractor *functions* register a column twin here (chunk ->
 # value column); attribute extractors instead carry a ``payload_field``
 # attribute naming the payload key they read.  An extractor with
-# neither registration falls back to ``chunk.records()``.
+# neither is rejected when its tap opens (``summary_column_fn``).
 
 _SUMMARY_COLUMNS: dict[Any, Callable[[ColumnarChunk], list[Any]]] = {}
 _RAW_KEY_EXTRACTORS: set[Any] = set()
@@ -280,37 +231,53 @@ def register_summary_extractor(
     _SUMMARY_COLUMNS[extractor] = column_fn
 
 
+def summary_column_fn(
+    extractor: Callable[[Record], Any],
+) -> Callable[[ColumnarChunk], Sequence[Any]]:
+    """The column twin of a value extractor (chunk -> value column).
+
+    Raises :class:`~repro.errors.ConfigurationError` for an extractor
+    with neither a registered twin nor a ``payload_field`` tag: every
+    consumer reads columns, so there is no per-record slow path to
+    fall back to.  The collector calls this when a tap opens, which
+    turns an unknown extractor into a failed write rather than a
+    silently dropped observer.
+    """
+    column_fn = _SUMMARY_COLUMNS.get(extractor)
+    if column_fn is not None:
+        return column_fn
+    field = getattr(extractor, "payload_field", None)
+    if field is None:
+        raise ConfigurationError(
+            f"value extractor {extractor!r} has no column twin: register "
+            "one with register_summary_extractor, or tag the function "
+            "with a payload_field attribute naming the payload key it reads"
+        )
+    return lambda chunk: chunk.payload_column(field)
+
+
 _NO_VALUES: tuple[Any, ...] = ()
 
 
 def split_matter_anti(
     chunk: ColumnarChunk, extractor: Callable[[Record], Any]
-) -> tuple[Sequence[Any], Sequence[Any], int] | None:
+) -> tuple[Sequence[Any], Sequence[Any], int]:
     """Split a chunk into (matter values, anti values, skipped count)
-    for one statistics registration, without materialising records.
+    for one statistics registration, reading columns only.
 
     Row order is preserved within each class and ``None`` values are
     skipped, so feeding the results to ``add_many`` is bit-identical
-    to per-record ``add`` calls in stream order.  Returns ``None`` for
-    extractors with no registered column twin and no ``payload_field``
-    tag; the caller then falls back to ``chunk.records()``.
+    to per-record ``add`` calls in stream order.
     """
-    column_fn = _SUMMARY_COLUMNS.get(extractor)
-    if column_fn is None:
-        field = getattr(extractor, "payload_field", None)
-        if field is None:
-            return None
-        column: Sequence[Any] = chunk.payload_column(field)
-    else:
-        if (
-            chunk.anti is None
-            and chunk.typed_keys is not None
-            and extractor in _RAW_KEY_EXTRACTORS
-        ):
-            # Pure matter, int keys, raw-key registration: the typed
-            # column *is* the matter value sequence; no copy at all.
-            return chunk.typed_keys, _NO_VALUES, 0
-        column = column_fn(chunk)
+    if (
+        chunk.anti is None
+        and chunk.typed_keys is not None
+        and extractor in _RAW_KEY_EXTRACTORS
+    ):
+        # Pure matter, int keys, raw-key registration: the typed
+        # column *is* the matter value sequence; no copy at all.
+        return chunk.typed_keys, _NO_VALUES, 0
+    column = summary_column_fn(extractor)(chunk)
     anti = chunk.anti
     matter_values: list[Any] = []
     anti_values: list[Any] = []

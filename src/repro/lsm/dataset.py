@@ -40,7 +40,7 @@ from repro.lsm.tree import (
     SequenceGenerator,
 )
 from repro.lsm.storage import SimulatedDisk
-from repro.lsm.wal import DEFAULT_WAL_GROUP_SIZE, WriteAheadLog
+from repro.lsm.wal import WriteAheadLog
 from repro.obs.registry import get_registry
 from repro.types import Domain
 
@@ -175,12 +175,10 @@ class Dataset:
         write_batch_size: int = DEFAULT_WRITE_BATCH_SIZE,
         durable: bool = False,
         wal_enabled: bool = True,
-        wal_group_size: int = DEFAULT_WAL_GROUP_SIZE,
         durability_namespace: str | None = None,
         crash_injector: CrashInjector | None = None,
         recover: bool = False,
         scheduler: MaintenanceScheduler | None = None,
-        max_pending_flushes: int = DEFAULT_MAX_PENDING_FLUSHES,
         maintenance_lane: str | None = None,
         merge_pacer: MergePacer | None = None,
         memory_arbiter: MemoryArbiter | None = None,
@@ -210,11 +208,6 @@ class Dataset:
         self._lane = (
             maintenance_lane if maintenance_lane is not None else f"maint:{name}"
         )
-        if max_pending_flushes < 1:
-            raise StorageError(
-                f"max_pending_flushes must be >= 1, got {max_pending_flushes}"
-            )
-        self.max_pending_flushes = max_pending_flushes
         # Merge pacing (repro.lsm.pacing).  The pause is armed only
         # under real worker threads: sleeping inside the sync or virtual
         # schedulers has no writer to yield to and would only slow the
@@ -268,7 +261,6 @@ class Dataset:
                 self._wal = WriteAheadLog(
                     disk,
                     namespace,
-                    group_size=wal_group_size,
                     recover=recover,
                     crash_injector=crash_injector,
                 )
@@ -349,7 +341,7 @@ class Dataset:
         if not self._scheduler.inline:
             self._scheduler.add_pressure_probe(
                 lambda: self.primary.immutable_count
-                >= max(1, self.max_pending_flushes - 1)
+                >= DEFAULT_MAX_PENDING_FLUSHES - 1
             )
 
     def _all_specs(
@@ -664,7 +656,7 @@ class Dataset:
         # itself is the measured `scheduler.stall` -- in steady state it
         # returns immediately.
         self._scheduler.wait(
-            lambda: self.primary.immutable_count < self.max_pending_flushes
+            lambda: self.primary.immutable_count < DEFAULT_MAX_PENDING_FLUSHES
         )
         # Arbiter backpressure: when sealed memtables overflow the
         # immutable pool, wait for background flushes to drain it.

@@ -11,9 +11,8 @@ with the resulting component.  Observing therefore costs no extra I/O --
 precisely the paper's design.
 
 The stream arrives as columnar chunks
-(:class:`repro.lsm.columnar.ColumnarChunk`, docs/DATAPATH.md).  A sink
-reads the columns it needs; one that wants ``Record`` objects iterates
-the chunk, at the cost of one memoized materialisation per chunk.
+(:class:`repro.lsm.columnar.ColumnarChunk`, docs/DATAPATH.md); a sink
+reads the columns it needs.
 """
 
 from __future__ import annotations

@@ -86,10 +86,7 @@ class MemTable:
         self, chunk_size: int
     ) -> Iterator[ColumnarChunk]:
         """All entries in key order as columnar chunks: exactly the
-        stream handed to ``bulkload()`` on a flush.  The source records
-        are retained as each chunk's materialisation memo, so a consumer
-        that iterates a chunk as records costs nothing extra here -- see
-        docs/DATAPATH.md.
+        stream handed to ``bulkload()`` on a flush (docs/DATAPATH.md).
         """
         if chunk_size < 1:
             raise ValueError(f"chunk_size must be >= 1, got {chunk_size}")

@@ -7,11 +7,12 @@ module provides the disk component structure: entries are records whose
 key is a ``(x, y, pk)`` triple.
 
 Design choice: leaves are filled in the *lexicographic* ``(x, y, pk)``
-order of the bulkload stream (the same order the merge cursor needs),
-and the internal levels store minimum bounding rectangles (MBRs) over
-their children instead of separator keys.  Compared to an STR-packed
-R-tree this trades some MBR tightness on y for two properties the LSM
-machinery depends on:
+order of the bulkload stream (the same order the merge cursor needs)
+-- by the B-tree's own columnar leaf packer, so ``Record`` objects
+materialise lazily on read -- and the internal levels store minimum
+bounding rectangles (MBRs) over their children instead of separator
+keys.  Compared to an STR-packed R-tree this trades some MBR tightness
+on y for two properties the LSM machinery depends on:
 
 * ordered full scans (``scan``) walk the sibling-linked leaves exactly
   like a B-tree component, so k-way merge + anti-matter reconciliation
@@ -29,7 +30,8 @@ from bisect import bisect_left
 from typing import Any, Iterable, Iterator
 
 from repro.errors import BulkloadError
-from repro.lsm.columnar import ColumnarChunk
+from repro.lsm.btree import ColumnarLeafPage, pack_columnar_leaves
+from repro.lsm.columnar import ColumnarChunk, columnar_chunk_stream
 from repro.lsm.record import Record
 from repro.lsm.storage import FileHandle, SimulatedDisk
 
@@ -79,18 +81,6 @@ class MBR:
 
     def __repr__(self) -> str:
         return f"MBR[({self.min_x},{self.min_y})..({self.max_x},{self.max_y})]"
-
-
-class _LeafPage:
-    """Sorted records plus the sibling pointer and the page MBR."""
-
-    __slots__ = ("keys", "records", "next_leaf", "mbr")
-
-    def __init__(self, records: list[Record]) -> None:
-        self.records = records
-        self.keys = [record.key for record in records]
-        self.next_leaf: int | None = None
-        self.mbr = MBR.of_points((key[0], key[1]) for key in self.keys)
 
 
 class _InteriorPage:
@@ -144,7 +134,7 @@ class DiskRTree:
         page_no: int | None = self._first_leaf
         while page_no is not None:
             page = self._file.read_page(page_no)
-            assert isinstance(page, _LeafPage)
+            assert isinstance(page, ColumnarLeafPage)
             start = 0 if lo is None else bisect_left(page.keys, lo)
             for index in range(start, len(page.records)):
                 record = page.records[index]
@@ -192,7 +182,7 @@ class DiskRTree:
             page_no, level = stack.pop()
             page = self._file.read_page(page_no)
             if level == 0:
-                assert isinstance(page, _LeafPage)
+                assert isinstance(page, ColumnarLeafPage)
                 for record in page.records:
                     x, y = record.key[0], record.key[1]
                     if lo_x <= x <= hi_x and lo_y <= y <= hi_y:
@@ -216,19 +206,16 @@ def build_rtree(
 ) -> DiskRTree:
     """Bulkload a spatial component from a lex-sorted record stream.
 
-    Names the R-tree structure in ``LSMTree(index_builder=build_rtree)``;
-    the tree's write path reaches it through :func:`build_rtree_chunks`.
-    A build that raises deletes its half-written file; a simulated
-    crash (a ``BaseException``) leaves the orphan for recovery GC.
+    Names the R-tree structure in ``LSMTree(index_builder=build_rtree)``
+    and is the record-stream edge adapter over
+    :func:`build_rtree_chunks`, which the tree's write path calls.
     """
-    if leaf_capacity <= 1 or fanout <= 1:
-        raise BulkloadError("leaf_capacity and fanout must both exceed 1")
-    file = disk.create_file()
-    try:
-        return _pack_rtree(file, records, leaf_capacity, fanout)
-    except Exception:
-        file.delete()
-        raise
+    return build_rtree_chunks(
+        disk,
+        columnar_chunk_stream(records, leaf_capacity),
+        leaf_capacity=leaf_capacity,
+        fanout=fanout,
+    )
 
 
 def build_rtree_chunks(
@@ -237,60 +224,44 @@ def build_rtree_chunks(
     leaf_capacity: int = 64,
     fanout: int = 64,
 ) -> DiskRTree:
-    """The R-tree's chunk adapter for the LSM component-write path.
+    """Bulkload a spatial component from lex-sorted columnar chunks
+    (the component-write path).
 
-    R-tree leaves hold ``Record`` objects (their MBRs are computed from
-    the keys at build time), so each chunk is materialised once through
-    its memoized ``records()`` -- free for flush and merge chunks, one
-    ``ingest.columnar.fallbacks`` tick per bulkload chunk.
+    The leaf level is the B-tree's; only the interior levels differ.
+    A build that raises deletes its half-written file; a simulated
+    crash (a ``BaseException``) leaves the orphan for recovery GC.
     """
-    return build_rtree(
-        disk,
-        (record for chunk in chunks for record in chunk.records()),
-        leaf_capacity=leaf_capacity,
-        fanout=fanout,
-    )
+    if leaf_capacity <= 1 or fanout <= 1:
+        raise BulkloadError("leaf_capacity and fanout must both exceed 1")
+    file = disk.create_file()
+    try:
+        leaf_page_nos, leaves = pack_columnar_leaves(
+            file, _point_keyed(chunks), leaf_capacity
+        )
+        return _seal_rtree(file, leaf_page_nos, leaves, fanout)
+    except Exception:
+        file.delete()
+        raise
 
 
-def _pack_rtree(
+def _point_keyed(chunks: Iterable[ColumnarChunk]) -> Iterator[ColumnarChunk]:
+    """Pass chunks through, rejecting keys that carry no (x, y) point."""
+    for chunk in chunks:
+        for key in chunk.keys_list():
+            if not (isinstance(key, tuple) and len(key) >= 2):
+                raise BulkloadError(
+                    f"R-tree keys must be (x, y, ...) tuples, got {key!r}"
+                )
+        yield chunk
+
+
+def _seal_rtree(
     file: FileHandle,
-    records: Iterable[Record],
-    leaf_capacity: int,
+    leaf_page_nos: list[int],
+    leaves: list[ColumnarLeafPage],
     fanout: int,
 ) -> DiskRTree:
-    leaves: list[_LeafPage] = []
-    leaf_page_nos: list[int] = []
-
-    buffer: list[Record] = []
-    previous_key: Any = None
-    num_records = 0
-    for record in records:
-        key = record.key
-        if not (isinstance(key, tuple) and len(key) >= 2):
-            raise BulkloadError(
-                f"R-tree keys must be (x, y, ...) tuples, got {key!r}"
-            )
-        if previous_key is not None and not previous_key < key:
-            raise BulkloadError(
-                f"bulkload stream not strictly sorted: {previous_key!r} "
-                f"followed by {key!r}"
-            )
-        previous_key = key
-        buffer.append(record)
-        num_records += 1
-        if len(buffer) == leaf_capacity:
-            leaf = _LeafPage(buffer)
-            leaf_page_nos.append(file.append_page(leaf))
-            leaves.append(leaf)
-            buffer = []
-    if buffer:
-        leaf = _LeafPage(buffer)
-        leaf_page_nos.append(file.append_page(leaf))
-        leaves.append(leaf)
-
-    for leaf, next_page in zip(leaves, leaf_page_nos[1:]):
-        leaf.next_leaf = next_page
-
+    """Stack MBR levels over packed leaves and seal the file."""
     if not leaves:
         file.seal()
         return DiskRTree(file, None, 0, 0, None, None)
@@ -298,7 +269,9 @@ def _pack_rtree(
     # Stack MBR levels until a single root remains.
     height = 0
     level_pages = leaf_page_nos
-    level_mbrs = [leaf.mbr for leaf in leaves]
+    level_mbrs = [
+        MBR.of_points((key[0], key[1]) for key in leaf.keys) for leaf in leaves
+    ]
     level_min_keys = [leaf.keys[0] for leaf in leaves]
     while len(level_pages) > 1:
         height += 1
@@ -324,7 +297,7 @@ def _pack_rtree(
         file,
         root_page=level_pages[0],
         height=height,
-        num_records=num_records,
+        num_records=sum(len(leaf.keys) for leaf in leaves),
         first_leaf=leaf_page_nos[0],
         mbr=level_mbrs[0],
     )

@@ -45,7 +45,6 @@ from repro.lsm.pacing import MergePacer
 from repro.lsm.record import Record
 from repro.lsm.rtree import build_rtree, build_rtree_chunks
 from repro.lsm.storage import SimulatedDisk
-from repro.lsm.wal import WriteAheadLog
 from repro.obs.registry import MetricsRegistry, get_registry, sanitize_segment
 from repro.obs.tracing import span
 
@@ -144,7 +143,6 @@ class LSMTree:
         registry: MetricsRegistry | None = None,
         write_batch_size: int = DEFAULT_WRITE_BATCH_SIZE,
         manifest: Manifest | None = None,
-        wal: WriteAheadLog | None = None,
         crash_injector: CrashInjector | None = None,
         merge_pacer: "MergePacer | None" = None,
     ) -> None:
@@ -190,15 +188,14 @@ class LSMTree:
         # Durability hooks.  With a manifest, every component-creating
         # operation becomes two-phase (begin/commit entries) so recovery
         # can tell installed components from half-built orphans.  The
-        # WAL hook is for standalone trees; dataset trees leave it None
-        # and the dataset logs each op atomically across its indexes.
+        # WAL is the dataset's: it logs each op atomically across its
+        # indexes before any tree's memtable accepts it.
         if manifest is not None and self.index_builder is not build_btree:
             raise StorageError(
                 f"durable LSM tree {name!r} requires the B-tree index "
                 "builder (custom structures have no manifest descriptor)"
             )
         self._manifest = manifest
-        self._wal = wal
         self._injector = crash_injector
         # Optional merge rate limit (repro.lsm.pacing).  Only the merge
         # build path consults it -- flushes and bulkloads are what the
@@ -235,9 +232,7 @@ class LSMTree:
             f"lsm.components.{sanitize_segment(name)}"
         )
         # Columnar data-path instruments (docs/DATAPATH.md): chunk
-        # traffic and the chunk-size distribution.  Fallback
-        # materialisations are counted by the chunks themselves
-        # (repro.lsm.columnar).
+        # traffic and the chunk-size distribution.
         self._m_col_chunks = self._obs.counter("ingest.columnar.chunks")
         self._h_col_chunk_records = self._obs.histogram(
             "ingest.columnar.chunk_records",
@@ -266,10 +261,6 @@ class LSMTree:
         self._write(record)
 
     def _write(self, record: Record) -> None:
-        # Log before the memtable accepts: an acknowledged write must
-        # survive a crash even though the memtable is volatile.
-        if self._wal is not None:
-            self._wal.append(self.name, record)
         with self._lock:
             self.memtable.write(record)
             full = len(self.memtable) >= self.memtable_capacity
@@ -369,8 +360,6 @@ class LSMTree:
             memtable = self._immutables[0]
         seq_range = memtable.seqnum_range
         assert seq_range is not None
-        if self._wal is not None:
-            self._wal.sync()
         if self._manifest is not None:
             self._manifest.begin("flush", self.name, txn=txn)
         with span("lsm.flush", self._obs):
@@ -391,21 +380,7 @@ class LSMTree:
             self.flush_count += 1
             self._m_flush.inc()
             self._g_components.set(len(self._components))
-        if self._wal is not None:
-            self._maybe_truncate_wal()
         return component
-
-    def _maybe_truncate_wal(self) -> None:
-        # Truncation is safe only once every acknowledged write is in a
-        # disk component: with rotated memtables (or a refilled active
-        # one) still pending, the log must keep covering them.  Replay
-        # skips records <= max_flushed_seqnum, so deferring truncation
-        # costs space, never correctness.
-        assert self._wal is not None
-        with self._lock:
-            quiesced = not self.memtable and not self._immutables
-        if quiesced:
-            self._wal.truncate()
 
     def bulkload(
         self,

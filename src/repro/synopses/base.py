@@ -175,37 +175,18 @@ class SynopsisBuilder(ABC):
         self._built = False
 
     def add(self, value: int) -> None:
-        """Observe one value from the sorted stream."""
-        if self._built:
-            raise SynopsisError("builder already finalised")
-        if value not in self.domain:
-            raise SynopsisError(
-                f"value {value} outside domain "
-                f"[{self.domain.lo}, {self.domain.hi}]"
-            )
-        value = int(value)  # normalise numpy integer scalars
-        if (
-            self.requires_sorted_input
-            and self._last_value is not None
-            and value < self._last_value
-        ):
-            raise SynopsisError(
-                f"builder requires non-decreasing input: {value} after "
-                f"{self._last_value}"
-            )
-        self._last_value = value
-        self._count += 1
-        self._add(value)
+        """Observe one value: a chunk of one through :meth:`add_many`
+        (the API edge for callers holding single values)."""
+        self.add_many((value,))
 
     def add_many(self, values: Iterable[int]) -> None:
         """Observe a chunk of values from the stream (batched hot path).
 
-        Semantically identical to calling :meth:`add` once per value --
-        builders override :meth:`_add_many` with a tight loop, and the
-        validation (finalised-builder, domain membership, sort order) is
-        amortised over the whole chunk.  The batched and per-record
-        paths produce bit-identical synopses; the test suite asserts
-        this for every registered synopsis family.
+        The one entry point of every family: the validation
+        (finalised-builder, domain membership, sort order) is amortised
+        over the whole chunk, and any chunking of a stream -- down to
+        one value per call -- produces a bit-identical synopsis; the
+        test suite asserts this for every registered synopsis family.
 
         A typed ``array('q')`` chunk (the columnar pipeline's zero-copy
         key column, docs/DATAPATH.md) is consumed without the
@@ -258,20 +239,22 @@ class SynopsisBuilder(ABC):
         self._built = True
         return self._build()
 
-    @abstractmethod
     def _add(self, value: int) -> None:
-        """Type-specific streaming step."""
+        """Type-specific step for one pre-validated value, run by the
+        default :meth:`_add_many` after ``_count`` was advanced.  A
+        family implements this *or* overrides :meth:`_add_many`, never
+        both."""
+        raise NotImplementedError
 
     def _add_many(self, values: Sequence[int]) -> None:
         """Type-specific batched step over pre-validated values.
 
         ``values`` is either a plain list or a typed ``array('q')``
-        column; both iterate as plain Python ints.  The default is the
-        per-record fallback; hot builders override it with a loop that
-        binds attributes once.  Overrides must keep ``_count``
-        bookkeeping identical to the per-record path (some builders,
-        e.g. GK sketches and reservoir samples, read the running count
-        inside ``_add``).
+        column; both iterate as plain Python ints.  The default runs
+        :meth:`_add` per value; hot builders override it with a loop
+        that binds attributes once and must then advance ``_count``
+        themselves (some, e.g. GK sketches and reservoir samples, read
+        the running count inside the loop).
         """
         for value in values:
             self._count += 1

@@ -103,16 +103,13 @@ class EquiWidthBuilder(SynopsisBuilder):
         num_buckets = -(-domain.length // self._width)
         self._counts = [0] * num_buckets
 
-    def _add(self, value: int) -> None:
-        self._counts[(value - self.domain.lo) // self._width] += 1
-
     def _add_many(self, values: Sequence[int]) -> None:
-        """Batched bucket fill.
+        """Bucket fill.
 
         Exactness: bucket assignment is pure integer arithmetic
-        (``(value - lo) // width``) with no order dependence, so this
-        loop and the per-record path produce identical counts -- not
-        merely statistically equal.
+        (``(value - lo) // width``) with no order dependence, so every
+        chunking of a stream produces identical counts -- not merely
+        statistically equal.
         """
         counts = self._counts
         lo = self.domain.lo

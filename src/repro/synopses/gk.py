@@ -179,30 +179,17 @@ class GKSketchBuilder(SynopsisBuilder):
         self._since_compress = 0
         self._compress_period = max(1, int(1.0 / (2.0 * self._epsilon)))
 
-    def _add(self, value: int) -> None:
-        n = self._count  # already incremented by the base class
-        index = bisect.bisect_left(self._values_cache, value)
-        if index == 0 or index == len(self._tuples):
-            delta = 0  # new minimum or maximum is exact
-        else:
-            delta = max(0, int(2 * self._epsilon * n) - 1)
-        self._tuples.insert(index, _Tuple(value, 1, delta))
-        self._values_cache.insert(index, value)
-        self._since_compress += 1
-        if self._since_compress >= self._compress_period:
-            self._run_compress()
-
     def _add_many(self, values: "Sequence[int]") -> None:
-        """Batched GK insertion (inlined ``_add``, identical algorithm).
+        """Online GK insertion.
 
         Exactness: the sketch is order- and cadence-sensitive -- each
         inserted tuple's ``delta`` is computed from the running
         ``_count`` at insertion time, and COMPRESS fires exactly when
         ``_count % period == 0``.  This loop preserves both: values are
         inserted one at a time in stream order with ``_count`` advanced
-        first, so per-record ``add`` calls, list chunks, and the
-        columnar pipeline's typed key columns all yield bit-identical
-        tuple lists.  It must not be vectorised or re-chunked
+        first, so chunks of one, list chunks, and the columnar
+        pipeline's typed key columns all yield bit-identical tuple
+        lists.  It must not be vectorised or re-chunked
         internally: moving a COMPRESS boundary changes which tuples
         merge.  (_run_compress rebinds the tuple/cache lists, so they
         are re-read every iteration.)

@@ -384,24 +384,14 @@ class HyperLogLogBuilder(SynopsisBuilder):
         array *is* the whole working set."""
         return 64 + self.budget
 
-    def _observe_hash(self, hashed: int) -> None:
-        index = hashed >> self._value_bits
-        w = hashed & self._value_mask
-        rank = self._value_bits - w.bit_length() + 1
-        if rank > self._registers[index]:
-            self._registers[index] = rank
-
-    def _add(self, value: int) -> None:
-        self._observe_hash(hash64(value, self.hash_seed))
-
     def _add_many(self, values: Sequence[int]) -> None:
-        """Batched register update (the columnar ingest lane).
+        """Register update.
 
-        The loop is :func:`hash64` and :meth:`_observe_hash` inlined:
-        the identical 64-bit integer arithmetic, with registers updated
-        through an order-insensitive max, so every chunking is
-        register-identical to per-record ``add`` -- the oracle property
-        the test battery asserts.
+        The loop inlines :func:`hash64` (the identical 64-bit integer
+        arithmetic; ``test_hll`` holds the two together) and updates
+        registers through an order-insensitive max, so every chunking
+        of a stream is register-identical -- the oracle property the
+        test battery asserts.
         """
         seed = self.hash_seed
         registers = self._registers

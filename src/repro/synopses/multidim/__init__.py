@@ -5,10 +5,7 @@ from repro.synopses.multidim.base2d import (
     Synopsis2DBuilder,
     Synopsis2DType,
 )
-from repro.synopses.multidim.factory2d import (
-    create_builder_2d,
-    synopsis_2d_from_payload,
-)
+from repro.synopses.multidim.factory2d import create_builder_2d
 from repro.synopses.multidim.grid import GridHistogram2D, GridHistogram2DBuilder
 from repro.synopses.multidim.ground_truth2d import (
     GroundTruth2D,
@@ -34,5 +31,4 @@ __all__ = [
     "GroundTruth2D",
     "GroundTruth2DBuilder",
     "create_builder_2d",
-    "synopsis_2d_from_payload",
 ]

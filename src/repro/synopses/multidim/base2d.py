@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import enum
 from abc import ABC, abstractmethod
-from typing import Any, ClassVar
+from typing import Any, ClassVar, Iterable
 
 from repro.errors import MergeabilityError, SynopsisError
 from repro.types import Domain
@@ -134,6 +134,12 @@ class Synopsis2DBuilder(ABC):
         self._last_pair = (x, y)
         self._count += 1
         self._add(x, y)
+
+    def add_many(self, pairs: Iterable[tuple[int, int]]) -> None:
+        """Observe one chunk of the stream (the statistics collector's
+        entry point); identical to one :meth:`add` per pair."""
+        for x, y in pairs:
+            self.add(x, y)
 
     def build(self) -> Synopsis2D:
         """Finalise (single use)."""

@@ -1,30 +1,15 @@
-"""Construction and deserialisation dispatch for 2-D synopsis types."""
+"""Construction dispatch for 2-D synopsis types."""
 
 from __future__ import annotations
 
-from typing import Any
-
 from repro.errors import SynopsisError
-from repro.synopses.multidim.base2d import (
-    Synopsis2D,
-    Synopsis2DBuilder,
-    Synopsis2DType,
-)
-from repro.synopses.multidim.grid import GridHistogram2D, GridHistogram2DBuilder
-from repro.synopses.multidim.ground_truth2d import (
-    GroundTruth2D,
-    GroundTruth2DBuilder,
-)
-from repro.synopses.multidim.wavelet2d import Wavelet2DBuilder, Wavelet2DSynopsis
+from repro.synopses.multidim.base2d import Synopsis2DBuilder, Synopsis2DType
+from repro.synopses.multidim.grid import GridHistogram2DBuilder
+from repro.synopses.multidim.ground_truth2d import GroundTruth2DBuilder
+from repro.synopses.multidim.wavelet2d import Wavelet2DBuilder
 from repro.types import Domain
 
-__all__ = ["create_builder_2d", "synopsis_2d_from_payload"]
-
-_CLASSES: dict[Synopsis2DType, type[Synopsis2D]] = {
-    Synopsis2DType.GRID: GridHistogram2D,
-    Synopsis2DType.WAVELET: Wavelet2DSynopsis,
-    Synopsis2DType.GROUND_TRUTH: GroundTruth2D,
-}
+__all__ = ["create_builder_2d"]
 
 
 def create_builder_2d(
@@ -40,13 +25,3 @@ def create_builder_2d(
     if synopsis_type is Synopsis2DType.GROUND_TRUTH:
         return GroundTruth2DBuilder(domains, budget)
     raise SynopsisError(f"unknown 2-D synopsis type {synopsis_type!r}")
-
-
-def synopsis_2d_from_payload(payload: dict[str, Any]) -> Synopsis2D:
-    """Rebuild a 2-D synopsis from its network payload."""
-    try:
-        synopsis_type = Synopsis2DType(payload["type"])
-    except (KeyError, ValueError) as exc:
-        raise SynopsisError(f"malformed 2-D synopsis payload: {exc}") from exc
-    cls = _CLASSES[synopsis_type]
-    return cls.from_payload(payload)  # type: ignore[attr-defined]

@@ -107,25 +107,17 @@ class ReservoirSampleBuilder(SynopsisBuilder):
         self._rng = np.random.default_rng(seed)
         self._reservoir: list[int] = []
 
-    def _add(self, value: int) -> None:
-        if len(self._reservoir) < self.budget:
-            self._reservoir.append(value)
-            return
-        slot = int(self._rng.integers(0, self._count))
-        if slot < self.budget:
-            self._reservoir[slot] = value
-
     def _add_many(self, values: "Sequence[int]") -> None:
-        """Batched reservoir step (Vitter's Algorithm R, unchanged).
+        """The reservoir step (Vitter's Algorithm R).
 
         Exactness: sampling is RNG-sequence-sensitive, so this loop
         must stay sequential -- exactly one ``draw(0, self._count)``
         per value once the reservoir is full, in stream order, with
-        ``_count`` advanced before each draw.  Because the per-record
-        path, this loop, and the columnar pipeline (which feeds whole
-        key columns here, numpy backend on or off) consume the same
-        values in the same order, the RNG draw sequence -- and hence
-        the reservoir -- is bit-identical across all of them.  No
+        ``_count`` advanced before each draw.  Because every chunking
+        (chunks of one, list chunks, the columnar pipeline's whole key
+        columns, numpy backend on or off) feeds the same values in the
+        same order, the RNG draw sequence -- and hence the reservoir --
+        is bit-identical across all of them.  No
         vectorised variant exists: it would reorder the draws.
         """
         reservoir = self._reservoir

@@ -175,16 +175,8 @@ class WaveletBuilder(SynopsisBuilder):
         self._current_value: int | None = None
         self._current_frequency = 0
 
-    def _add(self, value: int) -> None:
-        if value == self._current_value:
-            self._current_frequency += 1
-            return
-        self._flush_pending()
-        self._current_value = value
-        self._current_frequency = 1
-
     def _add_many(self, values: "Sequence[int]") -> None:
-        """Batched wavelet step via run-length aggregation.
+        """The wavelet step: run-length aggregation into the transform.
 
         Exactness: the streaming transform consumes (position,
         frequency) runs in non-decreasing position order, and the
@@ -192,9 +184,9 @@ class WaveletBuilder(SynopsisBuilder):
         chunking cannot split a run because the pending run carries
         across chunks in ``_current_value``/``_current_frequency``.
         Duplicate values only bump the pending frequency, so the
-        transform's carry walk runs once per distinct value, exactly as
-        per-record ``_add`` calls would: the same ``transform.add``
-        calls happen in the same order with the same arguments, and the
+        transform's carry walk runs once per distinct value: the same
+        ``transform.add`` calls happen in the same order with the same
+        arguments under any chunking, and the
         transform itself is deterministic float for float (its module
         docstring has the argument), so coefficients are bit-identical
         whatever the chunking.  ``add_many`` has already checked every

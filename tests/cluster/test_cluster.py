@@ -5,7 +5,7 @@ import pytest
 from repro.cluster import LSMCluster
 from repro.core import StatisticsConfig
 from repro.errors import ClusterError
-from repro.lsm.dataset import IndexSpec
+from repro.lsm.dataset import CompositeIndexSpec, IndexSpec
 from repro.lsm.merge_policy import ConstantMergePolicy
 from repro.synopses import SynopsisType
 from repro.types import Domain
@@ -52,6 +52,32 @@ class TestTopology:
         cluster = LSMCluster(num_nodes=1)
         with pytest.raises(ClusterError):
             cluster.insert("nope", {"id": 1})
+
+    def test_composite_spec_beside_statistics(self):
+        # DDL registers 1-D statistics for single-field specs only; a
+        # composite spec is maintained without any (it has no .domain).
+        cluster = LSMCluster(
+            num_nodes=2,
+            partitions_per_node=2,
+            stats_config=StatisticsConfig(SynopsisType.GROUND_TRUTH, budget=128),
+        )
+        cluster.create_dataset(
+            "ds",
+            primary_key="id",
+            primary_domain=Domain(0, 10**6),
+            indexes=[
+                IndexSpec("value_idx", "value", VALUE_DOMAIN),
+                CompositeIndexSpec(
+                    "pair_idx", ("value", "id"), (VALUE_DOMAIN, Domain(0, 10**6))
+                ),
+            ],
+            memtable_capacity=16,
+        )
+        for pk in range(100):
+            cluster.insert("ds", _doc(pk, pk * 7 % 1000))
+        cluster.flush_all("ds")
+        true = cluster.count_secondary_range("ds", "value_idx", 100, 500)
+        assert cluster.estimate("ds", "value_idx", 100, 500) == true
 
 
 class TestDistributedIngestion:

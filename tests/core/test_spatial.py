@@ -1,11 +1,10 @@
-"""End-to-end tests for composite-key (2-D) statistics."""
+"""End-to-end tests for composite-key (2-D) statistics, which ride
+the one collector / catalog / cache / estimator."""
 
 import pytest
 
-from repro.core.spatial import (
-    SpatialStatisticsConfig,
-    SpatialStatisticsManager,
-)
+from repro.core.config import StatisticsConfig
+from repro.core.manager import StatisticsManager
 from repro.errors import ConfigurationError, QueryError
 from repro.lsm.dataset import CompositeIndexSpec, Dataset, IndexSpec
 from repro.lsm.merge_policy import ConstantMergePolicy
@@ -17,10 +16,12 @@ X_DOMAIN = Domain(0, 999)
 Y_DOMAIN = Domain(0, 499)
 
 
-def _setup(synopsis_type=Synopsis2DType.GROUND_TRUTH, budget=1024, **kwargs):
+def _setup(
+    synopsis_type=Synopsis2DType.GROUND_TRUTH, budget=1024, disk=None, **kwargs
+):
     dataset = Dataset(
         "events",
-        SimulatedDisk(),
+        disk if disk is not None else SimulatedDisk(),
         primary_key="id",
         primary_domain=Domain(0, 10**6),
         indexes=[
@@ -29,10 +30,8 @@ def _setup(synopsis_type=Synopsis2DType.GROUND_TRUTH, budget=1024, **kwargs):
         ],
         **kwargs,
     )
-    manager = SpatialStatisticsManager(
-        SpatialStatisticsConfig(synopsis_type, budget)
-    )
-    manager.attach(dataset)
+    manager = StatisticsManager(StatisticsConfig())
+    manager.attach_composite(dataset, synopsis_type, budget)
     return dataset, manager
 
 
@@ -164,6 +163,48 @@ class TestSpatialStatistics:
             true
         )
 
+    @pytest.mark.parametrize("synopsis_type", list(Synopsis2DType))
+    def test_statistics_survive_a_crash(self, synopsis_type):
+        """2-D registrations ride ``components_recovered`` like any
+        other: a crash-restart re-derives every payload bit for bit."""
+        disk = SimulatedDisk()
+        dataset, manager = _setup(
+            synopsis_type, disk=disk, memtable_capacity=64, durable=True
+        )
+        manager.attach(dataset)
+        for pk in range(300):
+            dataset.insert(_doc(pk))
+        for pk in range(0, 300, 4):
+            dataset.delete(pk)
+        dataset.flush()
+
+        def image(dataset, manager):
+            name = dataset.secondary_tree("xy_idx").name
+            rects = [(0, 999, 0, 499), (100, 600, 100, 400), (7, 7, 91, 91)]
+            return (
+                [manager.estimate(dataset, "xy_idx", *rect) for rect in rects],
+                manager.estimate(dataset, "x_idx", 100, 600),
+                [
+                    (e.synopsis.to_payload(), e.anti_synopsis.to_payload())
+                    for e in manager.catalog.entries_for(name)
+                ],
+            )
+
+        before = image(dataset, manager)
+        assert before[0][0] > 0 and before[2]
+        # "Crash": abandon the instance and rebuild it from the disk.
+        recovered, recovered_manager = _setup(
+            synopsis_type,
+            disk=disk,
+            memtable_capacity=64,
+            durable=True,
+            recover=True,
+        )
+        recovered_manager.attach(recovered)
+        recovered.complete_recovery()
+        assert image(recovered, recovered_manager) == before
+
     def test_config_validation(self):
+        dataset, manager = _setup()
         with pytest.raises(ConfigurationError):
-            SpatialStatisticsConfig(budget=0)
+            manager.attach_composite(dataset, budget=0)

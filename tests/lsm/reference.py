@@ -10,7 +10,9 @@ real write path produces against it."""
 from types import SimpleNamespace
 
 from repro.lsm.bloom import BloomFilter
+from repro.lsm.record import Record
 from repro.synopses.factory import create_builder
+from repro.synopses.multidim import Synopsis2DType, create_builder_2d
 
 
 def reference_component(records, expected_records, leaf_capacity, bloom_fpp):
@@ -27,6 +29,25 @@ def reference_component(records, expected_records, leaf_capacity, bloom_fpp):
     ]
     anti = sum(record.antimatter for record in records)
     return leaves, bits, len(records) - anti, anti
+
+
+def chunk_records(chunk):
+    """The rows of a columnar chunk as the records the reference reads."""
+    values = chunk.values or [None] * len(chunk)
+    anti = chunk.anti or [False] * len(chunk)
+    return list(map(Record, chunk.keys_list(), values, anti, chunk.seqnums))
+
+
+def reference_builder_factory(reg, config, expected_records):
+    """What builds one registration's synopsis: the pinned family and
+    budget or the configured ones; a 2-D family takes the domain pair."""
+    synopsis_type = reg.synopsis_type or config.synopsis_type
+    budget = reg.budget or config.budget
+    if isinstance(synopsis_type, Synopsis2DType):
+        return lambda: create_builder_2d(synopsis_type, reg.domain, budget)
+    return lambda: create_builder(
+        synopsis_type, reg.domain, budget, expected_records
+    )
 
 
 def reference_synopsis_pair(records, extractor, make_builder):
@@ -69,9 +90,9 @@ class ReferenceObserver:
     retract = component_replaced = lambda self, *args: None
 
     def begin_component_write(self, context):
-        records = []  # chunks iterate as records
+        records = []
         return SimpleNamespace(
-            accept_many=records.extend,
+            accept_many=lambda chunk: records.extend(chunk_records(chunk)),
             finish=lambda component: self._check(context, component, records),
         )
 
@@ -86,11 +107,8 @@ class ReferenceObserver:
             self.expected[reg.statistics_key, uid] = reference_synopsis_pair(
                 records,
                 reg.value_extractor or context.key_extractor,
-                lambda: create_builder(
-                    reg.synopsis_type or self.collector.config.synopsis_type,
-                    reg.domain,
-                    reg.budget or self.collector.config.budget,
-                    expected_records,
+                reference_builder_factory(
+                    reg, self.collector.config, expected_records
                 ),
             )
 

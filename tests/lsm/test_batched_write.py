@@ -19,7 +19,7 @@ from repro.lsm.events import ComponentWriteContext, EventBus, LSMEventType
 from repro.lsm.record import Record
 from repro.lsm.rtree import build_rtree
 from repro.lsm.storage import SimulatedDisk
-from repro.lsm.tree import LSMTree
+from repro.lsm.tree import LSMTree, _default_key_extractor
 from repro.synopses.base import SynopsisType
 from repro.synopses.factory import create_builder
 from repro.types import Domain
@@ -233,7 +233,7 @@ class TestCollectorBatchedTap:
             index_name="idx",
             event_type=LSMEventType.FLUSH,
             expected_records=expected_records,
-            key_extractor=lambda record: record.key,
+            key_extractor=_default_key_extractor,
         )
         return collector, collector.begin_component_write(context), published
 

@@ -1,17 +1,15 @@
-"""The columnar chunk representation and its materialisation fallbacks.
+"""The columnar chunk representation.
 
 docs/DATAPATH.md is the contract under test: column layout and dtype
-rules, lazy/memoized ``records()`` materialisation (counted as
-``ingest.columnar.fallbacks``), the columnar B-tree leaf packing
-(checked against ``tests/lsm/reference.py``), and the consumers that
-read records rather than columns -- the R-tree chunk adapter and an
-observer that iterates its chunks -- which must materialise ``Record``
-objects at most once per chunk.
+rules, the matter/anti split a statistics tap reads (an extractor with
+no column twin is a typed error), the columnar B-tree leaf packing
+(checked against ``tests/lsm/reference.py``) and the chunk-traffic
+instruments.
 """
 
 import pytest
 
-from repro.errors import BulkloadError
+from repro.errors import BulkloadError, ConfigurationError
 from repro.lsm.btree import build_btree, build_btree_chunks
 from repro.lsm.columnar import (
     ColumnarChunk,
@@ -20,15 +18,10 @@ from repro.lsm.columnar import (
 )
 from repro.lsm.events import EventBus
 from repro.lsm.record import Record
-from repro.lsm.rtree import build_rtree
 from repro.lsm.storage import SimulatedDisk
 from repro.lsm.tree import LSMTree, _default_key_extractor
 from repro.obs.registry import MetricsRegistry, use_registry
-from tests.lsm.reference import reference_component
-
-
-def _fallbacks(registry):
-    return registry.snapshot()["counters"].get("ingest.columnar.fallbacks", 0)
+from tests.lsm.reference import chunk_records, reference_component
 
 
 class TestColumnarChunk:
@@ -66,7 +59,7 @@ class TestColumnarChunk:
     def test_from_columns_defaults(self):
         chunk = ColumnarChunk.from_columns([4, 8])
         assert list(chunk.seqnums) == [0, 0]  # unstamped, like Record's default
-        assert chunk.records() == [Record.matter(4), Record.matter(8)]
+        assert chunk_records(chunk) == [Record.matter(4), Record.matter(8)]
         assert chunk.values is None
         assert chunk.anti is None
 
@@ -78,30 +71,6 @@ class TestColumnarChunk:
         no_values = ColumnarChunk.from_columns([1, 2])
         assert no_values.payload_column("a") == [None, None]
 
-    def test_from_records_materialisation_is_free(self):
-        registry = MetricsRegistry()
-        records = [Record.matter(1), Record.matter(2)]
-        with use_registry(registry):
-            chunk = ColumnarChunk.from_records(records)
-            assert chunk.records() == records
-        assert _fallbacks(registry) == 0
-
-    def test_lazy_materialisation_counts_once_and_memoizes(self):
-        registry = MetricsRegistry()
-        with use_registry(registry):
-            chunk = ColumnarChunk.from_columns(
-                [5, 6], values=[{"v": 1}, None], seqnums=range(10, 12)
-            )
-            first = chunk.records()
-            second = chunk.records()  # memo: no second tick
-            list(chunk)  # iteration shares the memo too
-        assert first is second
-        assert [r.key for r in first] == [5, 6]
-        assert first[0].value == {"v": 1}
-        assert first[0].seqnum == 10
-        assert not first[0].antimatter
-        assert _fallbacks(registry) == 1
-
     def test_chunk_stream_preserves_order_and_sizes(self):
         records = [Record.matter(k) for k in range(10)]
         chunks = list(columnar_chunk_stream(iter(records), 4))
@@ -112,9 +81,7 @@ class TestColumnarChunk:
 class TestSplitMatterAnti:
     def test_raw_key_fast_path_is_zero_copy(self):
         chunk = ColumnarChunk.from_columns([1, 2, 3])
-        split = split_matter_anti(chunk, _default_key_extractor)
-        assert split is not None
-        matter, anti, skipped = split
+        matter, anti, skipped = split_matter_anti(chunk, _default_key_extractor)
         assert matter is chunk.typed_keys  # the typed buffer itself
         assert len(anti) == 0 and skipped == 0
 
@@ -142,9 +109,10 @@ class TestSplitMatterAnti:
         assert list(matter) == [10, 30]
         assert skipped == 1
 
-    def test_unknown_extractor_returns_none(self):
-        chunk = ColumnarChunk.from_columns([1, 2])
-        assert split_matter_anti(chunk, lambda r: r.key) is None
+    def test_unknown_extractor_is_a_typed_error(self):
+        chunk = ColumnarChunk.from_records([Record.matter(1), Record.anti(2)])
+        with pytest.raises(ConfigurationError, match="no column twin"):
+            split_matter_anti(chunk, lambda r: r.key)
 
 
 class TestColumnarBTreeBuild:
@@ -183,80 +151,7 @@ class TestColumnarBTreeBuild:
             build_btree_chunks(SimulatedDisk(), iter(chunks))
 
 
-class _IteratingSink:
-    """An observer sink that reads records, not columns."""
-
-    def __init__(self):
-        self.keys = []
-
-    def accept_many(self, chunk):
-        self.keys.extend(record.key for record in chunk)
-
-    def finish(self, component):
-        pass
-
-
-class _IteratingObserver:
-    def __init__(self):
-        self.sinks = []
-
-    def begin_component_write(self, context):
-        sink = _IteratingSink()
-        self.sinks.append(sink)
-        return sink
-
-    def component_replaced(self, *args):
-        pass
-
-
-class TestCompatFallbacks:
-    def test_custom_builder_flattening_materialises_once(self):
-        # The R-tree's chunk adapter plus an observer that iterates its
-        # chunks: both read every chunk as records, but the memo keeps
-        # it to one materialisation per bulkload chunk.
-        registry = MetricsRegistry()
-        n = 100
-        with use_registry(registry):
-            tree = LSMTree(
-                "t.rtree",
-                SimulatedDisk(),
-                event_bus=EventBus(),
-                index_builder=build_rtree,
-                write_batch_size=16,
-                registry=registry,
-            )
-            observer = _IteratingObserver()
-            tree.event_bus.subscribe(observer)
-            tree.bulkload(
-                (Record.matter((k, k * 2, k)) for k in range(n)),
-                expected_records=n,
-            )
-        expected_chunks = -(-n // 16)
-        assert _fallbacks(registry) == expected_chunks
-        assert observer.sinks[0].keys == [(k, k * 2, k) for k in range(n)]
-        assert tree.components[0].matter_count == n
-
-    def test_flush_chunks_never_fall_back(self):
-        # Memtable flush chunks carry their source records as the memo,
-        # so even an observer that iterates them costs no materialisation.
-        registry = MetricsRegistry()
-        with use_registry(registry):
-            tree = LSMTree(
-                "t.flush",
-                SimulatedDisk(),
-                event_bus=EventBus(),
-                auto_flush=False,
-                write_batch_size=8,
-                registry=registry,
-            )
-            tree.event_bus.subscribe(_IteratingObserver())
-            for key in range(50):
-                tree.upsert(key)
-            tree.flush()
-        counters = registry.snapshot()["counters"]
-        assert counters.get("ingest.columnar.fallbacks", 0) == 0
-        assert counters["ingest.columnar.chunks"] == -(-50 // 8)
-
+class TestColumnarInstruments:
     def test_columnar_instruments_emitted(self):
         registry = MetricsRegistry()
         with use_registry(registry):

@@ -8,8 +8,8 @@ every synopsis payload published for it, across every synopsis family
 this is a strong property) -- equals what ``tests/lsm/reference.py`` builds one record
 at a time from the same stream.  Hypothesis drives the operation
 sequences; scripted dataset lifecycles additionally cover secondary,
-composite and spatial indexes, attribute statistics, merge and crash
-recovery.
+composite and spatial indexes with their 2-D statistics, attribute
+statistics, merge and crash recovery.
 """
 
 import pytest
@@ -18,7 +18,8 @@ from hypothesis import strategies as st
 
 from repro.core.collector import StatisticsCollector
 from repro.core.config import StatisticsConfig
-from repro.core.spatial import SpatialStatisticsCollector, SpatialStatisticsConfig
+from repro.core.manager import StatisticsManager
+from repro.errors import ConfigurationError
 from repro.lsm.dataset import (
     CompositeIndexSpec,
     Dataset,
@@ -32,9 +33,9 @@ from repro.lsm.storage import SimulatedDisk
 from repro.lsm.tree import LSMTree
 from repro.obs.registry import MetricsRegistry, use_registry
 from repro.synopses.base import SynopsisType
-from repro.synopses.multidim.factory2d import create_builder_2d
+from repro.synopses.multidim import Synopsis2DType
 from repro.types import Domain
-from tests.lsm.reference import ReferenceObserver, reference_synopsis_pair
+from tests.lsm.reference import ReferenceObserver
 
 DOMAIN = Domain(0, 1023)
 VALUE_DOMAIN = Domain(0, 255)
@@ -143,6 +144,11 @@ def _attach(dataset, synopsis_type):
     collector.register_index(
         dataset.secondary_tree("value_idx").name, VALUE_DOMAIN
     )
+    collector.register_composite_index(
+        dataset.secondary_tree("pair_idx").name,
+        (VALUE_DOMAIN, VALUE_DOMAIN),
+        budget=BUDGET,
+    )
     if not synopsis_type.requires_sorted_input:
         collector.register_attribute(
             dataset.primary.name, "extra", VALUE_DOMAIN
@@ -217,29 +223,40 @@ def test_scripted_dataset_lifecycle_with_recovery(synopsis_type):
         _dataset_lifecycle(synopsis_type, batch)
 
 
-class _SpatialReferenceObserver(ReferenceObserver):
-    """The reference observer for the 2-D collector (``self.spatial``)."""
-
-    def _check(self, context, component, records):
-        super()._check(context, component, records)
-        domains = self.spatial._domains.get(context.index_name)
-        if domains is not None:
-            config = self.spatial.config
-            self.expected[context.index_name, component.uid] = (
-                reference_synopsis_pair(
-                    records,
-                    context.key_extractor,
-                    lambda: create_builder_2d(
-                        config.synopsis_type, domains, config.budget
-                    ),
-                )
-            )
+def _rtree_reads_match(rtree, leaves):
+    """An R-tree component's reads against the naive answer over the
+    records that streamed into it.  ``search`` walks a stack, so leaves
+    come out last first, rows in order within each."""
+    records = [record for leaf in leaves for record in leaf]
+    keys = [record.key for record in records]
+    assert list(rtree.scan()) == records
+    assert rtree.min_key() == keys[0] and rtree.max_key() == keys[-1]
+    lo, hi = keys[len(keys) // 4], keys[3 * len(keys) // 4]
+    assert list(rtree.scan(lo, hi)) == [r for r in records if lo <= r.key <= hi]
+    for rect in [(0, 255, 0, 255), (40, 180, 60, 200), (13, 13, 0, 255)]:
+        lo_x, hi_x, lo_y, hi_y = rect
+        assert list(rtree.search(*rect)) == [
+            record
+            for leaf in reversed(leaves)
+            for record in leaf
+            if lo_x <= record.key[0] <= hi_x and lo_y <= record.key[1] <= hi_y
+        ]
+    assert [rtree.lookup(key) for key in keys] == records
+    assert rtree.lookup((256, 0, 0)) is None
 
 
 @pytest.mark.parametrize("batch", [1, 7, 512])
 def test_scripted_spatial_lifecycle(batch):
-    """Composite (B-tree) and spatial (R-tree adapter) indexes with 2-D
-    statistics: every component and synopsis pair equals the reference."""
+    """Composite (B-tree) and spatial (R-tree) indexes with 2-D
+    statistics on the one collector: every component and synopsis pair
+    equals the reference, R-tree reads equal the naive answer, and a
+    repeated rectangle estimate is served from the merged-synopsis
+    cache."""
+    for synopsis_type in Synopsis2DType:
+        _spatial_lifecycle(batch, synopsis_type)
+
+
+def _spatial_lifecycle(batch, synopsis_type):
     with use_registry(MetricsRegistry()):
         dataset = Dataset(
             "geo",
@@ -258,16 +275,18 @@ def test_scripted_spatial_lifecycle(batch):
             merge_policy=ConstantMergePolicy(max_components=3),
             write_batch_size=batch,
         )
-        observer = _SpatialReferenceObserver(list(dataset._all_trees()))
-        observer.spatial = SpatialStatisticsCollector(
-            SpatialStatisticsConfig(budget=BUDGET), observer
+        observer = _observe(
+            dataset.event_bus, list(dataset._all_trees()), SynopsisType.EQUI_WIDTH
         )
         for name in ("pair_idx", "point_idx"):
-            observer.spatial.register_index(
-                dataset.secondary_tree(name).name, (VALUE_DOMAIN, VALUE_DOMAIN)
+            observer.collector.register_composite_index(
+                dataset.secondary_tree(name).name,
+                (VALUE_DOMAIN, VALUE_DOMAIN),
+                synopsis_type,
+                BUDGET,
             )
-        dataset.event_bus.subscribe(observer.spatial)
-        dataset.event_bus.subscribe(observer)
+        manager = StatisticsManager(StatisticsConfig())
+        manager.attach_composite(dataset, synopsis_type, BUDGET)
         dataset.bulkload(_doc(pk) for pk in range(100))
         for pk in range(100, 300):
             dataset.insert(_doc(pk))
@@ -276,6 +295,53 @@ def test_scripted_spatial_lifecycle(batch):
         for pk in range(0, 100, 3):
             dataset.delete(pk)
         dataset.flush()
-        assert dataset.secondary_tree("point_idx").merge_count > 0
+        point_tree = dataset.secondary_tree("point_idx")
+        assert point_tree.merge_count > 0
         assert observer.mismatches() == []
         assert sum(key[0] != "component" for key in observer.expected) > 4
+        assert len(point_tree.components) > 1
+        for component in point_tree.components:
+            leaves = observer.expected["component", point_tree.name, component.uid][0]
+            _rtree_reads_match(component.btree, leaves)
+        rect = (40, 180, 60, 200)
+        for index_name in ("pair_idx", "point_idx"):
+            first = manager.estimate_detailed(dataset, index_name, *rect)
+            again = manager.estimate_detailed(dataset, index_name, *rect)
+            assert not first.from_cache and first.synopses_consulted > 1
+            assert again.from_cache and again.estimate == first.estimate
+            if synopsis_type is Synopsis2DType.GROUND_TRUTH:
+                assert first.estimate == dataset.count_spatial_range(
+                    "point_idx", *rect
+                )
+
+
+def test_extractor_without_a_column_is_rejected_when_the_tap_opens():
+    """No per-record slow path: statistics on an extractor the columnar
+    registry cannot map fail the component write, typed."""
+    with use_registry(MetricsRegistry()):
+        tree = LSMTree(
+            "t.custom",
+            SimulatedDisk(),
+            event_bus=EventBus(),
+            key_extractor=lambda record: record.key,
+            auto_flush=False,
+        )
+        collector = StatisticsCollector(
+            StatisticsConfig(SynopsisType.GK_SKETCH, budget=BUDGET),
+            ReferenceObserver([tree]),
+        )
+        tree.event_bus.subscribe(collector)
+        collector.register_index(tree.name, DOMAIN)
+        tree.upsert(1)
+        with pytest.raises(ConfigurationError, match="no column twin"):
+            tree.flush()
+
+        plain = LSMTree(
+            "t.plain", SimulatedDisk(), event_bus=tree.event_bus, auto_flush=False
+        )
+        collector.register_attribute(
+            plain.name, "k", DOMAIN, value_extractor=lambda r: r.value["k"]
+        )
+        plain.upsert(1, {"k": 1})
+        with pytest.raises(ConfigurationError, match="no column twin"):
+            plain.flush()

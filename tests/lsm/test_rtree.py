@@ -194,17 +194,13 @@ class TestSpatialDataset:
 
 class TestSpatialStatistics:
     def test_2d_stats_ride_rtree_streams(self):
-        from repro.core.spatial import (
-            SpatialStatisticsConfig,
-            SpatialStatisticsManager,
-        )
+        from repro.core.config import StatisticsConfig
+        from repro.core.manager import StatisticsManager
         from repro.synopses.multidim import Synopsis2DType
 
         dataset = _dataset(memtable_capacity=64)
-        manager = SpatialStatisticsManager(
-            SpatialStatisticsConfig(Synopsis2DType.GROUND_TRUTH, 1)
-        )
-        manager.attach(dataset)
+        manager = StatisticsManager(StatisticsConfig())
+        manager.attach_composite(dataset, Synopsis2DType.GROUND_TRUTH, 1)
         for pk in range(400):
             dataset.insert(_doc(pk))
         for pk in range(0, 400, 3):

@@ -233,7 +233,7 @@ class TestEvents:
     class _Recorder:
         def __init__(self):
             self.contexts = []
-            self.records = []
+            self.keys = []
             self.components = []
             self.replacements = []
 
@@ -243,7 +243,7 @@ class TestEvents:
 
             class Sink:
                 def accept_many(self, chunk):
-                    recorder.records.extend(chunk)
+                    recorder.keys.extend(chunk.keys_list())
 
                 def finish(self, component):
                     recorder.components.append(component)
@@ -265,7 +265,7 @@ class TestEvents:
         assert ctx.event_type is LSMEventType.FLUSH
         assert ctx.index_name == "idx"
         assert ctx.expected_records == 5
-        assert [r.key for r in recorder.records] == list(range(5))
+        assert recorder.keys == list(range(5))
         assert len(recorder.components) == 1
 
     def test_merge_event_announces_replacement(self):

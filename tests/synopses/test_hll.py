@@ -188,6 +188,19 @@ class TestAccuracy:
     def test_hash_is_seeded(self):
         assert hash64(12345, 1) != hash64(12345, 2)
 
+    def test_builder_hash_is_hash64(self):
+        # The builder inlines the hash in its loop; each value must
+        # still land in the register, at the rank, ``hash64`` dictates.
+        for value in (0, 1, 12345, DOMAIN.hi):
+            sketch = _build([value])
+            bits = 64 - sketch.precision
+            hashed = hash64(value, sketch.hash_seed)
+            expected = bytearray(BUDGET)
+            expected[hashed >> bits] = (
+                bits - (hashed & ((1 << bits) - 1)).bit_length() + 1
+            )
+            assert _registers(sketch) == bytes(expected)
+
 
 # The stdlib typed column is consumed as is; a numpy array's scalars
 # must be normalised to plain ints on the way in (docs/DATAPATH.md: no

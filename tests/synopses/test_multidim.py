@@ -13,7 +13,6 @@ from repro.synopses.multidim import (
     Wavelet2DBuilder,
     create_builder_2d,
     haar_transform_dense,
-    synopsis_2d_from_payload,
 )
 from repro.synopses.wavelet.classic import classic_decompose
 from repro.types import Domain
@@ -66,7 +65,7 @@ class TestContract:
 
     def test_payload_roundtrip(self, synopsis_type):
         synopsis = _build(synopsis_type, [(1, 2), (3, 4), (3, 4), (250, 0)])
-        clone = synopsis_2d_from_payload(synopsis.to_payload())
+        clone = type(synopsis).from_payload(synopsis.to_payload())
         for rect in [(0, 255, 0, 255), (0, 10, 0, 10), (3, 3, 4, 4)]:
             assert clone.estimate(*rect) == pytest.approx(synopsis.estimate(*rect))
 
