@@ -12,7 +12,15 @@ This is the cache consulted by Algorithm 2's ``isStale`` test:
 staleness is detected by comparing the cached catalog version against
 the catalog's current per-index version, and a stale entry is dropped
 on sight (Algorithm 2 lines 6-8) before the estimator falls back to
-the per-component summation path.
+the per-component summation path.  The recompute that follows is still
+the paper's "whole combined synopsis" -- nothing is maintained
+incrementally -- as one N-ary ``merge_with`` per side
+(:meth:`CardinalityEstimator._fold`).
+
+Byte listeners and the two gauges are published once per change of
+the accounted bytes: a ``put`` is one publish whether or not it evicts,
+and a ``set_capacity`` that evicts nothing is none (the cluster
+re-targets the bound on every estimate under a memory budget).
 
 The cache is *capacity-bounded*: entries are kept in least-recently-used
 order (a hit refreshes recency) and inserting past ``capacity_bytes``
@@ -112,7 +120,10 @@ class MergedSynopsisCache:
         """Re-target the bound (the arbiter's share-adaptation hook);
         shrinking evicts immediately from the cold end."""
         self._capacity = capacity_bytes
+        before = self._bytes
         self._evict_over_capacity()
+        if self._bytes != before:
+            self._publish()
 
     def get(self, index_name: str, current_version: int) -> CachedMergedSynopsis | None:
         """The cached merge, or ``None`` when absent or stale.
@@ -185,7 +196,8 @@ class MergedSynopsisCache:
         return len(self._cache)
 
     def _evict_over_capacity(self) -> None:
-        """Evict cold entries until the bound holds (keeps >= 1 entry)."""
+        """Evict cold entries until the bound holds (keeps >= 1 entry).
+        The caller publishes, once, if the bytes moved."""
         if self._capacity is None:
             return
         while self._bytes > self._capacity and len(self._cache) > 1:
@@ -194,7 +206,6 @@ class MergedSynopsisCache:
             self._bytes -= victim.memory_bytes()
             self.evictions += 1
             self._m_evictions.inc()
-        self._publish()
 
     def _drop(self, index_name: str, cached: CachedMergedSynopsis) -> None:
         del self._cache[index_name]

@@ -10,18 +10,32 @@ types the estimator opportunistically folds the per-component synopses
 into one merged pair, caches it on the cluster-controller side, and
 answers subsequent queries from the cache until new statistics arrive
 (Algorithm 2).
+
+The fold is Section 3.5's recompute of "a whole combined synopsis": on
+a cache miss both estimate lanes (range and NDV) hand *all* catalogued
+entries to one N-ary ``merge_with`` per side through the one
+:meth:`CardinalityEstimator._fold`; what that costs is the family's
+business (one vectorised register union, one column sum, or the
+pairwise left fold where order shows).
 """
 
 from __future__ import annotations
 
+import enum
 import math
 import time
 from dataclasses import dataclass
+from typing import Sequence
 
 from repro.core.cache import MergedSynopsisCache
-from repro.core.catalog import StatisticsCatalog
+from repro.core.catalog import StatisticsCatalog, StatisticsEntry
 from repro.errors import MergeabilityError, SynopsisError
-from repro.obs.registry import MetricsRegistry, get_registry, sanitize_segment
+from repro.obs.registry import (
+    Histogram,
+    MetricsRegistry,
+    get_registry,
+    sanitize_segment,
+)
 from repro.synopses.base import Synopsis
 from repro.synopses.hll import HyperLogLogSynopsis, ndv_statistics_key
 
@@ -101,16 +115,52 @@ class CardinalityEstimator:
         self._h_estimate = self._obs.histogram("estimator.estimate.seconds")
         self._h_lazy_merge = self._obs.histogram("estimator.lazy_merge.seconds")
         self._m_unions = self._obs.counter("sketch.union.count")
+        # Per-family latency histograms, resolved once: the name lookup
+        # (a regex and a registry probe) cost a third of a cache hit.
+        self._h_family: dict[enum.Enum, Histogram] = {}
 
     def _observe(self, elapsed: float, synopsis: Synopsis | None) -> None:
         """Record one estimate's latency, overall and per synopsis type."""
         self._m_estimates.inc()
         self._h_estimate.observe(elapsed)
         if synopsis is not None:
-            label = sanitize_segment(synopsis.synopsis_type.value)
-            self._obs.histogram(
-                f"estimator.estimate.seconds.{label}"
-            ).observe(elapsed)
+            family = synopsis.synopsis_type
+            histogram = self._h_family.get(family)
+            if histogram is None:
+                histogram = self._h_family[family] = self._obs.histogram(
+                    "estimator.estimate.seconds."
+                    + sanitize_segment(family.value)
+                )
+            histogram.observe(elapsed)
+
+    def _fold(
+        self, key: str, version: int, entries: Sequence[StatisticsEntry]
+    ) -> tuple[Synopsis, Synopsis]:
+        """Algorithm 2's recompute: the combined (matter, anti-matter)
+        pair of ``entries``, one N-ary ``merge_with`` per side, cached
+        at ``version``.  All-or-nothing: a :class:`MergeabilityError`
+        propagates with nothing cached or counted.
+
+        A lazy merge is cached (and accounted) only when one actually
+        ran.  With a single catalog entry nothing is merged: caching it
+        would alias the catalog-owned synopsis objects into the cache
+        and inflate the lazy-merge metrics with zero-time observations,
+        while the summation path is already as cheap as a cache hit.
+        """
+        first, rest = entries[0], entries[1:]
+        if not rest:
+            return first.synopsis, first.anti_synopsis
+        started = time.perf_counter()
+        merged = first.synopsis.merge_with(*[e.synopsis for e in rest])
+        merged_anti = first.anti_synopsis.merge_with(
+            *[e.anti_synopsis for e in rest]
+        )
+        elapsed = time.perf_counter() - started
+        if self.cache is not None:
+            self.cache.put(key, merged, merged_anti, version)
+            self._m_lazy_merges.inc()
+            self._h_lazy_merge.observe(elapsed)
+        return merged, merged_anti
 
     def estimate(self, index_name: str, *bounds: int) -> float:
         """The cardinality estimate for ``lo <= key <= hi`` (or, on a
@@ -136,60 +186,30 @@ class CardinalityEstimator:
                 self._observe(elapsed, cached.synopsis)
                 return EstimateResult(estimate, 0, True, elapsed)
 
-        # Slow path: combine every per-component synopsis, merging along
-        # the way when the type allows it.
+        # Slow path: sum every per-component synopsis's answer, then
+        # recompute the merged pair for the next query when the type
+        # allows it.
         entries = self.catalog.entries_for(index_name)
         # Summed exactly at the end (``math.fsum``): the catalog lists
         # entries in arrival order, which a background scheduler
         # permutes, and a running float sum would let the schedule show
         # in the last ulp of an unmergeable family's estimate.
-        contributions: list[float] = []
-        merged: Synopsis | None = None
-        merged_anti: Synopsis | None = None
-        # Merging requires one homogeneous mergeable family; a catalog
-        # can transiently hold mixed types/parameters after a
-        # reconfiguration, in which case only the summation path runs.
-        mergeable = bool(entries) and all(
-            e.synopsis.mergeable
-            and e.synopsis.synopsis_type is entries[0].synopsis.synopsis_type
-            for e in entries
-        )
-        merge_seconds = 0.0
-        merges_ran = 0
-        for entry in entries:
-            contributions.append(
-                entry.synopsis.estimate(*bounds)
-                - entry.anti_synopsis.estimate(*bounds)
-            )
-            if mergeable and self.cache is not None:
-                if merged is None:
-                    merged, merged_anti = entry.synopsis, entry.anti_synopsis
-                else:
-                    assert merged_anti is not None
-                    merge_started = time.perf_counter()
-                    try:
-                        merged = merged.merge_with(entry.synopsis)
-                        merged_anti = merged_anti.merge_with(entry.anti_synopsis)
-                        merges_ran += 1
-                    except MergeabilityError:
-                        # Incompatible parameters (domain/budget drift):
-                        # give up on caching, keep summing.
-                        mergeable = False
-                        merged = merged_anti = None
-                    finally:
-                        merge_seconds += time.perf_counter() - merge_started
-
-        # Cache (and account for) a lazy merge only when one actually
-        # ran.  With a single catalog entry nothing was merged: caching
-        # it would alias the catalog-owned synopsis objects into the
-        # cache and inflate the lazy-merge metrics with zero-time
-        # observations, while the summation path is already as cheap as
-        # a cache hit.
-        if merges_ran and merged is not None and merged_anti is not None:
-            assert self.cache is not None
-            self.cache.put(index_name, merged, merged_anti, version)
-            self._m_lazy_merges.inc()
-            self._h_lazy_merge.observe(merge_seconds)
+        contributions = [
+            entry.synopsis.estimate(*bounds)
+            - entry.anti_synopsis.estimate(*bounds)
+            for entry in entries
+        ]
+        # Merging requires one homogeneous mergeable family.  The guard
+        # spares an unmergeable one (equi-height) a raise per estimate;
+        # everything else is ``merge_with``'s own check.
+        if self.cache is not None and entries and entries[0].synopsis.mergeable:
+            try:
+                self._fold(index_name, version, entries)
+            except MergeabilityError:
+                # Mixed types or parameters (a catalog can transiently
+                # hold them after a reconfiguration): nothing is
+                # cached, the summed answer stands.
+                pass
 
         elapsed = time.perf_counter() - started
         self._observe(elapsed, entries[0].synopsis if entries else None)
@@ -235,21 +255,9 @@ class CardinalityEstimator:
                 f"no NDV sketches catalogued under {key!r}; is the "
                 "collector configured with ndv_enabled?"
             )
-        merged = entries[0].synopsis
-        merged_anti = entries[0].anti_synopsis
-        merge_seconds = 0.0
-        merges_ran = 0
-        for entry in entries[1:]:
-            merge_started = time.perf_counter()
-            merged = merged.merge_with(entry.synopsis)
-            merged_anti = merged_anti.merge_with(entry.anti_synopsis)
-            merge_seconds += time.perf_counter() - merge_started
-            merges_ran += 1
-            self._m_unions.inc(2)  # one matter + one anti register union
-        if merges_ran and self.cache is not None:
-            self.cache.put(key, merged, merged_anti, version)
-            self._m_lazy_merges.inc()
-            self._h_lazy_merge.observe(merge_seconds)
+        merged, merged_anti = self._fold(key, version, entries)
+        # One matter + one anti register union per folded-in entry.
+        self._m_unions.inc(2 * (len(entries) - 1))
 
         result = self._ndv_from_pair(
             merged, merged_anti, len(entries), False, started

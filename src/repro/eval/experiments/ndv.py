@@ -44,15 +44,13 @@ def _unioned_sketch(values, precision: int):
     """Build one sketch per component slice, union them (the master's
     lazy fold) -- exactness of the union is what makes this equal to a
     single sketch over the whole stream."""
-    slices = [values[i::_COMPONENTS] for i in range(_COMPONENTS)]
-    merged = None
-    for component_values in slices:
+    sketches = []
+    for i in range(_COMPONENTS):
         builder = HyperLogLogBuilder(_VALUE_DOMAIN, 1 << precision)
-        for value in component_values:
+        for value in values[i::_COMPONENTS]:
             builder.add(value)
-        sketch = builder.build()
-        merged = sketch if merged is None else merged.merge_with(sketch)
-    return merged
+        sketches.append(builder.build())
+    return sketches[0].merge_with(*sketches[1:])
 
 
 def run_ndv(scale: ExperimentScale) -> list[NDVCell]:

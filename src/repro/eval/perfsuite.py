@@ -1053,9 +1053,7 @@ def _bench_ndv(
         part_builder.add_many(values[part::parts])
         component_sketches.append(part_builder.build())
     started = timer()
-    merged = component_sketches[0]
-    for other in component_sketches[1:]:
-        merged = merged.merge_with(other)
+    merged = component_sketches[0].merge_with(*component_sketches[1:])
     union_elapsed = max(timer() - started, 1e-9)
     assert merged.to_payload() == sketch.to_payload(), (
         "unioned per-component sketches diverged from the whole-stream "

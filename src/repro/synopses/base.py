@@ -111,21 +111,28 @@ class Synopsis(ABC):
         """Estimated number of observed values in the inclusive range
         ``[lo, hi]``; never negative."""
 
-    def merge_with(self, other: "Synopsis") -> "Synopsis":
-        """Combine two synopses summarising disjoint record sets.
+    def merge_with(self, *others: "Synopsis") -> "Synopsis":
+        """Combine synopses summarising disjoint record sets.
 
-        Raises :class:`~repro.errors.MergeabilityError` for inherently
-        unmergeable types (equi-height histograms) or incompatible
-        parameters.
+        The contract: the result is identical to the left fold of
+        2-ary merges in argument order, ``((self + o1) + o2) + ...``;
+        with no argument it equals ``self``.  Every argument is checked
+        before anything is built, so an incompatible one at any
+        position raises :class:`~repro.errors.MergeabilityError` (for
+        inherently unmergeable types -- equi-height histograms -- or
+        incompatible parameters).  The single merge entry point of
+        every family; the type-specific work is :meth:`_merge` or
+        :meth:`_merge_all`.
         """
-        self._check_merge_compatible(other)
-        return self._merge(other)
-
-    def _check_merge_compatible(self, other: "Synopsis") -> None:
         if not self.mergeable:
             raise MergeabilityError(
                 f"{self.synopsis_type.value} synopses are not mergeable"
             )
+        for other in others:
+            self._check_merge_compatible(other)
+        return self._merge_all(others)
+
+    def _check_merge_compatible(self, other: "Synopsis") -> None:
         if other.synopsis_type is not self.synopsis_type:
             raise MergeabilityError(
                 f"cannot merge {self.synopsis_type.value} with "
@@ -135,6 +142,20 @@ class Synopsis(ABC):
             raise MergeabilityError(
                 "cannot merge synopses with different domains or budgets"
             )
+
+    def _merge_all(self, others: Sequence["Synopsis"]) -> "Synopsis":
+        """Fold pre-checked ``others`` into ``self``, left to right.
+
+        The default runs :meth:`_merge` per argument: the pairwise
+        semantics of the families where fold order can show in the
+        payload (wavelet thresholding, GK compression).  An exactly
+        associative family overrides this with one pass over all
+        inputs *instead of* implementing :meth:`_merge`, never both.
+        """
+        merged = self
+        for other in others:
+            merged = merged._merge(other)
+        return merged
 
     def _merge(self, other: "Synopsis") -> "Synopsis":
         raise MergeabilityError(

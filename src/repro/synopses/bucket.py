@@ -13,6 +13,7 @@ histograms over disjoint record sets disagree about where buckets lie
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from typing import Any
 
 from repro.errors import SynopsisError
@@ -62,14 +63,23 @@ class BucketHistogram(Synopsis):
         return len(self.borders)
 
     def estimate(self, lo: int, hi: int) -> float:
-        """Range estimate under the continuous-value assumption."""
+        """Range estimate under the continuous-value assumption.
+
+        The borders are sorted, so the buckets overlapping ``[lo, hi]``
+        are the run from the first whose right border reaches ``lo`` to
+        the first whose right border reaches ``hi``; only that run is
+        walked.
+        """
         clipped = self.domain.intersect(lo, hi)
         if clipped is None or not self.borders:
             return 0.0
         lo, hi = clipped
+        borders = self.borders
+        start = bisect_left(borders, lo)
+        stop = bisect_left(borders, hi, start) + 1
         total = 0.0
-        left = self.first_left
-        for border, count in zip(self.borders, self.counts):
+        left = borders[start - 1] if start else self.first_left
+        for border, count in zip(borders[start:stop], self.counts[start:stop]):
             bucket_lo, bucket_hi = left + 1, border
             left = border
             overlap = min(hi, bucket_hi) - max(lo, bucket_lo) + 1

@@ -59,25 +59,35 @@ class EquiWidthHistogram(Synopsis):
     def estimate(self, lo: int, hi: int) -> float:
         """Range estimate under the continuous-value assumption: a
         partially overlapped bucket contributes proportionally to the
-        overlapped fraction of its width."""
+        overlapped fraction of its width.
+
+        Only the first and last covered bucket can be partial; one
+        between them adds its whole count, left to right in floats --
+        bit for bit what multiplying it by ``width / width`` gives.
+        """
         clipped = self.domain.intersect(lo, hi)
         if clipped is None:
             return 0.0
         lo, hi = clipped
-        first = (lo - self.domain.lo) // self.width
-        last = (hi - self.domain.lo) // self.width
-        total = 0.0
-        for index in range(first, last + 1):
-            bucket_lo, bucket_hi = self.bucket_range(index)
-            overlap = min(hi, bucket_hi) - max(lo, bucket_lo) + 1
-            bucket_len = bucket_hi - bucket_lo + 1
-            total += self.counts[index] * (overlap / bucket_len)
+        base, width, counts = self.domain.lo, self.width, self.counts
+        first = (lo - base) // width
+        last = (hi - base) // width
+        last_lo = base + last * width
+        last_len = min(last_lo + width, self.domain.hi + 1) - last_lo
+        if first == last:
+            return max(counts[last] * ((hi - lo + 1) / last_len), 0.0)
+        # A bucket with a successor is never the domain-clipped one.
+        total = counts[first] * ((base + (first + 1) * width - lo) / width)
+        for count in counts[first + 1 : last]:
+            total += count
+        total += counts[last] * ((hi - last_lo + 1) / last_len)
         return max(total, 0.0)
 
-    def _merge(self, other: Synopsis) -> "EquiWidthHistogram":
-        assert isinstance(other, EquiWidthHistogram)
-        merged = [a + b for a, b in zip(self.counts, other.counts)]
-        return EquiWidthHistogram(self.domain, self.budget, merged)
+    def _merge_all(self, others: Sequence[Synopsis]) -> "EquiWidthHistogram":
+        """Element-wise sum of every input's bucket counts at once
+        (integer addition: exact in any order)."""
+        columns = zip(self.counts, *(other.counts for other in others))
+        return EquiWidthHistogram(self.domain, self.budget, list(map(sum, columns)))
 
     def to_payload(self) -> dict[str, Any]:
         return {

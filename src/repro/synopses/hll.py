@@ -40,6 +40,8 @@ import struct
 from array import array
 from typing import Any, Sequence
 
+import numpy as np
+
 from repro.errors import MergeabilityError, SynopsisError
 from repro.synopses.base import Synopsis, SynopsisBuilder, SynopsisType
 from repro.types import Domain
@@ -261,7 +263,12 @@ class HyperLogLogSynopsis(Synopsis):
         self.precision = precision
         self.hash_seed = hash_seed
         self.registers = registers
+        # Registers are immutable once built, so both are computed
+        # once: the wire form (one to_payload per network publish *and*
+        # per catalog dedup comparison) and the NDV estimate (every
+        # cache hit of the estimator's NDV lane).
         self._encoded: bytes | None = None
+        self._cardinality: float | None = None
 
     @property
     def element_count(self) -> int:
@@ -282,6 +289,11 @@ class HyperLogLogSynopsis(Synopsis):
 
     def cardinality(self) -> float:
         """The bias-corrected NDV estimate over the observed stream."""
+        if self._cardinality is None:
+            self._cardinality = self._estimate_cardinality()
+        return self._cardinality
+
+    def _estimate_cardinality(self) -> float:
         m = self.budget
         harmonic = 0.0
         zeros = 0
@@ -311,28 +323,31 @@ class HyperLogLogSynopsis(Synopsis):
         span = self.domain.hi - self.domain.lo + 1
         return self.cardinality() * ((hi - lo + 1) / span)
 
-    def _merge(self, other: Synopsis) -> "HyperLogLogSynopsis":
-        assert isinstance(other, HyperLogLogSynopsis)
-        if other.hash_seed != self.hash_seed:
-            raise MergeabilityError(
-                "cannot union hll sketches built with different hash seeds"
+    def _merge_all(self, others: Sequence[Synopsis]) -> "HyperLogLogSynopsis":
+        """Register union of ``self`` and every other sketch at once.
+
+        Element-wise max is exactly associative, so this equals any
+        fold of pairwise unions; register files are flat byte buffers,
+        so each input is one vectorised ``maximum`` into one fresh array.
+        """
+        total_count = self.total_count
+        for other in others:
+            if other.hash_seed != self.hash_seed:
+                raise MergeabilityError(
+                    "cannot union hll sketches built with different hash seeds"
+                )
+            total_count += other.total_count
+        merged = array("B", self.registers)
+        union = np.frombuffer(merged, dtype=np.uint8)
+        for other in others:
+            np.maximum(
+                union, np.frombuffer(other.registers, dtype=np.uint8), out=union
             )
-        merged = array(
-            "B",
-            map(max, self.registers, other.registers),
-        )
         return HyperLogLogSynopsis(
-            self.domain,
-            self.budget,
-            merged,
-            self.total_count + other.total_count,
-            self.hash_seed,
+            self.domain, self.budget, merged, total_count, self.hash_seed
         )
 
     def _encode(self) -> bytes:
-        # Registers are immutable once built, so the wire form is
-        # memoised: to_payload runs once per network publish *and* per
-        # catalog dedup comparison.
         if self._encoded is None:
             self._encoded = HBSCodec.encode(self.registers)
         return self._encoded

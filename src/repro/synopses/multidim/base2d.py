@@ -71,18 +71,26 @@ class Synopsis2D(ABC):
     def estimate(self, lo_x: int, hi_x: int, lo_y: int, hi_y: int) -> float:
         """Estimated pairs inside the inclusive rectangle; never negative."""
 
-    def merge_with(self, other: "Synopsis2D") -> "Synopsis2D":
-        """Combine two synopses over disjoint record sets."""
-        if other.synopsis_type is not self.synopsis_type:
-            raise MergeabilityError(
-                f"cannot merge {self.synopsis_type.value} with "
-                f"{other.synopsis_type.value}"
-            )
-        if other.domains != self.domains or other.budget != self.budget:
-            raise MergeabilityError(
-                "cannot merge 2-D synopses with different domains or budgets"
-            )
-        return self._merge(other)
+    def merge_with(self, *others: "Synopsis2D") -> "Synopsis2D":
+        """Combine synopses over disjoint record sets: the left fold of
+        2-ary merges in argument order (``self`` for no argument), with
+        every argument checked before anything is built -- the 1-D
+        :meth:`~repro.synopses.base.Synopsis.merge_with` contract."""
+        for other in others:
+            if other.synopsis_type is not self.synopsis_type:
+                raise MergeabilityError(
+                    f"cannot merge {self.synopsis_type.value} with "
+                    f"{other.synopsis_type.value}"
+                )
+            if other.domains != self.domains or other.budget != self.budget:
+                raise MergeabilityError(
+                    "cannot merge 2-D synopses with different domains or "
+                    "budgets"
+                )
+        merged = self
+        for other in others:
+            merged = merged._merge(other)
+        return merged
 
     @abstractmethod
     def _merge(self, other: "Synopsis2D") -> "Synopsis2D":

@@ -165,3 +165,26 @@ def test_bytes_listener_fires_on_every_change():
     cache.invalidate("b")
     assert observed[-1] == 0
     assert max(observed) == _entry_bytes()
+
+
+def test_bytes_listener_fires_once_per_change_and_never_without_one():
+    entry = _entry_bytes()
+    observed: list[int] = []
+    cache = MergedSynopsisCache(capacity_bytes=4 * entry)
+    cache.add_bytes_listener(observed.append)
+    cache.put("a", _synopsis(), _synopsis(), version=1)
+    assert observed == [entry]  # one put, one call
+    cache.put("b", _synopsis(), _synopsis(), version=1)
+    cache.put("c", _synopsis(), _synopsis(), version=1)
+    del observed[:]
+    # What LSMCluster does on every estimate under a memory budget:
+    # re-target an unchanged (or roomier) bound.  Nothing moved.
+    cache.set_capacity(4 * entry)
+    cache.set_capacity(8 * entry)
+    cache.set_capacity(None)
+    assert observed == []
+    cache.set_capacity(entry)  # evicts two entries: still one call
+    assert observed == [entry]
+    del observed[:]
+    cache.put("d", _synopsis(), _synopsis(), version=1)  # a put that evicts
+    assert observed == [entry]

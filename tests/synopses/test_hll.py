@@ -165,6 +165,28 @@ class TestAccuracy:
                 f"p={precision} n={n} est={estimate}"
             )
 
+    @pytest.mark.parametrize(
+        "n, budget, recorded",
+        [
+            # Linear counting, the raw estimator, the tiny-budget alpha:
+            # floats recorded before cardinality() was memoised.
+            (40, 256, 36.48001602746445),
+            (700, 256, 670.6895474511074),
+            (20_000, 256, 22492.160791063598),
+            (20_000, 16, 19948.880508833925),
+            (5, 2, 1.8741149723936346),
+        ],
+    )
+    def test_cardinality_is_computed_once_and_unchanged(self, n, budget, recorded):
+        sketch = _build(random.Random(n).sample(range(2**20), n), budget)
+        first = sketch.cardinality()
+        assert first == recorded
+        # Registers are immutable, so the harmonic sum runs once: the
+        # second call hands back the very same float object.
+        assert sketch.cardinality() is first
+        span = DOMAIN.hi - DOMAIN.lo + 1
+        assert sketch.estimate(0, 1023) == recorded * (1024 / span)
+
     def test_empty_is_zero(self):
         sketch = _build([])
         assert sketch.cardinality() == 0.0
