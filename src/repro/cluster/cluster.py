@@ -280,13 +280,8 @@ class LSMCluster:
             if index_name == "primary"
             else secondary_index_name(name, index_name)
         )
-        # Estimate traffic feeds the adaptive split: an estimate-heavy
-        # phase grows every node's cache share, and the master cache's
-        # capacity tracks the new sum.
-        if self.memory_arbiters:
-            for arbiter in self.memory_arbiters:
-                arbiter.note_estimate()
-            self._refresh_cache_capacity()
+        # Bloom overflow squeezes the cache pool: re-read it here.
+        self._refresh_cache_capacity()
         return self.master.estimate_detailed(full_name, lo, hi)
 
     def estimate_ndv(self, name: str, index_name: str = "primary") -> float:
@@ -300,12 +295,7 @@ class LSMCluster:
         """NDV estimate with the anti-matter interval and diagnostics."""
         self._check_dataset(name)
         full_name = secondary_index_name(name, index_name)
-        # NDV queries are estimate traffic too: feed the same adaptive
-        # cache-share signal as range estimates.
-        if self.memory_arbiters:
-            for arbiter in self.memory_arbiters:
-                arbiter.note_estimate()
-            self._refresh_cache_capacity()
+        self._refresh_cache_capacity()
         return self.master.estimate_ndv_detailed(full_name)
 
     def estimate_degraded(
@@ -314,9 +304,7 @@ class LSMCluster:
         """A degraded (possibly-stale) estimate served under overload.
 
         Answers from the master's cached merged synopsis regardless of
-        staleness (``None`` when nothing is cached).  Deliberately does
-        *not* feed the memory arbiters' estimate-traffic signal: shed
-        load must not grow the cache share.
+        staleness (``None`` when nothing is cached).
         """
         self._check_dataset(name)
         full_name = (
@@ -392,22 +380,6 @@ class LSMCluster:
         )
 
     # -- memory arbitration ---------------------------------------------------
-
-    def memory_accounted_bytes(self) -> int:
-        """Accounted bytes across every node's arbiter plus the master
-        cache (0 without a budget)."""
-        total = sum(a.accounted_bytes() for a in self.memory_arbiters)
-        if self.memory_arbiters and self.master.cache is not None:
-            total += self.master.cache.memory_bytes()
-        return total
-
-    def memory_peak_bytes(self) -> int:
-        """Sum of per-node accounted high-water marks."""
-        return sum(a.peak_bytes() for a in self.memory_arbiters)
-
-    def memory_breakdown(self) -> list[dict[str, Any]]:
-        """Per-node arbiter snapshots (pools, shares, usage)."""
-        return [a.breakdown() for a in self.memory_arbiters]
 
     def _refresh_cache_capacity(self) -> None:
         """Point the master cache at the sum of per-node cache shares."""

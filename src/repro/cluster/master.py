@@ -76,10 +76,10 @@ class ClusterController:
     def set_cache_capacity(self, capacity_bytes: int | None) -> None:
         """Re-target the merged-synopsis cache's byte bound.
 
-        The memory arbiters' share-adaptation hook (docs/MEMORY.md):
-        the cluster calls this with the sum of the per-node cache
-        pools whenever the adaptive split moves.  Shrinking evicts
-        cold entries immediately; a no-op without a cache.
+        The memory arbiters' hook (docs/MEMORY.md): the cluster calls
+        this with the sum of the per-node cache pools on every
+        estimate, because bloom overflow squeezes them.  Shrinking
+        evicts cold entries immediately; a no-op without a cache.
         """
         with self._lock:
             if self.cache is not None:

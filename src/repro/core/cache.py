@@ -117,8 +117,8 @@ class MergedSynopsisCache:
         self._bytes_listeners.append(listener)
 
     def set_capacity(self, capacity_bytes: int | None) -> None:
-        """Re-target the bound (the arbiter's share-adaptation hook);
-        shrinking evicts immediately from the cold end."""
+        """Re-target the bound (the memory arbiter's hook); shrinking
+        evicts immediately from the cold end."""
         self._capacity = capacity_bytes
         before = self._bytes
         self._evict_over_capacity()

@@ -197,7 +197,9 @@ FULL_SCALE = PerfScale(
     stability_writers=4,
     stability_records=8_000,
     memory_writers=4,
-    memory_records=8_000,
+    # Bloom and resident bytes grow with the data and nothing evicts
+    # them: past ~4 500 per writer they alone exceed the fixed budget.
+    memory_records=4_000,
     serving_writers=3,
     serving_records=4_000,
     serving_clients=4,
@@ -726,51 +728,81 @@ def _bench_memory_budget(
     Each writer drives its own dataset; all datasets share one bounded
     worker pool and the one arbiter, so every active memtable competes
     for the same write arena and arbitration-triggered early flushes
-    are what keep the total inside the budget.  Every insert is timed
-    individually:
+    are what keep the total inside the budget.  The op stream runs
+    twice:
 
-    * ``memory.peak.utilization`` -- the arbiter's accounted peak over
-      its budget; :func:`check_budgets` fails the run above
-      :data:`MEMORY_BUDGET_UTILIZATION_CEILING` (= 1.0: the budget is
-      a promise, not a suggestion);
-    * ``memory.stall.max_window`` -- the single worst insert, gated by
-      the same stall budget as the stability scenario (pressure may
-      flush early and wait on the immutable pool, but must never
-      freeze a writer);
-    * ``memory.ingest.throughput`` / ``memory.ingest.p99`` -- the cost
-      of running inside half the memory.
+    * timed, one thread per writer, every insert timed individually --
+      ``memory.ingest.throughput`` / ``memory.ingest.p99`` (the cost of
+      running inside half the memory) and ``memory.stall.max_window``,
+      the single worst insert, gated by the same stall budget as the
+      stability scenario (pressure may flush early and wait on the
+      immutable pool, but must never freeze a writer);
+    * untimed, one DML thread (writers round-robin) under the seeded
+      virtual scheduler -- ``memory.peak.utilization``, the arbiter's
+      accounted peak over its budget; :func:`check_budgets` fails the
+      run above :data:`MEMORY_BUDGET_UTILIZATION_CEILING` (= 1.0: the
+      budget is a promise, not a suggestion).  Exact and hardware-free;
+      the threaded peak also depends on how many writers seal at the
+      same moment (docs/MEMORY.md, "check-then-seal").
     """
     writers = scale.memory_writers
     per_writer = scale.memory_records
     step = 514_229  # coprime with any power of two
+    keys = [
+        [(seed + writer + i * step) % _DOMAIN.length for i in range(per_writer)]
+        for writer in range(writers)
+    ]
     doc_bytes = record_footprint(Record.matter(0, {"id": 0}))
     budget = writers * _MEMORY_BENCH_CAPACITY * doc_bytes // 2
-    registry = MetricsRegistry()
-    with use_registry(registry):
-        arbiter = MemoryArbiter(budget)
-        scheduler = make_scheduler("threads")
-        datasets = [
-            Dataset(
-                f"bench.memory.{writer}",
-                SimulatedDisk(),
-                primary_key="id",
-                primary_domain=_DOMAIN,
-                memtable_capacity=_MEMORY_BENCH_CAPACITY,
-                merge_policy=ConstantMergePolicy(max_components=4),
-                scheduler=scheduler,
-                maintenance_lane=f"memory.{writer}",
-                memory_arbiter=arbiter,
-            )
-            for writer in range(writers)
-        ]
-        latencies: list[list[float]] = [[] for _ in range(writers)]
+
+    def one_pass(mode: str, drive: Callable[[list[Dataset]], None]) -> int:
+        """``drive`` fresh datasets under one fresh arbiter and settle;
+        returns the arbiter's accounted peak."""
+        registry = MetricsRegistry()
+        with use_registry(registry):
+            arbiter = MemoryArbiter(budget)
+            scheduler = make_scheduler(mode, seed=seed)
+            datasets = [
+                Dataset(
+                    f"bench.memory.{writer}",
+                    SimulatedDisk(),
+                    primary_key="id",
+                    primary_domain=_DOMAIN,
+                    memtable_capacity=_MEMORY_BENCH_CAPACITY,
+                    merge_policy=ConstantMergePolicy(max_components=4),
+                    scheduler=scheduler,
+                    maintenance_lane=f"memory.{writer}",
+                    memory_arbiter=arbiter,
+                )
+                for writer in range(writers)
+            ]
+            drive(datasets)
+            for dataset in datasets:
+                dataset.flush()  # drain barrier
+            scheduler.drain()
+            scheduler.shutdown()
+        # Half the static arena must actually squeeze: a pass where no
+        # early flush fired is not measuring arbitration at all.
+        assert registry.snapshot()["counters"].get(
+            "memory.pressure.early_flush", 0
+        ), (
+            "memory-budget scenario ran without a single arbitration-"
+            "triggered early flush -- budget too generous for the workload"
+        )
+        return arbiter.peak_bytes()
+
+    latencies: list[list[float]] = [[] for _ in range(writers)]
+    elapsed = 0.0
+
+    def threaded(datasets: list[Dataset]) -> None:
+        nonlocal elapsed
 
         def run_writer(writer: int) -> None:
             dataset = datasets[writer]
             observed = latencies[writer].append
-            for i in range(per_writer):
+            for pk in keys[writer]:
                 op_started = timer()
-                dataset.insert({"id": (seed + writer + i * step) % _DOMAIN.length})
+                dataset.insert({"id": pk})
                 observed(timer() - op_started)
 
         threads = [
@@ -783,20 +815,14 @@ def _bench_memory_budget(
         for thread in threads:
             thread.join()
         elapsed = max(timer() - started, 1e-9)
-        for dataset in datasets:
-            dataset.flush()  # drain barrier
-        scheduler.drain()
-        scheduler.shutdown()
-        peak = arbiter.peak_bytes()
-        early_flushes = registry.snapshot()["counters"].get(
-            "memory.pressure.early_flush", 0
-        )
-    # Half the static arena must actually squeeze: a scenario where no
-    # early flush fired is not measuring arbitration at all.
-    assert early_flushes > 0, (
-        "memory-budget scenario ran without a single arbitration-"
-        "triggered early flush -- budget too generous for the workload"
-    )
+
+    def single_threaded(datasets: list[Dataset]) -> None:
+        for round_keys in zip(*keys):
+            for dataset, pk in zip(datasets, round_keys):
+                dataset.insert({"id": pk})
+
+    one_pass("threads", threaded)
+    peak = one_pass("virtual", single_threaded)
     total_ops = writers * per_writer
     flat = sorted(
         latency for per_writer_samples in latencies for latency in per_writer_samples

@@ -405,19 +405,19 @@ class Dataset:
                 self.event_bus.notify_recovered(
                     tree.name, list(reversed(components)), tree.key_extractor
                 )
-        # Replay the logged operations through the normal flush cadence:
-        # every ``memtable_capacity`` ops close a generation, so the
-        # recovered component boundaries (and their statistics) match a
-        # run that never crashed -- even when the crash caught several
-        # rotated generations still queued on the background scheduler.
+        # Replay the logged operations through the live write path's
+        # flush decision, so the recovered component boundaries (and
+        # their statistics) match a run that never crashed -- even when
+        # the crash caught several rotated generations still queued on
+        # the background scheduler.  ``flush()`` is the barrier (it
+        # drains a non-inline scheduler) ahead of the merges below.
         replay = self._replay_ops
         self._replay_ops = []
         for writes in replay:
             for tree, record in writes:
                 tree.memtable.write(record)
-            self._pending_writes += 1
             self._m_replayed_ops.inc()
-            if self._pending_writes >= self.memtable_capacity:
+            if self._flush_due():
                 self.flush()
         for tree in self._all_trees():
             tree.run_pending_merges()
@@ -752,56 +752,46 @@ class Dataset:
             tree.write_record(record)
         self._after_write()
 
-    def _after_write(self) -> None:
+    def _flush_due(self) -> bool:
+        """Count one applied operation; True when the active generation
+        closes here (capacity reached, or the arbiter's allowance
+        exceeded).  Live writes and WAL replay share this one decision,
+        and it reads DML-stream state only, so every scheduler mode and
+        a replay after a crash rotate at the identical record
+        (docs/MEMORY.md determinism contract)."""
         self._pending_writes += 1
+        if self._pending_writes >= self.memtable_capacity:
+            return True
         arbiter = self._memory_arbiter
-        flush_now = self._pending_writes >= self.memtable_capacity
-        if arbiter is not None:
-            arbiter.note_write()
-            if not flush_now:
-                # The early-flush trigger reads only active-memtable
-                # bytes -- DML-thread state -- so sync, virtual and
-                # threaded runs rotate at the identical record
-                # (docs/MEMORY.md determinism contract).
-                active = sum(
-                    tree.memtable.memory_bytes() for tree in self._all_trees()
-                )
-                if arbiter.should_early_flush(active):
-                    arbiter.note_early_flush()
-                    flush_now = True
-        if flush_now:
+        if arbiter is None:
+            return False
+        active = sum(tree.memtable.memory_bytes() for tree in self._all_trees())
+        if arbiter.should_early_flush(active):
+            arbiter.note_early_flush()
+            return True
+        return False
+
+    def _after_write(self) -> None:
+        if self._flush_due():
             if self._scheduler.inline:
                 self.flush()
             else:
                 self.schedule_flush()
-        if arbiter is not None:
+        if self._memory_arbiter is not None:
             self._publish_memory()
 
     def _publish_memory(self) -> None:
         """Push this dataset's pool breakdown to the arbiter (called at
         write/flush/merge/recovery boundaries, from any thread)."""
         arbiter = self._memory_arbiter
-        if arbiter is None:
-            return
-        active = immutable = bloom = resident = 0
-        for tree in self._all_trees():
-            tree_active, tree_immutable, tree_bloom, tree_resident = (
-                tree.memory_breakdown()
-            )
-            active += tree_active
-            immutable += tree_immutable
-            bloom += tree_bloom
-            resident += tree_resident
-        arbiter.update_usage(self._lane, active, immutable, bloom, resident)
+        if arbiter is not None:
+            arbiter.update_usage(self._lane, *self.memory_breakdown())
 
     def memory_breakdown(self) -> tuple[int, int, int, int]:
         """Accounted bytes as ``(active, immutable, bloom, resident)``
         summed over every index tree."""
-        totals = [0, 0, 0, 0]
-        for tree in self._all_trees():
-            for i, value in enumerate(tree.memory_breakdown()):
-                totals[i] += value
-        return tuple(totals)  # type: ignore[return-value]
+        per_tree = [tree.memory_breakdown() for tree in self._all_trees()]
+        return tuple(map(sum, zip(*per_tree)))  # type: ignore[return-value]
 
     def memory_bytes(self) -> int:
         """Total accounted footprint of this dataset."""

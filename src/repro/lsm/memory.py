@@ -12,16 +12,20 @@ budget per node beats any static per-dataset split: the
 * the **merged-synopsis cache** -- the master-side fast path of
   Algorithm 2 (``core/cache.py``).
 
-Shares re-balance as the workload shifts: a write-heavy phase grows the
-write arena at the cache's expense, an estimate-heavy phase does the
-reverse.  Pressure responses are split by determinism class (the same
-discipline ``MergePacer`` follows, docs/MEMORY.md):
+The four shares are constants that sum to 1.0.  Where a flush cuts a
+component decides what the statistics catalog holds (one synopsis per
+component), so nothing a reader does and nothing a restart forgets may
+move the cut: the per-dataset allowance is a pure function of (budget,
+registered datasets).  Pressure responses are split by determinism
+class (the same discipline ``MergePacer`` follows, docs/MEMORY.md):
 
 * **Early flushes** are *image-affecting but mode-invariant*: the
   trigger compares the active memtables' accounted bytes -- a pure
   function of the DML stream and prior rotation points -- against the
-  per-dataset allowance, so sync, virtual and threaded schedulers all
-  rotate at the identical record.  ``racecheck --memory`` proves it.
+  per-dataset allowance, so sync, virtual and threaded schedulers, any
+  interleaving of estimate clients, and a WAL replay after a crash all
+  rotate at the identical record.  ``racecheck --memory`` and
+  ``tests/test_verify.py`` prove it.
 * **Backpressure and cache evictions** are *timing-only*: the write
   path may wait for the immutable pool to drain (never changing what
   flushes produce), and LRU evictions only cost the master a
@@ -104,29 +108,27 @@ class MemoryUsage:
 
 
 class MemoryArbiter:
-    """One global byte budget, adaptively shared between LSM pools.
+    """One global byte budget, split between LSM pools in fixed shares.
 
     Datasets register themselves and push usage breakdowns; the master's
     merged-synopsis cache may be attached so its capacity tracks the
     cache share.  All methods are thread-safe (background flush/merge
-    completions publish usage from worker threads), but every
-    *image-affecting* decision -- the early-flush allowance -- depends
-    only on state advanced by the DML thread, keeping arbitration
-    seed-replayable.
+    completions publish usage from worker threads), but the one
+    *image-affecting* decision -- the early-flush allowance -- moves
+    only with :meth:`register_dataset`: no usage publish, cache traffic
+    or estimate changes it.
     """
 
-    #: Fixed share reserved for sealed memtables awaiting flush.
+    #: Share of the write arena: every dataset's active memtables.
+    WRITE_SHARE = 0.45
+    #: Share reserved for sealed memtables awaiting flush.
     IMMUTABLE_SHARE = 0.25
-    #: Fixed headroom for component bloom filters; overflow beyond it is
-    #: charged to the cache share at the next capacity refresh.
+    #: Headroom for component bloom filters; overflow beyond it is
+    #: charged to the cache pool, which the cluster re-reads on every
+    #: estimate.
     BLOOM_SHARE = 0.15
-    #: The adaptive remainder, split between write arena and cache.
-    ADAPTIVE_SHARE = 0.60
-    #: Write-arena fraction bounds (of the whole budget).
-    WRITE_FRAC_MIN = 0.15
-    WRITE_FRAC_MAX = 0.45
-    #: Operations between share recomputations.
-    REBALANCE_OPS = 256
+    #: Share of the merged-synopsis cache (the one evictable pool).
+    CACHE_SHARE = 0.15
     #: Per-dataset allowance floor: arbitration may flush early but must
     #: never wedge a dataset below a couple of records of headroom.
     MIN_WRITE_ALLOWANCE = 1024
@@ -141,23 +143,16 @@ class MemoryArbiter:
                 f"memory budget must be >= 1 byte, got {budget_bytes}"
             )
         # RLock: an attached cache's bytes-changed listener may fire
-        # while this arbiter already holds the lock (a capacity refresh
-        # that evicts re-enters through the listener).
+        # while this arbiter already holds the lock (attaching a cache
+        # that must evict re-enters through the listener).
         self._lock = threading.RLock()
         self._budget = int(budget_bytes)
         self._usage: dict[str, MemoryUsage] = {}
         self._cache: "MergedSynopsisCache | None" = None
-        # Adaptive split state: write/estimate op counts since the last
-        # decay, advanced deterministically by the DML/estimate callers.
-        self._write_ops = 0
-        self._estimate_ops = 0
-        self._ops_at_rebalance = 0
-        self._write_frac = (self.WRITE_FRAC_MIN + self.WRITE_FRAC_MAX) / 2
         self._peak = 0
         obs = registry if registry is not None else get_registry()
         self._m_early_flush = obs.counter("memory.pressure.early_flush")
         self._m_stall = obs.counter("memory.pressure.stall")
-        self._m_rebalance = obs.counter("memory.rebalance.count")
         self._g_budget = obs.gauge("memory.budget.bytes")
         self._g_accounted = obs.gauge("memory.accounted.bytes")
         self._g_peak = obs.gauge("memory.peak.bytes")
@@ -168,43 +163,20 @@ class MemoryArbiter:
         # registry aggregate instead of overwriting each other.
         self._published: dict[str, float] = {}
         self._publish(self._g_budget, "budget", self._budget)
-        self._publish_pools_locked()
+        self._publish(self._g_write_pool, "write_pool", self.write_pool_bytes())
+        self._publish_cache_pool_locked()
 
     # -- configuration ---------------------------------------------------
 
-    @property
-    def budget_bytes(self) -> int:
-        """The configured global budget."""
-        return self._budget
-
-    def set_budget(self, budget_bytes: int) -> None:
-        """Re-target the budget (cluster-level re-split)."""
-        if budget_bytes < 1:
-            raise ConfigurationError(
-                f"memory budget must be >= 1 byte, got {budget_bytes}"
-            )
-        with self._lock:
-            self._budget = int(budget_bytes)
-            self._publish(self._g_budget, "budget", self._budget)
-            self._publish_pools_locked()
-            self._refresh_cache_locked()
-
     def register_dataset(self, key: str) -> None:
         """Admit a dataset into the write arena (idempotent: a restart
-        re-registers the same key and replaces the stale usage)."""
+        re-registers the same key, so the allowance survives it)."""
         with self._lock:
             self._usage.setdefault(key, MemoryUsage())
-            self._publish_pools_locked()
-
-    def unregister_dataset(self, key: str) -> None:
-        """Drop a dataset's registration and accounted usage."""
-        with self._lock:
-            if self._usage.pop(key, None) is not None:
-                self._publish_accounted_locked()
-                self._publish_pools_locked()
 
     def attach_cache(self, cache: "MergedSynopsisCache") -> None:
-        """Let the arbiter drive the merged-synopsis cache's capacity.
+        """Bound the merged-synopsis cache by the cache pool and count
+        its bytes in the accounted total.
 
         The cache's bytes-changed listener keeps the accounted total
         and its high-water mark current for cache traffic that happens
@@ -213,65 +185,29 @@ class MemoryArbiter:
             self._cache = cache
             cache.add_bytes_listener(self._on_cache_bytes)
             self._publish_accounted_locked()
-            self._refresh_cache_locked()
+            cache.set_capacity(self._cache_pool_locked())
 
     def _on_cache_bytes(self, _bytes: int) -> None:
         with self._lock:
             self._publish_accounted_locked()
 
-    # -- workload adaptation ---------------------------------------------
-
-    def note_write(self, n: int = 1) -> None:
-        """Record write traffic (DML thread; drives the adaptive split)."""
-        with self._lock:
-            self._write_ops += n
-            self._maybe_rebalance_locked()
-
-    def note_estimate(self, n: int = 1) -> None:
-        """Record estimate traffic (grows the cache share)."""
-        with self._lock:
-            self._estimate_ops += n
-            self._maybe_rebalance_locked()
-
-    def _maybe_rebalance_locked(self) -> None:
-        total = self._write_ops + self._estimate_ops
-        if total - self._ops_at_rebalance < self.REBALANCE_OPS:
-            return
-        ratio = self._write_ops / total if total else 0.5
-        self._write_frac = self.WRITE_FRAC_MIN + ratio * (
-            self.WRITE_FRAC_MAX - self.WRITE_FRAC_MIN
-        )
-        # Exponential decay: old traffic fades so the split tracks the
-        # *current* phase rather than the whole history.
-        self._write_ops //= 2
-        self._estimate_ops //= 2
-        self._ops_at_rebalance = self._write_ops + self._estimate_ops
-        self._m_rebalance.inc()
-        self._publish_pools_locked()
-        self._refresh_cache_locked()
-
     # -- pool geometry ---------------------------------------------------
 
     def write_pool_bytes(self) -> int:
-        """Current bytes assigned to the write arena."""
-        with self._lock:
-            return self._write_pool_locked()
+        """Bytes assigned to the write arena."""
+        return int(self._budget * self.WRITE_SHARE)
 
     def write_allowance(self) -> int:
         """Per-dataset active-memtable allowance (write pool / datasets).
 
-        Mode-invariant by construction: depends only on the budget, the
-        registration count and the op-count-driven adaptive split.
+        Mode-invariant by construction: depends only on the budget and
+        the registration count.
         """
         with self._lock:
             return max(
                 self.MIN_WRITE_ALLOWANCE,
-                self._write_pool_locked() // max(1, len(self._usage)),
+                self.write_pool_bytes() // max(1, len(self._usage)),
             )
-
-    def immutable_pool_bytes(self) -> int:
-        """Bytes reserved for sealed memtables awaiting flush."""
-        return int(self._budget * self.IMMUTABLE_SHARE)
 
     def cache_pool_bytes(self) -> int:
         """Bytes the merged-synopsis cache may occupy right now.
@@ -282,15 +218,12 @@ class MemoryArbiter:
         with self._lock:
             return self._cache_pool_locked()
 
-    def _write_pool_locked(self) -> int:
-        return int(self._budget * self._write_frac)
-
     def _cache_pool_locked(self) -> int:
-        cache_frac = self.ADAPTIVE_SHARE - self._write_frac
         bloom_bytes = sum(usage.bloom for usage in self._usage.values())
         overflow = max(0, bloom_bytes - int(self._budget * self.BLOOM_SHARE))
         return max(
-            self.MIN_CACHE_BYTES, int(self._budget * cache_frac) - overflow
+            self.MIN_CACHE_BYTES,
+            int(self._budget * self.CACHE_SHARE) - overflow,
         )
 
     # -- pressure decisions ----------------------------------------------
@@ -312,7 +245,7 @@ class MemoryArbiter:
         write path's backpressure predicate; timing-only)."""
         with self._lock:
             immutable = sum(u.immutable for u in self._usage.values())
-        return immutable <= self.immutable_pool_bytes()
+        return immutable <= int(self._budget * self.IMMUTABLE_SHARE)
 
     def note_pressure_stall(self) -> None:
         """Count one write-path wait on the immutable pool."""
@@ -330,8 +263,13 @@ class MemoryArbiter:
     ) -> None:
         """Publish one dataset's footprint breakdown (any thread)."""
         with self._lock:
+            previous = self._usage.get(key)
             self._usage[key] = MemoryUsage(active, immutable, bloom, resident)
             self._publish_accounted_locked()
+            # (only bloom bytes move the cache pool -- at flushes and
+            # merges, not per write: keep the per-write section short)
+            if previous is None or previous.bloom != bloom:
+                self._publish_cache_pool_locked()
 
     def accounted_bytes(self) -> int:
         """Current accounted total: every dataset plus the cache."""
@@ -342,27 +280,6 @@ class MemoryArbiter:
         """High-water mark of :meth:`accounted_bytes`."""
         with self._lock:
             return self._peak
-
-    def breakdown(self) -> dict[str, Any]:
-        """JSON-ready snapshot of pools, shares and accounted usage."""
-        with self._lock:
-            active = sum(u.active for u in self._usage.values())
-            immutable = sum(u.immutable for u in self._usage.values())
-            bloom = sum(u.bloom for u in self._usage.values())
-            resident = sum(u.resident for u in self._usage.values())
-            cache = self._cache.memory_bytes() if self._cache else 0
-            return {
-                "budget": self._budget,
-                "write_frac": self._write_frac,
-                "datasets": len(self._usage),
-                "active": active,
-                "immutable": immutable,
-                "bloom": bloom,
-                "resident": resident,
-                "cache": cache,
-                "accounted": active + immutable + bloom + resident + cache,
-                "peak": self._peak,
-            }
 
     def _accounted_locked(self) -> int:
         total = sum(usage.total for usage in self._usage.values())
@@ -377,13 +294,8 @@ class MemoryArbiter:
             self._peak = total
             self._publish(self._g_peak, "peak", self._peak)
 
-    def _publish_pools_locked(self) -> None:
-        self._publish(self._g_write_pool, "write_pool", self._write_pool_locked())
+    def _publish_cache_pool_locked(self) -> None:
         self._publish(self._g_cache_pool, "cache_pool", self._cache_pool_locked())
-
-    def _refresh_cache_locked(self) -> None:
-        if self._cache is not None:
-            self._cache.set_capacity(self._cache_pool_locked())
 
     def _publish(self, gauge: Any, key: str, value: float) -> None:
         previous = self._published.get(key, 0.0)

@@ -10,12 +10,14 @@ forced early flushes) -- a composition that silently degrades to the
 unperturbed run proves nothing.
 """
 
+import threading
 from functools import partial
 
 import pytest
 
 from repro import verify
 from repro.cluster.faults import FaultPlan, LinkFaults
+from repro.cluster.serving import EstimateService
 from repro.core.config import StatisticsConfig
 from repro.lsm.crashpoints import CrashInjector, CrashPlan
 from repro.synopses.base import SynopsisType
@@ -102,26 +104,115 @@ def test_scheduler_on_lossy_wire_under_memory_budget(
     _assert_converged(mode, budgeted_baseline, run)
 
 
-@pytest.mark.xfail(
-    strict=True,
-    reason="crash x memory budget does not compose, even under sync: the "
-    "arbiter's traffic-adaptive split (how much of the budget the write "
-    "arena gets) is in-memory state that recovery does not rebuild from "
-    "the durable log, so after a restart the write allowance differs and "
-    "early flushes cut components at different records than in the "
-    "crash-free run",
+@pytest.mark.parametrize(
+    "point,hit", [("flush.build", 1), ("flush.build", 5), ("merge.splice", 2)]
 )
-def test_crash_under_memory_budget():
-    baseline = verify.observe("sync", _script(128), memory_budget=MEMORY_BUDGET)
-    injector = CrashInjector(CrashPlan("flush.build", 1))
+@pytest.mark.parametrize("records", [128, 512, 1024])
+def test_crash_under_memory_budget(records, point, hit):
+    baseline = verify.observe(
+        "sync", _script(records), memory_budget=MEMORY_BUDGET
+    )
+    injector = CrashInjector(CrashPlan(point, hit))
     run = verify.observe(
-        "flush.build",
-        _script(128),
+        f"{point}#{hit}",
+        _script(records),
         crash_injector=injector,
         memory_budget=MEMORY_BUDGET,
     )
-    assert injector.fired is not None
-    _assert_converged("flush.build", baseline, run)
+    assert run.counters.get("memory.pressure.early_flush", 0) > 0
+    if (records, point) == (128, "merge.splice"):
+        # The 128-record script splices one merge only.
+        assert injector.fired is None
+    else:
+        assert injector.fired is not None
+        # The replayed operations went through the shared flush decision.
+        assert run.counters.get("wal.replayed.records", 0) > 0
+    _assert_converged(f"{point}#{hit}", baseline, run)
+
+
+# -- estimates are reads: they must not move component cuts ----------------------
+
+
+# `estimate_ndv` needs the NDV lane, which adds `#ndv` catalog entries:
+# these runs carry their own K = 0 baseline.
+WITH_NDV = StatisticsConfig(SynopsisType.EQUI_WIDTH, budget=32, ndv_enabled=True)
+
+
+def _script_with_estimates(per_op, records=RECORDS):
+    """The op script with ``per_op`` range estimates and one NDV
+    estimate after every operation; returns the estimates served."""
+
+    def drive(cluster):
+        served = 0
+        for op, arg in verify.ops(records):
+            verify.apply(cluster, op, arg)
+            for i in range(per_op):
+                cluster.estimate(verify.DATASET, "value_idx", 64 * i, 64 * i + 255)
+            cluster.estimate_ndv(verify.DATASET, "value_idx")
+            served += per_op + 1
+        return served
+
+    return drive
+
+
+def test_estimates_do_not_move_component_cuts():
+    baseline = verify.observe(
+        "sync", _script(), memory_budget=MEMORY_BUDGET, stats_config=WITH_NDV
+    )
+    early = baseline.counters.get("memory.pressure.early_flush", 0)
+    assert early > 0
+    for per_op in (1, 4):
+        run = verify.observe(
+            f"estimates[{per_op}]",
+            _script_with_estimates(per_op),
+            memory_budget=MEMORY_BUDGET,
+            stats_config=WITH_NDV,
+        )
+        assert run.outcome > 0
+        assert run.counters.get("memory.pressure.early_flush", 0) == early
+        _assert_converged(f"estimates[{per_op}]", baseline, run)
+
+
+def test_estimate_clients_do_not_move_component_cuts(budgeted_baseline):
+    """The threaded form: background maintenance, and two service
+    clients estimating for as long as the script writes."""
+
+    def drive(cluster):
+        done = threading.Event()
+        served = [0, 0]
+
+        def client(slot):
+            lo = 0
+            while not done.is_set():
+                service.estimate(f"c{slot}", verify.DATASET, "value_idx", lo, lo + 255)
+                served[slot] += 1
+                lo = (lo + 64) % 1024
+
+        with EstimateService(cluster, workers=2) as service:
+            clients = [
+                threading.Thread(target=client, args=(slot,)) for slot in (0, 1)
+            ]
+            for thread in clients:
+                thread.start()
+            try:
+                verify.run_script(cluster, RECORDS)
+            finally:
+                done.set()
+                for thread in clients:
+                    thread.join(10.0)
+            assert not any(thread.is_alive() for thread in clients)
+        return served
+
+    run = verify.observe(
+        "threads+clients",
+        drive,
+        scheduler="threads",
+        memory_budget=MEMORY_BUDGET,
+    )
+    assert min(run.outcome) > 0
+    assert run.counters.get("memory.pressure.early_flush", 0) > 0
+    _assert_background_ran(run)
+    _assert_converged("threads+clients", budgeted_baseline, run)
 
 
 # -- schedule-invariant estimates for an unmergeable family ---------------------
