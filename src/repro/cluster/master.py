@@ -19,7 +19,7 @@ this was pinned down; tests assert the equality).
 from __future__ import annotations
 
 import threading
-from typing import Any
+from functools import partial
 
 from repro.core.cache import MergedSynopsisCache
 from repro.core.catalog import StatisticsCatalog
@@ -28,8 +28,9 @@ from repro.core.estimator import (
     EstimateResult,
     NDVEstimate,
 )
+from repro.cluster import wire
 from repro.cluster.network import Network
-from repro.errors import ClusterError
+from repro.errors import ClusterError, SynopsisError, WireError
 from repro.obs.registry import MetricsRegistry, get_registry
 from repro.synopses.factory import synopsis_from_payload
 
@@ -133,30 +134,73 @@ class ClusterController:
 
     # -- message handling ---------------------------------------------------
 
-    def _on_message(self, source: str, message: dict[str, Any]) -> None:
-        kind = message.get("kind")
+    def _on_message(self, source: str, frame: bytes) -> None:
+        message = wire.decode(frame)
+        kind = message.get("kind") if isinstance(message, dict) else None
         if kind not in ("stats.publish", "stats.retract", "stats.reset"):
             raise ClusterError(f"unknown message kind {kind!r} from {source}")
+        # Everything a frame can get wrong is read here, before the
+        # fencing / dedup state or the catalog is touched: a rejected
+        # frame leaves no trace, so a good copy of it still applies.
+        try:
+            index_name = message["index"]
+            if not isinstance(index_name, str):
+                raise TypeError(f"index name {index_name!r} is not a string")
+            partition = int(message["partition"])
+            epoch = int(message.get("epoch", 0))
+            seq = message.get("seq")
+            if seq is not None:
+                seq = int(seq)
+            if kind == "stats.publish":
+                change = partial(
+                    self.catalog.put,
+                    index_name,
+                    source,
+                    partition,
+                    int(message["component_uid"]),
+                    synopsis_from_payload(message["synopsis"]),
+                    synopsis_from_payload(message["anti_synopsis"]),
+                    epoch=epoch,
+                )
+            elif kind == "stats.retract":
+                change = partial(
+                    self.catalog.retract,
+                    index_name,
+                    source,
+                    partition,
+                    list(map(int, message["component_uids"])),
+                )
+            else:
+                # A recovered node disowns its pre-crash statistics:
+                # every entry this node/partition published under an
+                # older epoch goes; the sink's FIFO outbox guarantees
+                # the reset precedes the new incarnation's re-publishes.
+                change = partial(
+                    self.catalog.reset_partition,
+                    index_name,
+                    source,
+                    partition,
+                    below_epoch=epoch,
+                )
+        except (KeyError, TypeError, ValueError, SynopsisError) as exc:
+            raise WireError(f"malformed {kind} from {source}: {exc!r}") from exc
         with self._lock:
             # Legacy attribute and metric count the same thing: every
             # statistics message handled, publishes, retracts and resets
             # alike.
             self.stats_messages_received += 1
             self._m_messages.inc()
-            if self._is_stale_epoch(source, message):
+            if self._is_stale_epoch(source, partition, epoch):
                 self._m_stale.inc()
                 return
-            if self._is_duplicate(source, message):
+            if seq is not None and self._is_duplicate(source, partition, epoch, seq):
                 self._m_duplicates.inc()
                 return
-            if kind == "stats.publish":
-                self._handle_publish(source, message)
-            elif kind == "stats.retract":
-                self._handle_retract(source, message)
-            else:
-                self._handle_reset(source, message)
+            if kind == "stats.reset":
+                self._m_resets.inc()
+            self._apply(index_name, change)
 
-    def _is_stale_epoch(self, source: str, message: dict[str, Any]) -> bool:
+    def _is_stale_epoch(self, source: str, partition: int, epoch: int) -> bool:
         """Fence out a crashed incarnation's straggler messages.
 
         Each node/partition carries a monotone restart epoch; the first
@@ -164,8 +208,7 @@ class ClusterController:
         below the floor is dropped -- a delayed pre-crash publish must
         not land after the recovered node reset its statistics.
         """
-        epoch = int(message.get("epoch", 0))
-        channel = (source, int(message.get("partition", -1)))
+        channel = (source, partition)
         floor = self._epochs.get(channel, 0)
         if epoch < floor:
             return True
@@ -173,7 +216,9 @@ class ClusterController:
             self._epochs[channel] = epoch
         return False
 
-    def _is_duplicate(self, source: str, message: dict[str, Any]) -> bool:
+    def _is_duplicate(
+        self, source: str, partition: int, epoch: int, seq: int
+    ) -> bool:
         """Whether this exact message was applied before.
 
         Messages are stamped ``(partition, seq)`` by the sending sink
@@ -182,15 +227,7 @@ class ClusterController:
         messages -- hand-rolled tests, pre-stamp senders -- bypass
         deduplication and rely on the catalog's own idempotency.
         """
-        seq = message.get("seq")
-        if seq is None:
-            return False
-        channel = (
-            source,
-            int(message.get("partition", -1)),
-            int(message.get("epoch", 0)),
-        )
-        applied = self._applied_seqs.setdefault(channel, set())
+        applied = self._applied_seqs.setdefault((source, partition, epoch), set())
         if seq in applied:
             return True
         applied.add(seq)
@@ -206,49 +243,3 @@ class ClusterController:
         self._g_catalog_entries.set(self.catalog.entry_count())
         if self.cache is not None:
             self.cache.invalidate(index_name)
-
-    def _handle_publish(self, source: str, message: dict[str, Any]) -> None:
-        index_name = message["index"]
-        self._apply(
-            index_name,
-            lambda: self.catalog.put(
-                index_name,
-                source,
-                message["partition"],
-                message["component_uid"],
-                synopsis_from_payload(message["synopsis"]),
-                synopsis_from_payload(message["anti_synopsis"]),
-                epoch=int(message.get("epoch", 0)),
-            ),
-        )
-
-    def _handle_reset(self, source: str, message: dict[str, Any]) -> None:
-        """A recovered node disowns its pre-crash statistics.
-
-        Clears every catalog entry this node/partition published under
-        an older epoch; the sink's FIFO outbox guarantees the reset
-        precedes the recovered incarnation's re-publishes.
-        """
-        index_name = message["index"]
-        self._m_resets.inc()
-        self._apply(
-            index_name,
-            lambda: self.catalog.reset_partition(
-                index_name,
-                source,
-                message["partition"],
-                below_epoch=int(message.get("epoch", 0)),
-            ),
-        )
-
-    def _handle_retract(self, source: str, message: dict[str, Any]) -> None:
-        index_name = message["index"]
-        self._apply(
-            index_name,
-            lambda: self.catalog.retract(
-                index_name,
-                source,
-                message["partition"],
-                message["component_uids"],
-            ),
-        )

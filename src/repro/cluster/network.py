@@ -5,11 +5,13 @@ protocol: "each local synopsis ... is sent over the network to the
 master node[;] the synopsis is persisted in the system catalog, so that
 it can be used during query optimization."  It stands in for the
 Gigabit Ethernet of the paper's 4+1-node AsterixDB cluster (Section
-4.1's testbed).  Messages are JSON-serialisable dicts; every send is
-charged its serialised size, so experiments can report exactly how much
-synopsis traffic the framework generates -- the paper's argument that
-shipping a few hundred bucket values is negligible next to the data
-itself.
+4.1's testbed).  The wire carries ``bytes``: a sender hands over one
+immutable frame (:mod:`repro.cluster.wire` encodes the statistics
+messages), every delivery is charged ``len(frame)`` and the receiving
+handler gets exactly those bytes -- so the traffic experiments report
+is by construction what the master learned from, the measure behind
+the paper's argument that shipping a few hundred bucket values is
+negligible next to the data itself.
 
 By default delivery is synchronous, ordered and exactly-once --
 adequate for the happy-path statistics protocol.  Installing a
@@ -31,10 +33,9 @@ including the fault counters ``network.dropped`` /
 
 from __future__ import annotations
 
-import json
 import threading
 from dataclasses import dataclass, field
-from typing import Any, Callable
+from typing import Callable
 
 from repro.cluster.faults import FaultDecision, FaultPlan
 from repro.errors import ClusterError, NetworkUnavailableError
@@ -42,7 +43,7 @@ from repro.obs.registry import MetricsRegistry, get_registry
 
 __all__ = ["NetworkStats", "Network"]
 
-MessageHandler = Callable[[str, dict[str, Any]], None]
+MessageHandler = Callable[[str, bytes], None]
 
 
 @dataclass
@@ -64,14 +65,13 @@ class NetworkStats:
 
 @dataclass(frozen=True)
 class _HeldMessage:
-    """A message parked for reordering/delay until ``release_tick``."""
+    """A frame parked for reordering/delay until ``release_tick``."""
 
     release_tick: int
     order: int  # FIFO among equal release ticks
     source: str
     destination: str
-    message: dict[str, Any]
-    size: int
+    frame: bytes
 
 
 class Network:
@@ -116,8 +116,8 @@ class Network:
             raise ClusterError(f"node {node_id!r} already registered")
         self._handlers[node_id] = handler
 
-    def send(self, source: str, destination: str, message: dict[str, Any]) -> int:
-        """Serialise, account and deliver a message; returns its size.
+    def send(self, source: str, destination: str, frame: bytes) -> int:
+        """Account and deliver one frame; returns its size in bytes.
 
         Raises :class:`NetworkUnavailableError` when the installed
         fault plan loses the message or the destination is inside an
@@ -125,19 +125,21 @@ class Network:
         like a timed-out send.
         """
         with self._wire_lock:
-            return self._send_locked(source, destination, message)
+            return self._send_locked(source, destination, frame)
 
-    def _send_locked(
-        self, source: str, destination: str, message: dict[str, Any]
-    ) -> int:
+    def _send_locked(self, source: str, destination: str, frame: bytes) -> int:
         handler = self._handlers.get(destination)
         if handler is None:
             raise ClusterError(f"unknown destination node {destination!r}")
-        size = len(json.dumps(message, separators=(",", ":")).encode())
+        if not isinstance(frame, bytes):
+            raise ClusterError(
+                f"the wire carries bytes, got {type(frame).__name__} "
+                f"from {source!r}"
+            )
         plan = self.fault_plan
         if plan is None:
-            self._deliver(handler, source, destination, message, size)
-            return size
+            self._deliver(handler, source, destination, frame)
+            return len(frame)
 
         tick = self._clock
         self._clock += 1
@@ -168,16 +170,15 @@ class Network:
                         self._held_order,
                         source,
                         destination,
-                        message,
-                        size,
+                        frame,
                     )
                 )
                 self._held_order += 1
         else:
             for _ in range(copies):
-                self._deliver(handler, source, destination, message, size)
+                self._deliver(handler, source, destination, frame)
         self._release_due(tick)
-        return size
+        return len(frame)
 
     def drain(self) -> int:
         """Deliver every held (reordered/delayed) message immediately.
@@ -206,13 +207,12 @@ class Network:
         handler: MessageHandler,
         source: str,
         destination: str,
-        message: dict[str, Any],
-        size: int,
+        frame: bytes,
     ) -> None:
-        self.stats.record(destination, size)
+        self.stats.record(destination, len(frame))
         self._m_messages.inc()
-        self._m_bytes.inc(size)
-        handler(source, message)
+        self._m_bytes.inc(len(frame))
+        handler(source, frame)
 
     def _release_due(self, tick: int | None) -> int:
         """Deliver held messages whose release tick has passed
@@ -234,7 +234,5 @@ class Network:
             if handler is None:  # endpoint vanished; count as a loss
                 self._m_dropped.inc()
                 continue
-            self._deliver(
-                handler, held.source, held.destination, held.message, held.size
-            )
+            self._deliver(handler, held.source, held.destination, held.frame)
         return len(due)

@@ -17,6 +17,7 @@ from typing import Any, Callable, Iterable
 
 from repro.core.collector import StatisticsCollector
 from repro.core.config import StatisticsConfig
+from repro.cluster import wire
 from repro.cluster.network import Network
 from repro.errors import ClusterError, NetworkUnavailableError
 from repro.lsm.crashpoints import CrashInjector
@@ -47,8 +48,10 @@ class NetworkStatisticsSink:
 
     Delivery is at-least-once: every message is stamped with a
     ``(node, partition, sequence)`` identity (the sequence is unique per
-    node/partition pair, shared across the partition's datasets), sent
-    through a bounded FIFO outbox, and retried with exponential backoff
+    node/partition pair, shared across the partition's datasets),
+    encoded once into an immutable :mod:`~repro.cluster.wire` frame,
+    sent through a bounded FIFO outbox of those frames, and retried --
+    the same bytes every attempt -- with exponential backoff
     and jitter when the wire misbehaves.  Ingestion never blocks on the
     master: when delivery keeps failing the message stays parked in the
     outbox -- the collector keeps building synopses -- and the backlog
@@ -83,7 +86,7 @@ class NetworkStatisticsSink:
         # flushing the backlog; enqueue+pump must be atomic or two
         # pumps could pop the same head / double-send it.
         self._mutex = threading.RLock()
-        self._outbox: deque[dict[str, Any]] = deque()
+        self._outbox: deque[bytes] = deque()
         self._outbox_limit = outbox_limit
         self._sequence = 0
         self._next_sequence = (
@@ -181,7 +184,7 @@ class NetworkStatisticsSink:
             self._outbox.popleft()  # shed the oldest, keep ingesting
             self._m_outbox_dropped.inc()
             self._g_outbox_depth.inc(-1)
-        self._outbox.append(message)
+        self._outbox.append(wire.encode(message))
         self._g_outbox_depth.inc(1)
 
     def _pump(self) -> None:
@@ -194,12 +197,12 @@ class NetworkStatisticsSink:
             self._outbox.popleft()
             self._g_outbox_depth.inc(-1)
 
-    def _try_send(self, message: dict[str, Any]) -> bool:
+    def _try_send(self, frame: bytes) -> bool:
         policy = self._policy
         waited = 0.0
         for attempt in range(policy.max_attempts):
             try:
-                self._network.send(self._node_id, self._master_id, message)
+                self._network.send(self._node_id, self._master_id, frame)
                 return True
             except NetworkUnavailableError:
                 if attempt + 1 >= policy.max_attempts:
@@ -523,8 +526,8 @@ class StorageNode:
         """Messages currently parked across this node's sinks."""
         return sum(sink.outbox_depth for sink in self._sinks)
 
-    def _on_message(self, source: str, message: dict[str, Any]) -> None:
+    def _on_message(self, source: str, frame: bytes) -> None:
         raise ClusterError(
-            f"storage node {self.node_id} received unexpected message "
-            f"{message.get('kind')!r} from {source}"
+            f"storage node {self.node_id} received an unexpected "
+            f"{len(frame)}-byte message from {source}"
         )

@@ -95,6 +95,12 @@ class NetworkUnavailableError(ClusterError):
     """
 
 
+class WireError(ClusterError):
+    """A wire frame could not be encoded or decoded: a value of a type
+    the format does not carry, or bytes that are truncated, corrupt or
+    not a frame at all.  Nothing of a rejected frame is applied."""
+
+
 class QueryError(ReproError):
     """A query or predicate was malformed."""
 

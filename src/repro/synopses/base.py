@@ -164,7 +164,9 @@ class Synopsis(ABC):
 
     @abstractmethod
     def to_payload(self) -> dict[str, Any]:
-        """A JSON-able representation (shipped over the network sim)."""
+        """A plain-data representation -- dicts, lists, ints, floats,
+        strings, ``bytes`` -- that :mod:`repro.cluster.wire` frames for
+        the network and the catalog file."""
 
     def payload_bytes(self) -> int:
         """Approximate serialised size: 16 bytes per element plus a

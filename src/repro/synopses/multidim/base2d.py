@@ -98,7 +98,7 @@ class Synopsis2D(ABC):
 
     @abstractmethod
     def to_payload(self) -> dict[str, Any]:
-        """JSON-able representation for the network simulation."""
+        """Plain-data representation (see ``Synopsis.to_payload``)."""
 
     def payload_bytes(self) -> int:
         """Approximate serialised size (16 bytes per element + header),

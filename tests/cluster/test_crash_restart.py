@@ -3,6 +3,7 @@
 import pytest
 
 from repro import verify
+from repro.cluster import wire
 from repro.cluster.cluster import LSMCluster
 from repro.cluster.crashcheck import format_report, run_crashcheck
 from repro.cluster.faults import FaultPlan, LinkFaults
@@ -111,23 +112,22 @@ def test_stale_epoch_messages_are_fenced_out():
     master = cluster.master
     entries_before = master.catalog.entry_count()
     # A straggler publish from the crashed incarnation (epoch 0).
+    index_name = master.catalog.index_names()[0]
+    straggler = master.catalog.entries_for(index_name)[0]
     master._on_message(
         cluster.nodes[0].node_id,
-        {
-            "kind": "stats.publish",
-            "index": "ds:primary",
-            "partition": 0,
-            "seq": 10**6,
-            "epoch": 0,
-            "component_uid": 10**6,
-            "synopsis": {"type": "equi_width", "lo": 0, "hi": 1, "heights": [1]},
-            "anti_synopsis": {
-                "type": "equi_width",
-                "lo": 0,
-                "hi": 1,
-                "heights": [0],
-            },
-        },
+        wire.encode(
+            {
+                "kind": "stats.publish",
+                "index": index_name,
+                "partition": 0,
+                "seq": 10**6,
+                "epoch": 0,
+                "component_uid": 10**6,
+                "synopsis": straggler.synopsis.to_payload(),
+                "anti_synopsis": straggler.anti_synopsis.to_payload(),
+            }
+        ),
     )
     assert master.catalog.entry_count() == entries_before
 
@@ -135,7 +135,7 @@ def test_stale_epoch_messages_are_fenced_out():
 def test_unknown_message_kind_still_rejected():
     cluster = _build_cluster()
     with pytest.raises(ClusterError):
-        cluster.master._on_message("nc1", {"kind": "stats.gossip"})
+        cluster.master._on_message("nc1", wire.encode({"kind": "stats.gossip"}))
 
 
 def test_recover_statistics_reports_per_node_backlog():

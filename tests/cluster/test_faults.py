@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.cluster import wire
 from repro.cluster.faultcheck import run_faultcheck
 from repro.cluster.faults import FaultDecision, FaultPlan, LinkFaults
 from repro.cluster.master import ClusterController
@@ -33,7 +34,7 @@ def _publish_message(uid=1, seq=None, partition=0, values=(1, 2)):
     }
     if seq is not None:
         message["seq"] = seq
-    return message
+    return wire.encode(message)
 
 
 def _retract_message(uids, seq=None, partition=0):
@@ -45,7 +46,7 @@ def _retract_message(uids, seq=None, partition=0):
     }
     if seq is not None:
         message["seq"] = seq
-    return message
+    return wire.encode(message)
 
 
 # -- FaultPlan policy ---------------------------------------------------------
@@ -114,9 +115,9 @@ def test_drop_raises_and_counts():
         registry=registry, fault_plan=FaultPlan(default=LinkFaults(drop=1.0))
     )
     received = []
-    network.register("m", lambda s, msg: received.append(msg))
+    network.register("m", lambda s, frame: received.append(wire.decode(frame)))
     with pytest.raises(NetworkUnavailableError):
-        network.send("a", "m", {"x": 1})
+        network.send("a", "m", wire.encode({"x": 1}))
     assert received == []
     assert registry.counter("network.dropped").value == 1
     assert network.stats.messages == 0  # byte accounting charges deliveries only
@@ -128,8 +129,8 @@ def test_duplicate_delivers_twice():
         registry=registry, fault_plan=FaultPlan(default=LinkFaults(duplicate=1.0))
     )
     received = []
-    network.register("m", lambda s, msg: received.append(msg))
-    network.send("a", "m", {"x": 1})
+    network.register("m", lambda s, frame: received.append(wire.decode(frame)))
+    network.send("a", "m", wire.encode({"x": 1}))
     assert received == [{"x": 1}, {"x": 1}]
     assert registry.counter("network.duplicated").value == 1
     assert network.stats.messages == 2
@@ -140,9 +141,11 @@ def test_reordering_swaps_past_later_traffic():
     plan = FaultPlan(links={("a", "m"): LinkFaults(reorder=1.0)})
     network = Network(registry=registry, fault_plan=plan)
     received = []
-    network.register("m", lambda s, msg: received.append((s, msg["x"])))
-    network.send("a", "m", {"x": "held"})  # held until tick >= 1
-    network.send("b", "m", {"x": "fast"})  # clean link: delivered, then releases
+    network.register(
+        "m", lambda s, frame: received.append((s, wire.decode(frame)["x"]))
+    )
+    network.send("a", "m", wire.encode({"x": "held"}))  # held until tick >= 1
+    network.send("b", "m", wire.encode({"x": "fast"}))  # clean link: releases it
     assert received == [("b", "fast"), ("a", "held")]
     assert registry.counter("network.reordered").value == 1
     assert network.pending_count == 0
@@ -155,8 +158,8 @@ def test_delay_parks_until_drain():
     )
     network = Network(registry=registry, fault_plan=plan)
     received = []
-    network.register("m", lambda s, msg: received.append(msg["x"]))
-    network.send("a", "m", {"x": 1})
+    network.register("m", lambda s, frame: received.append(wire.decode(frame)["x"]))
+    network.send("a", "m", wire.encode({"x": 1}))
     assert received == []
     assert network.pending_count == 1
     assert registry.counter("network.delayed").value == 1
@@ -168,11 +171,11 @@ def test_delay_parks_until_drain():
 def test_sends_fail_during_unavailability_then_recover():
     network = Network(fault_plan=FaultPlan(unavailable={"m": [(0, 2)]}))
     received = []
-    network.register("m", lambda s, msg: received.append(msg))
+    network.register("m", lambda s, frame: received.append(wire.decode(frame)))
     for _ in range(2):  # ticks 0 and 1: inside the window
         with pytest.raises(NetworkUnavailableError):
-            network.send("a", "m", {"x": 1})
-    network.send("a", "m", {"x": 2})  # tick 2: window has passed
+            network.send("a", "m", wire.encode({"x": 1}))
+    network.send("a", "m", wire.encode({"x": 2}))  # tick 2: window has passed
     assert received == [{"x": 2}]
 
 
@@ -240,9 +243,9 @@ def test_sink_preserves_fifo_order_across_parking():
     network, _master, sink = _sink_fixture(plan, registry, max_attempts=1)
     order = []
     original = network._handlers["cc"]
-    network._handlers["cc"] = lambda s, m: (
-        order.append(m["component_uid"]),
-        original(s, m),
+    network._handlers["cc"] = lambda s, frame: (
+        order.append(wire.decode(frame)["component_uid"]),
+        original(s, frame),
     )
     sink.publish("idx", 1, _synopsis(), _synopsis(()))  # tick 0: parked
     sink.publish("idx", 2, _synopsis(), _synopsis(()))  # tick 1: parked behind 1
@@ -256,7 +259,7 @@ def test_sink_sequences_are_unique_and_monotone():
     registry = MetricsRegistry()
     network = Network(registry=registry)
     seen = []
-    network.register("cc", lambda s, m: seen.append(m["seq"]))
+    network.register("cc", lambda s, frame: seen.append(wire.decode(frame)["seq"]))
     sink = NetworkStatisticsSink(network, "n1", "cc", 0, registry=registry)
     sink.publish("idx", 1, _synopsis(), _synopsis(()))
     sink.retract("idx", [1])

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.cluster import wire
 from repro.cluster.network import Network
 from repro.errors import ClusterError
 
@@ -10,9 +11,10 @@ def test_register_and_send():
     network = Network()
     received = []
     network.register("master", lambda src, msg: received.append((src, msg)))
-    size = network.send("node1", "master", {"kind": "hello"})
-    assert received == [("node1", {"kind": "hello"})]
-    assert size > 0
+    frame = wire.encode({"kind": "hello"})
+    size = network.send("node1", "master", frame)
+    assert received == [("node1", frame)]
+    assert size == len(frame)
     assert network.stats.messages == 1
     assert network.stats.bytes_sent == size
     assert network.stats.per_destination["master"] == size
@@ -28,15 +30,25 @@ def test_duplicate_registration_rejected():
 def test_unknown_destination():
     network = Network()
     with pytest.raises(ClusterError):
-        network.send("a", "ghost", {})
+        network.send("a", "ghost", wire.encode({}))
+
+
+def test_wire_carries_only_bytes():
+    """A dict would be charged ``len()`` of its keys; it is refused."""
+    network = Network()
+    network.register("m", lambda s, frame: None)
+    with pytest.raises(ClusterError, match="bytes"):
+        network.send("a", "m", {"x": 1})
+    assert network.stats.messages == 0
 
 
 def test_byte_accounting_grows_with_payload():
     network = Network()
     network.register("m", lambda s, msg: None)
-    small = network.send("a", "m", {"x": 1})
-    large = network.send("a", "m", {"x": list(range(100))})
+    small = network.send("a", "m", wire.encode({"x": 1}))
+    large = network.send("a", "m", wire.encode({"x": list(range(100))}))
     assert large > small
+    assert network.stats.bytes_sent == small + large
 
 
 def test_node_ids():

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.cluster import wire
 from repro.cluster.master import ClusterController
 from repro.cluster.network import Network
 from repro.errors import ClusterError, SynopsisError
@@ -21,14 +22,14 @@ def test_unknown_message_kind_rejected():
     network = Network()
     ClusterController(network)
     with pytest.raises(ClusterError):
-        network.send("nc1", "cc", {"kind": "stats.exfiltrate"})
+        network.send("nc1", "cc", wire.encode({"kind": "stats.exfiltrate"}))
 
 
 def test_missing_kind_rejected():
     network = Network()
     ClusterController(network)
     with pytest.raises(ClusterError):
-        network.send("nc1", "cc", {"index": "x"})
+        network.send("nc1", "cc", wire.encode({"index": "x"}))
 
 
 def test_malformed_synopsis_payload_rejected():
@@ -44,26 +45,30 @@ def test_publish_retract_roundtrip_over_wire():
     network.send(
         "nc1",
         "cc",
-        {
-            "kind": "stats.publish",
-            "index": "idx",
-            "partition": 0,
-            "component_uid": 7,
-            "synopsis": _payload(),
-            "anti_synopsis": _payload(()),
-        },
+        wire.encode(
+            {
+                "kind": "stats.publish",
+                "index": "idx",
+                "partition": 0,
+                "component_uid": 7,
+                "synopsis": _payload(),
+                "anti_synopsis": _payload(()),
+            }
+        ),
     )
     assert master.catalog.entry_count("idx") == 1
     assert master.estimate("idx", 0, 9) == pytest.approx(3)
     network.send(
         "nc1",
         "cc",
-        {
-            "kind": "stats.retract",
-            "index": "idx",
-            "partition": 0,
-            "component_uids": [7],
-        },
+        wire.encode(
+            {
+                "kind": "stats.retract",
+                "index": "idx",
+                "partition": 0,
+                "component_uids": [7],
+            }
+        ),
     )
     assert master.catalog.entry_count("idx") == 0
     assert master.estimate("idx", 0, 9) == 0.0
@@ -82,16 +87,18 @@ def test_retract_from_other_node_is_isolated():
         "synopsis": _payload(),
         "anti_synopsis": _payload(()),
     }
-    network.send("nc1", "cc", message)
+    network.send("nc1", "cc", wire.encode(message))
     network.send(
         "nc2",
         "cc",
-        {
-            "kind": "stats.retract",
-            "index": "idx",
-            "partition": 0,
-            "component_uids": [1],
-        },
+        wire.encode(
+            {
+                "kind": "stats.retract",
+                "index": "idx",
+                "partition": 0,
+                "component_uids": [1],
+            }
+        ),
     )
     # nc2's retract names the same (partition, uid) but a different
     # source node, so nc1's entry survives.

@@ -1,10 +1,17 @@
 """Tests for catalog persistence and collector metrics."""
 
+import zlib
+
 import pytest
 
+from repro.cluster import wire
 from repro.core import StatisticsConfig, StatisticsManager
 from repro.core.estimator import CardinalityEstimator
-from repro.core.persistence import load_catalog, save_catalog
+from repro.core.persistence import (
+    CATALOG_FORMAT_VERSION,
+    load_catalog,
+    save_catalog,
+)
 from repro.errors import CatalogError
 from repro.lsm.dataset import Dataset, IndexSpec
 from repro.lsm.merge_policy import ConstantMergePolicy
@@ -76,61 +83,114 @@ class TestPersistence:
             load_catalog(tmp_path / "ghost.json")
 
     def test_corrupt_file(self, tmp_path):
-        path = tmp_path / "bad.json"
-        path.write_text("{not json")
+        path = tmp_path / "bad.cat"
+        path.write_bytes(b"\xffnot a frame")
         with pytest.raises(CatalogError):
             load_catalog(path)
 
     def test_wrong_format_version(self, tmp_path):
+        path = tmp_path / "future.cat"
+        frame = wire.encode([])
+        path.write_bytes(
+            wire.encode(
+                {"format": 99, "checksum": zlib.crc32(frame), "entries": frame}
+            )
+        )
+        with pytest.raises(CatalogError, match=r"format 99 \(expected 3\)"):
+            load_catalog(path)
+
+    def test_format_2_json_file_rejected_naming_both_versions(self, tmp_path):
+        # What the parent commit's save_catalog wrote: JSON text.
         path = tmp_path / "old.json"
-        path.write_text('{"format": 99, "entries": []}')
-        with pytest.raises(CatalogError):
+        path.write_text('{"format": 2, "checksum": 223132457, "entries": []}')
+        with pytest.raises(CatalogError, match=r"format-3 .* format 2 or older"):
             load_catalog(path)
 
     def test_empty_catalog(self, tmp_path):
         from repro.core.catalog import StatisticsCatalog
 
-        path = tmp_path / "empty.json"
+        path = tmp_path / "empty.cat"
         assert save_catalog(StatisticsCatalog(), path) == 0
         assert load_catalog(path).entry_count() == 0
 
-    def test_checksum_rejects_payload_tampering(self, tmp_path):
-        import json
-
+    def test_checksum_covers_exactly_the_entry_frame(self, tmp_path):
         _dataset, manager = _populated_manager()
-        path = tmp_path / "catalog.json"
+        path = tmp_path / "catalog.cat"
         save_catalog(manager.catalog, path)
-        document = json.loads(path.read_text())
-        document["entries"][0]["partition"] += 1  # single flipped field
-        path.write_text(json.dumps(document))
+        document = wire.decode(path.read_bytes())
+        assert document["format"] == CATALOG_FORMAT_VERSION == 3
+        assert document["checksum"] == zlib.crc32(document["entries"])
+        assert len(wire.decode(document["entries"])) == manager.catalog.entry_count()
+
+    def test_checksum_rejects_payload_tampering(self, tmp_path):
+        _dataset, manager = _populated_manager()
+        path = tmp_path / "catalog.cat"
+        save_catalog(manager.catalog, path)
+        document = wire.decode(path.read_bytes())
+        entries = wire.decode(document["entries"])
+        entries[0]["partition"] += 1  # single flipped field
+        document["entries"] = wire.encode(entries)
+        path.write_bytes(wire.encode(document))
         with pytest.raises(CatalogError, match="checksum"):
             load_catalog(path)
 
     def test_checksum_rejects_truncated_entry_list(self, tmp_path):
-        import json
-
         _dataset, manager = _populated_manager()
-        path = tmp_path / "catalog.json"
+        path = tmp_path / "catalog.cat"
         save_catalog(manager.catalog, path)
-        document = json.loads(path.read_text())
-        document["entries"] = document["entries"][:-1]
-        path.write_text(json.dumps(document))
+        document = wire.decode(path.read_bytes())
+        document["entries"] = wire.encode(wire.decode(document["entries"])[:-1])
+        path.write_bytes(wire.encode(document))
         with pytest.raises(CatalogError, match="checksum"):
             load_catalog(path)
 
+    def test_truncated_file_rejected_at_every_length(self, tmp_path):
+        data = self._small_catalog_file(tmp_path)
+        path = tmp_path / "cut.cat"
+        for cut in range(len(data)):
+            path.write_bytes(data[:cut])
+            with pytest.raises(CatalogError):
+                load_catalog(path)
+
+    def test_every_flipped_bit_rejected(self, tmp_path):
+        data = self._small_catalog_file(tmp_path)
+        path = tmp_path / "flipped.cat"
+        for position in range(len(data)):
+            for bit in range(8):
+                flipped = bytearray(data)
+                flipped[position] ^= 1 << bit
+                path.write_bytes(bytes(flipped))
+                with pytest.raises(CatalogError):
+                    load_catalog(path)
+
+    @staticmethod
+    def _small_catalog_file(tmp_path):
+        from repro.core.catalog import StatisticsCatalog
+        from repro.synopses import create_builder
+
+        catalog = StatisticsCatalog()
+        for family, budget in [(SynopsisType.EQUI_WIDTH, 8), (SynopsisType.HLL_SKETCH, 16)]:
+            builder = create_builder(family, VALUE_DOMAIN, budget, 3)
+            builder.add_many([1, 5, 900])
+            synopsis = builder.build()
+            catalog.put(family.value, "n1", 0, 1, synopsis, synopsis, epoch=1)
+        path = tmp_path / "small.cat"
+        save_catalog(catalog, path)
+        assert load_catalog(path).entry_count() == 2
+        return path.read_bytes()
+
     def test_malformed_entry_named_in_error(self, tmp_path):
-        import json
-
-        from repro.core.persistence import _entries_checksum
-
-        entries = [{"index": "idx"}]  # missing every other field
-        document = {
-            "format": 2,
-            "checksum": _entries_checksum(entries),
-            "entries": entries,
-        }
-        path = tmp_path / "partial.json"
-        path.write_text(json.dumps(document))
+        frame = wire.encode([{"index": "idx"}])  # missing every other field
+        path = tmp_path / "partial.cat"
+        path.write_bytes(
+            wire.encode(
+                {
+                    "format": CATALOG_FORMAT_VERSION,
+                    "checksum": zlib.crc32(frame),
+                    "entries": frame,
+                }
+            )
+        )
         with pytest.raises(CatalogError, match="entry 0"):
             load_catalog(path)
 

@@ -20,6 +20,7 @@ Four contracts, property-tested:
 
 import os
 import random
+import struct
 from array import array
 
 import numpy as np
@@ -35,6 +36,7 @@ from repro.synopses.hll import (
     hash64,
 )
 from repro.types import Domain
+from tests.synopses.reference_hbs import ReferenceHBSCodec
 
 DOMAIN = Domain(0, 2**20 - 1)
 BUDGET = 256  # p = 8
@@ -113,19 +115,93 @@ class TestHBSCodec:
     def test_round_trip(self, regs):
         registers = array("B", regs)
         encoded = HBSCodec.encode(registers)
-        assert HBSCodec.decode(encoded) == registers
+        assert HBSCodec.decode(encoded, len(registers)) == registers
 
     def test_all_zero_uses_uniform_frame(self):
         registers = array("B", bytes(1024))
         encoded = HBSCodec.encode(registers)
         assert len(encoded) == 6  # >BIB header only
-        assert HBSCodec.decode(encoded) == registers
+        assert HBSCodec.decode(encoded, len(registers)) == registers
 
     def test_saturated_uniform(self):
         registers = array("B", [57] * 256)
         encoded = HBSCodec.encode(registers)
         assert len(encoded) == 6
-        assert HBSCodec.decode(encoded) == registers
+        assert HBSCodec.decode(encoded, len(registers)) == registers
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        st.integers(1, 10).flatmap(
+            lambda p: st.tuples(
+                st.floats(0, 40), st.floats(0, 6), st.integers(0, 2**32)
+            ).map(
+                lambda shape: [
+                    min(57, max(0, int(random.Random(shape[2] + i).gauss(*shape[:2]))))
+                    for i in range(2**p)
+                ]
+            )
+        )
+    )
+    def test_kernels_are_byte_identical_to_the_reference(self, regs):
+        """The per-bit bodies the kernels replaced (reference_hbs.py)
+        are the oracle: same frame out, same registers back -- on
+        peaked register files like real sketches', not only uniform
+        noise."""
+        registers = array("B", regs)
+        frame = HBSCodec.encode(registers)
+        assert frame == ReferenceHBSCodec.encode(registers)
+        assert HBSCodec.decode(frame, len(registers)) == registers
+        assert ReferenceHBSCodec.decode(frame) == registers
+
+    def test_real_sketches_are_byte_identical_to_the_reference(self):
+        rng = random.Random(17)
+        for budget in (16, 256, 1024, 4096):
+            for count in (0, 1, 40, 3_000, 60_000):
+                sketch = _build(rng.sample(range(2**20), count), budget=budget)
+                frame = HBSCodec.encode(sketch.registers)
+                assert frame == ReferenceHBSCodec.encode(sketch.registers)
+                assert HBSCodec.decode(frame, budget) == sketch.registers
+
+    def test_frame_cut_anywhere_is_a_synopsis_error(self):
+        """Cuts at 7-12 bytes land inside the 4-symbol table: a bare
+        ``struct.error`` before the table read was bounds-checked."""
+        registers = array("B", [0, 1, 2, 3] * 4)
+        frame = HBSCodec.encode(registers)
+        assert frame[5] == 4 and len(frame) > 6 + 2 * 4  # header, 4-symbol table
+        for cut in range(len(frame)):
+            with pytest.raises(SynopsisError):
+                HBSCodec.decode(frame[:cut], len(registers))
+
+    @pytest.mark.parametrize("uniform", [True, False])
+    def test_flipped_register_count_is_rejected_before_any_allocation(self, uniform):
+        registers = array("B", [3] * 16 if uniform else [0, 1, 2, 3] * 4)
+        frame = bytearray(HBSCodec.encode(registers))
+        frame[1] ^= 0x80  # count 16 -> 2**31 + 16: a 2 GiB register file
+        with pytest.raises(SynopsisError, match="expected 16"):
+            HBSCodec.decode(bytes(frame), 16)
+        payload = dict(_build(range(100), budget=16).to_payload(), hbs=bytes(frame))
+        with pytest.raises(SynopsisError, match="expected 16"):
+            HyperLogLogSynopsis.from_payload(payload)
+
+    @pytest.mark.parametrize(
+        "table",
+        [
+            b"\x00\x01\x01\x02\x02\x02\x03\x02",  # Kraft sum > 1
+            b"\x00\x02\x01\x02\x02\x02\x03\x03",  # Kraft sum < 1: bits would be skipped
+            b"\x00\x00\x01\x01\x02\x02\x03\x02",  # a zero-length code
+            b"\x01\x02\x00\x02\x02\x02\x03\x02",  # symbols out of order
+            b"\x00\x02\x00\x02\x02\x02\x03\x02",  # a symbol twice
+        ],
+    )
+    def test_symbol_table_that_is_not_a_canonical_code_is_rejected(self, table):
+        frame = struct.pack(">BIB", 1, 16, 4) + table + bytes(8)
+        with pytest.raises(SynopsisError):
+            HBSCodec.decode(frame, 16)
+
+    def test_non_bytes_frame_is_a_synopsis_error(self):
+        hexed = HBSCodec.encode(array("B", [0, 1] * 8)).hex()  # the old wire form
+        with pytest.raises(SynopsisError):
+            HBSCodec.decode(hexed, 16)
 
     def test_payload_round_trip_bit_identical(self):
         sketch = _build(random.Random(3).sample(range(2**20), 5000))
