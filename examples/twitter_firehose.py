@@ -2,20 +2,23 @@
 
 Spins up the simulated 4+1-node shared-nothing cluster, streams
 tweet-like records through a push (socket) feed and then a changeable
-feed with updates and deletes, and shows the master's catalog staying
-in sync with the data -- no statistics job ever runs; estimates are
-served by the cluster controller without touching a storage node.
+feed with updates and deletes -- two sources of the one resumable feed
+consumer -- and shows the master's catalog staying in sync with the
+data -- no statistics job ever runs; estimates are served by the
+cluster controller without touching a storage node.
 
 Run:  python examples/twitter_firehose.py
 """
 
 from repro.cluster import (
-    ChangeableFeed,
+    ChangestreamFeed,
     DatasetFeedAdapter,
+    FeedCursorStore,
     FeedOperation,
     FeedRecord,
     LSMCluster,
-    SocketFeed,
+    ReplayableStreamFeed,
+    ResumableFeedConsumer,
 )
 from repro.core import StatisticsConfig
 from repro.lsm.dataset import IndexSpec
@@ -32,6 +35,7 @@ from repro.workloads import (
 
 VALUE_DOMAIN = Domain(0, 2**16 - 1)
 NUM_TWEETS = 12_000
+STAGE_SIZE = 2_000
 
 
 def show_estimates(cluster: LSMCluster, title: str) -> None:
@@ -58,6 +62,7 @@ def main() -> None:
         merge_policy_factory=lambda: ConstantMergePolicy(5),
     )
     adapter = DatasetFeedAdapter(cluster, "tweets")
+    cursors = FeedCursorStore(cluster.nodes[0].disk)
 
     distribution = generate_distribution(
         DistributionSpec(
@@ -72,9 +77,8 @@ def main() -> None:
     tweets = list(TweetGenerator(distribution, seed=7).generate())
 
     print(f"Streaming {NUM_TWEETS} tweets through a socket feed...")
-    feed = SocketFeed(iter(tweets))
-    feed.run(adapter)
-    adapter.flush()
+    feed = ReplayableStreamFeed("firehose", tweets)
+    ResumableFeedConsumer(feed, adapter, cursors).run()
     print(
         f"Feed bytes: {feed.bytes_received:,}; synopsis traffic to master: "
         f"{cluster.network.stats.bytes_sent:,} bytes in "
@@ -97,12 +101,14 @@ def main() -> None:
     changes += [
         FeedRecord(FeedOperation.DELETE, tweets[pk]) for pk in range(1, NUM_TWEETS, 7)
     ]
-    changeable = ChangeableFeed(changes, stage_size=2_000)
-    counts = changeable.run(adapter)
+    # The paper's staging (Section 4.3.4) is the consumer's flush_every:
+    # a forced flush per stage, so later operations leave anti-matter.
+    stats = ResumableFeedConsumer(
+        ChangestreamFeed("churn", changes), adapter, cursors, flush_every=STAGE_SIZE
+    ).run()
     print(
-        f"Applied {counts[FeedOperation.UPDATE]} updates and "
-        f"{counts[FeedOperation.DELETE]} deletes in "
-        f"{changeable.stages_completed + 1} stages"
+        f"Applied {stats.applied - stats.failed} of {len(changes)} updates and "
+        f"deletes in stages of {STAGE_SIZE:,}"
     )
     show_estimates(cluster, "After churn (anti-matter synopses subtract):")
 

@@ -8,7 +8,6 @@ from repro.cluster.faults import (
     LinkFaults,
 )
 from repro.cluster.feeds import (
-    ChangeableFeed,
     ChangestreamFeed,
     DatasetFeedAdapter,
     FeedConsumerStats,
@@ -18,13 +17,11 @@ from repro.cluster.feeds import (
     FileFeed,
     ReplayableStreamFeed,
     ResumableFeedConsumer,
-    SocketFeed,
 )
 from repro.cluster.master import ClusterController
 from repro.cluster.network import Network, NetworkStats
 from repro.cluster.node import NetworkStatisticsSink, RetryPolicy, StorageNode
 from repro.cluster.partitioner import HashPartitioner
-from repro.cluster.query import DistributedQueryExecutor, DistributedQueryResult
 from repro.cluster.serving import EstimateService
 
 __all__ = [
@@ -40,11 +37,7 @@ __all__ = [
     "FeedFaultPlan",
     "RetryPolicy",
     "HashPartitioner",
-    "DistributedQueryExecutor",
-    "DistributedQueryResult",
-    "SocketFeed",
     "FileFeed",
-    "ChangeableFeed",
     "ChangestreamFeed",
     "ReplayableStreamFeed",
     "DatasetFeedAdapter",

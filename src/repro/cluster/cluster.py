@@ -134,7 +134,6 @@ class LSMCluster:
         self.partitioner = HashPartitioner(len(self._partition_owner))
         self._dataset_names: set[str] = set()
         self._primary_keys: dict[str, str] = {}
-        self._index_specs: dict[str, list] = {}
         self._refresh_cache_capacity()
 
     @property
@@ -168,7 +167,6 @@ class LSMCluster:
             )
         self._dataset_names.add(name)
         self._primary_keys[name] = primary_key
-        self._index_specs[name] = index_specs
 
     # -- DML (routed by primary key hash) ------------------------------------
 
@@ -313,11 +311,6 @@ class LSMCluster:
             else secondary_index_name(name, index_name)
         )
         return self.master.estimate_degraded(full_name, lo, hi)
-
-    def index_specs(self, name: str) -> list:
-        """The index declarations of a dataset (as created)."""
-        self._check_dataset(name)
-        return list(self._index_specs[name])
 
     def datasets_of(self, name: str):
         """Every partition's dataset instance (for physical execution)."""

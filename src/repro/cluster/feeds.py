@@ -1,44 +1,47 @@
-"""Data feeds: continuous ingestion channels (paper Section 4.1).
+"""Data feeds: continuous ingestion channels (paper Sections 4.1, 4.3.4).
 
 AsterixDB's *data feeds* stream external records into a dataset,
-triggering the full LSM lifecycle.  Three feed flavours are simulated:
+triggering the full LSM lifecycle.  Here a feed is one stack: a
+cursor-aware *source* that delivers ``(seqno, record)`` pairs starting
+*after* a given position, and the one :class:`ResumableFeedConsumer`
+that applies them to an :class:`IngestTarget`.  The paper's three feed
+kinds are three sources of it:
 
-* :class:`SocketFeed` -- push model: records arrive one at a time over
-  a byte-counted channel, as from a Twitter-Firehose-style TCP source;
-* :class:`FileFeed` -- pull model: records are read back from local
-  JSON-lines files;
-* :class:`ChangeableFeed` -- the special feed of Section 4.3.4 whose
-  records are *marked* as insert/update/delete operations, with the
-  ingestion broken into stages and a forced flush after each stage so
-  that later updates/deletes actually generate anti-matter against
-  already-persisted components (rather than being silently resolved in
-  memory).
+* socket feed -- :class:`ReplayableStreamFeed`: push model, records are
+  byte-counted per delivery as from a Twitter-Firehose-style TCP
+  source, replayable from any sequence number, optionally
+  fault-injected, appendable while a consumer tails;
+* file feed -- :class:`FileFeed`: pull model, records are read back
+  from local JSON-lines files;
+* changeable feed (Section 4.3.4) -- :class:`ChangestreamFeed`: a
+  replayable log of records *marked* as insert/update/delete.  The
+  paper breaks its ingestion into stages with a forced flush after
+  each, so that later updates/deletes generate anti-matter against
+  already-persisted components instead of being silently resolved in
+  memory; the stage size is the consumer's ``flush_every``.
 
-On top of these one-shot feeds sits the *resumable* serving layer:
+Outside input is checked in two places, each stated once.  The record
+*format* is validated at the source edge: a malformed line
+(:meth:`FileFeed.read`) or a document that is not a JSON-serialisable
+dict (:meth:`ReplayableStreamFeed.append`; a changestream checks the
+dict only, it serialises nothing) is skipped and counted
+(``invalid_records`` / ``feed.records.invalid``) and takes no sequence
+number, so cursors count valid records only.  The *primary key* is
+validated at the consumer, the only place that knows ``pk_field``: a
+record without it is counted (``feed.records.invalid`` and ``failed``)
+and passed over like any other applied position.
 
-* cursor-aware sources -- :meth:`FileFeed.read`,
-  :class:`ReplayableStreamFeed` (socket-style, replayable from any
-  sequence number, optionally fault-injected) and
-  :class:`ChangestreamFeed` (a replayable log of marked operations) all
-  deliver ``(seqno, record)`` pairs starting *after* a given position;
-* :class:`FeedCursorStore` -- durable per-feed cursors in the node
-  superblock (:class:`~repro.lsm.storage.SimulatedDisk`), so a crash
-  loses at most the uncheckpointed tail;
-* :class:`ResumableFeedConsumer` -- drives a source into an
-  :class:`IngestTarget` with at-least-once replay and idempotent dedup
-  keyed by ``(feed_id, seqno)``, checkpointing on a configurable
-  cadence and reconnecting with shared
-  :class:`~repro.util.retry.RetryPolicy` backoff after injected
-  disconnects.
-
-The durability model: ``mark_applied`` runs once per applied record,
-standing in for the sequence number riding the operation's WAL entry
-(group commit of one => an acked record is a durable record), while the
-*cursor* is the cheaper read-resume hint flushed every
-``checkpoint_every`` records.  After a crash the consumer re-reads from
-the cursor and skips everything at or below the applied high-water mark
--- replayed, not re-applied -- which is what makes recovery converge
-bit-identically with an uninterrupted run.
+:class:`FeedCursorStore` keeps durable per-feed cursors in the node
+superblock (:class:`~repro.lsm.storage.SimulatedDisk`), so a crash loses
+at most the uncheckpointed tail.  The durability model: ``mark_applied``
+runs once per applied record, standing in for the sequence number
+riding the operation's WAL entry (group commit of one => an acked
+record is a durable record), while the *cursor* is the cheaper
+read-resume hint flushed every ``checkpoint_every`` records.  After a
+crash the consumer re-reads from the cursor and skips everything at or
+below the applied high-water mark -- replayed, not re-applied -- which
+is what makes recovery converge bit-identically with an uninterrupted
+run.
 """
 
 from __future__ import annotations
@@ -53,7 +56,7 @@ from pathlib import Path
 from typing import Any, Iterable, Iterator, Protocol
 
 from repro.cluster.faults import FeedFaultPlan
-from repro.errors import ClusterError, FeedDisconnectedError, FeedError
+from repro.errors import FeedDisconnectedError, FeedError
 from repro.lsm.storage import SimulatedDisk
 from repro.obs.registry import get_registry, sanitize_segment
 from repro.util.retry import RetryPolicy
@@ -63,9 +66,7 @@ __all__ = [
     "FeedRecord",
     "IngestTarget",
     "DatasetFeedAdapter",
-    "SocketFeed",
     "FileFeed",
-    "ChangeableFeed",
     "FeedCursorStore",
     "ReplayableStreamFeed",
     "ChangestreamFeed",
@@ -127,49 +128,9 @@ class DatasetFeedAdapter:
         self._cluster.flush_all(self._name)
 
 
-class SocketFeed:
-    """Push-based feed: each record is 'received' over the wire.
-
-    The per-record serialisation models the socket traffic of the
-    paper's push feed; ``bytes_received`` is the channel volume.
-    Malformed records -- anything that is not a JSON-serialisable dict
-    -- are skipped and counted (``invalid_records`` /
-    ``feed.records.invalid``) rather than aborting the stream, unless
-    ``strict`` is set, in which case they raise
-    :class:`~repro.errors.FeedError`.
-    """
-
-    def __init__(
-        self, records: Iterable[dict[str, Any]], strict: bool = False
-    ) -> None:
-        self._records = records
-        self.strict = strict
-        self.records_ingested = 0
-        self.bytes_received = 0
-        self.invalid_records = 0
-        self._m_invalid = get_registry().counter("feed.records.invalid")
-
-    def run(self, target: IngestTarget) -> int:
-        """Stream every record into the target; returns the count."""
-        for document in self._records:
-            try:
-                if not isinstance(document, dict):
-                    raise TypeError(f"expected dict, got {type(document).__name__}")
-                payload = json.dumps(document, separators=(",", ":")).encode()
-            except (TypeError, ValueError) as exc:
-                if self.strict:
-                    raise FeedError(f"malformed socket record: {exc}") from exc
-                self.invalid_records += 1
-                self._m_invalid.inc()
-                continue
-            self.bytes_received += len(payload)
-            target.insert(document)
-            self.records_ingested += 1
-        return self.records_ingested
-
-
 class FileFeed:
-    """Pull-based feed reading JSON-lines files from local storage.
+    """The paper's file feed: a pull-based source reading JSON-lines
+    files from local storage.
 
     Malformed lines (truncated JSON, garbage bytes, non-object values)
     are skipped and counted (``invalid_records`` /
@@ -190,7 +151,6 @@ class FileFeed:
             self.paths[0].stem if self.paths else "empty"
         )
         self.strict = strict
-        self.records_ingested = 0
         self.invalid_records = 0
         self._m_invalid = get_registry().counter("feed.records.invalid")
 
@@ -250,59 +210,6 @@ class FileFeed:
                     if seqno > after:
                         yield seqno, FeedRecord(FeedOperation.INSERT, document)
 
-    def run(self, target: IngestTarget) -> int:
-        """Pull every record from the files into the target."""
-        for _seqno, record in self.read():
-            target.insert(record.document)
-            self.records_ingested += 1
-        return self.records_ingested
-
-
-class ChangeableFeed:
-    """A feed of marked insert/update/delete records, applied in stages.
-
-    After each stage of ``stage_size`` operations the target is force-
-    flushed, so updates and deletes arriving in later stages reference
-    records already persisted on disk and therefore produce anti-matter
-    (the paper's staging trick in Section 4.3.4).
-    """
-
-    def __init__(
-        self, records: Iterable[FeedRecord], stage_size: int
-    ) -> None:
-        if stage_size < 1:
-            raise ClusterError(f"stage_size must be >= 1, got {stage_size}")
-        self._records = records
-        self.stage_size = stage_size
-        self.counts = {op: 0 for op in FeedOperation}
-        self.stages_completed = 0
-        self.failed_operations = 0
-
-    def run(
-        self, target: IngestTarget, pk_field: str = "id"
-    ) -> dict[FeedOperation, int]:
-        """Apply all operations; returns per-operation counts."""
-        in_stage = 0
-        for record in self._records:
-            if record.operation is FeedOperation.INSERT:
-                target.insert(record.document)
-            elif record.operation is FeedOperation.UPDATE:
-                if not target.update(record.document):
-                    self.failed_operations += 1
-                    continue
-            else:
-                if not target.delete(record.document[pk_field]):
-                    self.failed_operations += 1
-                    continue
-            self.counts[record.operation] += 1
-            in_stage += 1
-            if in_stage >= self.stage_size:
-                target.flush()
-                self.stages_completed += 1
-                in_stage = 0
-        target.flush()
-        return dict(self.counts)
-
 
 class FeedCursorStore:
     """Durable per-feed cursors in a node's superblock.
@@ -350,7 +257,12 @@ class _ReplayableLog:
     sequence numbers.  ``read(after)`` re-delivers any suffix, which is
     what lets a consumer resume from a durable cursor; an optional
     :class:`~repro.cluster.faults.FeedFaultPlan` injects duplicate
-    deliveries and mid-batch disconnects on the way out.
+    deliveries and mid-batch disconnects on the way out.  A record
+    whose document is not a dict never enters the log: it is skipped
+    and counted (``invalid_records`` / ``feed.records.invalid``).
+    ``bytes_received`` charges every delivered copy the wire size its
+    record was logged with (0 on a changestream, which serialises
+    nothing).
     """
 
     def __init__(
@@ -364,13 +276,17 @@ class _ReplayableLog:
         self.feed_id = feed_id
         self.batch_size = batch_size
         self._plan = fault_plan
-        self._log: list[FeedRecord] = []
+        self._log: list[tuple[FeedRecord, int]] = []
         self._cond = threading.Condition()
         self._closed = False
         self._connected = True
+        self.bytes_received = 0
+        self.invalid_records = 0
         self.duplicates_delivered = 0
         self.partial_batches = 0
-        self._m_partial = get_registry().counter("feed.batches.partial")
+        obs = get_registry()
+        self._m_invalid = obs.counter("feed.records.invalid")
+        self._m_partial = obs.counter("feed.batches.partial")
 
     @property
     def head_seqno(self) -> int:
@@ -383,12 +299,6 @@ class _ReplayableLog:
         """Whether the producer declared the stream finished."""
         with self._cond:
             return self._closed
-
-    @property
-    def connected(self) -> bool:
-        """Whether the transport is currently up."""
-        with self._cond:
-            return self._connected
 
     def close(self) -> None:
         """Producer side: no more records will be appended."""
@@ -409,16 +319,24 @@ class _ReplayableLog:
                 return
             self._cond.wait(timeout)
 
-    def _append_record(self, record: FeedRecord) -> int:
+    def _skip_invalid(self) -> int:
+        """Skip and count one malformed record; it takes no seqno."""
+        with self._cond:
+            self.invalid_records += 1
+        self._m_invalid.inc()
+        return 0
+
+    def _append_record(self, record: FeedRecord, wire_bytes: int = 0) -> int:
+        """Log one record (``wire_bytes`` is charged per delivered
+        copy); returns its seqno, or 0 for a skipped malformed one."""
+        if not isinstance(record.document, dict):
+            return self._skip_invalid()
         with self._cond:
             if self._closed:
                 raise FeedError(f"feed {self.feed_id} is closed")
-            self._log.append(record)
+            self._log.append((record, wire_bytes))
             self._cond.notify_all()
             return len(self._log)
-
-    def _on_deliver(self, record: FeedRecord) -> None:
-        """Subclass hook, called once per delivered copy of a record."""
 
     def read(self, after: int = 0) -> Iterator[tuple[int, FeedRecord]]:
         """Deliver records past ``after``, batch by batch.
@@ -439,16 +357,16 @@ class _ReplayableLog:
             with self._cond:
                 if position >= len(self._log):
                     return
-                record = self._log[position]
+                record, wire_bytes = self._log[position]
             seqno = position + 1
             position += 1
             in_batch += 1
             decision = self._plan.decide() if self._plan is not None else None
-            self._on_deliver(record)
+            self.bytes_received += wire_bytes
             yield seqno, record
             if decision is not None and decision.duplicate:
                 self.duplicates_delivered += 1
-                self._on_deliver(record)
+                self.bytes_received += wire_bytes
                 yield seqno, record
             if decision is not None and decision.disconnect_after:
                 with self._cond:
@@ -466,10 +384,12 @@ class _ReplayableLog:
 class ReplayableStreamFeed(_ReplayableLog):
     """Socket-style push feed that can replay any suffix of its log.
 
-    The durable-cursor counterpart of :class:`SocketFeed`: records are
-    byte-counted as they are (re)delivered, a producer thread can keep
-    :meth:`append`-ing while a consumer tails, and an optional fault
-    plan injects duplicates and partial-batch disconnects.
+    The paper's socket feed: each document is serialised once as it is
+    received -- which is also the format check, a document JSON cannot
+    carry is skipped and counted -- and ``bytes_received`` is the
+    channel volume, charged per (re)delivered copy.  A producer thread
+    can keep :meth:`append`-ing while a consumer tails, and an optional
+    fault plan injects duplicates and partial-batch disconnects.
     """
 
     def __init__(
@@ -480,27 +400,31 @@ class ReplayableStreamFeed(_ReplayableLog):
         batch_size: int = 32,
     ) -> None:
         super().__init__(feed_id, fault_plan, batch_size)
-        self.bytes_received = 0
         for document in records:
             self.append(document)
 
     def append(self, document: dict[str, Any]) -> int:
-        """Producer side: publish one document; returns its seqno."""
-        return self._append_record(FeedRecord(FeedOperation.INSERT, document))
-
-    def _on_deliver(self, record: FeedRecord) -> None:
-        self.bytes_received += len(
-            json.dumps(record.document, separators=(",", ":")).encode()
+        """Producer side: publish one document; returns its seqno, or
+        0 for a malformed one (skipped and counted)."""
+        try:
+            payload = json.dumps(document, separators=(",", ":")).encode()
+        except (TypeError, ValueError):
+            return self._skip_invalid()
+        return self._append_record(
+            FeedRecord(FeedOperation.INSERT, document), len(payload)
         )
 
 
 class ChangestreamFeed(_ReplayableLog):
     """A replayable log of *marked* insert/update/delete operations.
 
-    The resumable counterpart of :class:`ChangeableFeed`: the log
-    carries :class:`FeedRecord` operations, so replaying a suffix after
-    a crash re-delivers updates and deletes (which the consumer then
-    deduplicates against its applied high-water mark).
+    The paper's changeable feed (Section 4.3.4): the log carries
+    :class:`FeedRecord` operations, so replaying a suffix after a crash
+    re-delivers updates and deletes (which the consumer then
+    deduplicates against its applied high-water mark).  Its staging --
+    a forced flush after each stage of operations, so later updates
+    and deletes meet persisted records and leave anti-matter -- is the
+    consumer's ``flush_every``.
     """
 
     def __init__(
@@ -556,7 +480,13 @@ class ResumableFeedConsumer:
     (multiples of the applied high-water mark), so an interrupted-and-
     resumed run produces the same disk-component boundaries as an
     uninterrupted one -- the property the ``repro servecheck`` harness
-    verifies.
+    verifies.  It is also the changeable feed's stage size (Section
+    4.3.4): operations after a forced flush meet persisted records and
+    leave anti-matter.
+
+    A record without ``pk_field`` cannot be routed: it is counted
+    (``feed.records.invalid``, ``failed``) and its position is marked
+    applied like any other, so a resumed run skips it too.
     """
 
     def __init__(
@@ -588,6 +518,7 @@ class ResumableFeedConsumer:
         self._rng = random.Random(f"consumer:{self.feed_id}")
         obs = get_registry()
         self._m_applied = obs.counter("feed.records.applied")
+        self._m_invalid = obs.counter("feed.records.invalid")
         self._m_replayed = obs.counter("feed.resume.replayed")
         self._m_dedup = obs.counter("feed.records.deduplicated")
         self._m_failed = obs.counter("feed.records.failed")
@@ -598,12 +529,18 @@ class ResumableFeedConsumer:
         self._m_reconnects = obs.counter("feed.source.reconnects")
 
     def _apply(self, record: FeedRecord) -> bool:
+        """Apply one record; False when it changed nothing (``failed``)."""
+        document = record.document
+        if self.pk_field not in document:
+            # Sources vouch for the format; only here is the key known.
+            self._m_invalid.inc()
+            return False
         if record.operation is FeedOperation.INSERT:
-            self._target.insert(record.document)
+            self._target.insert(document)
             return True
         if record.operation is FeedOperation.UPDATE:
-            return self._target.update(record.document)
-        return self._target.delete(record.document[self.pk_field])
+            return self._target.update(document)
+        return self._target.delete(document[self.pk_field])
 
     def run(
         self, tail: bool = False, stop_after: int | None = None

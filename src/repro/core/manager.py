@@ -91,10 +91,6 @@ class StatisticsManager:
             self.catalog, self.cache, self.registry
         )
 
-    def metrics_snapshot(self) -> dict:
-        """JSON-ready dump of this manager's metrics registry."""
-        return self.registry.snapshot()
-
     def attach(self, dataset: Dataset) -> None:
         """Enable statistics for a dataset's primary and secondary keys.
 

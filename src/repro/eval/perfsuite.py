@@ -58,7 +58,7 @@ import threading
 import time
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Callable, Iterator
+from typing import Any, Callable
 
 from repro.cluster.cluster import LSMCluster
 from repro.cluster.feeds import (
@@ -1337,8 +1337,3 @@ def format_regressions(regressions: list[str]) -> str:
     lines = ["bench compare: REGRESSION detected"]
     lines.extend(f"  - {entry}" for entry in regressions)
     return "\n".join(lines)
-
-
-def iter_benchmark_names() -> Iterator[str]:
-    """The registered benchmark names (stable order)."""
-    return iter(BENCHMARK_NAMES)

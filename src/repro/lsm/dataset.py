@@ -463,41 +463,14 @@ class Dataset:
     def insert_many(self, documents: Iterable[dict[str, Any]]) -> int:
         """Insert a batch of new records; returns the number inserted.
 
-        Semantically identical to calling :meth:`insert` per document
-        (one sequence number per operation, flush cadence preserved),
-        but the per-document Python dispatch is amortised: extractors
-        and trees are bound once for the whole batch.
+        Exactly :meth:`insert` per document -- one sequence number, one
+        WAL entry when durable, and one flush decision per operation --
+        on the durable and the non-durable path alike.
         """
-        if self._wal is not None:
-            # Durable inserts go through the op-atomic logged path; the
-            # bound-once fast loop below stays WAL-free.
-            inserted = 0
-            for document in documents:
-                self.insert(document)
-                inserted += 1
-            return inserted
-        specs = list(self._all_specs())
-        trees = [self._secondary[spec.name] for spec in specs]
-        primary_write = self.primary.write_record
-        next_seq = self.sequence.next
-        observe_op = self._h_ingest_op.observe
-        clock = time.perf_counter
         inserted = 0
         for document in documents:
-            started = clock()
-            with self._dml_lock:
-                pk = self._pk_of(document)
-                seqnum = next_seq()
-                primary_write(Record.matter(pk, document, seqnum=seqnum))
-                for spec, tree in zip(specs, trees):
-                    tree.write_record(
-                        Record.matter(
-                            (*spec.key_of(document), pk), seqnum=seqnum
-                        )
-                    )
-                inserted += 1
-                self._after_write()
-            observe_op(clock() - started)
+            self.insert(document)
+            inserted += 1
         return inserted
 
     def update(self, document: dict[str, Any]) -> bool:

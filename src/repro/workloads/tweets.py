@@ -61,10 +61,6 @@ class TweetGenerator:
         for pk, value in enumerate(record_values):
             yield self.make_document(pk, int(value))
 
-    def generate_sorted_by_pk(self) -> Iterator[dict[str, Any]]:
-        """Records in PK order (the paper's pre-sorted bulkload input)."""
-        return self.generate()  # PKs are assigned sequentially anyway
-
     def make_document(self, pk: int, value: int) -> dict[str, Any]:
         """One tweet-like document with the indexed value field."""
         user = _USERS[pk % len(_USERS)]

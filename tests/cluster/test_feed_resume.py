@@ -1,6 +1,8 @@
 """Tests for durable cursors and the crash-resumable feed consumer."""
 
+import tempfile
 import threading
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -12,11 +14,13 @@ from repro.cluster.feeds import (
     FeedCursorStore,
     FeedOperation,
     FeedRecord,
+    FileFeed,
     ReplayableStreamFeed,
     ResumableFeedConsumer,
 )
 from repro.errors import FeedDisconnectedError, FeedError
 from repro.lsm.storage import SimulatedDisk
+from repro.obs.registry import MetricsRegistry, use_registry
 from repro.util.retry import RetryPolicy
 
 
@@ -273,34 +277,133 @@ def _ops(seed, count):
     return records
 
 
-@settings(max_examples=60, deadline=None)
+FEED_KINDS = ["changestream", "socket", "file"]
+
+
+def _source(kind, records, directory):
+    """``records`` as one of the paper's three feed kinds.  The socket
+    and file kinds carry bare documents, so there every operation
+    arrives as an insert of its document."""
+    if kind == "changestream":
+        return ChangestreamFeed("f", records)
+    documents = [record.document for record in records]
+    if kind == "socket":
+        return ReplayableStreamFeed("f", documents)
+    path = Path(directory) / "feed.jsonl"
+    if not path.exists():
+        FileFeed.write_file(path, documents)
+    return FileFeed([path], feed_id="f")
+
+
+@settings(max_examples=150, deadline=None)
 @given(
+    kind=st.sampled_from(FEED_KINDS),
     seed=st.integers(0, 2**16),
     count=st.integers(1, 60),
     first_kill=st.integers(0, 60),
     second_kill=st.integers(1, 60),
 )
 def test_resume_from_any_prefix_converges_bit_identical(
-    seed, count, first_kill, second_kill
+    kind, seed, count, first_kill, second_kill
 ):
     """Crash twice at arbitrary points; the resumed run must converge
     to the exact rows of an uninterrupted run."""
     records = _ops(seed, count)
-    oracle = DictTarget()
-    _consumer(
-        ChangestreamFeed("f", records), oracle, FeedCursorStore(SimulatedDisk())
-    ).run()
+    with tempfile.TemporaryDirectory() as directory:
+        oracle = DictTarget()
+        _consumer(
+            _source(kind, records, directory), oracle, FeedCursorStore(SimulatedDisk())
+        ).run()
 
-    target = DictTarget()
-    store = FeedCursorStore(SimulatedDisk())
-    _consumer(ChangestreamFeed("f", records), target, store, checkpoint_every=7).run(
-        stop_after=min(first_kill, count)
-    )
-    _consumer(ChangestreamFeed("f", records), target, store, checkpoint_every=7).run(
-        stop_after=second_kill
-    )
-    final = _consumer(
-        ChangestreamFeed("f", records), target, store, checkpoint_every=7
-    ).run()
+        target = DictTarget()
+        store = FeedCursorStore(SimulatedDisk())
+        for stop_after in (min(first_kill, count), second_kill, None):
+            final = _consumer(
+                _source(kind, records, directory), target, store, checkpoint_every=7
+            ).run(stop_after=stop_after)
     assert target.rows == oracle.rows
     assert final.deduplicated == 0  # replay floor absorbed every re-read
+
+
+GOOD = [{"id": i, "value": i * 7} for i in range(4)]
+PK_LESS = {"value": 5}
+
+
+def _dirty_source(kind, directory):
+    """Good records with every kind of bad one between them; returns
+    ``(source, records skipped at the source edge, pk-less records the
+    consumer must pass over)``."""
+    if kind == "changestream":
+        records = [
+            FeedRecord(FeedOperation.INSERT, GOOD[0]),
+            FeedRecord(FeedOperation.INSERT, PK_LESS),
+            FeedRecord(FeedOperation.INSERT, GOOD[1]),
+            FeedRecord(FeedOperation.DELETE, PK_LESS),
+            FeedRecord(FeedOperation.INSERT, "not a dict"),
+            FeedRecord(FeedOperation.INSERT, GOOD[2]),
+            FeedRecord(FeedOperation.UPDATE, PK_LESS),
+            FeedRecord(FeedOperation.INSERT, GOOD[3]),
+        ]
+        return ChangestreamFeed("f", records), 1, 3
+    if kind == "socket":
+        documents = [
+            GOOD[0],
+            PK_LESS,
+            GOOD[1],
+            {"id": 9, "value": object()},  # not JSON-serialisable
+            "not a dict",
+            GOOD[2],
+            GOOD[3],
+        ]
+        return ReplayableStreamFeed("f", documents), 2, 1
+    path = Path(directory) / "dirty.jsonl"
+    path.write_text(
+        '{"id": 0, "value": 0}\n'
+        '{"value": 5}\n'
+        '{"id": 1, "value": 7}\n'
+        '{"id": 9, "value"\n'  # truncated JSON
+        "[1, 2, 3]\n"  # valid JSON, not an object
+        '{"id": 2, "value": 14}\n'
+        '{"id": 3, "value": 21}\n'
+    )
+    return FileFeed([path], feed_id="f"), 2, 1
+
+
+class TestInvalidRecords:
+    """One bad record is counted and passed over; it never kills the
+    feed, and a resumed run neither re-delivers nor re-counts it."""
+
+    @pytest.mark.parametrize("kind", FEED_KINDS)
+    def test_bad_records_are_counted_not_fatal(self, kind, tmp_path):
+        source, skipped, pk_less = _dirty_source(kind, tmp_path)
+        target = DictTarget()
+        stats = _consumer(source, target, FeedCursorStore(SimulatedDisk())).run()
+        assert source.invalid_records == skipped
+        assert stats.failed == pk_less
+        assert stats.applied == len(GOOD) + pk_less  # every valid position
+        assert list(target.rows.values()) == GOOD
+
+    @pytest.mark.parametrize("kind", FEED_KINDS)
+    @pytest.mark.parametrize("kill_at", range(1, 7))
+    def test_kill_and_resume_match_the_uninterrupted_run(
+        self, kind, kill_at, tmp_path
+    ):
+        oracle = DictTarget()
+        source, skipped, pk_less = _dirty_source(kind, tmp_path)
+        whole = _consumer(source, oracle, FeedCursorStore(SimulatedDisk())).run()
+
+        target = DictTarget()
+        store = FeedCursorStore(SimulatedDisk())
+        with use_registry(MetricsRegistry()) as registry:
+            source, _skipped, _pk_less = _dirty_source(kind, tmp_path)
+            crashed = _consumer(source, target, store, checkpoint_every=2).run(
+                stop_after=kill_at
+            )
+            resumed = _consumer(source, target, store, checkpoint_every=2).run()
+            invalid = registry.snapshot()["counters"]["feed.records.invalid"]
+        assert target.rows == oracle.rows
+        assert crashed.applied + resumed.applied == whole.applied
+        assert crashed.failed + resumed.failed == whole.failed == pk_less
+        assert store.applied("f") == store.cursor("f") == whole.applied
+        if kind != "file":  # a file is re-read, and its bad lines with it
+            assert invalid == skipped + pk_less

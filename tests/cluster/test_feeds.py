@@ -1,15 +1,19 @@
-"""Tests for the three feed types."""
+"""Tests for the paper's three feed kinds: three sources, one consumer."""
+
+import json
 
 import pytest
 
 from repro.cluster import (
-    ChangeableFeed,
+    ChangestreamFeed,
     DatasetFeedAdapter,
+    FeedCursorStore,
     FeedOperation,
     FeedRecord,
     FileFeed,
     LSMCluster,
-    SocketFeed,
+    ReplayableStreamFeed,
+    ResumableFeedConsumer,
 )
 from repro.core import StatisticsConfig
 from repro.errors import ClusterError, FeedError
@@ -35,6 +39,13 @@ def _target(scheduler="sync"):
     return cluster, DatasetFeedAdapter(cluster, "ds")
 
 
+def _consume(source, cluster, target, **kwargs):
+    """Drive one source to its end (final checkpoint and flush included)."""
+    return ResumableFeedConsumer(
+        source, target, FeedCursorStore(cluster.nodes[0].disk), **kwargs
+    ).run()
+
+
 def _doc(pk, value):
     return {"id": pk, "value": value}
 
@@ -42,10 +53,12 @@ def _doc(pk, value):
 class TestSocketFeed:
     def test_ingests_and_counts_bytes(self):
         cluster, target = _target()
-        feed = SocketFeed(_doc(pk, pk % 1000) for pk in range(100))
-        assert feed.run(target) == 100
-        assert feed.bytes_received > 0
-        target.flush()
+        docs = [_doc(pk, pk % 1000) for pk in range(100)]
+        feed = ReplayableStreamFeed("sock", docs)
+        assert _consume(feed, cluster, target).applied == 100
+        assert feed.bytes_received == sum(
+            len(json.dumps(doc, separators=(",", ":"))) for doc in docs
+        )
         assert cluster.count_records("ds") == 100
 
 
@@ -59,16 +72,14 @@ class TestSocketFeedHardening:
             {"id": 2, "value": object()},  # not JSON-serialisable
             _doc(3, 3),
         ]
-        feed = SocketFeed(records)
-        assert feed.run(target) == 3
+        feed = ReplayableStreamFeed("sock", records)
         assert feed.invalid_records == 2
-        target.flush()
-        assert cluster.count_records("ds") == 3
-
-    def test_strict_mode_raises_typed_error(self):
-        _cluster, target = _target()
-        with pytest.raises(FeedError):
-            SocketFeed([_doc(0, 0), "garbage"], strict=True).run(target)
+        assert feed.head_seqno == 3  # seqnos count valid records only
+        assert feed.append(["still", "not", "a", "dict"]) == 0
+        assert feed.append(_doc(4, 4)) == 4
+        stats = _consume(feed, cluster, target)
+        assert (stats.applied, stats.failed) == (4, 0)
+        assert cluster.count_records("ds") == 4
 
 
 class TestFileFeed:
@@ -77,9 +88,7 @@ class TestFileFeed:
         count = FileFeed.write_file(path, (_doc(pk, pk) for pk in range(50)))
         assert count == 50
         cluster, target = _target()
-        feed = FileFeed([path])
-        assert feed.run(target) == 50
-        target.flush()
+        assert _consume(FileFeed([path]), cluster, target).applied == 50
         assert cluster.count_records("ds") == 50
 
     def test_multiple_files(self, tmp_path):
@@ -90,14 +99,13 @@ class TestFileFeed:
             FileFeed.write_file(path, docs)
             paths.append(path)
         cluster, target = _target()
-        assert FileFeed(paths).run(target) == 30
-        target.flush()
+        assert _consume(FileFeed(paths), cluster, target).applied == 30
         assert cluster.count_records("ds") == 30
 
     def test_missing_file(self, tmp_path):
         cluster, target = _target()
         with pytest.raises(ClusterError):
-            FileFeed([tmp_path / "ghost.jsonl"]).run(target)
+            _consume(FileFeed([tmp_path / "ghost.jsonl"]), cluster, target)
 
     def test_malformed_lines_are_skipped_and_counted(self, tmp_path):
         path = tmp_path / "dirty.jsonl"
@@ -111,17 +119,16 @@ class TestFileFeed:
         )
         cluster, target = _target()
         feed = FileFeed([path])
-        assert feed.run(target) == 2
+        assert _consume(feed, cluster, target).applied == 2
         assert feed.invalid_records == 3
-        target.flush()
         assert cluster.count_records("ds") == 2
 
     def test_strict_mode_fails_fast_on_corrupt_line(self, tmp_path):
         path = tmp_path / "dirty.jsonl"
         path.write_text('{"id": 0, "value": 0}\nnot json\n')
-        _cluster, target = _target()
+        cluster, target = _target()
         with pytest.raises(FeedError):
-            FileFeed([path], strict=True).run(target)
+            _consume(FileFeed([path], strict=True), cluster, target)
 
     def test_cursor_aware_read_resumes_past_position(self, tmp_path):
         path = tmp_path / "feed.jsonl"
@@ -134,9 +141,7 @@ class TestFileFeed:
 
 
 class TestChangeableFeed:
-    def test_stage_size_validated(self):
-        with pytest.raises(ClusterError):
-            ChangeableFeed([], stage_size=0)
+    """Section 4.3.4: marked operations, staged by ``flush_every``."""
 
     def test_mixed_operations(self):
         cluster, target = _target()
@@ -150,19 +155,19 @@ class TestChangeableFeed:
         records += [
             FeedRecord(FeedOperation.DELETE, _doc(pk, 0)) for pk in range(0, 60, 3)
         ]
-        feed = ChangeableFeed(records, stage_size=20)
-        counts = feed.run(target)
-        assert counts[FeedOperation.INSERT] == 60
-        assert counts[FeedOperation.UPDATE] == 30
-        assert counts[FeedOperation.DELETE] == 20
-        assert feed.stages_completed >= 5
+        stats = _consume(
+            ChangestreamFeed("changes", records), cluster, target, flush_every=20
+        )
+        assert (stats.applied, stats.failed) == (110, 0)
         assert cluster.count_records("ds") == 40
+        assert cluster.get("ds", 2)["value"] == 502  # updated, not deleted
+        assert cluster.get("ds", 6) is None  # updated, then deleted
 
     def test_staged_flushes_generate_antimatter(self):
         cluster, target = _target()
         records = [FeedRecord(FeedOperation.INSERT, _doc(pk, pk)) for pk in range(40)]
         records += [FeedRecord(FeedOperation.DELETE, _doc(pk, 0)) for pk in range(20)]
-        ChangeableFeed(records, stage_size=40).run(target)
+        _consume(ChangestreamFeed("changes", records), cluster, target, flush_every=40)
         # The deletes arrived after a forced flush, so they must appear
         # as anti-matter in some disk component.
         anti_total = 0
@@ -176,16 +181,18 @@ class TestChangeableFeed:
         assert cluster.estimate("ds", "value_idx", 0, 999) == pytest.approx(true)
 
     def test_update_delete_of_missing_records_fail_softly(self):
-        _cluster, target = _target()
+        cluster, target = _target()
         records = [
             FeedRecord(FeedOperation.UPDATE, _doc(1, 5)),
             FeedRecord(FeedOperation.DELETE, _doc(2, 0)),
             FeedRecord(FeedOperation.INSERT, _doc(3, 7)),
         ]
-        feed = ChangeableFeed(records, stage_size=10)
-        counts = feed.run(target)
-        assert feed.failed_operations == 2
-        assert counts[FeedOperation.INSERT] == 1
+        stats = _consume(
+            ChangestreamFeed("changes", records), cluster, target, flush_every=10
+        )
+        assert stats.failed == 2
+        assert stats.applied == 3  # every position is passed, failed or not
+        assert cluster.count_records("ds") == 1
 
 
 class TestThreadsScheduler:
@@ -194,9 +201,10 @@ class TestThreadsScheduler:
     def test_adapter_ingest_under_threads_scheduler(self):
         cluster, target = _target(scheduler="threads")
         try:
-            feed = SocketFeed(_doc(pk, pk % 1000) for pk in range(200))
-            assert feed.run(target) == 200
-            target.flush()
+            feed = ReplayableStreamFeed(
+                "sock", (_doc(pk, pk % 1000) for pk in range(200))
+            )
+            assert _consume(feed, cluster, target).applied == 200
             cluster.drain_maintenance()
             assert cluster.count_records("ds") == 200
         finally:
@@ -212,10 +220,11 @@ class TestThreadsScheduler:
                 FeedRecord(FeedOperation.DELETE, _doc(pk, 0))
                 for pk in range(0, 80, 4)
             ]
-            counts = ChangeableFeed(records, stage_size=25).run(target)
+            stats = _consume(
+                ChangestreamFeed("changes", records), cluster, target, flush_every=25
+            )
             cluster.drain_maintenance()
-            assert counts[FeedOperation.INSERT] == 80
-            assert counts[FeedOperation.DELETE] == 20
+            assert (stats.applied, stats.failed) == (100, 0)
             assert cluster.count_records("ds") == 60
             # The estimate only sees flushed components, so it may be
             # off by the handful of ops resolved inside a memtable --
