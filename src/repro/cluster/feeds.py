@@ -181,7 +181,12 @@ class FileFeed:
         Sequence numbers are 1-based positions among the *valid*
         records across all files, so a cursor taken from one run
         resumes correctly in the next as long as the files are
-        immutable (the contract of a feed file).
+        immutable (the contract of a feed file).  A malformed line is
+        counted only when it lies past ``after``, i.e. after the
+        ``after``-th valid record: the lines before the cursor were
+        counted by the run that read them first.  Lines
+        between the cursor and a crash are read by both runs and
+        counted twice, like the records the consumer replays there.
         """
         seqno = 0
         for path in self.paths:
@@ -203,8 +208,9 @@ class FileFeed:
                             raise FeedError(
                                 f"malformed feed line in {path}: {exc}"
                             ) from exc
-                        self.invalid_records += 1
-                        self._m_invalid.inc()
+                        if seqno >= after:
+                            self.invalid_records += 1
+                            self._m_invalid.inc()
                         continue
                     seqno += 1
                     if seqno > after:

@@ -4,7 +4,9 @@ Every LSM point lookup must consult components newest-to-oldest until
 the key is found; without filters that is one random B-tree descent per
 component.  AsterixDB (like most LSM engines) attaches a Bloom filter
 to each disk component so lookups skip components that certainly do not
-hold the key.  The filter is populated from the same bulkload stream
+hold the key.  Here only the primary tree is point-probed (``Dataset.get``),
+so only its components carry a filter; secondary trees are created with
+``bloom_fpp=None``.  The filter is populated from the same bulkload stream
 the statistics framework taps -- one more rider on the unified
 ``bulkload()`` routine, at zero extra I/O.
 

@@ -318,6 +318,9 @@ class Dataset:
             else:
                 self.indexes[spec.name] = spec
                 extractor = _single_key_extractor
+            # No Bloom filter: the only point lookup is the primary
+            # tree's; secondary, composite and spatial indexes are only
+            # range-scanned, so a filter here would never be probed.
             self._secondary[spec.name] = LSMTree(
                 name=secondary_index_name(name, spec.name),
                 disk=disk,
@@ -327,6 +330,7 @@ class Dataset:
                 sequence=self.sequence,
                 key_extractor=extractor,
                 auto_flush=False,
+                bloom_fpp=None,
                 index_builder=index_builder,
                 write_batch_size=write_batch_size,
                 manifest=self._manifest,

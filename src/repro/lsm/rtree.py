@@ -122,6 +122,12 @@ class DiskRTree:
         """Total pages occupied."""
         return self._file.num_pages
 
+    def memory_bytes(self) -> int:
+        """Accounted resident footprint, modelled as the B-tree's
+        (:meth:`repro.lsm.btree.DiskBTree.memory_bytes`): a 64-byte
+        handle plus 16 bytes of page metadata per page."""
+        return 64 + 16 * self._file.num_pages
+
     def __len__(self) -> int:
         return self.num_records
 

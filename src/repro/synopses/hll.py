@@ -46,7 +46,7 @@ from typing import Any, Sequence
 
 import numpy as np
 
-from repro.errors import MergeabilityError, SynopsisError
+from repro.errors import DomainError, MergeabilityError, SynopsisError
 from repro.synopses.base import Synopsis, SynopsisBuilder, SynopsisType
 from repro.types import Domain
 
@@ -61,6 +61,14 @@ __all__ = [
 
 _MASK64 = (1 << 64) - 1
 _TWO64 = float(1 << 64)
+_INT64_MIN = -(1 << 63)
+_INT64_MAX = (1 << 63) - 1
+
+# hash64's constants and shifts as uint64 scalars for the register kernel.
+_SPLITMIX_M1 = np.uint64(0xBF58476D1CE4E5B9)
+_SPLITMIX_M2 = np.uint64(0x94D049BB133111EB)
+_U27, _U30, _U31 = (np.uint64(n) for n in (27, 30, 31))
+_POWERS_OF_TWO = np.array([1 << k for k in range(64)], dtype=np.uint64)
 
 DEFAULT_HASH_SEED = 0x9E3779B97F4A7C15
 """Default hash seed (the 64-bit golden-ratio constant)."""
@@ -405,7 +413,12 @@ class HyperLogLogSynopsis(Synopsis):
 
 
 class HyperLogLogBuilder(SynopsisBuilder):
-    """Streaming HLL construction; tolerates arbitrary input order."""
+    """Streaming HLL construction; tolerates arbitrary input order.
+
+    The register kernel hashes an int64 column, so the domain must fit
+    int64; a wider one is refused here with a :class:`DomainError`
+    rather than served by a second, scalar code path.
+    """
 
     requires_sorted_input = False
 
@@ -416,12 +429,18 @@ class HyperLogLogBuilder(SynopsisBuilder):
         hash_seed: int = DEFAULT_HASH_SEED,
     ) -> None:
         precision = _check_register_budget(budget)
+        if domain.lo < _INT64_MIN or domain.hi > _INT64_MAX:
+            raise DomainError(
+                f"hll domain [{domain.lo}, {domain.hi}] does not fit int64"
+            )
         super().__init__(domain, budget)
         self.precision = precision
         self.hash_seed = hash_seed
         self._registers = array("B", bytes(budget))
         self._value_bits = 64 - precision
-        self._value_mask = (1 << self._value_bits) - 1
+        self._index_shift = np.uint64(self._value_bits)
+        self._value_mask64 = np.uint64((1 << self._value_bits) - 1)
+        self._seed64 = np.uint64(hash_seed & _MASK64)
 
     def memory_bytes(self) -> int:
         """One byte per register plus a fixed header -- the dense
@@ -429,28 +448,30 @@ class HyperLogLogBuilder(SynopsisBuilder):
         return 64 + self.budget
 
     def _add_many(self, values: Sequence[int]) -> None:
-        """Register update.
+        """Register update: :func:`hash64` as a numpy kernel.
 
-        The loop inlines :func:`hash64` (the identical 64-bit integer
-        arithmetic; ``test_hll`` holds the two together) and updates
-        registers through an order-insensitive max, so every chunking
-        of a stream is register-identical -- the oracle property the
-        test battery asserts.
+        The splitmix64 finaliser runs over the whole int64 column with
+        the constants and shifts of :func:`hash64`; ``uint64``
+        arithmetic wraps modulo 2**64, which is exactly the scalar
+        form's ``& _MASK64``.  The rank's ``bit_length`` is a binary
+        search of the powers of two (integers only, no float rounding),
+        and ``np.maximum.at`` folds every value into its register by an
+        order-insensitive max, so every chunking of a stream is
+        register-identical (``tests/synopses/reference_hll.py`` keeps
+        the scalar loop as the oracle).
         """
-        seed = self.hash_seed
-        registers = self._registers
-        value_bits = self._value_bits
-        value_mask = self._value_mask
-        for value in values:
-            x = (value + seed) & _MASK64
-            x = ((x ^ (x >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
-            x = ((x ^ (x >> 27)) * 0x94D049BB133111EB) & _MASK64
-            x ^= x >> 31
-            index = x >> value_bits
-            w = x & value_mask
-            rank = value_bits - w.bit_length() + 1
-            if rank > registers[index]:
-                registers[index] = rank
+        x = np.asarray(values, dtype=np.int64).view(np.uint64) + self._seed64
+        x ^= x >> _U30
+        x *= _SPLITMIX_M1
+        x ^= x >> _U27
+        x *= _SPLITMIX_M2
+        x ^= x >> _U31
+        index = (x >> self._index_shift).astype(np.intp)
+        w = x & self._value_mask64
+        # bit_length(w) is the number of powers of two at most w.
+        bit_length = np.searchsorted(_POWERS_OF_TWO, w, side="right")
+        rank = (self._value_bits + 1 - bit_length).astype(np.uint8)
+        np.maximum.at(np.frombuffer(self._registers, dtype=np.uint8), index, rank)
         self._count += len(values)
 
     def _build(self) -> HyperLogLogSynopsis:

@@ -405,5 +405,6 @@ class TestInvalidRecords:
         assert crashed.applied + resumed.applied == whole.applied
         assert crashed.failed + resumed.failed == whole.failed == pk_less
         assert store.applied("f") == store.cursor("f") == whole.applied
-        if kind != "file":  # a file is re-read, and its bad lines with it
-            assert invalid == skipped + pk_less
+        # A re-read file counts only the bad lines past its cursor.
+        assert invalid == skipped + pk_less
+        assert source.invalid_records == skipped

@@ -4,10 +4,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.cluster.cluster import LSMCluster
+from repro.core.config import StatisticsConfig
 from repro.errors import ConfigurationError
 from repro.lsm.bloom import BloomFilter
+from repro.lsm.dataset import CompositeIndexSpec, IndexSpec, SpatialIndexSpec
+from repro.lsm.merge_policy import ConstantMergePolicy
 from repro.lsm.storage import SimulatedDisk
 from repro.lsm.tree import LSMTree
+from repro.synopses.base import SynopsisType
+from repro.types import Domain
 
 
 class TestBloomFilter:
@@ -100,6 +106,95 @@ class TestLSMIntegration:
         for i in range(500):
             expected = None if i % 3 == 0 else f"v{i}"
             assert tree.get(i) == expected
+
+
+VALUE = Domain(0, 255)
+SECONDARY = [
+    IndexSpec("value_idx", "value", VALUE),
+    CompositeIndexSpec("pair_idx", ("value", "extra"), (VALUE, VALUE)),
+]
+# R-tree components have no manifest descriptor: spatial indexes live
+# only in non-durable datasets.
+SPATIAL = SpatialIndexSpec("point_idx", ("value", "extra"), (VALUE, VALUE))
+
+
+def _filtered_cluster(durable):
+    cluster = LSMCluster(
+        num_nodes=1,
+        partitions_per_node=2,
+        stats_config=StatisticsConfig(SynopsisType.EQUI_WIDTH, budget=16),
+        durable=durable,
+    )
+    cluster.create_dataset(
+        "ds",
+        primary_key="id",
+        primary_domain=Domain(0, 2**20 - 1),
+        indexes=SECONDARY if durable else [*SECONDARY, SPATIAL],
+        memtable_capacity=16,
+        merge_policy_factory=lambda: ConstantMergePolicy(max_components=3),
+    )
+    cluster.bulkload("ds", (_doc(pk) for pk in range(100)))
+    for pk in range(100, 400):
+        cluster.insert("ds", _doc(pk))
+    for pk in range(0, 100, 3):
+        cluster.delete("ds", pk)
+    cluster.flush_all("ds")
+    return cluster
+
+
+def _doc(pk):
+    return {"id": pk, "value": (pk * 13) % 256, "extra": (pk * 7) % 256}
+
+
+def _assert_filters_only_on_primary(cluster):
+    for dataset in cluster.datasets_of("ds"):
+        for name in dataset._secondary:
+            tree = dataset.secondary_tree(name)
+            assert tree.components and tree.bloom_fpp is None
+            assert all(component.bloom is None for component in tree.components)
+        primary = dataset.primary.components
+        assert primary and all(c.bloom is not None for c in primary)
+        # The arbiter's bloom pool is the primary filters, nothing else.
+        bloom = dataset.memory_breakdown()[2]
+        assert bloom == sum(c.bloom_bytes() for c in primary) > 0
+
+
+def _bloom_negatives_grow_on_misses(cluster):
+    def negatives():
+        return sum(
+            component.bloom_negatives
+            for dataset in cluster.datasets_of("ds")
+            for component in dataset.primary.components
+        )
+
+    before = negatives()
+    for pk in range(10_000, 10_050):
+        assert cluster.get("ds", pk) is None
+    assert negatives() > before
+
+
+class TestFiltersOnlyWhereRead:
+    """The one point lookup is the primary tree's (``Dataset.get``);
+    secondary, composite and spatial trees are only range-scanned, so
+    only the primary builds filters -- on bulkload, flush and merge,
+    and again when recovery rebuilds components from the manifest."""
+
+    def test_bulkload_flush_merge_including_rtrees(self):
+        cluster = _filtered_cluster(durable=False)
+        datasets = list(cluster.datasets_of("ds"))
+        assert any(d.primary.merge_count for d in datasets)
+        assert any(d.secondary_tree("point_idx").merge_count for d in datasets)
+        _assert_filters_only_on_primary(cluster)
+        _bloom_negatives_grow_on_misses(cluster)
+
+    def test_restart_recovery(self):
+        cluster = _filtered_cluster(durable=True)
+        _assert_filters_only_on_primary(cluster)
+        cluster.restart_nodes()
+        cluster.recover_statistics()
+        assert cluster.count_records("ds") == 400 - 34
+        _assert_filters_only_on_primary(cluster)
+        _bloom_negatives_grow_on_misses(cluster)
 
 
 class TestBufferCache:

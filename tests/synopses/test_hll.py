@@ -16,6 +16,10 @@ Four contracts, property-tested:
    is register-identical to the per-record ``add`` oracle across chunk
    sizes and for both typed containers a caller may hand it (the
    pipeline's ``array('q')`` column, a numpy ``int64`` array).
+5. **Kernel oracle** -- the numpy register kernel leaves exactly the
+   registers of the scalar loop it replaced (reference_hll.py) over the
+   whole int64 range, every budget 16..4096 and any chunking; a domain
+   wider than int64 is refused at construction.
 """
 
 import os
@@ -28,8 +32,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.errors import MergeabilityError, SynopsisError
+from repro.errors import DomainError, MergeabilityError, SynopsisError
 from repro.synopses.hll import (
+    DEFAULT_HASH_SEED,
     HBSCodec,
     HyperLogLogBuilder,
     HyperLogLogSynopsis,
@@ -37,6 +42,7 @@ from repro.synopses.hll import (
 )
 from repro.types import Domain
 from tests.synopses.reference_hbs import ReferenceHBSCodec
+from tests.synopses.reference_hll import ReferenceHyperLogLogBuilder
 
 DOMAIN = Domain(0, 2**20 - 1)
 BUDGET = 256  # p = 8
@@ -287,7 +293,7 @@ class TestAccuracy:
         assert hash64(12345, 1) != hash64(12345, 2)
 
     def test_builder_hash_is_hash64(self):
-        # The builder inlines the hash in its loop; each value must
+        # The builder runs the hash as a numpy kernel; each value must
         # still land in the register, at the rank, ``hash64`` dictates.
         for value in (0, 1, 12345, DOMAIN.hi):
             sketch = _build([value])
@@ -348,3 +354,99 @@ class TestColumnarOracle:
         from_column = HyperLogLogBuilder(DOMAIN, BUDGET)
         from_column.add_many(column(values))
         assert _registers(from_list.build()) == _registers(from_column.build())
+
+
+INT64_MIN, INT64_MAX = -(2**63), 2**63 - 1
+INT64_DOMAIN = Domain(INT64_MIN, INT64_MAX)
+BUDGETS = [2**p for p in range(4, 13)]  # 16 .. 4096 registers
+
+int64_values = st.one_of(
+    st.integers(INT64_MIN, INT64_MAX),
+    st.integers(-(2**40), 2**40),
+    st.sampled_from([INT64_MIN, INT64_MIN + 1, -1, 0, 1, INT64_MAX - 1, INT64_MAX]),
+)
+
+
+def _unxorshift(y, shift):
+    x = y
+    for _ in range(64 // shift):
+        x = y ^ (x >> shift)
+    return x
+
+
+def _unhash64(x, seed):
+    """The int64 value ``v`` with ``hash64(v, seed) == x``."""
+    mask = 2**64 - 1
+    x = _unxorshift(x, 31)
+    x = _unxorshift(x * pow(0x94D049BB133111EB, -1, 2**64) & mask, 27)
+    x = _unxorshift(x * pow(0xBF58476D1CE4E5B9, -1, 2**64) & mask, 30)
+    v = (x - seed) & mask
+    return v - 2**64 if v > INT64_MAX else v
+
+
+def _feed(builder, chunks, as_column):
+    for chunk in chunks:
+        builder.add_many(array("q", chunk) if as_column else list(chunk))
+    return bytes(builder.build().registers)
+
+
+class TestKernelOracle:
+    @settings(max_examples=150, deadline=None)
+    @given(
+        chunks=st.lists(st.lists(int64_values, max_size=200), max_size=6),
+        budget=st.sampled_from(BUDGETS),
+        seed=st.sampled_from([DEFAULT_HASH_SEED, 0, 7, 2**64 - 1]),
+        as_column=st.booleans(),
+    )
+    def test_kernel_registers_equal_the_scalar_loop(
+        self, chunks, budget, seed, as_column
+    ):
+        """Any chunking (empty chunks included), either container, any
+        budget: register-for-register what the scalar loop leaves."""
+        kernel = HyperLogLogBuilder(INT64_DOMAIN, budget, hash_seed=seed)
+        reference = ReferenceHyperLogLogBuilder(INT64_DOMAIN, budget, hash_seed=seed)
+        flat = [value for chunk in chunks for value in chunk]
+        assert _feed(kernel, chunks, as_column) == _feed(reference, [flat], False)
+
+    @pytest.mark.parametrize("budget", BUDGETS)
+    def test_every_budget_on_wide_values(self, budget):
+        rng = random.Random(budget)
+        values = [rng.randint(-(2**40), 2**40) for _ in range(5_000)]
+        values += [INT64_MIN, INT64_MAX, -1, 0]
+        kernel = HyperLogLogBuilder(INT64_DOMAIN, budget)
+        reference = ReferenceHyperLogLogBuilder(INT64_DOMAIN, budget)
+        assert _feed(kernel, [values[:1234], [], values[1234:]], True) == _feed(
+            reference, [values], False
+        )
+
+    @pytest.mark.parametrize("budget", [16, 4096])
+    def test_rank_edges_from_inverted_hashes(self, budget):
+        """Random hashes almost never leave ``w`` a power of two, the
+        one place a rank off by one would show; invert splitmix64 to
+        land on every such ``w`` (and on 0 and 2**k - 1) directly."""
+        bits = 64 - (budget.bit_length() - 1)
+        ws = [0] + [w for k in range(bits) for w in (1 << k, (1 << k) - 1)]
+        values = [
+            _unhash64(((i * 37) % budget) << bits | w, DEFAULT_HASH_SEED)
+            for i, w in enumerate(ws)
+        ]
+        assert all(
+            hash64(v) & ((1 << bits) - 1) == w for v, w in zip(values, ws)
+        )
+        for i in range(0, len(values), 3):  # 3 values, 3 distinct registers
+            chunk = values[i : i + 3]
+            kernel = HyperLogLogBuilder(INT64_DOMAIN, budget)
+            reference = ReferenceHyperLogLogBuilder(INT64_DOMAIN, budget)
+            assert _feed(kernel, [chunk], True) == _feed(reference, [chunk], False)
+
+    @pytest.mark.parametrize(
+        "domain", [Domain(0, 2**63), Domain(-(2**63) - 1, 0)], ids=["hi", "lo"]
+    )
+    def test_domain_wider_than_int64_is_refused(self, domain):
+        with pytest.raises(DomainError, match="does not fit int64"):
+            HyperLogLogBuilder(domain, BUDGET)
+
+    def test_full_int64_domain_is_accepted(self):
+        builder = HyperLogLogBuilder(INT64_DOMAIN, BUDGET)
+        builder.add_many([INT64_MIN, INT64_MAX])
+        assert builder.build().total_count == 2
