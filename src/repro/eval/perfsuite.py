@@ -381,7 +381,8 @@ def _bench_ingest(
     The ratios divide two best-of-N times from the same process, taken
     in alternating passes after a warm-up, so the machine's speed
     cancels; the keys are sparse over a 2^30 domain so the wavelet
-    builder's gap filling, its dominant cost, is exercised.
+    kernel's dominant cost, the levels where every key is still alone in
+    its block, is exercised.
     """
     n = scale.ingest_records
     stride = _INGEST_DOMAIN.length // n

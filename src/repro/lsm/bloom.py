@@ -12,25 +12,60 @@ the statistics framework taps -- one more rider on the unified
 
 Implementation: a plain bit array with double hashing (Kirsch &
 Mitzenmacher: ``h_i = h1 + i * h2`` gives k independent-enough probes
-from two base hashes).
+from two base hashes).  A key is hashed by value: an integer key is its
+own 64-bit word (modulo 2**64), any other key (a composite tuple, a
+string) the first eight bytes of ``md5(repr(key))``; the word is mixed
+by the seeded splitmix64
+finaliser (:mod:`repro.util.hashing`, the HLL hash), whose low and high
+32 bits are ``h1`` and ``h2`` (made odd).  :meth:`BloomFilter.add_all`
+does this for a whole typed key column in numpy, and sets exactly the
+bits one :meth:`BloomFilter.add` per key would.
 """
 
 from __future__ import annotations
 
 import hashlib
 import math
+import operator
+from array import array
 from typing import Any, Iterable
 
+import numpy as np
+
 from repro.errors import ConfigurationError
+from repro.util.hashing import MASK64, splitmix64, splitmix64_column
+from repro.util.npbackend import INT64_TYPECODE
 
 __all__ = ["BloomFilter"]
 
+_SEED = 0x2545F4914F6CDD1D  # any fixed seed; not the HLL sketches' one
+_LOW32 = 0xFFFFFFFF
+_LOW32_U64, _U32, _U3, _U7 = (np.uint64(n) for n in (_LOW32, 32, 3, 7))
+
+
+def _key_word(key: Any) -> int:
+    """The 64-bit word a key is hashed by (see the module docstring)."""
+    try:
+        return operator.index(key) & MASK64
+    except TypeError:
+        return int.from_bytes(hashlib.md5(repr(key).encode()).digest()[:8], "little")
+
 
 def _base_hashes(key: Any) -> tuple[int, int]:
-    digest = hashlib.md5(repr(key).encode()).digest()
-    h1 = int.from_bytes(digest[:8], "little")
-    h2 = int.from_bytes(digest[8:16], "little") | 1  # odd -> full cycle
-    return h1, h2
+    mixed = splitmix64(_key_word(key), _SEED)
+    return mixed & _LOW32, (mixed >> 32) | 1  # odd h2 -> full cycle
+
+
+def _key_words(keys: Iterable[Any]) -> "np.ndarray":
+    """:func:`_key_word` of every key as a ``uint64`` column; a typed
+    ``array('q')`` column is read in place."""
+    if not (isinstance(keys, array) and keys.typecode == INT64_TYPECODE):
+        keys = list(keys)
+        try:
+            keys = array(INT64_TYPECODE, keys)
+        except (TypeError, OverflowError):
+            return np.array([_key_word(key) for key in keys], dtype=np.uint64)
+    return np.frombuffer(keys, dtype=np.int64).view(np.uint64)
 
 
 class BloomFilter:
@@ -66,30 +101,23 @@ class BloomFilter:
         self.num_added += 1
 
     def add_all(self, keys: Iterable[Any]) -> None:
-        """Insert every key (the columnar write path's batch insert).
-
-        Sets exactly the bits :meth:`add` would: the probe positions
-        ``(h1 + i * h2) % num_bits`` are generated by incremental
-        modular stepping (add ``h2 % num_bits``, subtract ``num_bits``
-        on overflow), which avoids the per-probe big-int multiply and
-        reduction on the md5 hashes while remaining arithmetically
-        identical.
-        """
-        num_bits = self.num_bits
-        num_hashes = self.num_hashes
-        bits = self._bits
-        added = 0
-        for key in keys:
-            h1, h2 = _base_hashes(key)
-            position = h1 % num_bits
-            step = h2 % num_bits
-            for _i in range(num_hashes):
-                bits[position >> 3] |= 1 << (position & 7)
-                position += step
-                if position >= num_bits:
-                    position -= num_bits
-            added += 1
-        self.num_added += added
+        """Insert every key (the write path's batch insert): the probe
+        positions of the whole column at once, as a ``(keys, hashes)``
+        ``uint64`` matrix -- ``h1 + i * h2 < 2**32 * (hashes + 1)``
+        never wraps -- OR-ed into the bit array in one ``np.bitwise_or.at``."""
+        mixed = splitmix64_column(_key_words(keys), _SEED)
+        if not len(mixed):
+            return
+        h1 = mixed & _LOW32_U64
+        h2 = (mixed >> _U32) | np.uint64(1)
+        steps = np.arange(self.num_hashes, dtype=np.uint64)
+        positions = ((h1[:, None] + h2[:, None] * steps) % np.uint64(self.num_bits)).ravel()
+        np.bitwise_or.at(
+            np.frombuffer(self._bits, dtype=np.uint8),
+            positions >> _U3,
+            np.left_shift(1, positions & _U7).astype(np.uint8),
+        )
+        self.num_added += len(mixed)
 
     def might_contain(self, key: Any) -> bool:
         """False means definitely absent; True means possibly present."""

@@ -656,7 +656,8 @@ class LSMTree:
                 total += len(chunk)
                 anti += chunk.antimatter_count
                 if bloom is not None:
-                    bloom.add_all(chunk.keys_list())
+                    typed = chunk.typed_keys
+                    bloom.add_all(typed if typed is not None else chunk.keys_list())
                 for sink in list(live_sinks):
                     try:
                         sink.accept_many(chunk)

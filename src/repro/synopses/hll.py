@@ -49,6 +49,7 @@ import numpy as np
 from repro.errors import DomainError, MergeabilityError, SynopsisError
 from repro.synopses.base import Synopsis, SynopsisBuilder, SynopsisType
 from repro.types import Domain
+from repro.util.hashing import splitmix64, splitmix64_column
 
 __all__ = [
     "DEFAULT_HASH_SEED",
@@ -59,15 +60,10 @@ __all__ = [
     "ndv_statistics_key",
 ]
 
-_MASK64 = (1 << 64) - 1
 _TWO64 = float(1 << 64)
 _INT64_MIN = -(1 << 63)
 _INT64_MAX = (1 << 63) - 1
 
-# hash64's constants and shifts as uint64 scalars for the register kernel.
-_SPLITMIX_M1 = np.uint64(0xBF58476D1CE4E5B9)
-_SPLITMIX_M2 = np.uint64(0x94D049BB133111EB)
-_U27, _U30, _U31 = (np.uint64(n) for n in (27, 30, 31))
 _POWERS_OF_TWO = np.array([1 << k for k in range(64)], dtype=np.uint64)
 
 DEFAULT_HASH_SEED = 0x9E3779B97F4A7C15
@@ -86,10 +82,7 @@ def hash64(value: int, seed: int = DEFAULT_HASH_SEED) -> int:
     re-derives sketches by rescanning components, and the rebuilt
     registers must be bit-identical to the pre-crash ones.
     """
-    x = (int(value) + seed) & _MASK64
-    x = ((x ^ (x >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
-    x = ((x ^ (x >> 27)) * 0x94D049BB133111EB) & _MASK64
-    return x ^ (x >> 31)
+    return splitmix64(value, seed)
 
 
 def _alpha(m: int) -> float:
@@ -440,7 +433,6 @@ class HyperLogLogBuilder(SynopsisBuilder):
         self._value_bits = 64 - precision
         self._index_shift = np.uint64(self._value_bits)
         self._value_mask64 = np.uint64((1 << self._value_bits) - 1)
-        self._seed64 = np.uint64(hash_seed & _MASK64)
 
     def memory_bytes(self) -> int:
         """One byte per register plus a fixed header -- the dense
@@ -450,22 +442,18 @@ class HyperLogLogBuilder(SynopsisBuilder):
     def _add_many(self, values: Sequence[int]) -> None:
         """Register update: :func:`hash64` as a numpy kernel.
 
-        The splitmix64 finaliser runs over the whole int64 column with
-        the constants and shifts of :func:`hash64`; ``uint64``
-        arithmetic wraps modulo 2**64, which is exactly the scalar
-        form's ``& _MASK64``.  The rank's ``bit_length`` is a binary
-        search of the powers of two (integers only, no float rounding),
+        :func:`~repro.util.hashing.splitmix64_column` mixes the whole
+        int64 column word for word as :func:`hash64` mixes one value.
+        The rank's ``bit_length`` is a binary search of the powers of
+        two (integers only, no float rounding),
         and ``np.maximum.at`` folds every value into its register by an
         order-insensitive max, so every chunking of a stream is
         register-identical (``tests/synopses/reference_hll.py`` keeps
         the scalar loop as the oracle).
         """
-        x = np.asarray(values, dtype=np.int64).view(np.uint64) + self._seed64
-        x ^= x >> _U30
-        x *= _SPLITMIX_M1
-        x ^= x >> _U27
-        x *= _SPLITMIX_M2
-        x ^= x >> _U31
+        x = splitmix64_column(
+            np.asarray(values, dtype=np.int64).view(np.uint64), self.hash_seed
+        )
         index = (x >> self._index_shift).astype(np.intp)
         w = x & self._value_mask64
         # bit_length(w) is the number of powers of two at most w.

@@ -17,6 +17,8 @@ from __future__ import annotations
 import math
 from typing import Any, Sequence
 
+import numpy as np
+
 from repro.errors import DomainError, SynopsisError
 from repro.synopses.base import Synopsis, SynopsisBuilder, SynopsisType
 from repro.synopses.wavelet.coefficient import (
@@ -24,8 +26,8 @@ from repro.synopses.wavelet.coefficient import (
     normalized_weight,
     preorder_sort_key,
 )
-from repro.synopses.wavelet.streaming import StreamingWaveletTransform
-from repro.types import Domain
+from repro.synopses.wavelet.streaming import top_coefficients
+from repro.types import Domain, IntType
 
 __all__ = ["WaveletSynopsis", "WaveletBuilder"]
 
@@ -166,62 +168,48 @@ def _threshold(
 
 
 class WaveletBuilder(SynopsisBuilder):
-    """Aggregates the sorted value stream into per-value frequencies and
-    feeds them through the streaming transform."""
+    """Keeps the sorted value column and runs the level-at-a-time
+    transform over its distinct values when the synopsis is built.
+
+    The transform works in 64-bit positions over an int64 column, so the
+    domain must fit int64; a wider one is refused here with a
+    :class:`DomainError` rather than served by a second code path.
+    """
 
     def __init__(self, domain: Domain, budget: int) -> None:
+        IntType.INT64.validate(domain.lo)
+        IntType.INT64.validate(domain.hi)
         super().__init__(domain, budget)
-        self._transform = StreamingWaveletTransform(domain.levels, budget)
-        self._current_value: int | None = None
-        self._current_frequency = 0
+        self._chunks: list[np.ndarray] = []
+
+    def memory_bytes(self) -> int:
+        """The budget-element state plus the buffered value column."""
+        return super().memory_bytes() + sum(chunk.nbytes for chunk in self._chunks)
 
     def _add_many(self, values: "Sequence[int]") -> None:
-        """The wavelet step: run-length aggregation into the transform.
+        """The wavelet step: buffer the chunk as int64.
 
-        Exactness: the streaming transform consumes (position,
-        frequency) runs in non-decreasing position order, and the
-        run boundaries are fully determined by the value sequence --
-        chunking cannot split a run because the pending run carries
-        across chunks in ``_current_value``/``_current_frequency``.
-        Duplicate values only bump the pending frequency, so the
-        transform's carry walk runs once per distinct value: the same
-        ``transform.add`` calls happen in the same order with the same
-        arguments under any chunking, and the
-        transform itself is deterministic float for float (its module
-        docstring has the argument), so coefficients are bit-identical
-        whatever the chunking.  ``add_many`` has already checked every
-        value against the domain and the sort order, so the position is
-        the plain offset ``value - lo``; ``transform.add`` still checks
-        it is in range and strictly increasing.
+        Exactness: ``_build`` sees the concatenation of every chunk, so
+        the runs of equal values -- and with them the ``(position,
+        frequency)`` stream the transform consumes -- do not depend on
+        how the stream was chunked.  ``add_many`` has already checked
+        every value against the domain and the sort order.
         """
-        current = self._current_value
-        frequency = self._current_frequency
-        transform_add = self._transform.add
-        lo = self.domain.lo
-        for value in values:
-            if value == current:
-                frequency += 1
-            else:
-                if current is not None:
-                    transform_add(current - lo, float(frequency))
-                current = value
-                frequency = 1
-        self._current_value = current
-        self._current_frequency = frequency
+        self._chunks.append(np.array(values, dtype=np.int64))
         self._count += len(values)
 
-    def _flush_pending(self) -> None:
-        if self._current_value is not None:
-            self._transform.add(
-                self._current_value - self.domain.lo,
-                float(self._current_frequency),
-            )
-
     def _build(self) -> WaveletSynopsis:
-        self._flush_pending()
-        coefficients = {
-            c.index: c.value for c in self._transform.finish()
-        }
+        values = np.concatenate(self._chunks or [np.zeros(0, dtype=np.int64)])
+        self._chunks = []
+        run_starts = np.flatnonzero(values[1:] != values[:-1]) + 1
+        if len(values):
+            run_starts = np.concatenate(([0], run_starts))
+        frequencies = np.diff(np.append(run_starts, len(values))).astype(np.float64)
+        # value - lo may wrap in int64; its bits are the offset as uint64.
+        positions = (values[run_starts] - self.domain.lo).view(np.uint64)
+        coefficients = dict(
+            top_coefficients(self.domain.levels, positions, frequencies, self.budget)
+        )
         return WaveletSynopsis(
             self.domain, self.budget, coefficients, total_count=self._count
         )

@@ -13,7 +13,7 @@ repeated runs over the same stream produce identical synopses.
 from __future__ import annotations
 
 import heapq
-from typing import Any, Iterator
+from typing import Any, Iterable, Iterator
 
 __all__ = ["BoundedMinHeap"]
 
@@ -56,6 +56,25 @@ class BoundedMinHeap:
             return item
         evicted = heapq.heappushpop(self._heap, entry)
         return evicted[2]
+
+    def add_all(self, weighted: Iterable[tuple[float, Any]]) -> None:
+        """:meth:`add` every ``(weight, item)`` pair in order.
+
+        The batch form for long streams of mostly rejected offers: a
+        full heap's rejection is one float comparison, with no entry
+        built.  Entries carry the same insertion ranks one :meth:`add`
+        per pair would give them, so the heap ends identical.
+        """
+        heap = self._heap
+        capacity = self._capacity
+        counter = self._counter
+        for weight, item in weighted:
+            if len(heap) < capacity:
+                heapq.heappush(heap, (weight, -counter, item))
+            elif weight > heap[0][0]:
+                heapq.heappushpop(heap, (weight, -counter, item))
+            counter += 1
+        self._counter = counter
 
     def min_weight(self) -> float:
         """Weight of the lightest retained item."""

@@ -4,9 +4,10 @@ This is Algorithm 1 written the obvious way -- a stack of ``(level, key,
 average)`` entries, one ``_push`` per dyadic interval, one ``_emit`` per
 sibling merge, ``normalized_weight`` per coefficient, every coefficient
 offered to the ``BoundedMinHeap``.  It was the shipped transform until
-``repro.synopses.wavelet.streaming`` became a binary-counter kernel; it
-stays here as the oracle that kernel must equal float for float
-(``test_wavelet_reference.py``).  Not performance-sensitive; do not
+``repro.synopses.wavelet.streaming`` became a kernel (a binary counter,
+then level-at-a-time numpy); it stays here as the oracle that kernel
+must equal float for float, heap order included
+(``test_wavelet_streaming.py``).  Not performance-sensitive; do not
 optimise it.
 """
 

@@ -1,11 +1,16 @@
 """Streaming transform tests: Algorithm 1 equals the classic transform,
-and the binary-counter kernel equals the tuple-stack reference."""
+and the level-at-a-time kernel -- through the transform and through the
+builder -- equals the tuple-stack reference."""
+
+import itertools
+import random
+from array import array
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.errors import SynopsisError
+from repro.errors import DomainError, SynopsisError
 from repro.synopses.wavelet.classic import classic_decompose, prefix_sum_signal
 from repro.synopses.wavelet.coefficient import (
     coefficient_level,
@@ -13,6 +18,8 @@ from repro.synopses.wavelet.coefficient import (
     preorder_sort_key,
 )
 from repro.synopses.wavelet.streaming import StreamingWaveletTransform
+from repro.synopses.wavelet.synopsis import WaveletBuilder
+from repro.types import Domain
 from tests.synopses.reference_wavelet import ReferenceWaveletTransform
 
 
@@ -172,7 +179,7 @@ def _sparse_streams(draw):
     """``(levels, sorted (position, frequency) tuples)`` over domains up
     to 2^40, clustered so that gaps of every size and runs of adjacent
     positions (long carry chains) both occur."""
-    levels = draw(st.integers(0, 40))
+    levels = draw(st.integers(0, 64))
     last = (1 << levels) - 1
     anchors = draw(st.lists(st.integers(0, last), max_size=12))
     near = draw(st.lists(st.integers(-3, 3), max_size=4))
@@ -199,11 +206,11 @@ def _sparse_streams(draw):
 @settings(max_examples=300, deadline=None)
 @given(
     _sparse_streams(),
-    st.sampled_from([None, 1, 3, 256]),
+    st.sampled_from([None, 1, 3, 16, 256]),
     st.booleans(),
 )
 def test_kernel_equals_reference_transform(stream, budget, encode_prefix_sum):
-    """The binary-counter kernel retains the very coefficients the
+    """The level-at-a-time kernel retains the very coefficients the
     tuple-stack transform does: same indices, same floats, and the same
     order out of the heap (``WaveletSynopsis._merge`` re-thresholds with
     a stable sort over that order, so it is part of the result)."""
@@ -215,3 +222,80 @@ def test_kernel_equals_reference_transform(stream, budget, encode_prefix_sum):
         ReferenceWaveletTransform, tuples, levels, budget, encode_prefix_sum
     )
     assert got == expected
+
+
+def _reference_build(domain, budget, values):
+    """The builder's coefficients the slow way: runs of equal values
+    through the tuple-stack transform, in the heap's order."""
+    transform = ReferenceWaveletTransform(domain.levels, budget)
+    for value, run in itertools.groupby(values):
+        transform.add(value - domain.lo, float(sum(1 for _ in run)))
+    return [(c.index, c.value) for c in transform.finish()]
+
+
+@st.composite
+def _columns(draw):
+    """``(domain, sorted values)`` from tiny domains up to all of int64,
+    with the domain edges and repeated values (multi-value runs) likely."""
+    lo = draw(st.sampled_from([-(2**63), -1000, 0, 2**62]))
+    hi = draw(st.sampled_from([lo, lo + 7, lo + 2**20, 2**63 - 1]))
+    value = st.one_of(st.sampled_from([lo, hi]), st.integers(lo, hi))
+    values = draw(st.lists(value, max_size=150))
+    repeats = draw(st.lists(st.integers(1, 5), min_size=len(values), max_size=len(values)))
+    return Domain(lo, hi), sorted(v for v, r in zip(values, repeats) for _ in range(r))
+
+
+def _chunks(values, cuts):
+    bounds = sorted({0, len(values), *(cut % (len(values) + 1) for cut in cuts)})
+    return [values[a:b] for a, b in zip(bounds, bounds[1:])] + [[]]
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    _columns(),
+    st.sampled_from([1, 2, 16, 256, 4096]),
+    st.lists(st.integers(0, 800), max_size=4),
+    st.booleans(),
+)
+def test_builder_equals_reference_over_any_chunking(column, budget, cuts, typed):
+    """The builder buffers its chunks and transforms the whole column at
+    build time: any chunking, ``array('q')`` or list chunks and empty
+    chunks all give the reference's coefficients in the reference's
+    order."""
+    domain, values = column
+    builder = WaveletBuilder(domain, budget)
+    for chunk in _chunks(values, cuts):
+        builder.add_many(array("q", chunk) if typed else chunk)
+    synopsis = builder.build()
+    assert list(synopsis.coefficients.items()) == _reference_build(
+        domain, budget, values
+    )
+    assert synopsis.total_count == len(values)
+
+
+@pytest.mark.parametrize("budget", [8, 64, 256])
+@pytest.mark.parametrize("spread", [2**30, 2**16], ids=["sparse", "dense"])
+def test_heap_floors_on_a_large_stream(budget, spread):
+    """Thousands of distinct values: the per-segment heap floors drop
+    most coefficients before the heap, and the result is unchanged."""
+    rng = random.Random(budget)
+    values = sorted(rng.randrange(spread) for _ in range(5_000))
+    domain = Domain(0, 2**30 - 1)
+    builder = WaveletBuilder(domain, budget)
+    builder.add_many(array("q", values))
+    assert list(builder.build().coefficients.items()) == _reference_build(
+        domain, budget, values
+    )
+
+
+class TestDomainGuards:
+    @pytest.mark.parametrize(
+        "domain", [Domain(0, 2**63), Domain(-(2**63) - 1, 0)], ids=["hi", "lo"]
+    )
+    def test_builder_domain_wider_than_int64_is_refused(self, domain):
+        with pytest.raises(DomainError):
+            WaveletBuilder(domain, 16)
+
+    def test_transform_levels_beyond_64_are_refused(self):
+        with pytest.raises(SynopsisError):
+            StreamingWaveletTransform(65)

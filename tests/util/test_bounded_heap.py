@@ -88,3 +88,21 @@ def test_keeps_top_k(weights, capacity):
     kept = sorted((w for w, _ in heap.weighted_items()), reverse=True)
     expected = sorted(weights, reverse=True)[: min(capacity, len(weights))]
     assert kept == expected
+
+
+@given(
+    st.lists(st.integers(0, 6).map(float), max_size=60),
+    st.lists(st.integers(0, 6).map(float), max_size=20),
+    st.integers(1, 8),
+)
+def test_add_all_is_add_per_pair(batch, later, capacity):
+    """Tie-heavy weights: the same entries in the same heap layout, and
+    later single adds break ties against the batch exactly as before."""
+    one_by_one, batched = BoundedMinHeap(capacity), BoundedMinHeap(capacity)
+    for index, weight in enumerate(batch):
+        one_by_one.add(weight, index)
+    batched.add_all((weight, index) for index, weight in enumerate(batch))
+    for index, weight in enumerate(later, start=len(batch)):
+        one_by_one.add(weight, index)
+        batched.add(weight, index)
+    assert batched._heap == one_by_one._heap
