@@ -472,9 +472,9 @@ class ResumableFeedConsumer:
     target with idempotent dedup keyed by ``(feed_id, seqno)``, and
     checkpoints the cursor every ``checkpoint_every`` applied records.
     Injected disconnects are retried with the shared
-    :class:`~repro.util.retry.RetryPolicy` (attempt budget resets on
-    progress, backoff jitter drawn from a feed-seeded RNG); exhausting
-    the budget raises :class:`~repro.errors.FeedError`.
+    :class:`~repro.util.retry.RetryPolicy` (attempt and time budgets
+    reset on progress, backoff jitter drawn from a feed-seeded RNG);
+    exhausting either budget raises :class:`~repro.errors.FeedError`.
 
     ``run(stop_after=N)`` models a crash: the consumer stops mid-feed
     *without* the final checkpoint, exactly as a killed process would.
@@ -569,7 +569,7 @@ class ResumableFeedConsumer:
         applied = replayed = deduplicated = failed = 0
         backfilled = tailed = checkpoints = disconnects = reconnects = 0
         since_checkpoint = 0
-        attempts = 0
+        pauses = None  # the retry budget of the current disconnect streak
 
         def stats() -> FeedConsumerStats:
             return FeedConsumerStats(
@@ -587,7 +587,7 @@ class ResumableFeedConsumer:
         while True:
             try:
                 for seqno, record in self._source.read(after=position):
-                    attempts = 0
+                    pauses = None
                     position = max(position, seqno)
                     if seqno <= resume_floor:
                         replayed += 1
@@ -627,15 +627,14 @@ class ResumableFeedConsumer:
             except FeedDisconnectedError:
                 disconnects += 1
                 self._m_disconnects.inc()
-                if attempts + 1 >= self.retry_policy.max_attempts:
+                if pauses is None:
+                    pauses = self.retry_policy.pauses(self._rng)
+                pause = next(pauses, None)
+                if pause is None:
                     raise FeedError(
-                        f"feed {self.feed_id}: reconnect budget exhausted "
-                        f"after {attempts + 1} attempts"
+                        f"feed {self.feed_id}: reconnect budget exhausted"
                     ) from None
-                self.retry_policy.sleep(
-                    self.retry_policy.backoff_for(attempts, self._rng)
-                )
-                attempts += 1
+                self.retry_policy.sleep(pause)
                 reconnect = getattr(self._source, "reconnect", None)
                 if reconnect is not None:
                     reconnect()

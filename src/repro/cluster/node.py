@@ -199,20 +199,17 @@ class NetworkStatisticsSink:
 
     def _try_send(self, frame: bytes) -> bool:
         policy = self._policy
-        waited = 0.0
-        for attempt in range(policy.max_attempts):
+        pauses = policy.pauses(self._rng)
+        while True:
             try:
                 self._network.send(self._node_id, self._master_id, frame)
                 return True
             except NetworkUnavailableError:
-                if attempt + 1 >= policy.max_attempts:
-                    break
-                pause = policy.backoff_for(attempt, self._rng)
-                if waited + pause > policy.timeout:
+                pause = next(pauses, None)
+                if pause is None:
                     break  # send budget exhausted; park the message
                 self._m_retries.inc()
                 policy.sleep(pause)
-                waited += pause
         self._m_send_failures.inc()
         return False
 

@@ -16,8 +16,9 @@ is vacuous unless the resume actually replayed records, so
 ``replayed == 0`` is itself a failure.
 
 **Overload leg.**  A bounded :class:`~repro.cluster.serving.
-EstimateService` is saturated deterministically (staged admissions past
-the queue bound), then hammered by concurrent client threads.  The leg
+EstimateService` is saturated deterministically (:func:`saturate`:
+callers hold every slot and fill the queue, and the calls past the
+bound are shed), then hammered by concurrent client threads.  The leg
 verifies load is *shed, not queued*: at least one typed
 :class:`~repro.errors.OverloadedError`, queue depth never exceeds its
 bound, every client thread finishes (join with a deadline -- a stuck
@@ -30,6 +31,7 @@ from __future__ import annotations
 
 import random
 import threading
+import time
 from dataclasses import dataclass
 from typing import Any
 
@@ -43,10 +45,10 @@ from repro.cluster.feeds import (
     ResumableFeedConsumer,
 )
 from repro.cluster.serving import EstimateService
-from repro.errors import OverloadedError
+from repro.errors import ClusterError, OverloadedError
 from repro.util.retry import RetryPolicy
 
-__all__ = ["ServeCheckReport", "run_servecheck", "format_report"]
+__all__ = ["ServeCheckReport", "run_servecheck", "format_report", "saturate"]
 
 _DATASET = verify.DATASET
 _CHECKPOINT_EVERY = 64
@@ -73,6 +75,81 @@ class ServeCheckReport:
     timeouts: int
     peak_queue_depth: int
     problems: tuple[str, ...]
+
+
+class _Gated:
+    """A cluster whose estimates park at ``gate`` -- so the callers that
+    hold a service's slots stay inside them -- while degraded answers
+    pass straight through."""
+
+    def __init__(self, cluster: Any) -> None:
+        self._cluster = cluster
+        self.gate = threading.Event()
+        self._lock = threading.Lock()
+        self.parked = 0
+
+    def estimate_detailed(self, *request: Any) -> Any:
+        with self._lock:
+            self.parked += 1
+        self.gate.wait(_JOIN_DEADLINE_SECONDS)
+        return self._cluster.estimate_detailed(*request)
+
+    def estimate_degraded(self, *request: Any) -> Any:
+        return self._cluster.estimate_degraded(*request)
+
+
+def saturate(
+    cluster: Any,
+    request: tuple[str, str, int, int],
+    extra: int,
+    queued: int | None = None,
+    **options: Any,
+) -> tuple[EstimateService, list[Any]]:
+    """Stage an :class:`EstimateService` (``options`` are its keywords)
+    over ``cluster`` at saturation, deterministically.
+
+    With estimates gated shut, one caller thread per slot and
+    ``queued`` more (default: a full queue) ask for ``request`` =
+    ``(dataset, index_name, lo, hi)``; once every slot is held and the
+    queue holds ``queued``, this thread makes ``extra`` calls.  Then
+    the gate opens and the staged callers are joined, so whatever runs
+    next begins from an empty queue.  Returns the open service and each
+    extra call's outcome: its answer or the ``OverloadedError`` that
+    shed it.  Raises :class:`~repro.errors.ClusterError` when staging
+    never settles or a staged caller never finishes.
+    """
+    gated = _Gated(cluster)
+    service = EstimateService(gated, **options)
+    if queued is None:
+        queued = service.max_queue_depth
+    callers = [
+        threading.Thread(
+            target=service.estimate,
+            args=("stager", *request, _JOIN_DEADLINE_SECONDS),
+            daemon=True,
+        )
+        for _ in range(service.num_workers + queued)
+    ]
+    for caller in callers:
+        caller.start()
+    deadline = time.monotonic() + _JOIN_DEADLINE_SECONDS
+    while gated.parked < service.num_workers or service.queue_depth < queued:
+        if time.monotonic() > deadline:
+            gated.gate.set()
+            raise ClusterError("staged callers never saturated the service")
+        time.sleep(0.001)
+    outcomes: list[Any] = []
+    for _ in range(extra):
+        try:
+            outcomes.append(service.estimate("stager", *request))
+        except OverloadedError as shed:
+            outcomes.append(shed)
+    gated.gate.set()
+    for caller in callers:
+        caller.join(_JOIN_DEADLINE_SECONDS)
+    if any(caller.is_alive() for caller in callers):
+        raise ClusterError("deadlock: staged callers never finished")
+    return service, outcomes
 
 
 def _feed_records(seed: int, count: int) -> list[FeedRecord]:
@@ -184,7 +261,7 @@ def _run_resume_leg(
 def _run_overload_leg(
     seed: int, records: int, problems: list[str]
 ) -> dict[str, Any]:
-    def saturate(cluster: LSMCluster) -> int:
+    def drive(cluster: LSMCluster) -> int:
         for record in _feed_records(seed, records):
             if record.operation is FeedOperation.INSERT:
                 cluster.insert(_DATASET, record.document)
@@ -194,20 +271,20 @@ def _run_overload_leg(
         # Warm the merged-synopsis cache so degraded answers exist.
         cluster.estimate_detailed(_DATASET, "value_idx", 0, 255)
 
-        # Deterministic saturation: stage admissions past the bound
-        # before any worker runs, so the typed rejection is guaranteed.
-        service = EstimateService(
+        # Deterministic saturation: every slot held, the queue full,
+        # so the two calls past the bound are typed rejections.
+        service, outcomes = saturate(
             cluster,
+            (_DATASET, "value_idx", 0, 63),
+            extra=2,
             max_queue_depth=4,
             workers=2,
             default_timeout=_JOIN_DEADLINE_SECONDS,
             retry_policy=RetryPolicy.immediate(max_attempts=2),
-            autostart=False,
         )
-        staged_rejections = 0
-        for i in range(service.max_queue_depth + 2):
-            if not service.offer("stager", _DATASET, "value_idx", 0, 63 + i):
-                staged_rejections += 1
+        staged_rejections = sum(
+            isinstance(outcome, OverloadedError) for outcome in outcomes
+        )
         if staged_rejections != 2:
             problems.append(
                 f"staged saturation expected 2 rejections, got "
@@ -216,7 +293,6 @@ def _run_overload_leg(
 
         # Concurrent clients against the live service; sheds must be
         # typed, everyone must come back.
-        service.start()
         overloads = [0] * 4
         completed = [0] * 4
 
@@ -255,30 +331,28 @@ def _run_overload_leg(
                 f"{service.max_queue_depth}"
             )
 
-        # Degraded flavour: no workers, an immediate timeout must fall
-        # back to the possibly-stale cached merge, flagged as such.
-        degraded_service = EstimateService(
+        # Degraded flavour: the one slot held, an immediate timeout must
+        # fall back to the possibly-stale cached merge, flagged as such.
+        _, outcomes = saturate(
             cluster,
+            (_DATASET, "value_idx", 0, 255),
+            extra=1,
+            queued=0,
             max_queue_depth=2,
+            workers=1,
             default_timeout=0.0,
             retry_policy=RetryPolicy.immediate(max_attempts=1),
             degraded_mode=True,
-            autostart=False,
         )
-        try:
-            result = degraded_service.estimate(
-                "degraded-client", _DATASET, "value_idx", 0, 255
-            )
-            if not result.degraded:
-                problems.append("degraded answer not flagged degraded")
-        except OverloadedError:
+        if isinstance(outcomes[0], OverloadedError):
             problems.append(
                 "degraded mode shed a request despite a warm cache"
             )
-        degraded_service.shutdown()
+        elif not outcomes[0].degraded:
+            problems.append("degraded answer not flagged degraded")
         return service.peak_queue_depth
 
-    run = verify.observe("overload", saturate, scheduler="threads")
+    run = verify.observe("overload", drive, scheduler="threads")
     problems.extend(run.problems)
     counters = run.counters
     if not counters.get("serve.rejected", 0):

@@ -8,21 +8,23 @@ load spike into unbounded latency.  This module puts the standard
 serving armour around :class:`~repro.core.estimator.CardinalityEstimator`
 (via the :class:`~repro.cluster.cluster.LSMCluster` facade):
 
-* **caller-runs when idle** -- an estimate is catalog-only work of a few
-  microseconds (paper Section 3.4), cheaper than waking a worker and
-  waiting for it, so a request that finds nothing queued and a free
-  slot runs on the caller's thread; ``workers`` bounds how many
-  estimates run at once on callers' and workers' threads together;
-* a **bounded admission queue** -- every other request queues, at most
+* **callers run their own estimates** -- an estimate is catalog-only
+  work of a few microseconds (paper Section 3.4), cheaper than any
+  hand-off to another thread, so every estimate runs on its caller's
+  thread and the service owns no thread.  ``workers`` is the number of
+  slots, the bound on estimates running at once;
+* a **bounded admission queue** -- a caller that finds every slot taken,
+  or others already waiting, waits in the queue, at most
   ``max_queue_depth`` of them; admission past the bound retries with
-  the shared :class:`~repro.util.retry.RetryPolicy` backoff and then
+  the shared :class:`~repro.util.retry.RetryPolicy` pauses and then
   sheds the request with a typed :class:`~repro.errors.OverloadedError`;
-* **per-client fair scheduling** -- workers drain clients round-robin,
-  so one chatty client cannot starve the rest (its requests queue
-  behind its own backlog, not everyone else's);
-* **timeouts** -- a queued caller waits at most its deadline; an
-  expired request is abandoned (the worker skips it) and surfaces
-  either the typed rejection or a degraded answer;
+* **per-client fair scheduling** -- a finishing estimate hands its slot
+  to the next waiting client in round-robin order, so one chatty
+  client cannot starve the rest (its requests queue behind its own
+  backlog, not everyone else's);
+* **timeouts** -- a deadline bounds the wait for a slot, never the
+  estimate: a waiter whose deadline passes leaves the queue and
+  surfaces either the typed rejection or a degraded answer;
 * **graceful degradation** -- with ``degraded_mode`` on, a shed or
   timed-out request falls back to
   :meth:`~repro.cluster.cluster.LSMCluster.estimate_degraded`: the
@@ -43,7 +45,7 @@ from collections import deque
 from typing import Any
 
 from repro.core.estimator import EstimateResult
-from repro.errors import OverloadedError
+from repro.errors import ConfigurationError, OverloadedError
 from repro.obs.registry import MetricsRegistry, get_registry
 from repro.util.retry import RetryPolicy
 
@@ -54,35 +56,14 @@ DEFAULT_WORKERS = 2
 DEFAULT_TIMEOUT_SECONDS = 1.0
 
 
-class _Request:
-    """One queued estimate request and its completion rendezvous."""
+class _Waiter:
+    """One caller queued for a slot, woken only by its own grant."""
 
-    __slots__ = (
-        "client_id",
-        "dataset",
-        "index_name",
-        "lo",
-        "hi",
-        "enqueued_at",
-        "done",
-        "result",
-        "error",
-        "abandoned",
-    )
+    __slots__ = ("granted", "wakeup")
 
-    def __init__(
-        self, client_id: str, dataset: str, index_name: str, lo: int, hi: int
-    ) -> None:
-        self.client_id = client_id
-        self.dataset = dataset
-        self.index_name = index_name
-        self.lo = lo
-        self.hi = hi
-        self.enqueued_at = 0.0  # stamped on admission
-        self.done = threading.Event()
-        self.result: EstimateResult | None = None
-        self.error: BaseException | None = None
-        self.abandoned = False
+    def __init__(self, lock: threading.Lock) -> None:
+        self.granted = False
+        self.wakeup = threading.Condition(lock)
 
 
 class EstimateService:
@@ -91,20 +72,15 @@ class EstimateService:
     Args:
         cluster: The :class:`~repro.cluster.cluster.LSMCluster` (or any
             object with ``estimate_detailed`` / ``estimate_degraded``).
-        max_queue_depth: Bound on requests waiting across all clients.
-        workers: Serving threads started, and the bound on estimates
-            running at once -- on callers' threads (the idle fast path)
-            and workers' together.
-        default_timeout: Per-request wait deadline when the caller does
-            not pass one (queued requests only).
+        max_queue_depth: Bound on callers waiting across all clients.
+        workers: The number of slots: at most this many estimates run
+            at once, each on its caller's thread.
+        default_timeout: Per-request bound on the wait for a slot when
+            the caller does not pass one.
         retry_policy: Admission retry/backoff against a full queue;
             defaults to the shared :class:`RetryPolicy` defaults.
         degraded_mode: Serve possibly-stale cached answers (flagged
             ``degraded=True``) instead of shedding, when one exists.
-        autostart: Start the worker threads immediately.  Tests and the
-            deterministic overload benchmark pass ``False`` to stage a
-            saturated queue before any worker drains it; an unstarted
-            service queues every request.
     """
 
     def __init__(
@@ -115,15 +91,14 @@ class EstimateService:
         default_timeout: float = DEFAULT_TIMEOUT_SECONDS,
         retry_policy: RetryPolicy | None = None,
         degraded_mode: bool = False,
-        autostart: bool = True,
         registry: MetricsRegistry | None = None,
     ) -> None:
         if max_queue_depth < 1:
-            raise OverloadedError(
+            raise ConfigurationError(
                 f"max_queue_depth must be >= 1, got {max_queue_depth}"
             )
         if workers < 1:
-            raise OverloadedError(f"workers must be >= 1, got {workers}")
+            raise ConfigurationError(f"workers must be >= 1, got {workers}")
         self._cluster = cluster
         self.max_queue_depth = max_queue_depth
         self.num_workers = workers
@@ -131,16 +106,15 @@ class EstimateService:
         self.retry_policy = retry_policy or RetryPolicy()
         self.degraded_mode = degraded_mode
         # One lock guards the per-client queues, the round-robin order,
-        # the depth accounting and the running-estimate count; the
-        # condition wakes idle workers.
-        self._cond = threading.Condition()
-        self._queues: dict[str, deque[_Request]] = {}
+        # the depth accounting and the running-estimate count; every
+        # waiter's condition is bound to it.
+        self._lock = threading.Lock()
+        self._queues: dict[str, deque[_Waiter]] = {}
         self._rotation: deque[str] = deque()
         self._depth = 0
         self._running = 0
         self.peak_queue_depth = 0
         self._stopping = False
-        self._threads: list[threading.Thread] = []
         obs = registry if registry is not None else get_registry()
         self._m_requests = obs.counter("serve.requests")
         self._m_rejected = obs.counter("serve.rejected")
@@ -150,45 +124,19 @@ class EstimateService:
         self._g_depth = obs.gauge("serve.queue.depth")
         self._h_latency = obs.histogram("serve.latency.seconds")
         self._h_queue_wait = obs.histogram("serve.queue_wait.seconds")
-        if autostart:
-            self.start()
 
     # -- lifecycle ----------------------------------------------------------
 
-    def start(self) -> None:
-        """Start the worker threads (idempotent)."""
-        with self._cond:
-            if self._threads or self._stopping:
-                return
-            self._threads = [
-                threading.Thread(
-                    target=self._worker_loop,
-                    name=f"estimate-worker-{i}",
-                    daemon=True,
-                )
-                for i in range(self.num_workers)
-            ]
-        for thread in self._threads:
-            thread.start()
-
-    def shutdown(self, timeout: float = 5.0) -> None:
-        """Stop the workers; pending requests fail with ``OverloadedError``."""
-        with self._cond:
+    def shutdown(self) -> None:
+        """Refuse new requests; waiting callers fail with ``OverloadedError``."""
+        with self._lock:
             self._stopping = True
-            pending: list[_Request] = []
             for queue in self._queues.values():
-                pending.extend(queue)
+                for waiter in queue:
+                    waiter.wakeup.notify()
                 queue.clear()
             self._rotation.clear()
-            self._depth = 0
-            self._g_depth.set(0)
-            self._cond.notify_all()
-        for request in pending:
-            request.error = OverloadedError("estimate service shut down")
-            request.done.set()
-        for thread in self._threads:
-            thread.join(timeout)
-        self._threads = []
+            self._set_depth(0)
 
     def __enter__(self) -> "EstimateService":
         return self
@@ -198,8 +146,8 @@ class EstimateService:
 
     @property
     def queue_depth(self) -> int:
-        """Current number of queued requests across all clients."""
-        with self._cond:
+        """Current number of callers waiting for a slot."""
+        with self._lock:
             return self._depth
 
     # -- client API ---------------------------------------------------------
@@ -213,161 +161,106 @@ class EstimateService:
         hi: int,
         timeout: float | None = None,
     ) -> EstimateResult:
-        """Answer one estimate request.
+        """Answer one estimate request on the calling thread.
 
-        An idle service (started, nothing queued, a slot free) answers
-        on the calling thread; otherwise the request queues and the
-        caller waits for a worker's answer.  Raises
-        :class:`~repro.errors.OverloadedError` when a queued request is
-        shed (queue full after the admission retry budget, or the wait
-        deadline expired) and no degraded answer is available.
+        A free slot with nobody waiting runs the estimate at once;
+        otherwise the caller queues until a finishing estimate hands it
+        a slot.  Raises :class:`~repro.errors.OverloadedError` when the
+        request is shed (queue full after the admission retry budget,
+        the wait deadline expired, or shutdown) and no degraded answer
+        is available.
         """
         self._m_requests.inc()
-        if self._claim_idle_slot():
-            started = time.perf_counter()
-            try:
-                return self._cluster.estimate_detailed(dataset, index_name, lo, hi)
-            finally:
-                self._h_latency.observe(time.perf_counter() - started)
-                self._release_slot()
-        request = _Request(client_id, dataset, index_name, lo, hi)
-        if not self._admit(request):
-            return self._degrade_or_raise(request, "admission queue full")
-        deadline = timeout if timeout is not None else self.default_timeout
-        if not request.done.wait(deadline):
-            request.abandoned = True
-            self._m_timeouts.inc()
-            return self._degrade_or_raise(request, f"no answer within {deadline}s")
-        if request.error is not None:
-            raise request.error
-        assert request.result is not None
-        return request.result
-
-    def offer(
-        self, client_id: str, dataset: str, index_name: str, lo: int, hi: int
-    ) -> bool:
-        """Enqueue without waiting for the answer (no admission retry).
-
-        The deterministic staging hook of the overload harness and
-        benchmark: returns whether the request was admitted, counting a
-        typed rejection when it was not.  The eventual result is
-        discarded.
-        """
-        self._m_requests.inc()
-        request = _Request(client_id, dataset, index_name, lo, hi)
-        if self._try_enqueue(request):
-            return True
-        self._m_rejected.inc()
-        return False
+        started = time.perf_counter()
+        shed = self._acquire_slot(client_id, timeout)
+        if shed is not None:
+            request = (dataset, index_name, lo, hi)
+            return self._degrade_or_raise(client_id, request, shed)
+        try:
+            return self._cluster.estimate_detailed(dataset, index_name, lo, hi)
+        finally:
+            self._h_latency.observe(time.perf_counter() - started)
+            self._release_slot()
 
     # -- internals ----------------------------------------------------------
 
-    def _claim_idle_slot(self) -> bool:
-        """Take a running slot for an answer on the caller's thread.
+    def _acquire_slot(self, client_id: str, timeout: float | None) -> str | None:
+        """Hold one slot for the caller: ``None`` once held, else the
+        reason the request is shed.  Admission against a full queue
+        retries with the policy's pauses."""
+        pauses = None
+        while True:
+            with self._lock:
+                if not self._stopping:
+                    if not self._depth and self._running < self.num_workers:
+                        self._running += 1
+                        return None
+                    if self._depth < self.max_queue_depth:
+                        return self._wait_for_slot(client_id, timeout)
+            if pauses is None:
+                pauses = self.retry_policy.pauses(random.Random(f"serve:{client_id}"))
+            pause = next(pauses, None)
+            if pause is None:
+                self._m_rejected.inc()
+                return "admission queue full"
+            self._m_retries.inc()
+            self.retry_policy.sleep(pause)
 
-        Only when nothing is queued, so an inline answer never overtakes
-        a queued request, and only on a started service, so an unstarted
-        one stages every request deterministically."""
-        with self._cond:
-            if (
-                self._threads
-                and not self._stopping
-                and not self._depth
-                and self._running < self.num_workers
-            ):
-                self._running += 1
-                return True
-            return False
+    def _wait_for_slot(self, client_id: str, timeout: float | None) -> str | None:
+        """Queue the caller until a finishing estimate hands it a slot or
+        its deadline passes.  Called under the lock."""
+        waiter = _Waiter(self._lock)
+        queue = self._queues.setdefault(client_id, deque())
+        queue.append(waiter)
+        if len(queue) == 1:
+            self._rotation.append(client_id)
+        self._set_depth(self._depth + 1)
+        self.peak_queue_depth = max(self.peak_queue_depth, self._depth)
+        queued_at = time.perf_counter()
+        deadline = self.default_timeout if timeout is None else timeout
+        while not waiter.granted:  # a grant that races the deadline wins
+            if self._stopping:
+                raise OverloadedError("estimate service shut down")
+            remaining = queued_at + deadline - time.perf_counter()
+            if remaining <= 0:
+                queue.remove(waiter)
+                if not queue:
+                    self._rotation.remove(client_id)
+                self._set_depth(self._depth - 1)
+                self._m_timeouts.inc()
+                return f"no slot within {deadline}s"
+            waiter.wakeup.wait(remaining)
+        self._h_queue_wait.observe(time.perf_counter() - queued_at)
+        return None
 
     def _release_slot(self) -> None:
-        with self._cond:
-            self._running -= 1
-            if self._depth:
-                self._cond.notify()
+        """Hand the slot straight to the next waiter in round-robin
+        order -- the oldest request of the next client in rotation,
+        which re-enters the rotation tail while it still has a
+        backlog -- or free it when nobody waits."""
+        with self._lock:
+            if not self._rotation:
+                self._running -= 1
+                return
+            client_id = self._rotation.popleft()
+            queue = self._queues[client_id]
+            waiter = queue.popleft()
+            if queue:
+                self._rotation.append(client_id)
+            self._set_depth(self._depth - 1)
+            waiter.granted = True
+            waiter.wakeup.notify()
 
-    def _try_enqueue(self, request: _Request) -> bool:
-        with self._cond:
-            if self._stopping or self._depth >= self.max_queue_depth:
-                return False
-            queue = self._queues.setdefault(request.client_id, deque())
-            queue.append(request)
-            if len(queue) == 1:
-                self._rotation.append(request.client_id)
-            self._depth += 1
-            self.peak_queue_depth = max(self.peak_queue_depth, self._depth)
-            self._g_depth.set(self._depth)
-            request.enqueued_at = time.perf_counter()
-            self._cond.notify()
-            return True
+    def _set_depth(self, depth: int) -> None:
+        self._depth = depth
+        self._g_depth.set(depth)
 
-    def _admit(self, request: _Request) -> bool:
-        policy = self.retry_policy
-        rng = None
-        for retry in range(policy.max_attempts):
-            if self._try_enqueue(request):
-                return True
-            if retry + 1 >= policy.max_attempts:
-                break
-            self._m_retries.inc()
-            if rng is None:
-                rng = random.Random(f"serve:{request.client_id}")
-            policy.sleep(policy.backoff_for(retry, rng))
-        self._m_rejected.inc()
-        return False
-
-    def _degrade_or_raise(self, request: _Request, reason: str) -> EstimateResult:
+    def _degrade_or_raise(
+        self, client_id: str, request: tuple[str, str, int, int], reason: str
+    ) -> EstimateResult:
         if self.degraded_mode:
-            degraded = self._cluster.estimate_degraded(
-                request.dataset, request.index_name, request.lo, request.hi
-            )
+            degraded = self._cluster.estimate_degraded(*request)
             if degraded is not None:
                 self._m_degraded.inc()
                 return degraded
-        raise OverloadedError(
-            f"estimate request from {request.client_id!r} shed: {reason}"
-        )
-
-    def _next_request(self) -> _Request | None:
-        """Round-robin dequeue: the oldest request of the next client in
-        rotation; the client re-enters the rotation tail while it still
-        has a backlog.  Called under the condition."""
-        while self._rotation:
-            client_id = self._rotation.popleft()
-            queue = self._queues.get(client_id)
-            if not queue:
-                continue
-            request = queue.popleft()
-            if queue:
-                self._rotation.append(client_id)
-            self._depth -= 1
-            self._g_depth.set(self._depth)
-            return request
-        return None
-
-    def _worker_loop(self) -> None:
-        while True:
-            with self._cond:
-                while not self._stopping and (
-                    self._depth == 0 or self._running >= self.num_workers
-                ):
-                    self._cond.wait()
-                if self._stopping:
-                    return
-                request = self._next_request()
-                if request is None:
-                    continue
-                self._running += 1
-            self._h_queue_wait.observe(time.perf_counter() - request.enqueued_at)
-            if not request.abandoned:
-                try:
-                    request.result = self._cluster.estimate_detailed(
-                        request.dataset, request.index_name, request.lo, request.hi
-                    )
-                except BaseException as exc:  # surfaced to the waiting caller
-                    request.error = exc
-                if not request.abandoned:
-                    self._h_latency.observe(time.perf_counter() - request.enqueued_at)
-            # Free the slot before waking the caller, so its next request
-            # can find the service idle.
-            self._release_slot()
-            request.done.set()
+        raise OverloadedError(f"estimate request from {client_id!r} shed: {reason}")

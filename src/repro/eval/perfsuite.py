@@ -68,6 +68,7 @@ from repro.cluster.feeds import (
     ResumableFeedConsumer,
 )
 from repro.cluster.network import Network
+from repro.cluster.servecheck import saturate
 from repro.cluster.serving import EstimateService
 from repro.core.config import DEFAULT_NDV_PRECISION, StatisticsConfig
 from repro.core.manager import StatisticsManager
@@ -845,7 +846,7 @@ _SERVING_PRELOAD = 512
 _SERVING_RESUME_RECORDS = 100
 _SERVING_RESUME_CHECKPOINT = 64
 _SERVING_SHADOW_DEPTH = 8
-_SERVING_SHADOW_OFFERS = 12
+_SERVING_SHADOW_SHEDS = 4
 _SERVING_QUEUE_DEPTH = 64
 _SERVING_WORKERS = 2
 
@@ -865,9 +866,9 @@ def _bench_serving(
       checkpoint boundary and a fresh consumer resumes from the durable
       cursor; the replayed gap (applied mark minus last checkpoint) is
       a constant of the scenario.
-    * ``serve.rejected`` -- a worker-less twin service is saturated via
-      staged :meth:`~repro.cluster.serving.EstimateService.offer`
-      calls past its queue bound; the shed count is exact.
+    * ``serve.rejected`` -- a twin service is saturated by
+      :func:`~repro.cluster.servecheck.saturate` (every slot held, the
+      queue full) and called past its bound; the shed count is exact.
 
     The timed phase measures the mixed load:
 
@@ -944,23 +945,24 @@ def _bench_serving(
             f"expected {expected_replay}"
         )
 
-        # Untimed preamble 2: exact shed count on a staged, worker-less
-        # twin -- offers past the bound are rejections by construction.
-        shadow = EstimateService(
+        # Untimed preamble 2: exact shed count on a staged twin -- with
+        # every slot held and the queue full, calls past the bound are
+        # rejections by construction.  Its staged callers are joined
+        # before the timed phase starts.
+        _, outcomes = saturate(
             cluster,
+            (queried, "value_idx", 0, 255),
+            extra=_SERVING_SHADOW_SHEDS,
             max_queue_depth=_SERVING_SHADOW_DEPTH,
             workers=1,
             retry_policy=RetryPolicy.immediate(max_attempts=1),
-            autostart=False,
         )
-        staged_rejects = 0
-        for i in range(_SERVING_SHADOW_OFFERS):
-            if not shadow.offer("stager", queried, "value_idx", 0, 255 + i):
-                staged_rejects += 1
-        shadow.shutdown()
-        assert staged_rejects == _SERVING_SHADOW_OFFERS - _SERVING_SHADOW_DEPTH, (
-            f"staged saturation shed {staged_rejects} offers, expected "
-            f"{_SERVING_SHADOW_OFFERS - _SERVING_SHADOW_DEPTH}"
+        staged_rejects = sum(
+            isinstance(outcome, OverloadedError) for outcome in outcomes
+        )
+        assert staged_rejects == _SERVING_SHADOW_SHEDS, (
+            f"staged saturation shed {staged_rejects} calls, expected "
+            f"{_SERVING_SHADOW_SHEDS}"
         )
 
         # Timed phase: writers stream, clients estimate, concurrently.

@@ -15,7 +15,7 @@ from __future__ import annotations
 import random
 import time
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import Callable, Iterator
 
 __all__ = ["RetryPolicy"]
 
@@ -30,7 +30,8 @@ class RetryPolicy:
     per-operation budget: once the cumulative backoff would exceed it,
     the caller gives up for now (the statistics sink parks the message
     in its outbox; a feed consumer surfaces a
-    :class:`~repro.errors.FeedError`).
+    :class:`~repro.errors.FeedError`; the estimate service sheds the
+    request).  :meth:`pauses` enforces both budgets for every caller.
 
     ``sleep`` is the wall-clock hook; tests and the chaos harnesses
     install a no-op to keep backoff purely simulated.
@@ -60,6 +61,23 @@ class RetryPolicy:
         if not self.jitter:
             return base
         return base * (1.0 + self.jitter * (2.0 * rng.random() - 1.0))
+
+    def pauses(self, rng: random.Random) -> Iterator[float]:
+        """The pauses of one operation's retries, in order.
+
+        Each pause is drawn (jitter from ``rng``), checked against the
+        cumulative ``timeout`` budget, then yielded for the caller to
+        sleep before its next attempt.  The generator ends once the
+        attempt budget or the time budget is spent: the caller's cue
+        to give up.
+        """
+        waited = 0.0
+        for retry in range(self.max_attempts - 1):
+            pause = self.backoff_for(retry, rng)
+            if waited + pause > self.timeout:
+                return
+            waited += pause
+            yield pause
 
     @classmethod
     def immediate(cls, max_attempts: int = 4) -> "RetryPolicy":

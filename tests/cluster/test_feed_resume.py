@@ -47,6 +47,20 @@ class DictTarget:
         self.flushes += 1
 
 
+class DeadSource:
+    """A feed whose transport is always down."""
+
+    feed_id = "dead"
+    head_seqno = 0
+    closed = False
+
+    def read(self, after=0):
+        raise FeedDisconnectedError("transport down")
+
+    def reconnect(self):
+        pass
+
+
 def _inserts(count, base=0):
     return [
         FeedRecord(FeedOperation.INSERT, {"id": base + i, "value": i * 7})
@@ -188,17 +202,6 @@ class TestFeedFaults:
         assert sorted(target.rows) == list(range(10))
 
     def test_reconnect_budget_exhaustion_raises_typed_error(self):
-        class DeadSource:
-            feed_id = "dead"
-            head_seqno = 0
-            closed = False
-
-            def read(self, after=0):
-                raise FeedDisconnectedError("transport down")
-
-            def reconnect(self):
-                pass
-
         stats_store = FeedCursorStore(SimulatedDisk())
         consumer = _consumer(
             DeadSource(),
@@ -208,6 +211,29 @@ class TestFeedFaults:
         )
         with pytest.raises(FeedError, match="reconnect budget exhausted"):
             consumer.run()
+
+    def test_reconnect_time_budget_bounds_the_backoff(self):
+        """``RetryPolicy.timeout`` caps the cumulative reconnect backoff,
+        as it caps the statistics sink's: two 0.1 s pauses fit a 0.25 s
+        budget, a third would not, although 9 attempts remain."""
+        slept = []
+        policy = RetryPolicy(
+            max_attempts=10,
+            base_backoff=0.1,
+            max_backoff=0.1,
+            jitter=0.0,
+            timeout=0.25,
+            sleep=slept.append,
+        )
+        consumer = _consumer(
+            DeadSource(),
+            DictTarget(),
+            FeedCursorStore(SimulatedDisk()),
+            retry_policy=policy,
+        )
+        with pytest.raises(FeedError, match="reconnect budget exhausted"):
+            consumer.run()
+        assert slept == pytest.approx([0.1, 0.1])
 
     def test_seeded_plans_are_reproducible_and_namespaced(self):
         decisions = [

@@ -1,8 +1,9 @@
 """Tests for the bounded concurrent estimate service.
 
 ``faulthandler`` arms a watchdog per test so a deadlock in the
-admission queue or worker pool produces thread tracebacks instead of a
-silent CI hang (same discipline as the scheduler stress suite).
+admission queue or the slot hand-off produces thread tracebacks
+instead of a silent CI hang (same discipline as the scheduler stress
+suite).
 """
 
 import faulthandler
@@ -13,9 +14,10 @@ import time
 import pytest
 
 from repro.cluster import LSMCluster
+from repro.cluster.servecheck import saturate
 from repro.cluster.serving import EstimateService
 from repro.core import StatisticsConfig
-from repro.errors import OverloadedError
+from repro.errors import ConfigurationError, OverloadedError
 from repro.lsm.dataset import IndexSpec
 from repro.lsm.merge_policy import ConstantMergePolicy
 from repro.obs.registry import MetricsRegistry
@@ -65,81 +67,13 @@ def cluster():
     built.shutdown()
 
 
-class TestAdmission:
-    def test_answers_match_direct_estimates(self, cluster):
-        with EstimateService(cluster, workers=2) as service:
-            for lo in (0, 128, 512):
-                served = service.estimate("c1", "ds", "value_idx", lo, lo + 255)
-                direct = cluster.estimate_detailed("ds", "value_idx", lo, lo + 255)
-                assert served.estimate == direct.estimate
-                assert not served.degraded
-
-    def test_queue_bound_sheds_with_typed_error(self, cluster):
-        # No workers started: offers past the bound are deterministic
-        # rejections, never queue growth.
-        service = EstimateService(
-            cluster,
-            max_queue_depth=4,
-            autostart=False,
-            retry_policy=RetryPolicy.immediate(max_attempts=1),
-        )
-        admitted = sum(
-            service.offer("c1", "ds", "value_idx", 0, 100) for _ in range(9)
-        )
-        assert admitted == 4
-        assert service.queue_depth == 4
-        assert service.peak_queue_depth == 4
-        with pytest.raises(OverloadedError):
-            service.estimate("c1", "ds", "value_idx", 0, 100, timeout=0.01)
-        service.shutdown()
-
-    def test_validation(self, cluster):
-        with pytest.raises(OverloadedError):
-            EstimateService(cluster, max_queue_depth=0)
-        with pytest.raises(OverloadedError):
-            EstimateService(cluster, workers=0)
-
-    def test_timeout_is_typed_and_counted(self, cluster):
-        service = EstimateService(cluster, autostart=False, default_timeout=0.01)
-        with pytest.raises(OverloadedError, match="no answer"):
-            service.estimate("c1", "ds", "value_idx", 0, 100)
-        service.shutdown()
-
-    def test_shutdown_fails_pending_requests(self, cluster):
-        service = EstimateService(cluster, autostart=False)
-        assert service.offer("c1", "ds", "value_idx", 0, 100)
-        service.shutdown()
-        assert service.queue_depth == 0
-        with pytest.raises(OverloadedError):
-            service.estimate("c1", "ds", "value_idx", 0, 100, timeout=0.01)
-
-
-class TestFairScheduling:
-    def test_round_robin_interleaves_clients(self, cluster):
-        service = EstimateService(cluster, max_queue_depth=64, autostart=False)
-        # Client "hog" floods first; "meek" adds one request after.
-        for i in range(6):
-            assert service.offer("hog", "ds", "value_idx", 0, 100 + i)
-        assert service.offer("meek", "ds", "value_idx", 0, 50)
-        order = []
-        with service._cond:
-            while True:
-                request = service._next_request()
-                if request is None:
-                    break
-                order.append(request.client_id)
-        # The meek client is served second, not eighth.
-        assert order[1] == "meek"
-        assert order.count("hog") == 6
-        service.shutdown()
-
-
 class _StubCluster:
     """Records which thread ran each estimate (``calls``, in entry
     order) and how many ran at once (``peak``); an estimate waits for
-    ``gate`` before it answers ``lo``."""
+    ``gate``, then takes ``delay`` seconds, before it answers ``lo``."""
 
-    def __init__(self, gated=False):
+    def __init__(self, gated=False, delay=0.0):
+        self.delay = delay
         self.lock = threading.Lock()
         self.gate = threading.Event()
         if not gated:
@@ -155,6 +89,8 @@ class _StubCluster:
             self.peak = max(self.peak, self.inside)
         try:
             self.gate.wait(STRESS_TIMEOUT)
+            if self.delay:
+                time.sleep(self.delay)
             return lo
         finally:
             with self.lock:
@@ -166,6 +102,172 @@ def _wait_until(condition):
     while not condition():
         assert time.monotonic() < deadline, "condition never held"
         time.sleep(0.001)
+
+
+class _Caller(threading.Thread):
+    """One request on its own thread, named after its client;
+    ``outcome`` is the answer or the ``OverloadedError`` that shed it."""
+
+    def __init__(self, service, client_id, lo, timeout=STRESS_TIMEOUT):
+        super().__init__(name=f"client-{client_id}", daemon=True)
+        self.service = service
+        self.client_id = client_id
+        self.lo = lo
+        self.timeout = timeout
+        self.outcome = None
+
+    def run(self):
+        try:
+            self.outcome = self.service.estimate(
+                self.client_id, "ds", "idx", self.lo, 0, timeout=self.timeout
+            )
+        except OverloadedError as exc:
+            self.outcome = exc
+
+
+def _start(service, client_id, lo, settled):
+    caller = _Caller(service, client_id, lo)
+    caller.start()
+    _wait_until(settled)
+    return caller
+
+
+def _hold(service, stub, client_id="holder"):
+    """Start a caller that takes a free slot and parks in ``stub``."""
+    inside = stub.inside
+    return _start(service, client_id, -1, lambda: stub.inside == inside + 1)
+
+
+def _queue(service, client_id, lo):
+    """Start a caller and wait until it joins the queue."""
+    depth = service.queue_depth
+    return _start(service, client_id, lo, lambda: service.queue_depth == depth + 1)
+
+
+def _join(callers):
+    for caller in callers:
+        caller.join(STRESS_TIMEOUT)
+    assert not any(caller.is_alive() for caller in callers)
+
+
+class TestAdmission:
+    def test_answers_match_direct_estimates(self, cluster):
+        with EstimateService(cluster, workers=2) as service:
+            for lo in (0, 128, 512):
+                served = service.estimate("c1", "ds", "value_idx", lo, lo + 255)
+                direct = cluster.estimate_detailed("ds", "value_idx", lo, lo + 255)
+                assert served.estimate == direct.estimate
+                assert not served.degraded
+
+    def test_queue_bound_sheds_with_typed_error(self):
+        # The one slot held and the queue full: calls past the bound
+        # are deterministic rejections, never queue growth.
+        stub = _StubCluster(gated=True)
+        registry = MetricsRegistry()
+        service = EstimateService(
+            stub,
+            max_queue_depth=4,
+            workers=1,
+            retry_policy=RetryPolicy.immediate(max_attempts=1),
+            registry=registry,
+        )
+        staged = [_hold(service, stub)] + [_queue(service, "c1", i) for i in range(4)]
+        for _ in range(5):
+            with pytest.raises(OverloadedError, match="admission queue full"):
+                service.estimate("c1", "ds", "idx", 0, 100)
+        assert service.queue_depth == 4
+        assert service.peak_queue_depth == 4
+        stub.gate.set()
+        _join(staged)
+        assert service.queue_depth == 0
+        assert [caller.outcome for caller in staged] == [-1, 0, 1, 2, 3]
+        assert registry.snapshot()["counters"]["serve.rejected"] == 5
+        service.shutdown()
+
+    def test_validation(self, cluster):
+        with pytest.raises(ConfigurationError):
+            EstimateService(cluster, max_queue_depth=0)
+        with pytest.raises(ConfigurationError):
+            EstimateService(cluster, workers=0)
+
+    def test_timeout_is_typed_and_counted(self):
+        stub = _StubCluster(gated=True)
+        registry = MetricsRegistry()
+        service = EstimateService(
+            stub, workers=1, default_timeout=0.01, registry=registry
+        )
+        holder = _hold(service, stub)
+        with pytest.raises(OverloadedError, match="no slot within"):
+            service.estimate("c1", "ds", "idx", 0, 100)
+        stub.gate.set()
+        _join([holder])
+        assert registry.snapshot()["counters"]["serve.timeouts"] == 1
+        service.shutdown()
+
+    def test_shutdown_fails_pending_requests(self):
+        stub = _StubCluster(gated=True)
+        service = EstimateService(stub, workers=1)
+        holder = _hold(service, stub)
+        waiter = _queue(service, "c1", 0)
+        service.shutdown()
+        waiter.join(STRESS_TIMEOUT)
+        assert isinstance(waiter.outcome, OverloadedError)
+        assert service.queue_depth == 0
+        with pytest.raises(OverloadedError):
+            service.estimate("c1", "ds", "idx", 0, 100, timeout=0.01)
+        stub.gate.set()
+        _join([holder])
+
+    def test_shutdown_wakes_every_waiting_caller_and_leaves_no_thread(self):
+        before = set(threading.enumerate())
+        stub = _StubCluster(gated=True)
+        service = EstimateService(stub, workers=2, max_queue_depth=8)
+        holders = [_hold(service, stub, f"holder{n}") for n in range(2)]
+        waiters = [_queue(service, f"c{i % 3}", i) for i in range(6)]
+        service.shutdown()
+        _join(waiters)
+        assert all(
+            isinstance(waiter.outcome, OverloadedError) for waiter in waiters
+        )
+        assert "shut down" in str(waiters[0].outcome)
+        stub.gate.set()
+        _join(holders)
+        assert [holder.outcome for holder in holders] == [-1, -1]
+        assert [lo for _name, lo in stub.calls] == [-1, -1]
+        assert set(threading.enumerate()) <= before
+
+    def test_an_expired_waiter_leaves_the_queue_while_the_slots_stay_held(self):
+        stub = _StubCluster(gated=True)
+        registry = MetricsRegistry()
+        service = EstimateService(stub, workers=1, registry=registry)
+        holder = _hold(service, stub)
+        waiters = [_queue(service, "c1", i) for i in range(2)]
+        with pytest.raises(OverloadedError, match="no slot within"):
+            service.estimate("c2", "ds", "idx", 99, 0, timeout=0.02)
+        assert service.queue_depth == 2
+        assert stub.inside == 1
+        assert registry.snapshot()["counters"]["serve.timeouts"] == 1
+        stub.gate.set()
+        _join([holder, *waiters])
+        assert [lo for _name, lo in stub.calls] == [-1, 0, 1]
+        service.shutdown()
+
+
+class TestFairScheduling:
+    def test_round_robin_interleaves_clients(self):
+        # Behind the one held slot, "a" queues three requests, "b" two
+        # and "c" one; each finishing estimate hands its slot to the
+        # next client in rotation.
+        stub = _StubCluster(gated=True)
+        service = EstimateService(stub, workers=1, max_queue_depth=64)
+        staged = [_hold(service, stub)] + [
+            _queue(service, client, lo) for lo, client in enumerate("aaabbc")
+        ]
+        stub.gate.set()
+        _join(staged)
+        service.shutdown()
+        order = [name.removeprefix("client-") for name, _lo in stub.calls]
+        assert order == ["holder", "a", "b", "c", "a", "b", "a"]
 
 
 class TestCallerRuns:
@@ -182,7 +284,7 @@ class TestCallerRuns:
         assert histograms["serve.queue_wait.seconds"]["count"] == 0
 
     def test_an_inline_answer_outlives_its_deadline(self):
-        """A deadline bounds the wait for a worker, not the estimate: an
+        """A deadline bounds the wait for a slot, not the estimate: an
         idle service answers a slow estimate late and sheds nothing."""
         stub = _StubCluster(gated=True)
         registry = MetricsRegistry()
@@ -198,6 +300,16 @@ class TestCallerRuns:
         counters = registry.snapshot()["counters"]
         assert counters.get("serve.timeouts", 0) == 0
         assert counters.get("serve.degraded", 0) == 0
+
+    def test_constructing_and_using_a_service_starts_no_thread(self):
+        before = set(threading.enumerate())
+        stub = _StubCluster()
+        service = EstimateService(stub, workers=4)
+        assert set(threading.enumerate()) <= before
+        assert service.estimate("c1", "ds", "idx", 1, 2) == 1
+        assert set(threading.enumerate()) <= before
+        service.shutdown()
+        assert set(threading.enumerate()) <= before
 
     def test_running_estimates_never_exceed_workers(self):
         workers, clients, per_client = 2, 6, 5
@@ -225,8 +337,7 @@ class TestCallerRuns:
         try:
             for thread in threads:
                 thread.start()
-            # Every slot held on a caller's thread, every other client
-            # queued behind them.
+            # Every slot held, every other client queued behind them.
             _wait_until(
                 lambda: stub.inside == workers
                 and service.queue_depth == clients - workers
@@ -240,78 +351,111 @@ class TestCallerRuns:
             service.shutdown()
         assert not any(thread.is_alive() for thread in threads)
         assert stub.peak == workers
-        assert len(outcomes) == clients * per_client
-        runners = {name for name, _lo in stub.calls}
-        assert any(name.startswith("client-") for name in runners)
-        assert any(name.startswith("estimate-worker-") for name in runners)
+        assert outcomes == ["answered"] * (clients * per_client)
+        # Every estimate ran on the thread of the client that asked.
+        assert {name for name, _lo in stub.calls} == {
+            thread.name for thread in threads
+        }
         queued = registry.snapshot()["histograms"]["serve.queue_wait.seconds"]
         assert queued["count"] >= clients - workers
+
+    def test_deadlines_racing_grants_leak_no_slot(self):
+        """Waiters expiring while finishing estimates hand them slots:
+        every request is answered or shed, and every slot comes back."""
+        workers, clients, per_client = 2, 8, 40
+        stub = _StubCluster(delay=2e-4)
+        registry = MetricsRegistry()
+        service = EstimateService(
+            stub,
+            workers=workers,
+            max_queue_depth=4,
+            retry_policy=RetryPolicy.immediate(max_attempts=2),
+            registry=registry,
+        )
+        outcomes = []
+
+        def client(name):
+            for i in range(per_client):
+                try:
+                    service.estimate(name, "ds", "idx", i, i, timeout=3e-4 * (i % 3))
+                    outcomes.append("answered")
+                except OverloadedError:
+                    outcomes.append("shed")
+
+        threads = [
+            threading.Thread(target=client, args=(f"c{n}",)) for n in range(clients)
+        ]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(STRESS_TIMEOUT)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert len(outcomes) == clients * per_client
+        assert outcomes.count("answered") == len(stub.calls)
+        snapshot = registry.snapshot()
+        counters = snapshot["counters"]
+        assert counters["serve.timeouts"] > 0  # deadlines did expire
+        assert snapshot["histograms"]["serve.queue_wait.seconds"]["count"] > 0
+        shed = counters["serve.timeouts"] + counters["serve.rejected"]
+        assert outcomes.count("shed") == shed
+        assert stub.peak <= workers
+        assert service.queue_depth == 0
+        assert service._running == 0
 
     def test_a_flood_behind_held_slots_still_lets_a_second_client_out_second(self):
         stub = _StubCluster(gated=True)
         service = EstimateService(stub, workers=1, default_timeout=STRESS_TIMEOUT)
-        holder = threading.Thread(
-            target=service.estimate, args=("holder", "ds", "idx", -1, 0)
-        )
-        holder.start()
-        try:
-            _wait_until(lambda: stub.inside == 1)  # the one slot, held inline
-            for i in range(6):
-                assert service.offer("hog", "ds", "idx", 100 + i, 0)
-            assert service.offer("meek", "ds", "idx", 50, 0)
-            stub.gate.set()
-            _wait_until(lambda: len(stub.calls) == 8)
-            holder.join(STRESS_TIMEOUT)
-        finally:
-            stub.gate.set()
-            service.shutdown()
-        assert not holder.is_alive()
+        staged = [_hold(service, stub)]
+        staged += [_queue(service, "hog", 100 + i) for i in range(6)]
+        staged.append(_queue(service, "meek", 50))
+        stub.gate.set()
+        _join(staged)
+        service.shutdown()
         served = [lo for _name, lo in stub.calls]
         assert served == [-1, 100, 50, 101, 102, 103, 104, 105]
 
-    def test_an_unstarted_service_queues_every_request(self):
-        stub = _StubCluster()
-        service = EstimateService(stub, autostart=False)
-        with pytest.raises(OverloadedError, match="no answer"):
-            service.estimate("c1", "ds", "idx", 0, 1, timeout=0.01)
-        assert service.queue_depth == 1
-        assert stub.calls == []
-        service.shutdown()
-
 
 class TestDegradedMode:
-    def test_degraded_answer_comes_from_cache_and_is_flagged(self, cluster):
-        # Warm the merged-synopsis cache, then time out instantly with
-        # no workers: the only possible answer is the degraded one.
-        warm = cluster.estimate_detailed("ds", "value_idx", 0, 1023)
-        service = EstimateService(
-            cluster, autostart=False, default_timeout=0.0, degraded_mode=True
+    """A held slot and an immediate deadline: the only possible answer
+    is the degraded one (``saturate`` gates the real cluster's live
+    estimates and passes its degraded answers through)."""
+
+    @staticmethod
+    def _expired_request(cluster, degraded_mode):
+        service, [outcome] = saturate(
+            cluster,
+            ("ds", "value_idx", 0, 1023),
+            extra=1,
+            queued=0,
+            workers=1,
+            default_timeout=0.0,
+            degraded_mode=degraded_mode,
         )
-        result = service.estimate("c1", "ds", "value_idx", 0, 1023)
+        service.shutdown()
+        return outcome
+
+    def test_degraded_answer_comes_from_cache_and_is_flagged(self, cluster):
+        warm = cluster.estimate_detailed("ds", "value_idx", 0, 1023)
+        result = self._expired_request(cluster, degraded_mode=True)
         assert result.degraded
         assert result.estimate == pytest.approx(warm.estimate)
-        service.shutdown()
 
     def test_without_degraded_mode_the_same_request_sheds(self, cluster):
         cluster.estimate_detailed("ds", "value_idx", 0, 1023)
-        service = EstimateService(
-            cluster, autostart=False, default_timeout=0.0, degraded_mode=False
-        )
-        with pytest.raises(OverloadedError):
-            service.estimate("c1", "ds", "value_idx", 0, 1023)
-        service.shutdown()
+        outcome = self._expired_request(cluster, degraded_mode=False)
+        assert isinstance(outcome, OverloadedError)
 
     def test_cold_cache_sheds_even_in_degraded_mode(self, cluster):
-        service = EstimateService(
-            cluster, autostart=False, default_timeout=0.0, degraded_mode=True
-        )
-        # No estimate has ever touched this range's index cache entry
-        # on a fresh service... the cache is per-index, so force a
-        # truly cold cache by asking for an index never estimated.
+        # The held slot parks before it touches the estimator, so the
+        # cache is still cold when the expired request looks.
         cluster.master.cache.clear()
-        with pytest.raises(OverloadedError):
-            service.estimate("c1", "ds", "value_idx", 0, 1023)
-        service.shutdown()
+        outcome = self._expired_request(cluster, degraded_mode=True)
+        assert isinstance(outcome, OverloadedError)
 
 
 class TestMixedLoadStress:

@@ -38,6 +38,31 @@ def test_jitter_is_proportional_and_seeded():
     )
 
 
+def test_pauses_end_at_the_attempt_budget():
+    policy = RetryPolicy(
+        max_attempts=4, base_backoff=0.01, max_backoff=0.01, jitter=0.0
+    )
+    assert list(policy.pauses(random.Random(0))) == pytest.approx([0.01] * 3)
+
+
+def test_pauses_end_at_the_time_budget():
+    policy = RetryPolicy(
+        max_attempts=10,
+        base_backoff=0.1,
+        max_backoff=0.1,
+        jitter=0.0,
+        timeout=0.25,
+    )
+    assert list(policy.pauses(random.Random(0))) == pytest.approx([0.1, 0.1])
+
+
+def test_pauses_draw_jitter_in_backoff_order():
+    policy = RetryPolicy(jitter=0.5, timeout=10.0)
+    rng = random.Random(5)
+    expected = [policy.backoff_for(retry, rng) for retry in range(3)]
+    assert list(policy.pauses(random.Random(5))) == expected
+
+
 def test_immediate_policy_never_sleeps():
     slept: list[float] = []
     policy = RetryPolicy.immediate(max_attempts=3)
