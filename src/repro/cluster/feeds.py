@@ -28,8 +28,9 @@ dict only, it serialises nothing) is skipped and counted
 (``invalid_records`` / ``feed.records.invalid``) and takes no sequence
 number, so cursors count valid records only.  The *primary key* is
 validated at the consumer, the only place that knows ``pk_field``: a
-record without it is counted (``feed.records.invalid`` and ``failed``)
-and passed over like any other applied position.
+record without it, or with a key or indexed value the target cannot
+order, is counted (``feed.records.invalid`` and ``failed``) and passed
+over like any other applied position.
 
 :class:`FeedCursorStore` keeps durable per-feed cursors in the node
 superblock (:class:`~repro.lsm.storage.SimulatedDisk`), so a crash loses
@@ -56,7 +57,7 @@ from pathlib import Path
 from typing import Any, Iterable, Iterator, Protocol
 
 from repro.cluster.faults import FeedFaultPlan
-from repro.errors import FeedDisconnectedError, FeedError
+from repro.errors import FeedDisconnectedError, FeedError, InvalidKeyError
 from repro.lsm.storage import SimulatedDisk
 from repro.obs.registry import get_registry, sanitize_segment
 from repro.util.retry import RetryPolicy
@@ -490,7 +491,9 @@ class ResumableFeedConsumer:
     4.3.4): operations after a forced flush meet persisted records and
     leave anti-matter.
 
-    A record without ``pk_field`` cannot be routed: it is counted
+    A record without ``pk_field`` cannot be routed, and one whose key
+    or indexed value the target rejects (:class:`~repro.errors.
+    InvalidKeyError`) cannot be ordered: either is counted
     (``feed.records.invalid``, ``failed``) and its position is marked
     applied like any other, so a resumed run skips it too.
     """
@@ -541,12 +544,18 @@ class ResumableFeedConsumer:
             # Sources vouch for the format; only here is the key known.
             self._m_invalid.inc()
             return False
-        if record.operation is FeedOperation.INSERT:
-            self._target.insert(document)
-            return True
-        if record.operation is FeedOperation.UPDATE:
-            return self._target.update(document)
-        return self._target.delete(document[self.pk_field])
+        try:
+            if record.operation is FeedOperation.INSERT:
+                self._target.insert(document)
+                return True
+            if record.operation is FeedOperation.UPDATE:
+                return self._target.update(document)
+            return self._target.delete(document[self.pk_field])
+        except InvalidKeyError:
+            # A key no index can order: the target rejected the
+            # operation before logging it, so it is passed over too.
+            self._m_invalid.inc()
+            return False
 
     def run(
         self, tail: bool = False, stop_after: int | None = None

@@ -28,6 +28,7 @@ from __future__ import annotations
 import struct
 import sys
 from array import array
+from functools import lru_cache
 from typing import Any
 
 from repro.errors import WireError
@@ -69,6 +70,26 @@ def _varint(n: int) -> bytes:
     return bytes(out)
 
 
+_SMALL_INT = [_BYTE[_INT] + _varint(n << 1) for n in range(256)]
+"""Frames of the ints 0..255 (counts, run values, small header fields)."""
+
+
+# Messages reuse a few dozen names (keys, kinds, index and family names);
+# the bound keeps arbitrary strings from growing either memo.
+@lru_cache(maxsize=1024)
+def _key_head(key: str) -> bytes:
+    """A dict key's varint length + UTF-8 bytes."""
+    raw = key.encode()
+    return _varint(len(raw)) + raw
+
+
+@lru_cache(maxsize=1024)
+def _str_frame(value: str) -> bytes:
+    """The whole frame of a string."""
+    raw = value.encode()
+    return _BYTE[_STR] + _varint(len(raw)) + raw
+
+
 def _pack(code: str, items: Any) -> bytes:
     packed = array(code, items)
     if _SWAP:
@@ -78,8 +99,18 @@ def _pack(code: str, items: Any) -> bytes:
 
 def _encode_list(items: Any, out: list[bytes]) -> None:
     count = len(items)
-    kinds = set(map(type, items))
-    if kinds == {int}:
+    types = list(map(type, items))
+    if count and types.count(int) == count:
+        try:
+            raw = bytes(items)  # every item in 0..255: typecode 'B'
+        except ValueError:
+            raw = None
+        if raw is not None:
+            if 1 < count <= MAX_RUN and raw.count(raw[0]) == count:
+                out += (_BYTE[_RUN], _varint(count), _SMALL_INT[raw[0]])
+            else:
+                out += (_BYTE[_PACKED], b"B", _varint(count), raw)
+            return
         lo, hi = min(items), max(items)
         if lo == hi and 1 < count <= MAX_RUN:
             out += (_BYTE[_RUN], _varint(count))
@@ -90,7 +121,7 @@ def _encode_list(items: Any, out: list[bytes]) -> None:
                 raw = _pack(code, items)
                 out += (_BYTE[_PACKED], code.encode(), _varint(count), raw)
                 return
-    elif kinds == {float}:
+    elif count and types.count(float) == count:
         raw = _pack("d", items)
         if 1 < count <= MAX_RUN and raw == raw[:8] * count:  # bitwise: -0.0 != 0.0
             out += (_BYTE[_RUN], _varint(count), _BYTE[_FLOAT], raw[:8])
@@ -105,7 +136,9 @@ def _encode_list(items: Any, out: list[bytes]) -> None:
 def _encode(value: Any, out: list[bytes]) -> None:
     kind = type(value)
     if kind is int:
-        if -(1 << 63) <= value < 1 << 63:
+        if 0 <= value < 256:
+            out.append(_SMALL_INT[value])
+        elif -(1 << 63) <= value < 1 << 63:
             out += (_BYTE[_INT], _varint(value << 1 if value >= 0 else ~(value << 1)))
         else:
             raw = value.to_bytes(value.bit_length() // 8 + 1, "little", signed=True)
@@ -113,16 +146,26 @@ def _encode(value: Any, out: list[bytes]) -> None:
     elif kind is str:
         raw = value.encode()
         out += (_BYTE[_STR], _varint(len(raw)), raw)
-    elif kind is list or kind is tuple:
-        _encode_list(value, out)
     elif kind is dict:
         out += (_BYTE[_DICT], _varint(len(value)))
         for key, item in value.items():
             if type(key) is not str:
                 raise WireError(f"dict keys must be str, got {type(key).__name__}")
-            raw = key.encode()
-            out += (_varint(len(raw)), raw)
-            _encode(item, out)
+            out.append(_key_head(key))
+            kind = type(item)
+            if kind is int and 0 <= item < 1 << 63:
+                if item < 256:
+                    out.append(_SMALL_INT[item])
+                else:
+                    out += (_BYTE[_INT], _varint(item << 1))
+            elif kind is bytes:
+                out += (_BYTE[_BYTES], _varint(len(item)), item)
+            elif kind is str:
+                out.append(_str_frame(item))
+            else:
+                _encode(item, out)
+    elif kind is list or kind is tuple:
+        _encode_list(value, out)
     elif kind is float:
         out += (_BYTE[_FLOAT], _FLOAT64.pack(value))
     elif kind is bytes:

@@ -246,9 +246,12 @@ class _RegistrationSink:
         them for tombstones (no payload) and records missing the
         attribute.
         """
-        matter_seq, anti_seq, skipped = split_matter_anti(
-            chunk, self._extractor
-        )
+        self.observe(split_matter_anti(chunk, self._extractor))
+
+    def observe(self, split: tuple[Sequence[Any], Sequence[Any], int]) -> None:
+        """Feed one chunk's (matter, anti-matter, skipped) split to the
+        builders; the values are read, never mutated."""
+        matter_seq, anti_seq, skipped = split
         metrics = self._metrics
         instruments = self._instruments
         if skipped:
@@ -293,8 +296,16 @@ class _CompositeSink:
         self.accept_many(ColumnarChunk.from_records((record,)))
 
     def accept_many(self, chunk: ColumnarChunk) -> None:
+        # Registrations on one index share its extractor (a family and
+        # its #ndv lane): split the chunk once per extractor.
+        splits: dict[Any, tuple[Sequence[Any], Sequence[Any], int]] = {}
         for sink in self._sinks:
-            sink.accept_many(chunk)
+            split = splits.get(sink._extractor)
+            if split is None:
+                split = splits[sink._extractor] = split_matter_anti(
+                    chunk, sink._extractor
+                )
+            sink.observe(split)
 
     def finish(self, component: DiskComponent) -> None:
         for sink in self._sinks:

@@ -24,6 +24,11 @@ class StorageError(ReproError):
     """The simulated storage layer was used incorrectly."""
 
 
+class InvalidKeyError(StorageError):
+    """A document's primary key or indexed value is missing or not an
+    orderable number; the operation was rejected before it was logged."""
+
+
 class ComponentStateError(StorageError):
     """An LSM component was used in an illegal lifecycle state."""
 

@@ -279,21 +279,17 @@ def split_matter_anti(
         return chunk.typed_keys, _NO_VALUES, 0
     column = summary_column_fn(extractor)(chunk)
     anti = chunk.anti
-    matter_values: list[Any] = []
+    if anti is None:
+        matter_values = [value for value in column if value is not None]
+        return matter_values, _NO_VALUES, len(column) - len(matter_values)
+    matter_values = []
     anti_values: list[Any] = []
     skipped = 0
-    if anti is None:
-        for value in column:
-            if value is None:
-                skipped += 1
-            else:
-                matter_values.append(value)
-    else:
-        for value, is_anti in zip(column, anti):
-            if value is None:
-                skipped += 1
-            elif is_anti:
-                anti_values.append(value)
-            else:
-                matter_values.append(value)
+    for value, is_anti in zip(column, anti):
+        if value is None:
+            skipped += 1
+        elif is_anti:
+            anti_values.append(value)
+        else:
+            matter_values.append(value)
     return matter_values, anti_values, skipped

@@ -22,7 +22,13 @@ import time
 from dataclasses import dataclass
 from typing import Any, Iterable, Iterator
 
-from repro.errors import BulkloadError, QueryError, RecoveryError, StorageError
+from repro.errors import (
+    BulkloadError,
+    InvalidKeyError,
+    QueryError,
+    RecoveryError,
+    StorageError,
+)
 from repro.lsm.columnar import register_summary_extractor
 from repro.lsm.component import DiskComponent
 from repro.lsm.crashpoints import CrashInjector
@@ -132,6 +138,16 @@ class SpatialIndexSpec:
     def key_of(self, document: dict[str, Any]) -> tuple[Any, ...]:
         """The (x, y) part of this index's entry for a record."""
         return (document[self.fields[0]], document[self.fields[1]])
+
+
+def _check_key(value: Any, what: str) -> None:
+    """Reject a key no LSM component can order: every key is an ``int``
+    or a non-NaN ``float`` (each :class:`Domain` is an integer range).
+    Checked before an operation takes its sequence number, so a
+    rejected operation leaves no trace in the WAL or any memtable."""
+    if isinstance(value, (int, float)) and value == value:
+        return
+    raise InvalidKeyError(f"{what} {value!r} is not an int or a non-NaN float")
 
 
 def secondary_index_name(dataset_name: str, index_name: str) -> str:
@@ -454,13 +470,14 @@ class Dataset:
         started = time.perf_counter()
         with self._dml_lock:
             pk = self._pk_of(document)
+            keys = self._index_keys(document)
             seqnum = self.sequence.next()
             writes = [(self.primary, Record.matter(pk, document, seqnum=seqnum))]
-            for spec in self._all_specs():
+            for spec, key in keys:
                 writes.append(
                     (
                         self._secondary[spec.name],
-                        Record.matter((*spec.key_of(document), pk), seqnum=seqnum),
+                        Record.matter((*key, pk), seqnum=seqnum),
                     )
                 )
             rotated = self._apply(seqnum, writes)
@@ -487,13 +504,14 @@ class Dataset:
         started = time.perf_counter()
         with self._dml_lock:
             pk = self._pk_of(document)
+            keys = self._index_keys(document)
             old = self.primary.get(pk)
             if old is None:
                 return False
             seqnum = self.sequence.next()
             writes = [(self.primary, Record.matter(pk, document, seqnum=seqnum))]
-            for spec in self._all_specs():
-                old_sk, new_sk = spec.key_of(old), spec.key_of(document)
+            for spec, new_sk in keys:
+                old_sk = spec.key_of(old)
                 if old_sk == new_sk:
                     # The existing secondary entry still points at the
                     # live record; touching it would double-count the
@@ -511,6 +529,7 @@ class Dataset:
     def delete(self, pk: Any) -> bool:
         """Delete by PK; returns False when the PK does not exist."""
         started = time.perf_counter()
+        _check_key(pk, "primary key")
         with self._dml_lock:
             old = self.primary.get(pk)
             if old is None:
@@ -542,25 +561,23 @@ class Dataset:
             raise BulkloadError(f"bulkload into non-empty dataset {self.name!r}")
         # Materialise: in AsterixDB the sort operator at the bottom of the
         # load plan has the full input, so the record count is known.
+        # Every key is read and checked before the manifest transaction
+        # opens: a rejected document leaves nothing behind.
         documents = list(documents)
+        pks = [self._pk_of(document) for document in documents]
         secondary_entries: dict[str, list[tuple[Any, ...]]] = {
             spec.name: [] for spec in self._all_specs()
         }
-
-        def primary_stream() -> Iterator[Record]:
-            for document in documents:
-                pk = self._pk_of(document)
-                for spec in self._all_specs():
-                    secondary_entries[spec.name].append(
-                        (*spec.key_of(document), pk)
-                    )
-                yield Record.matter(pk, document)
-
+        for document, pk in zip(documents, pks):
+            for spec, key in self._index_keys(document):
+                secondary_entries[spec.name].append((*key, pk))
         txn = None
         if self._manifest is not None:
             txn = self._manifest.begin_txn()
         self.primary.bulkload(
-            primary_stream(), expected_records=len(documents), txn=txn
+            map(Record.matter, pks, documents),
+            expected_records=len(documents),
+            txn=txn,
         )
         for name, entries in secondary_entries.items():
             entries.sort()
@@ -873,9 +890,10 @@ class Dataset:
         """Live R-tree entries inside the rectangle, reconciled.
 
         Rectangle candidates are gathered MBR-first from every disk
-        component plus the memtable, then reconciled newest-wins with
-        anti-matter cancellation (an entry and its tombstone share the
-        same (x, y, PK) key, hence the same rectangle membership).
+        component plus the active and sealed memtables, then reconciled
+        newest-wins with anti-matter cancellation (an entry and its
+        tombstone share the same (x, y, PK) key, hence the same rectangle
+        membership).
         """
         if index_name not in self.spatial_indexes:
             raise QueryError(
@@ -889,10 +907,11 @@ class Dataset:
             if current is None or record.seqnum > current.seqnum:
                 best[record.key] = record
 
-        for record in tree.memtable.scan():
-            x, y = record.key[0], record.key[1]
-            if lo_x <= x <= hi_x and lo_y <= y <= hi_y:
-                offer(record)
+        for run in tree.memory_runs():
+            for record in run:
+                x, y = record.key[0], record.key[1]
+                if lo_x <= x <= hi_x and lo_y <= y <= hi_y:
+                    offer(record)
         for component in tree.components:
             for record in component.btree.search(lo_x, hi_x, lo_y, hi_y):
                 offer(record)
@@ -920,8 +939,27 @@ class Dataset:
 
     def _pk_of(self, document: dict[str, Any]) -> Any:
         try:
-            return document[self.primary_key]
+            pk = document[self.primary_key]
         except KeyError:
-            raise StorageError(
+            raise InvalidKeyError(
                 f"document missing primary key field {self.primary_key!r}"
             ) from None
+        _check_key(pk, "primary key")
+        return pk
+
+    def _index_keys(
+        self, document: dict[str, Any]
+    ) -> list[tuple[Any, tuple[Any, ...]]]:
+        """Each index spec with its (checked) key part of ``document``."""
+        keys = []
+        for spec in self._all_specs():
+            try:
+                key = spec.key_of(document)
+            except KeyError as exc:
+                raise InvalidKeyError(
+                    f"document missing indexed field {exc.args[0]!r}"
+                ) from None
+            for value in key:
+                _check_key(value, f"index {spec.name!r} value")
+            keys.append((spec, key))
+        return keys

@@ -746,18 +746,29 @@ class LSMTree:
             return None
         return record.value
 
+    def memory_runs(self, lo: Any = None, hi: Any = None) -> list[list[Record]]:
+        """The entries with keys in ``[lo, hi]`` of the active memtable,
+        then of each sealed one newest first, each run in key order.
+
+        Taken under the tree lock: a writer's new key re-sorts the active
+        memtable's key list, and a flush retires a sealed memtable.
+        """
+        with self._lock:
+            runs = [list(self.memtable.scan(lo, hi))]
+            for immutable in reversed(self._immutables):
+                runs.append(list(immutable.scan(lo, hi)))
+        return runs
+
     def scan(self, lo: Any = None, hi: Any = None) -> Iterator[Record]:
         """Live records with keys in ``[lo, hi]``, reconciled across all
         components (anti-matter cancels).
 
         The snapshot is consistent: memory-component ranges materialise
-        under the tree lock (the AVL map is not safe under a concurrent
-        writer) and disk components stay pinned until the scan finishes.
+        under the tree lock (a new key re-sorts the active memtable's key
+        list) and disk components stay pinned until the scan finishes.
         """
         with self._lock:
-            memory_runs: list[list[Record]] = [list(self.memtable.scan(lo, hi))]
-            for immutable in reversed(self._immutables):  # newest first
-                memory_runs.append(list(immutable.scan(lo, hi)))
+            memory_runs = self.memory_runs(lo, hi)
             snapshot = list(self._components)
             for component in snapshot:
                 component.pin()

@@ -21,6 +21,7 @@ ship them over its byte-counting network channel.
 from __future__ import annotations
 
 import enum
+import operator
 from abc import ABC, abstractmethod
 from array import array
 from typing import Any, ClassVar, Iterable, Sequence
@@ -221,28 +222,31 @@ class SynopsisBuilder(ABC):
         if isinstance(values, array) and values.typecode == INT64_TYPECODE:
             chunk = values  # iteration/indexing yield plain Python ints
         else:
-            chunk = [int(value) for value in values]  # normalise numpy scalars
+            chunk = list(map(int, values))  # normalise numpy scalars
         if not chunk:
             return
-        lo, hi = self.domain.lo, self.domain.hi
-        if not (lo <= min(chunk) and max(chunk) <= hi):
-            bad = next(v for v in chunk if v < lo or v > hi)
-            raise SynopsisError(
-                f"value {bad} outside domain [{lo}, {hi}]"
-            )
         if self.requires_sorted_input:
             if self._last_value is not None and chunk[0] < self._last_value:
                 raise SynopsisError(
                     f"builder requires non-decreasing input: {chunk[0]} "
                     f"after {self._last_value}"
                 )
-            if not all(left <= right for left, right in zip(chunk, chunk[1:])):
+            if not all(map(operator.le, chunk, chunk[1:])):
                 for left, right in zip(chunk, chunk[1:]):
                     if right < left:
                         raise SynopsisError(
                             f"builder requires non-decreasing input: {right} "
                             f"after {left}"
                         )
+            least, greatest = chunk[0], chunk[-1]  # sorted: the ends
+        else:
+            least, greatest = min(chunk), max(chunk)
+        lo, hi = self.domain.lo, self.domain.hi
+        if not (lo <= least and greatest <= hi):
+            bad = next(v for v in chunk if v < lo or v > hi)
+            raise SynopsisError(
+                f"value {bad} outside domain [{lo}, {hi}]"
+            )
         self._last_value = chunk[-1]
         self._add_many(chunk)
 

@@ -39,7 +39,6 @@ import math
 import re
 import struct
 from array import array
-from collections import Counter
 from functools import lru_cache
 from itertools import chain
 from typing import Any, Sequence
@@ -63,6 +62,11 @@ __all__ = [
 _TWO64 = float(1 << 64)
 _INT64_MIN = -(1 << 63)
 _INT64_MAX = (1 << 63) - 1
+
+_BYTES = [bytes((byte,)) for byte in range(256)]
+_PLACEHOLDERS = bytes(byte for byte in range(256) if byte not in b"01")
+"""Bytes that stand in for a register until its codeword replaces it."""
+_PLACEHOLDER_BYTES = [_BYTES[byte] for byte in _PLACEHOLDERS]
 
 _POWERS_OF_TWO = np.array([1 << k for k in range(64)], dtype=np.uint64)
 
@@ -128,21 +132,35 @@ class HBSCodec:
 
     @classmethod
     def encode(cls, registers: "array[int]") -> bytes:
-        # Counter, not numpy.bincount (25 us faster per sketch): numpy
-        # called from the maintenance threads cost htap_openloop ~12 MiB
-        # of peak RSS.
-        frequencies = Counter(registers)
-        if len(frequencies) <= 1:
-            value = registers[0] if len(registers) else 0
-            return cls._HEADER.pack(cls._UNIFORM, len(registers), value)
-        lengths = cls._code_lengths(frequencies)
-        table = bytes(chain.from_iterable(sorted(lengths.items())))
-        # One pass each at C speed: codeword per register, one string,
-        # one big integer, one byte string (zero-padded to a byte).
-        bits = "".join(map(cls._code_bits(lengths).__getitem__, registers))
-        bits += "0" * (-len(bits) % 8)
+        # bytes methods only, no numpy: numpy called from the
+        # maintenance threads cost htap_openloop ~12 MiB of peak RSS.
+        raw = bytes(registers)
+        count = len(raw)
+        if not raw or raw.count(raw[0]) == count:
+            return cls._HEADER.pack(cls._UNIFORM, count, raw[0] if raw else 0)
+        # Registers are small ranks: count values upwards until every
+        # register is accounted for (a C scan each, no per-register loop).
+        frequencies: dict[int, int] = {}
+        seen = 0
+        for value in range(256):
+            found = raw.count(value)
+            if found:
+                frequencies[value] = found
+                seen += found
+                if seen == count:
+                    break
+        table = bytes(
+            chain.from_iterable(sorted(cls._code_lengths(frequencies).items()))
+        )
+        # One translate puts a placeholder byte on each register, one
+        # replace per symbol swaps it for its codeword's ASCII bits.
+        placeholders, codewords = cls._encoder(table)
+        bits = raw.translate(placeholders)
+        for placeholder, codeword in zip(_PLACEHOLDER_BYTES, codewords):
+            bits = bits.replace(placeholder, codeword)
+        bits += b"0" * (-len(bits) % 8)
         return (
-            cls._HEADER.pack(cls._HUFFMAN, len(registers), len(lengths))
+            cls._HEADER.pack(cls._HUFFMAN, count, len(frequencies))
             + table
             + int(bits, 2).to_bytes(len(bits) // 8, "big")
         )
@@ -173,51 +191,88 @@ class HBSCodec:
         table = data[offset : offset + 2 * arg]
         if len(table) != 2 * arg:
             raise SynopsisError(f"truncated HBS symbol table ({arg} symbols)")
-        pattern, registers_of = cls._decoder(table)
+        pattern, ranks_of, symbols = cls._decoder(table)
         payload = data[offset + 2 * arg :]
         bits = format(int.from_bytes(payload, "big"), f"0{8 * len(payload)}b")
-        registers = b"".join(map(registers_of.__getitem__, pattern.findall(bits)))
-        if len(registers) < count:
+        ranks = b"".join(map(ranks_of.__getitem__, pattern.findall(bits)))
+        if len(ranks) < count:
             raise SynopsisError(
-                f"HBS frame exhausted after {len(registers)}/{count} registers"
+                f"HBS frame exhausted after {len(ranks)}/{count} registers"
             )
-        return array("B", registers[:count])
+        return array("B", ranks[:count].translate(symbols))
+
+    @staticmethod
+    def _ranks(table: bytes) -> bytes:
+        """A symbol table's symbols in canonical (length, symbol) order:
+        the rank of a symbol is its codeword's position in
+        :meth:`_canonical` of the sorted lengths."""
+        symbols, lengths = table[0::2], table[1::2]
+        return bytes(
+            symbols[i] for i in sorted(range(len(symbols)), key=lengths.__getitem__)
+        )
 
     @classmethod
     @lru_cache(maxsize=256)
-    def _decoder(cls, table: bytes) -> "tuple[re.Pattern[str], dict[str, bytes]]":
-        """A frame's symbol table as (regex, match -> registers).
+    def _encoder(cls, table: bytes) -> "tuple[bytes, tuple[bytes, ...]]":
+        """A symbol table as (register -> placeholder translate table,
+        codewords as ASCII bits in placeholder order).  Placeholders
+        are any bytes but ``0`` and ``1``, so no replace can touch bits
+        an earlier one wrote."""
+        ranked = cls._ranks(table)
+        if len(ranked) > len(_PLACEHOLDERS):
+            raise SynopsisError(
+                f"{len(ranked)} distinct register values; a sketch has at most "
+                f"{len(_PLACEHOLDERS)}"
+            )
+        placeholders = bytearray(256)
+        for symbol, placeholder in zip(ranked, _PLACEHOLDERS):
+            placeholders[symbol] = placeholder
+        codewords = cls._canonical(bytes(sorted(table[1::2])))
+        return bytes(placeholders), tuple(code.encode() for code in codewords)
+
+    @classmethod
+    @lru_cache(maxsize=256)
+    def _decoder(
+        cls, table: bytes
+    ) -> "tuple[re.Pattern[str], dict[str, bytes], bytes]":
+        """A frame's symbol table as (regex, match -> ranks, rank ->
+        register translate table).
 
         The regex splits a bit string into codewords, taking up to
         ``_RUN`` repeats of the shortest codeword (the commonest
         register value) as one match: a small component's sketch is
         mostly zeros, and ``findall`` costs per match, not per bit.
-
-        Memoised: the table is a pure function of the register
-        histogram's shape, and sketches of like-sized components share
-        it (184 distinct tables in 1 812 frames of a ``feed_churn`` run).
+        Regex and rank map depend on the code lengths only, so tables
+        of like-shaped sketches share them (24 length profiles under
+        136 tables in ``estimate_mix``'s set-up ingest); a table adds
+        one translate table.
         """
         symbols = table[0::2]
         if len(symbols) < 2 or any(a >= b for a, b in zip(symbols, symbols[1:])):
             raise SynopsisError("HBS symbol table is not strictly ascending")
-        lengths = dict(zip(symbols, table[1::2]))
+        pattern, ranks_of = cls._parser(bytes(sorted(table[1::2])))
+        ranked = cls._ranks(table)
+        return pattern, ranks_of, ranked + bytes(256 - len(ranked))
+
+    @classmethod
+    @lru_cache(maxsize=256)
+    def _parser(cls, lengths: bytes) -> "tuple[re.Pattern[str], dict[str, bytes]]":
+        """The codeword regex and match -> ranks map of one canonical
+        code, given its sorted code lengths."""
         # A Huffman code is complete (Kraft sum exactly 1): then every
         # bit string splits into codewords with no bit skipped, which
         # is what lets one regex pass stand in for the bit walk.
-        longest = max(lengths.values())
-        if 0 in lengths.values() or (
-            sum(1 << (longest - length) for length in lengths.values())
-            != 1 << longest
+        longest = lengths[-1]
+        if lengths[0] == 0 or (
+            sum(1 << (longest - length) for length in lengths) != 1 << longest
         ):
             raise SynopsisError("HBS code lengths are not a complete prefix code")
-        registers_of = {
-            code: bytes((symbol,)) for symbol, code in cls._code_bits(lengths).items()
-        }
-        shortest, *others = registers_of  # canonical: (length, symbol) order
+        shortest, *others = codewords = cls._canonical(lengths)
+        ranks_of = {code: _BYTES[rank] for rank, code in enumerate(codewords)}
         for repeats in range(2, cls._RUN + 1):
-            registers_of[shortest * repeats] = registers_of[shortest] * repeats
+            ranks_of[shortest * repeats] = bytes(repeats)
         pattern = f"(?:{shortest}){{1,{cls._RUN}}}|" + "|".join(others)
-        return re.compile(pattern), registers_of
+        return re.compile(pattern), ranks_of
 
     @staticmethod
     def _code_lengths(frequencies: dict[int, int]) -> dict[int, int]:
@@ -225,39 +280,40 @@ class HBSCodec:
 
         The heap orders by (frequency, smallest contained symbol); the
         resulting *lengths* feed the canonical assignment, so any
-        residual tree ambiguity cannot reach the wire.
+        residual tree ambiguity cannot reach the wire.  A symbol's
+        length is its leaf's depth, read off the parent links.
         """
-        heap: list[tuple[int, int, list[int]]] = [
-            (frequency, symbol, [symbol])
-            for symbol, frequency in frequencies.items()
-        ]
+        symbols = list(frequencies)
+        heap = [(frequencies[s], s, leaf) for leaf, s in enumerate(symbols)]
         heapq.heapify(heap)
-        lengths = dict.fromkeys(frequencies, 0)
+        parent = [0] * (2 * len(symbols) - 1)
+        node = len(symbols)
         while len(heap) > 1:
-            freq_a, tie_a, symbols_a = heapq.heappop(heap)
-            freq_b, tie_b, symbols_b = heapq.heappop(heap)
-            for symbol in symbols_a + symbols_b:
-                lengths[symbol] += 1
-            heapq.heappush(
-                heap,
-                (freq_a + freq_b, min(tie_a, tie_b), symbols_a + symbols_b),
-            )
-        return lengths
+            freq_a, tie_a, a = heapq.heappop(heap)
+            freq_b, tie_b, b = heapq.heappop(heap)
+            parent[a] = parent[b] = node
+            heapq.heappush(heap, (freq_a + freq_b, min(tie_a, tie_b), node))
+            node += 1
+        depth = [0] * node
+        for child in range(node - 2, -1, -1):  # parents come after children
+            depth[child] = depth[parent[child]] + 1
+        return {symbol: depth[leaf] for leaf, symbol in enumerate(symbols)}
 
     @staticmethod
-    def _code_bits(lengths: dict[int, int]) -> dict[int, str]:
-        """Canonical codewords as bit strings: assigned in (length,
-        symbol) order."""
+    @lru_cache(maxsize=256)
+    def _canonical(lengths: bytes) -> "tuple[str, ...]":
+        """Canonical codewords as bit strings for sorted code lengths:
+        the i-th codeword belongs to the i-th symbol in (length, symbol)
+        order."""
         code = 0
         previous_length = 0
-        codes: dict[int, str] = {}
-        for symbol in sorted(lengths, key=lambda s: (lengths[s], s)):
-            length = lengths[symbol]
+        codes = []
+        for length in lengths:
             code <<= length - previous_length
-            codes[symbol] = format(code, f"0{length}b")
+            codes.append(format(code, f"0{length}b"))
             code += 1
             previous_length = length
-        return codes
+        return tuple(codes)
 
 
 def _check_register_budget(budget: int) -> int:

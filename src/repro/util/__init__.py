@@ -1,6 +1,5 @@
 """Internal utility data structures shared across the library."""
 
 from repro.util.bounded_heap import BoundedMinHeap
-from repro.util.sortedmap import SortedMap
 
-__all__ = ["SortedMap", "BoundedMinHeap"]
+__all__ = ["BoundedMinHeap"]

@@ -41,6 +41,7 @@ from repro.obs.registry import MetricsRegistry
 from repro.synopses import SynopsisType, create_builder
 from repro.synopses.factory import _SYNOPSIS_CLASSES, synopsis_from_payload
 from repro.types import Domain
+from tests.cluster import reference_wire
 
 SEED64 = 0x9E3779B97F4A7C15  # the HLL hash seed: needs the big-int form
 EDGE_INTS = [
@@ -173,6 +174,65 @@ class TestHostileFrames:
     def test_non_bytes_is_a_wire_error(self):
         with pytest.raises(WireError):
             wire.decode({"kind": "stats.publish"})
+
+
+small_lists = st.lists(
+    st.one_of(
+        st.integers(0, 255), st.integers(0, 3), st.sampled_from([True, 0.0, 256, -1])
+    ),
+    max_size=300,
+)
+wire_values = st.one_of(
+    values, small_lists, st.dictionaries(st.text(max_size=4), small_lists)
+)
+
+
+def _decode_or_error(codec, frame):
+    try:
+        return codec.decode(frame)
+    except WireError:
+        return WireError
+
+
+class TestReferenceIdentity:
+    """The fast paths emit exactly the reference codec's frames and read
+    every byte string back exactly as it does (tests/cluster/reference_wire.py)."""
+
+    @settings(deadline=None)  # example budget: the profile (tests/conftest.py)
+    @given(wire_values)
+    def test_encode_is_the_reference_frame(self, value):
+        frame = reference_wire.encode(value)
+        assert wire.encode(value) == frame
+        assert _same(wire.decode(frame), reference_wire.decode(frame))
+
+    @settings(deadline=None)  # example budget: the profile (tests/conftest.py)
+    @given(wire_values, st.data())
+    def test_mangled_frames_decode_as_the_reference_does(self, value, data):
+        frame = bytearray(wire.encode(value)[: data.draw(st.integers(0, 1 << 12))])
+        for _ in range(data.draw(st.integers(0, 3))):
+            if frame:
+                at = data.draw(st.integers(0, len(frame) - 1))
+                frame[at] ^= 1 << data.draw(st.integers(0, 7))
+        ours = _decode_or_error(wire, bytes(frame))
+        theirs = _decode_or_error(reference_wire, bytes(frame))
+        assert ours is theirs if theirs is WireError else _same(ours, theirs)
+
+    @settings(deadline=None)  # example budget: the profile (tests/conftest.py)
+    @given(st.binary(max_size=64))
+    def test_arbitrary_bytes_decode_as_the_reference_does(self, blob):
+        ours = _decode_or_error(wire, blob)
+        theirs = _decode_or_error(reference_wire, blob)
+        assert ours is theirs if theirs is WireError else _same(ours, theirs)
+
+    def test_unsupported_values_fail_as_the_reference_does(self):
+        class Key(str):
+            pass
+
+        for bad in (object(), {1: "int key"}, {Key("kind"): 1}, [1j], [0, 1j]):
+            with pytest.raises(WireError):
+                reference_wire.encode(bad)
+            with pytest.raises(WireError):
+                wire.encode(bad)
 
 
 DOMAIN = Domain(0, 2**16 - 1)

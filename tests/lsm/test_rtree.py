@@ -155,6 +155,18 @@ class TestSpatialDataset:
         dataset.insert({"id": 1, "x": 10, "y": 20})
         assert dataset.count_spatial_range("loc_idx", 0, 50, 0, 50) == 1
 
+    def test_sealed_memtable_entries_visible(self):
+        dataset = _dataset()
+        tree = dataset.secondary_tree("loc_idx")
+        dataset.insert({"id": 1, "x": 10, "y": 20})
+        dataset.insert({"id": 2, "x": 30, "y": 40})
+        assert tree.rotate()  # sealed, not yet flushed
+        dataset.delete(2)  # the tombstone lands in the new active memtable
+        assert tree.immutable_count == 1
+        assert [r.key for r in dataset.search_spatial("loc_idx", 0, 50, 0, 50)] == [
+            (10, 20, 1)
+        ]
+
     def test_deletes_cancel_across_components(self):
         dataset = _dataset(memtable_capacity=32)
         for pk in range(100):

@@ -159,6 +159,42 @@ class TestHBSCodec:
         assert HBSCodec.decode(frame, len(registers)) == registers
         assert ReferenceHBSCodec.decode(frame) == registers
 
+    @settings(deadline=None)  # example budget: the profile (tests/conftest.py)
+    @given(
+        st.one_of(
+            st.lists(st.integers(0, 64), max_size=2048),
+            st.tuples(st.integers(0, 255), st.integers(0, 2048)).map(
+                lambda vc: [vc[0]] * vc[1]
+            ),
+            st.lists(st.integers(0, 253), max_size=600),
+        )
+    )
+    def test_identity_with_the_reference(self, regs):
+        """Encode is the reference's frame and decode inverts it, on
+        uniform, empty and up-to-254-symbol register files alike."""
+        registers = array("B", regs)
+        frame = HBSCodec.encode(registers)
+        assert frame == ReferenceHBSCodec.encode(registers)
+        assert HBSCodec.decode(frame, len(registers)) == registers
+        assert ReferenceHBSCodec.decode(frame) == registers
+
+    @pytest.mark.parametrize("count", [0, 1, 2, 16, 1024])
+    @pytest.mark.parametrize("value", [0, 1, 48, 49, 64, 255])
+    def test_uniform_and_empty_files_are_the_reference_frame(self, value, count):
+        registers = array("B", [value] * count)
+        frame = HBSCodec.encode(registers)
+        assert frame == ReferenceHBSCodec.encode(registers)
+        assert len(frame) == 6  # >BIB header only
+        assert HBSCodec.decode(frame, count) == registers
+
+    def test_more_distinct_values_than_a_sketch_has_is_refused(self):
+        """Ranks are at most 65 - p; 255 distinct values is not a sketch
+        (one placeholder byte per symbol, minus the two bit digits)."""
+        with pytest.raises(SynopsisError, match="distinct register values"):
+            HBSCodec.encode(array("B", range(255)))
+        frame = HBSCodec.encode(array("B", range(254)))
+        assert frame == ReferenceHBSCodec.encode(array("B", range(254)))
+
     def test_real_sketches_are_byte_identical_to_the_reference(self):
         rng = random.Random(17)
         for budget in (16, 256, 1024, 4096):
