@@ -21,12 +21,15 @@ from repro.cluster.partitioner import HashPartitioner
 from repro.core.estimator import EstimateResult, NDVEstimate
 from repro.errors import ClusterError
 from repro.lsm.crashpoints import CrashInjector
-from repro.lsm.dataset import IndexSpec, secondary_index_name
+from repro.lsm.dataset import (
+    DEFAULT_MEMTABLE_CAPACITY,
+    IndexSpec,
+    secondary_index_name,
+)
 from repro.lsm.memory import MemoryArbiter
 from repro.lsm.merge_policy import MergePolicy
 from repro.lsm.pacing import MergePacer
 from repro.lsm.scheduler import make_scheduler
-from repro.lsm.tree import DEFAULT_MEMTABLE_CAPACITY
 from repro.types import Domain
 
 __all__ = ["LSMCluster"]
@@ -94,10 +97,9 @@ class LSMCluster:
                 )
             )
             # Merge pacing is per node (the budget models a node-level
-            # resource); the pause only arms under real worker threads,
-            # so the deterministic modes keep identical timing.
+            # resource); each dataset arms the pause for its scheduler.
             merge_pacer = (
-                MergePacer(merge_pacing_rate, blocking=scheduler == "threads")
+                MergePacer(merge_pacing_rate)
                 if merge_pacing_rate is not None
                 else None
             )

@@ -21,13 +21,12 @@ from repro.cluster import wire
 from repro.cluster.network import Network
 from repro.errors import ClusterError, NetworkUnavailableError
 from repro.lsm.crashpoints import CrashInjector
-from repro.lsm.dataset import Dataset, IndexSpec
+from repro.lsm.dataset import DEFAULT_MEMTABLE_CAPACITY, Dataset, IndexSpec
 from repro.lsm.memory import MemoryArbiter
 from repro.lsm.merge_policy import MergePolicy
 from repro.lsm.pacing import MergePacer
 from repro.lsm.scheduler import MaintenanceScheduler
 from repro.lsm.storage import SimulatedDisk
-from repro.lsm.tree import DEFAULT_MEMTABLE_CAPACITY
 from repro.obs.registry import MetricsRegistry, get_registry
 from repro.synopses.base import Synopsis
 from repro.types import Domain

@@ -424,13 +424,7 @@ def _bench_flush(
 ) -> dict[str, float]:
     """Fill the memtable, then time the flush (memtable -> component)."""
     n = scale.flush_records
-    tree = LSMTree(
-        "bench.flush",
-        SimulatedDisk(),
-        memtable_capacity=n + 1,
-        event_bus=EventBus(),
-        auto_flush=False,
-    )
+    tree = LSMTree("bench.flush", SimulatedDisk(), event_bus=EventBus())
     _attach_collector(tree, _DOMAIN)
     # A seeded permutation: flushes sort, so give them real work.
     step = 514_229  # coprime with any power of two
@@ -448,13 +442,7 @@ def _bench_merge(
     """Time one merge of ``merge_components`` flushed components."""
     per = scale.merge_records_per_component
     parts = scale.merge_components
-    tree = LSMTree(
-        "bench.merge",
-        SimulatedDisk(),
-        memtable_capacity=per * parts + 1,
-        event_bus=EventBus(),
-        auto_flush=False,
-    )
+    tree = LSMTree("bench.merge", SimulatedDisk(), event_bus=EventBus())
     _attach_collector(tree, _DOMAIN)
     for part in range(parts):
         for i in range(per):

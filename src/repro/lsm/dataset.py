@@ -30,7 +30,6 @@ from repro.errors import (
     StorageError,
 )
 from repro.lsm.columnar import register_summary_extractor
-from repro.lsm.component import DiskComponent
 from repro.lsm.crashpoints import CrashInjector
 from repro.lsm.events import EventBus
 from repro.lsm.manifest import Manifest
@@ -39,12 +38,7 @@ from repro.lsm.merge_policy import MergePolicy, NoMergePolicy
 from repro.lsm.pacing import MergePacer
 from repro.lsm.record import Record
 from repro.lsm.scheduler import MaintenanceScheduler, SyncScheduler
-from repro.lsm.tree import (
-    DEFAULT_MEMTABLE_CAPACITY,
-    DEFAULT_WRITE_BATCH_SIZE,
-    LSMTree,
-    SequenceGenerator,
-)
+from repro.lsm.tree import LSMTree, SequenceGenerator
 from repro.lsm.storage import SimulatedDisk
 from repro.lsm.wal import WriteAheadLog
 from repro.obs.registry import get_registry
@@ -56,8 +50,13 @@ __all__ = [
     "SpatialIndexSpec",
     "Dataset",
     "secondary_index_name",
+    "DEFAULT_MEMTABLE_CAPACITY",
     "DEFAULT_MAX_PENDING_FLUSHES",
 ]
+
+DEFAULT_MEMTABLE_CAPACITY = 4096
+"""Operations a dataset buffers in its active memtables before it
+closes the generation and flushes every tree (:meth:`Dataset._flush_due`)."""
 
 DEFAULT_MAX_PENDING_FLUSHES = 4
 """Rotated-but-unflushed memtable generations a dataset holds at most
@@ -189,8 +188,6 @@ class Dataset:
         indexes: Iterable[IndexSpec | CompositeIndexSpec | SpatialIndexSpec] = (),
         memtable_capacity: int = DEFAULT_MEMTABLE_CAPACITY,
         merge_policy: MergePolicy | None = None,
-        event_bus: EventBus | None = None,
-        write_batch_size: int = DEFAULT_WRITE_BATCH_SIZE,
         durable: bool = False,
         wal_enabled: bool = True,
         durability_namespace: str | None = None,
@@ -201,23 +198,26 @@ class Dataset:
         merge_pacer: MergePacer | None = None,
         memory_arbiter: MemoryArbiter | None = None,
     ) -> None:
+        if memtable_capacity < 1:
+            raise StorageError(
+                f"memtable_capacity must be >= 1, got {memtable_capacity}"
+            )
         self.name = name
         self.primary_key = primary_key
         self.primary_domain = primary_domain
-        self.event_bus = event_bus if event_bus is not None else EventBus()
+        self.event_bus = EventBus()
         self.memtable_capacity = memtable_capacity
-        self.write_batch_size = write_batch_size
         self._pending_writes = 0
         # WAL operations staged by _recover_from, applied (and flushed
         # at the normal cadence) by complete_recovery.
         self._replay_ops: list[list[tuple[LSMTree, Record]]] = []
         # Maintenance scheduling.  The default is a fresh SyncScheduler
-        # (constructed here so it binds the *current* registry), which
-        # keeps flush/merge inline with the triggering write -- the
-        # legacy behaviour.  With a concurrent scheduler, all of this
-        # dataset's maintenance shares one FIFO lane: tasks for one
-        # dataset never run concurrently or out of order, which is what
-        # makes the concurrent end state bit-identical to the sync run.
+        # (constructed here so it binds the *current* registry), on which
+        # flush and merges run inline with the triggering write.  With a
+        # concurrent scheduler, all of this dataset's maintenance shares
+        # one FIFO lane: tasks for one dataset never run concurrently or
+        # out of order, which is what makes the concurrent end state
+        # bit-identical to the sync run.
         self._scheduler = scheduler if scheduler is not None else SyncScheduler()
         # Lane names must be deterministic (the virtual scheduler picks
         # among lanes by seeded choice over their sorted names); callers
@@ -306,12 +306,9 @@ class Dataset:
         self.primary = LSMTree(
             name=secondary_index_name(name, "primary"),
             disk=disk,
-            memtable_capacity=memtable_capacity,
             merge_policy=merge_policy,
             event_bus=self.event_bus,
             sequence=self.sequence,
-            auto_flush=False,
-            write_batch_size=write_batch_size,
             manifest=self._manifest,
             crash_injector=crash_injector,
             merge_pacer=merge_pacer,
@@ -342,15 +339,12 @@ class Dataset:
             self._secondary[spec.name] = LSMTree(
                 name=secondary_index_name(name, spec.name),
                 disk=disk,
-                memtable_capacity=memtable_capacity,
                 merge_policy=merge_policy,
                 event_bus=self.event_bus,
                 sequence=self.sequence,
                 key_extractor=extractor,
-                auto_flush=False,
                 bloom_fpp=None,
                 index_builder=index_builder,
-                write_batch_size=write_batch_size,
                 manifest=self._manifest,
                 crash_injector=crash_injector,
                 merge_pacer=merge_pacer,
@@ -441,8 +435,8 @@ class Dataset:
             self._m_replayed_ops.inc()
             if self._flush_due():
                 self.flush()
-        for tree in self._all_trees():
-            tree.run_pending_merges()
+        while self._merge_step():
+            pass
         self._publish_memory()
 
     def live_file_ids(self) -> set[int]:
@@ -557,12 +551,13 @@ class Dataset:
         (standing in for the sort operator the paper mentions at the
         bottom of AsterixDB's load plan).
         """
-        if self.primary.components or self.primary.memtable:
+        # Emptiness and every key are checked before the manifest
+        # transaction opens: a rejected load leaves nothing behind.  A
+        # generation rotated but not yet flushed counts as data.
+        if not all(tree.empty for tree in self._all_trees()):
             raise BulkloadError(f"bulkload into non-empty dataset {self.name!r}")
         # Materialise: in AsterixDB the sort operator at the bottom of the
         # load plan has the full input, so the record count is known.
-        # Every key is read and checked before the manifest transaction
-        # opens: a rejected document leaves nothing behind.
         documents = list(documents)
         pks = [self._pk_of(document) for document in documents]
         secondary_entries: dict[str, list[tuple[Any, ...]]] = {
@@ -591,79 +586,52 @@ class Dataset:
             self._manifest.commit_txn(txn)
         self._publish_memory()
 
-    def flush(self) -> list[DiskComponent]:
+    def flush(self) -> None:
         """Force-flush all indexes of the dataset together.
 
-        On the durable path the multi-tree flush is one manifest
-        transaction: each tree's component commit is stamped with the
-        transaction id and none takes effect until the ``txn.commit``
-        entry is durable, so a crash mid-flush can never install the
-        primary's component without its secondaries'.  Merges are
-        deferred until after the transaction (and the WAL truncation),
-        keeping the log small while the multi-tree state is in flux.
-
-        Under a concurrent scheduler this is the drain barrier: it
-        schedules a flush of everything buffered and blocks until all
-        background maintenance (including follow-up merges) completed,
-        returning ``[]`` -- the components were installed by the
-        background tasks.
+        Closes the active generation (:meth:`_close_generation`), then
+        drains the scheduler: inline, the flush and every merge it
+        warrants ran before this returns; under a concurrent scheduler
+        this is the barrier that blocks until all background maintenance
+        (follow-up merges included) completed.
         """
-        if not self._scheduler.inline:
-            self.schedule_flush()
-            self._scheduler.drain()
-            return []
-        self._pending_writes = 0
-        if self._manifest is None:
-            flushed = []
-            for tree in self._all_trees():
-                component = tree.flush()
-                if component is not None:
-                    flushed.append(component)
-            self._publish_memory()
-            return flushed
-        if not any(tree.memtable for tree in self._all_trees()):
-            return []
-        if self._wal is not None:
-            self._wal.sync()
-        txn = self._manifest.begin_txn()
-        flushed = []
-        for tree in self._all_trees():
-            component = tree.flush(txn=txn, run_merge=False)
-            if component is not None:
-                flushed.append(component)
-        self._manifest.commit_txn(txn)
-        if self._wal is not None:
-            self._wal.truncate()
-        for tree in self._all_trees():
-            tree.run_pending_merges()
-        self._publish_memory()
-        return flushed
+        self._close_generation()
+        self._scheduler.drain()
 
-    # -- background maintenance -------------------------------------------
+    # -- maintenance --------------------------------------------------------
 
     @property
     def scheduler(self) -> MaintenanceScheduler:
         """The maintenance scheduler this dataset submits to."""
         return self._scheduler
 
-    def schedule_flush(self) -> bool:
-        """Rotate every tree's memtable and queue one background flush
-        of the rotated generation; returns False when nothing was
-        buffered.  The rotation happens on the calling (DML) thread, so
-        the moment this returns new writes land in fresh memtables and
-        never wait on the flush I/O.  It never waits: a writer owes
-        :meth:`_await_flush_capacity` after it released the DML lock.
+    def _close_generation(self) -> bool:
+        """Rotate every tree's memtable and persist the rotated
+        generation: on an inline scheduler :meth:`_flush_rotated` then
+        :meth:`_merge_step` until no policy wants a merge, on a
+        concurrent one a queued :meth:`_flush_task`.  The rotation runs
+        under the DML lock on the calling thread, so a background flush
+        never holds up new writes, which land in fresh memtables.
+
+        Returns True when it queued a flush: the caller then owes
+        :meth:`_await_flush_capacity` once it released the DML lock.
         """
         with self._dml_lock:
+            self._pending_writes = 0
             rotated = False
             for tree in self._all_trees():
                 rotated = tree.rotate() or rotated
-            self._pending_writes = 0
-            if rotated:
+            if not rotated:
+                return False
+            if not self._scheduler.inline:
                 self._scheduler.submit(
                     self._flush_task, lane=self._lane, kind="flush"
                 )
-        return rotated
+                return True
+            self._flush_rotated()
+            while self._merge_step():
+                pass
+            return False
 
     def _await_flush_capacity(self) -> None:
         """Backpressure after a rotation, entered with the DML lock
@@ -689,59 +657,71 @@ class Dataset:
             arbiter.note_pressure_stall()
             self._scheduler.wait(arbiter.immutable_within_pool)
 
-    def _flush_task(self) -> None:
-        """Lane task: persist one rotated generation across all trees,
-        then chain into merge-policy evaluation.  Lane FIFO guarantees
-        generation k is installed before generation k+1, preserving the
-        synchronous component order."""
+    def _flush_rotated(self) -> None:
+        """The one flush body: persist the oldest rotated generation
+        across all trees.
+
+        Durable, the multi-tree flush is one manifest transaction: each
+        tree's component commit is stamped with the transaction id and
+        none takes effect until the ``txn.commit`` entry is durable, so
+        a crash mid-flush can never install the primary's component
+        without its secondaries'.
+        """
         trees = list(self._all_trees())
-        if self._manifest is None:
-            for tree in trees:
-                if tree.immutable_count:
-                    tree.flush_one_immutable()
-        else:
+        txn = None
+        if self._manifest is not None:
             if self._wal is not None:
                 self._wal.sync()
             txn = self._manifest.begin_txn()
-            for tree in trees:
-                if tree.immutable_count:
-                    tree.flush_one_immutable(txn)
+        for tree in trees:
+            if tree.immutable_count:
+                tree.flush_one_immutable(txn)
+        if self._manifest is not None and txn is not None:
             self._manifest.commit_txn(txn)
-            # The shared WAL may only truncate once *every* acknowledged
-            # write is on disk; with writes still buffered (or more
-            # rotated generations queued) replay still needs the log.
-            # Deferral costs log space, never correctness: replay skips
-            # records already covered by flushed components.  The check
-            # and the truncate hold the DML lock together -- otherwise a
-            # concurrent operation could log its entry between them and
-            # have it deleted while its records are still memory-only.
-            if self._wal is not None:
-                with self._dml_lock:
-                    if all(t.fully_flushed for t in trees):
-                        self._wal.truncate()
+        # The shared WAL may only truncate once *every* acknowledged
+        # write is on disk; with writes still buffered (or more rotated
+        # generations queued) replay still needs the log.  Deferral
+        # costs log space, never correctness: replay skips records
+        # already covered by flushed components.  The check and the
+        # truncate hold the DML lock together -- otherwise a concurrent
+        # operation could log its entry between them and have it
+        # deleted while its records are still memory-only.
+        if self._wal is not None:
+            with self._dml_lock:
+                if all(tree.fully_flushed for tree in trees):
+                    self._wal.truncate()
         self._publish_memory()
+
+    def _merge_step(self) -> bool:
+        """The one merge decision: run at most one merge, for the first
+        tree (in order) whose policy wants one; returns whether it
+        merged."""
+        for tree in self._all_trees():
+            if tree.merge_once() is not None:
+                self._publish_memory()
+                return True
+        return False
+
+    def _flush_task(self) -> None:
+        """Lane task: :meth:`_flush_rotated`, then chain into merge
+        decisions.  Lane FIFO guarantees generation k is installed
+        before generation k+1, preserving the inline component order."""
+        self._flush_rotated()
         # Merges continue at the *front* of the lane so the merge
         # decisions triggered by this flush happen before the next
-        # queued flush installs -- the synchronous decision sequence.
+        # queued flush installs -- the inline decision sequence.
         self._scheduler.submit(
             self._merge_continuation, lane=self._lane, front=True, kind="merge"
         )
 
     def _merge_continuation(self) -> None:
-        """Lane task: run at most one merge (first tree, in order, whose
-        policy wants one) and requeue itself while any tree still has
-        merge work.  One merge per task keeps lanes responsive: other
-        datasets' tasks interleave between merges."""
-        for tree in self._all_trees():
-            if tree.merge_once() is not None:
-                self._publish_memory()
-                self._scheduler.submit(
-                    self._merge_continuation,
-                    lane=self._lane,
-                    front=True,
-                    kind="merge",
-                )
-                return
+        """Lane task: one :meth:`_merge_step`, requeued while it merged.
+        One merge per task keeps lanes responsive: other datasets' tasks
+        interleave between merges."""
+        if self._merge_step():
+            self._scheduler.submit(
+                self._merge_continuation, lane=self._lane, front=True, kind="merge"
+            )
 
     def drain_maintenance(self) -> None:
         """Block until all scheduled background maintenance completed
@@ -783,18 +763,13 @@ class Dataset:
 
     def _after_write(self) -> bool:
         """The flush decision of one applied operation, under the DML
-        lock.  Returns True when it rotated onto a background scheduler:
-        the caller then owes :meth:`_await_flush_capacity` once the
-        lock is released."""
-        rotated = False
-        if self._flush_due():
-            if self._scheduler.inline:
-                self.flush()
-            else:
-                rotated = self.schedule_flush()
+        lock.  Returns :meth:`_close_generation`'s answer: True when the
+        caller owes :meth:`_await_flush_capacity` once the lock is
+        released."""
+        queued = self._flush_due() and self._close_generation()
         if self._memory_arbiter is not None:
             self._publish_memory()
-        return rotated
+        return queued
 
     def _publish_memory(self) -> None:
         """Push this dataset's pool breakdown to the arbiter (called at

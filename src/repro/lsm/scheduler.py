@@ -6,8 +6,10 @@ modes so the same engine code serves production *and* deterministic
 testing:
 
 * :class:`SyncScheduler` -- ``submit`` runs the task inline on the
-  calling thread.  Maintenance stays synchronous with the write that
-  triggered it, byte-for-byte the pre-scheduler behaviour.  The default.
+  calling thread.  A dataset on it calls its flush and merge bodies
+  directly, synchronous with the write that triggered them, and never
+  submits.  The default, and the oracle the other modes are compared
+  against.
 * :class:`ThreadPoolScheduler` -- a bounded pool of real ``threading``
   workers.  Used by production-style runs and the thread-stress suite.
 * :class:`VirtualScheduler` -- a seeded single-threaded step-executor:
@@ -193,7 +195,7 @@ class MaintenanceScheduler(ABC):
 
 
 class SyncScheduler(MaintenanceScheduler):
-    """Runs every task inline at submit time (legacy behaviour)."""
+    """Runs every task inline at submit time."""
 
     mode = "sync"
 

@@ -51,12 +51,8 @@ from repro.obs.tracing import span
 __all__ = [
     "LSMTree",
     "SequenceGenerator",
-    "DEFAULT_MEMTABLE_CAPACITY",
     "DEFAULT_WRITE_BATCH_SIZE",
 ]
-
-DEFAULT_MEMTABLE_CAPACITY = 4096
-"""Records buffered in memory before an automatic flush."""
 
 DEFAULT_WRITE_BATCH_SIZE = 512
 """Records per columnar chunk on the component-write path."""
@@ -136,14 +132,12 @@ class LSMTree:
         self,
         name: str,
         disk: SimulatedDisk,
-        memtable_capacity: int = DEFAULT_MEMTABLE_CAPACITY,
         merge_policy: MergePolicy | None = None,
         event_bus: EventBus | None = None,
         sequence: SequenceGenerator | None = None,
         key_extractor: Callable[[Record], Any] | None = None,
         leaf_capacity: int = DEFAULT_LEAF_CAPACITY,
         fanout: int = DEFAULT_FANOUT,
-        auto_flush: bool = True,
         bloom_fpp: float | None = 0.01,
         index_builder: Callable[..., Any] | None = None,
         registry: MetricsRegistry | None = None,
@@ -152,10 +146,6 @@ class LSMTree:
         crash_injector: CrashInjector | None = None,
         merge_pacer: "MergePacer | None" = None,
     ) -> None:
-        if memtable_capacity < 1:
-            raise StorageError(
-                f"memtable_capacity must be >= 1, got {memtable_capacity}"
-            )
         if not isinstance(write_batch_size, int) or write_batch_size < 1:
             raise StorageError(
                 f"write_batch_size must be an int >= 1, got {write_batch_size!r}"
@@ -163,7 +153,6 @@ class LSMTree:
         self.name = name
         self.disk = disk
         self.memtable = MemTable()
-        self.memtable_capacity = memtable_capacity
         self.merge_policy = (
             merge_policy if merge_policy is not None else NoMergePolicy()
         )
@@ -176,7 +165,6 @@ class LSMTree:
         )
         self.leaf_capacity = leaf_capacity
         self.fanout = fanout
-        self.auto_flush = auto_flush
         self.bloom_fpp = bloom_fpp
         # The physical structure of disk components: defaults to the
         # B-tree; LSM-ified R-trees name build_rtree here.  The name
@@ -269,9 +257,6 @@ class LSMTree:
     def _write(self, record: Record) -> None:
         with self._lock:
             self.memtable.write(record)
-            full = len(self.memtable) >= self.memtable_capacity
-        if self.auto_flush and full:
-            self.flush()
 
     # -- lifecycle events --------------------------------------------------
 
@@ -321,6 +306,13 @@ class LSMTree:
         return sum(self.memory_breakdown())
 
     @property
+    def empty(self) -> bool:
+        """True when the tree holds no data at all: no disk component,
+        no active-memtable record, no rotated memtable pending."""
+        with self._lock:
+            return not (self._components or self.memtable or self._immutables)
+
+    @property
     def fully_flushed(self) -> bool:
         """True when every acknowledged write is in a disk component
         (no active-memtable records, no rotated memtables pending) --
@@ -328,36 +320,30 @@ class LSMTree:
         with self._lock:
             return not self.memtable and not self._immutables
 
-    def flush(
-        self, txn: int | None = None, run_merge: bool = True
-    ) -> DiskComponent | None:
-        """Persist the in-memory component(s); returns the newest disk
+    def flush(self) -> DiskComponent | None:
+        """Persist the in-memory component(s) of a standalone tree and
+        run the merges its policy wants; returns the newest disk
         component built, or ``None`` when there was nothing to flush.
 
-        Rotates the active memtable, then drains the immutable queue
-        inline -- so on the default synchronous scheduler this is the
-        same one-memtable-one-component operation it always was, while
-        under a background scheduler it doubles as the drain-everything
-        barrier.  With a manifest attached each flush is two-phase: a
-        begin entry precedes the build (so a half-built file is
-        recognisably an orphan) and the commit entry installs the sealed
-        component.  ``txn`` stamps the commit with a dataset flush
-        transaction; ``run_merge=False`` defers merge-policy evaluation
-        so the dataset can commit the transaction across all its trees
-        first.
+        A tree never decides to flush on its own: a dataset closes
+        generations across all its trees and drives
+        :meth:`flush_one_immutable` and :meth:`merge_once` itself.
         """
         self.rotate()
         component: DiskComponent | None = None
         while self.immutable_count:
-            component = self.flush_one_immutable(txn)
-        if run_merge:
-            self._maybe_merge()
+            component = self.flush_one_immutable()
+        while self.merge_once():
+            pass
         return component
 
     def flush_one_immutable(self, txn: int | None = None) -> DiskComponent:
         """Build and install a disk component from the oldest rotated
-        memtable (the background flush task body; also the inline drain
-        step of :meth:`flush`)."""
+        memtable.  With a manifest attached the flush is two-phase: a
+        begin entry precedes the build (so a half-built file is
+        recognisably an orphan) and the commit entry, stamped with the
+        dataset's flush transaction ``txn``, installs the sealed
+        component."""
         with self._lock:
             if not self._immutables:
                 raise StorageError(
@@ -399,7 +385,7 @@ class LSMTree:
         The stream must be strictly sorted by key and free of
         anti-matter (there is nothing on disk to cancel yet).
         """
-        if self._components or self.memtable or self._immutables:
+        if not self.empty:
             raise BulkloadError(
                 f"bulkload into non-empty LSM tree {self.name!r}"
             )
@@ -529,16 +515,11 @@ class LSMTree:
             self._g_components.set(len(self._components))
         return component
 
-    def _maybe_merge(self) -> None:
-        while self.merge_once():
-            pass
-
     def merge_once(self) -> DiskComponent | None:
         """Ask the policy for one merge (through its in-flight slot
         accounting) and run it; returns the merged component or ``None``
-        when no merge is warranted.  The background merge continuation
-        calls this once per task so other lanes interleave between
-        merges."""
+        when no merge is warranted.  A dataset's merge step calls this
+        once per decision so other lanes interleave between merges."""
         selected = self.merge_policy.acquire_merge(self.components)
         if not selected:
             return None
@@ -546,11 +527,6 @@ class LSMTree:
             return self.merge(selected)
         finally:
             self.merge_policy.release_merge(selected)
-
-    def run_pending_merges(self) -> None:
-        """Evaluate the merge policy now (used after a dataset flush
-        transaction commits, where per-tree flushes deferred merging)."""
-        self._maybe_merge()
 
     def _descriptor(self, component: DiskComponent) -> ComponentDescriptor:
         return ComponentDescriptor(
@@ -589,7 +565,7 @@ class LSMTree:
         time, sized with the same ``expected_records`` the original
         build used.
         """
-        if self._components or self.memtable or self._immutables:
+        if not self.empty:
             raise RecoveryError(
                 f"install_recovered on non-empty LSM tree {self.name!r}"
             )

@@ -33,14 +33,13 @@ DOMAIN = Domain(0, 4095)
 BATCH_SIZES = [512, 7, 1]
 
 
-def _observed_tree(write_batch_size, **kwargs):
+def _observed_tree(write_batch_size):
     """A tree whose every component write the reference checks."""
     tree = LSMTree(
         "t.primary",
         SimulatedDisk(),
         event_bus=EventBus(),
         write_batch_size=write_batch_size,
-        **kwargs,
     )
     observer = ReferenceObserver([tree])
     observer.collector = StatisticsCollector(
@@ -54,9 +53,7 @@ def _observed_tree(write_batch_size, **kwargs):
 
 def _scripted_run(write_batch_size):
     """One full lifecycle: upserts, deletes, flushes, and a merge."""
-    tree, observer = _observed_tree(
-        write_batch_size, memtable_capacity=4096, auto_flush=False
-    )
+    tree, observer = _observed_tree(write_batch_size)
     for key in range(0, 600, 2):
         tree.upsert(key, {"k": key})
     tree.flush()
@@ -171,7 +168,6 @@ class TestBatchedFaultIsolation:
             "t.primary",
             SimulatedDisk(),
             event_bus=EventBus(),
-            auto_flush=False,
             write_batch_size=8,
         )
         tree.event_bus.subscribe(_ExplodingObserver())

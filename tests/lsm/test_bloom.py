@@ -164,10 +164,11 @@ class TestLSMIntegration:
 
     def test_miss_lookups_skip_io(self):
         disk = SimulatedDisk()
-        tree = LSMTree("t", disk, memtable_capacity=100)
+        tree = LSMTree("t", disk)
         for i in range(1000):
             tree.upsert(i * 2, i)  # even keys only
-        tree.flush()
+            if i % 100 == 99:
+                tree.flush()  # ten components, one filter each
         before = disk.stats.snapshot()
         misses = 0
         for probe in range(1, 2000, 20):  # odd keys: all absent
@@ -180,9 +181,11 @@ class TestLSMIntegration:
         assert negatives >= misses * 0.9
 
     def test_lookups_still_correct_with_filters(self):
-        tree = LSMTree("t", SimulatedDisk(), memtable_capacity=64)
+        tree = LSMTree("t", SimulatedDisk())
         for i in range(500):
             tree.upsert(i, f"v{i}")
+            if i % 64 == 63:
+                tree.flush()
         for i in range(0, 500, 3):
             tree.delete(i)
         tree.flush()
@@ -347,9 +350,11 @@ class TestBufferCache:
         cold = SimulatedDisk()
         warm = SimulatedDisk(cache_pages=10_000)
         for disk in (cold, warm):
-            tree = LSMTree("t", disk, memtable_capacity=512)
+            tree = LSMTree("t", disk)
             for i in range(2000):
                 tree.upsert(i, i)
+                if i % 512 == 511:
+                    tree.flush()
             tree.flush()
             for probe in range(0, 2000, 10):
                 assert tree.get(probe) == probe

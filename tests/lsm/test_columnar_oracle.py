@@ -63,9 +63,7 @@ def _tree_lifecycle(synopsis_type, ops, batch):
         tree = LSMTree(
             "t.primary",
             SimulatedDisk(),
-            memtable_capacity=4096,
             event_bus=EventBus(),
-            auto_flush=False,
             write_batch_size=batch,
         )
         observer = _observe(tree.event_bus, [tree], synopsis_type)
@@ -115,8 +113,16 @@ def test_columnar_lifecycle_bit_identical(synopsis_type, ops, batch):
     _tree_lifecycle(synopsis_type, ops, batch)
 
 
+def _with_batch(dataset, batch):
+    """Every tree of ``dataset`` writes its components in chunks of
+    ``batch`` records."""
+    for tree in dataset._all_trees():
+        tree.write_batch_size = batch
+    return dataset
+
+
 def _make_dataset(disk, batch, recover=False):
-    return Dataset(
+    dataset = Dataset(
         "ds",
         disk,
         primary_key="id",
@@ -129,10 +135,10 @@ def _make_dataset(disk, batch, recover=False):
         ],
         memtable_capacity=64,
         merge_policy=ConstantMergePolicy(max_components=3),
-        write_batch_size=batch,
         durable=True,
         recover=recover,
     )
+    return _with_batch(dataset, batch)
 
 
 def _attach(dataset, synopsis_type):
@@ -273,8 +279,8 @@ def _spatial_lifecycle(batch, synopsis_type):
             ],
             memtable_capacity=48,
             merge_policy=ConstantMergePolicy(max_components=3),
-            write_batch_size=batch,
         )
+        _with_batch(dataset, batch)
         observer = _observe(
             dataset.event_bus, list(dataset._all_trees()), SynopsisType.EQUI_WIDTH
         )
@@ -324,7 +330,6 @@ def test_extractor_without_a_column_is_rejected_when_the_tap_opens():
             SimulatedDisk(),
             event_bus=EventBus(),
             key_extractor=lambda record: record.key,
-            auto_flush=False,
         )
         collector = StatisticsCollector(
             StatisticsConfig(SynopsisType.GK_SKETCH, budget=BUDGET),
@@ -336,9 +341,7 @@ def test_extractor_without_a_column_is_rejected_when_the_tap_opens():
         with pytest.raises(ConfigurationError, match="no column twin"):
             tree.flush()
 
-        plain = LSMTree(
-            "t.plain", SimulatedDisk(), event_bus=tree.event_bus, auto_flush=False
-        )
+        plain = LSMTree("t.plain", SimulatedDisk(), event_bus=tree.event_bus)
         collector.register_attribute(
             plain.name, "k", DOMAIN, value_extractor=lambda r: r.value["k"]
         )

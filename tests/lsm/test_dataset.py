@@ -2,8 +2,10 @@
 
 import pytest
 
-from repro.errors import BulkloadError, QueryError
+from repro.errors import BulkloadError, QueryError, StorageError
 from repro.lsm.dataset import Dataset, IndexSpec
+from repro.lsm.merge_policy import ConstantMergePolicy
+from repro.lsm.scheduler import SCHEDULER_MODES, make_scheduler
 from repro.lsm.storage import SimulatedDisk
 from repro.types import Domain
 
@@ -48,8 +50,6 @@ class TestCrud:
 
     def test_missing_pk_field(self):
         ds = _dataset()
-        from repro.errors import StorageError
-
         with pytest.raises(StorageError):
             ds.insert({"value": 1})
 
@@ -99,20 +99,57 @@ class TestSecondaryMaintenance:
             ds.secondary_tree("nope")
 
 
+def _component_ids(mode, durable):
+    """Every tree's component ids after capacity flushes, merges and a
+    forced flush of the remainder, on one scheduler mode."""
+    scheduler = make_scheduler(mode)
+    try:
+        ds = _dataset(
+            scheduler=scheduler,
+            durable=durable,
+            memtable_capacity=8,
+            merge_policy=ConstantMergePolicy(max_components=3),
+        )
+        for pk in range(30):
+            ds.insert(_doc(pk, pk % 7))
+        for pk in range(0, 30, 4):
+            ds.update(_doc(pk, 500 + pk))
+        assert ds.flush() is None
+        assert all(tree.fully_flushed for tree in ds._all_trees())
+        assert ds.flush() is None  # nothing left
+        return {
+            tree.name: [component.component_id for component in tree.components]
+            for tree in ds._all_trees()
+        }
+    finally:
+        scheduler.shutdown()
+
+
 class TestFlushCoordination:
-    def test_auto_flush_flushes_all_indexes(self):
+    def test_capacity_flushes_all_indexes(self):
         ds = _dataset(memtable_capacity=10)
         for pk in range(25):
             ds.insert(_doc(pk, pk))
         assert ds.primary.flush_count == 2
         assert ds.secondary_tree("value_idx").flush_count == 2
 
-    def test_forced_flush(self):
-        ds = _dataset()
-        ds.insert(_doc(1, 1))
-        flushed = ds.flush()
-        assert len(flushed) == 2  # primary + one secondary
-        assert ds.flush() == []  # nothing left
+    def test_capacity_must_be_positive(self):
+        with pytest.raises(StorageError, match="memtable_capacity"):
+            _dataset(memtable_capacity=0)
+
+    @pytest.mark.parametrize("durable", [False, True], ids=["plain", "durable"])
+    @pytest.mark.parametrize("mode", SCHEDULER_MODES)
+    def test_forced_flush(self, mode, durable):
+        # One flush body and one merge step serve every mode: the
+        # component boundaries are the inline, non-durable ones.
+        ids = _component_ids(mode, durable)
+        assert ids == _component_ids("sync", False)
+        # 38 operations: four capacity flushes of 8, merged into one as
+        # the fourth exceeds ConstantMergePolicy(3), then the forced
+        # flush of the remaining 6.
+        assert [
+            (cid.min_seq, cid.max_seq) for cid in ids["tweets.primary"]
+        ] == [(32, 37), (0, 31)]
 
 
 class TestBulkload:
@@ -131,6 +168,20 @@ class TestBulkload:
         ds.insert(_doc(1, 1))
         with pytest.raises(BulkloadError):
             ds.bulkload([_doc(2, 2)])
+
+    def test_refused_bulkload_leaves_nothing_behind(self, interleaved_dataset):
+        # A generation rotated but not yet flushed is data too, and the
+        # refusal comes before the manifest transaction opens.
+        ds, scheduler = interleaved_dataset(memtable_capacity=1, durable=True)
+        ds.insert(_doc(1, 1))
+        assert ds.primary.immutable_count == 1
+        disk = ds.primary.disk
+        pages = {fid: disk.num_pages(fid) for fid in ds.live_file_ids()}
+        with pytest.raises(BulkloadError):
+            ds.bulkload([_doc(2, 2)])
+        assert {fid: disk.num_pages(fid) for fid in ds.live_file_ids()} == pages
+        scheduler.drain()
+        assert ds.count_records() == 1
 
     def test_queries_after_bulkload(self):
         ds = _dataset()

@@ -49,9 +49,7 @@ class _Observer:
 
 
 def _tree_with(*sinks):
-    tree = LSMTree(
-        "t", SimulatedDisk(), memtable_capacity=1000, write_batch_size=CHUNK
-    )
+    tree = LSMTree("t", SimulatedDisk(), write_batch_size=CHUNK)
     for sink in sinks:
         tree.event_bus.subscribe(_Observer(sink))
     return tree

@@ -97,13 +97,14 @@ class TestPrefixPolicy:
         tree = LSMTree(
             "t",
             SimulatedDisk(),
-            memtable_capacity=32,
             merge_policy=PrefixMergePolicy(
                 max_mergable_pages=4, max_tolerance_count=3
             ),
         )
         for i in range(1000):
             tree.upsert(i, i)
+            if i % 32 == 31:
+                tree.flush()
         tree.flush()
         assert tree.merge_count > 0
         assert tree.count_range() == 1000

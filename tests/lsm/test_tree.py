@@ -4,11 +4,13 @@ import pytest
 
 from repro.errors import BulkloadError, StorageError
 from repro.lsm.component import ComponentState
+from repro.lsm.dataset import Dataset
 from repro.lsm.events import EventBus, LSMEventType
 from repro.lsm.merge_policy import ConstantMergePolicy, StackMergePolicy
 from repro.lsm.record import Record
 from repro.lsm.storage import SimulatedDisk
 from repro.lsm.tree import LSMTree
+from repro.types import Domain
 
 
 def _tree(**kwargs):
@@ -87,12 +89,21 @@ class TestFlush:
         assert component.antimatter_count == 1
         assert component.matter_count == 0
 
-    def test_auto_flush_at_capacity(self):
-        t = _tree(memtable_capacity=10)
-        for i in range(25):
+    def test_a_tree_never_flushes_itself(self):
+        # The capacity decision is the dataset's: it closes a generation
+        # across all its trees, which never flush on their own.
+        t = _tree()
+        for i in range(5000):
             t.upsert(i, i)
-        assert t.flush_count == 2
-        assert len(t.memtable) == 5
+        assert t.flush_count == 0
+        assert len(t.memtable) == 5000
+        ds = Dataset(
+            "d", SimulatedDisk(), "id", Domain(0, 99), memtable_capacity=10
+        )
+        for i in range(25):
+            ds.insert({"id": i})
+        assert ds.primary.flush_count == 2
+        assert len(ds.primary.memtable) == 5
 
     def test_component_id_tracks_seqnums(self):
         t = _tree()
@@ -191,19 +202,25 @@ class TestMerge:
         assert merged.component_id.max_seq == c2.component_id.max_seq
 
     def test_constant_policy_caps_components(self):
-        t = _tree(memtable_capacity=5, merge_policy=ConstantMergePolicy(3))
+        t = _tree(merge_policy=ConstantMergePolicy(3))
         for i in range(100):
             t.upsert(i, i)
+            if i % 5 == 4:
+                t.flush()
         assert len(t.components) <= 3
         assert t.merge_count > 0
         assert t.count_range() == 100
 
     def test_stack_policy_partial_merges_preserve_reads(self):
-        t = _tree(memtable_capacity=4, merge_policy=StackMergePolicy(3))
+        t = _tree(merge_policy=StackMergePolicy(3))
         for i in range(50):
             t.upsert(i, i)
+            if i % 4 == 3:
+                t.flush()
         for i in range(0, 50, 5):
             t.delete(i)
+            if i % 20 == 15:
+                t.flush()
         t.flush()
         live = [r.key for r in t.scan()]
         assert live == [i for i in range(50) if i % 5 != 0]

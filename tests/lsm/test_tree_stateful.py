@@ -29,7 +29,6 @@ class LSMTreeMachine(RuleBasedStateMachine):
         self.tree = LSMTree(
             "model",
             SimulatedDisk(),
-            memtable_capacity=8,  # frequent automatic flushes
             merge_policy=NoMergePolicy(),
         )
         self.model: dict[int, int] = {}
