@@ -28,6 +28,7 @@ tuples -- bounded by the total number of components ever merged away).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import attrgetter
 
 from repro.errors import CatalogError
 from repro.synopses.base import Synopsis
@@ -62,12 +63,17 @@ class StatisticsEntry:
     epoch: int = 0
 
 
+_insertion_version = attrgetter("version")
+
+
 class StatisticsCatalog:
     """In-memory system catalog of per-component synopses."""
 
     def __init__(self) -> None:
         self._entries: dict[str, dict[tuple[str, int, int], StatisticsEntry]] = {}
         self._versions: dict[str, int] = {}
+        # Per index: (version, entries in version order), see entries_for.
+        self._ordered: dict[str, tuple[int, list[StatisticsEntry]]] = {}
         # Per index: (node, partition, uid) triples whose statistics
         # were retracted -- late/replayed publishes for them are no-ops.
         self._tombstones: dict[str, set[tuple[str, int, int]]] = {}
@@ -187,11 +193,24 @@ class StatisticsCatalog:
         )
 
     def entries_for(self, index_name: str) -> list[StatisticsEntry]:
-        """All live entries for an index, in insertion-version order."""
-        bucket = self._entries.get(index_name)
-        if bucket is None:
-            return []
-        return sorted(bucket.values(), key=lambda e: e.version)
+        """All live entries for an index, in insertion-version order.
+
+        The ordered list is kept per index with the version it was
+        sorted at and rebuilt only once that version moves (every
+        ``put``, ``retract`` or ``reset_partition`` that changes the
+        entries bumps it); callers get their own copy.
+        """
+        version = self._versions.get(index_name, 0)
+        ordered = self._ordered.get(index_name)
+        if ordered is None or ordered[0] != version:
+            bucket = self._entries.get(index_name)
+            if bucket is None:
+                return []
+            ordered = self._ordered[index_name] = (
+                version,
+                sorted(bucket.values(), key=_insertion_version),
+            )
+        return list(ordered[1])
 
     def version_for(self, index_name: str) -> int:
         """Monotone per-index version; bumps on every put/retract."""

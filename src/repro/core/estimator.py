@@ -16,19 +16,22 @@ a cache miss both estimate lanes (range and NDV) hand *all* catalogued
 entries to one N-ary ``merge_with`` per side through the one
 :meth:`CardinalityEstimator._fold`; what that costs is the family's
 business (one vectorised register union, one column sum, or the
-pairwise left fold where order shows).
+pairwise left fold where order shows).  The miss's own answer is the
+summation: one batched ``Synopsis.estimate_each`` per side (a stacked
+kernel for the histogram families, one walk per entry otherwise).
 """
 
 from __future__ import annotations
 
 import enum
 import math
+import operator
 import time
 from dataclasses import dataclass
 from typing import Sequence
 
 from repro.core.cache import MergedSynopsisCache
-from repro.core.catalog import StatisticsCatalog, StatisticsEntry
+from repro.core.catalog import StatisticsCatalog
 from repro.errors import MergeabilityError, SynopsisError
 from repro.obs.registry import (
     Histogram,
@@ -134,12 +137,18 @@ class CardinalityEstimator:
             histogram.observe(elapsed)
 
     def _fold(
-        self, key: str, version: int, entries: Sequence[StatisticsEntry]
+        self,
+        key: str,
+        version: int,
+        synopses: Sequence[Synopsis],
+        anti_synopses: Sequence[Synopsis],
     ) -> tuple[Synopsis, Synopsis]:
         """Algorithm 2's recompute: the combined (matter, anti-matter)
-        pair of ``entries``, one N-ary ``merge_with`` per side, cached
-        at ``version``.  All-or-nothing: a :class:`MergeabilityError`
-        propagates with nothing cached or counted.
+        pair of one index's catalogued ``synopses`` and
+        ``anti_synopses`` (entry order), one N-ary ``merge_with`` per
+        side, cached at ``version``.  All-or-nothing: a
+        :class:`MergeabilityError` propagates with nothing cached or
+        counted.
 
         A lazy merge is cached (and accounted) only when one actually
         ran.  With a single catalog entry nothing is merged: caching it
@@ -147,14 +156,11 @@ class CardinalityEstimator:
         and inflate the lazy-merge metrics with zero-time observations,
         while the summation path is already as cheap as a cache hit.
         """
-        first, rest = entries[0], entries[1:]
-        if not rest:
-            return first.synopsis, first.anti_synopsis
+        if len(synopses) == 1:
+            return synopses[0], anti_synopses[0]
         started = time.perf_counter()
-        merged = first.synopsis.merge_with(*[e.synopsis for e in rest])
-        merged_anti = first.anti_synopsis.merge_with(
-            *[e.anti_synopsis for e in rest]
-        )
+        merged = synopses[0].merge_with(*synopses[1:])
+        merged_anti = anti_synopses[0].merge_with(*anti_synopses[1:])
         elapsed = time.perf_counter() - started
         if self.cache is not None:
             self.cache.put(key, merged, merged_anti, version)
@@ -190,21 +196,30 @@ class CardinalityEstimator:
         # recompute the merged pair for the next query when the type
         # allows it.
         entries = self.catalog.entries_for(index_name)
-        # Summed exactly at the end (``math.fsum``): the catalog lists
-        # entries in arrival order, which a background scheduler
-        # permutes, and a running float sum would let the schedule show
-        # in the last ulp of an unmergeable family's estimate.
-        contributions = [
-            entry.synopsis.estimate(*bounds)
-            - entry.anti_synopsis.estimate(*bounds)
-            for entry in entries
-        ]
+        synopses = [entry.synopsis for entry in entries]
+        anti_synopses = [entry.anti_synopsis for entry in entries]
+        # One batched estimate per side (the family's stacked kernel,
+        # or one walk per entry), summed exactly at the end
+        # (``math.fsum``): the catalog lists entries in arrival order,
+        # which a background scheduler permutes, and a running float
+        # sum would let the schedule show in the last ulp of an
+        # unmergeable family's estimate.
+        contributions = (
+            map(
+                operator.sub,
+                synopses[0].estimate_each(synopses, *bounds),
+                anti_synopses[0].estimate_each(anti_synopses, *bounds),
+            )
+            if entries
+            else ()
+        )
+        estimate = max(math.fsum(contributions), 0.0)
         # Merging requires one homogeneous mergeable family.  The guard
         # spares an unmergeable one (equi-height) a raise per estimate;
         # everything else is ``merge_with``'s own check.
-        if self.cache is not None and entries and entries[0].synopsis.mergeable:
+        if self.cache is not None and entries and synopses[0].mergeable:
             try:
-                self._fold(index_name, version, entries)
+                self._fold(index_name, version, synopses, anti_synopses)
             except MergeabilityError:
                 # Mixed types or parameters (a catalog can transiently
                 # hold them after a reconfiguration): nothing is
@@ -212,13 +227,8 @@ class CardinalityEstimator:
                 pass
 
         elapsed = time.perf_counter() - started
-        self._observe(elapsed, entries[0].synopsis if entries else None)
-        return EstimateResult(
-            max(math.fsum(contributions), 0.0),
-            len(entries),
-            False,
-            elapsed,
-        )
+        self._observe(elapsed, synopses[0] if entries else None)
+        return EstimateResult(estimate, len(entries), False, elapsed)
 
     def estimate_ndv(self, index_name: str) -> float:
         """Point NDV estimate for ``index_name``'s sketch lane."""
@@ -255,7 +265,12 @@ class CardinalityEstimator:
                 f"no NDV sketches catalogued under {key!r}; is the "
                 "collector configured with ndv_enabled?"
             )
-        merged, merged_anti = self._fold(key, version, entries)
+        merged, merged_anti = self._fold(
+            key,
+            version,
+            [entry.synopsis for entry in entries],
+            [entry.anti_synopsis for entry in entries],
+        )
         # One matter + one anti register union per folded-in entry.
         self._m_unions.inc(2 * (len(entries) - 1))
 

@@ -30,7 +30,61 @@ from repro.errors import MergeabilityError, SynopsisError
 from repro.types import Domain
 from repro.util.npbackend import INT64_TYPECODE
 
-__all__ = ["SynopsisType", "Synopsis", "SynopsisBuilder"]
+__all__ = [
+    "SynopsisType",
+    "Synopsis",
+    "SynopsisBuilder",
+    "payload_counts",
+    "payload_domain",
+    "plain_ints",
+]
+
+_INT64_MAX = (1 << 63) - 1
+_DOMAINS: dict[tuple[int, int], Domain] = {}
+_DOMAINS_CAP = 4096
+
+
+def payload_domain(bounds: Sequence[Any]) -> Domain:
+    """A payload's ``[lo, hi]`` as a :class:`Domain`, one shared object
+    per integer pair.
+
+    Every decoded synopsis of an index then holds the *same* domain
+    object, so the per-input compatibility checks of a merge or a
+    batched estimate (:meth:`Synopsis.merge_with`,
+    :meth:`Synopsis.estimate_each`) pass on identity instead of one
+    dataclass ``__eq__`` per catalog entry.  Anything but a pair of
+    plain ints is built as before, unshared.
+    """
+    lo, hi = bounds
+    if type(lo) is not int or type(hi) is not int:
+        return Domain(lo, hi)
+    domain = _DOMAINS.get((lo, hi))
+    if domain is None:
+        if len(_DOMAINS) >= _DOMAINS_CAP:
+            _DOMAINS.clear()
+        domain = _DOMAINS[lo, hi] = Domain(lo, hi)
+    return domain
+
+
+def plain_ints(values: Iterable[Any], what: str) -> list[int]:
+    """``values`` as a list, or :class:`SynopsisError` unless every one
+    is a plain ``int`` -- ``bool``, ``float`` and the rest are what a
+    wire frame or catalog file can carry and a builder never makes."""
+    values = list(values)
+    if not set(map(type, values)) <= {int}:
+        bad = next(value for value in values if type(value) is not int)
+        raise SynopsisError(f"{what} must be ints, got {bad!r}")
+    return values
+
+
+def payload_counts(values: Iterable[Any], what: str) -> list[int]:
+    """A payload's bucket counts: :func:`plain_ints`, none negative.
+    (Their sum is the synopsis's ``total_count``, which the constructor
+    bounds by int64 -- and so every count with it.)"""
+    counts = plain_ints(values, what)
+    if counts and min(counts) < 0:
+        raise SynopsisError(f"{what} must be non-negative, got {min(counts)}")
+    return counts
 
 
 class SynopsisType(enum.Enum):
@@ -93,6 +147,9 @@ class Synopsis(ABC):
             raise SynopsisError(f"budget must be >= 1, got {budget}")
         if total_count < 0:
             raise SynopsisError(f"negative total_count {total_count}")
+        if total_count > _INT64_MAX:
+            # No count of a non-negative histogram can then pass int64.
+            raise SynopsisError(f"total_count {total_count} overflows int64")
         self.domain = domain
         self.budget = budget
         self.total_count = total_count
@@ -112,6 +169,21 @@ class Synopsis(ABC):
         """Estimated number of observed values in the inclusive range
         ``[lo, hi]``; never negative."""
 
+    @classmethod
+    def estimate_each(
+        cls, synopses: Sequence["Synopsis"], *bounds: int
+    ) -> list[float]:
+        """``[s.estimate(*bounds) for s in synopses]``, float for float.
+
+        Algorithm 2's summation path asks every catalogued component
+        the same range at once.  The default is one walk each; a family
+        whose walk vectorises across a stack of like-shaped synopses
+        overrides this for inputs it can stack and must return exactly
+        the walk's floats (``tests/synopses/test_readpath.py``).  Called
+        through the first synopsis, so mixed inputs reach the default.
+        """
+        return [synopsis.estimate(*bounds) for synopsis in synopses]
+
     def merge_with(self, *others: "Synopsis") -> "Synopsis":
         """Combine synopses summarising disjoint record sets.
 
@@ -129,20 +201,21 @@ class Synopsis(ABC):
             raise MergeabilityError(
                 f"{self.synopsis_type.value} synopses are not mergeable"
             )
+        # One pass of attribute tests, identity first: the domains of
+        # decoded synopses are shared objects (:func:`payload_domain`).
+        family, domain, budget = self.synopsis_type, self.domain, self.budget
         for other in others:
-            self._check_merge_compatible(other)
+            if other.synopsis_type is not family:
+                raise MergeabilityError(
+                    f"cannot merge {family.value} with {other.synopsis_type.value}"
+                )
+            if other.budget != budget or (
+                other.domain is not domain and other.domain != domain
+            ):
+                raise MergeabilityError(
+                    "cannot merge synopses with different domains or budgets"
+                )
         return self._merge_all(others)
-
-    def _check_merge_compatible(self, other: "Synopsis") -> None:
-        if other.synopsis_type is not self.synopsis_type:
-            raise MergeabilityError(
-                f"cannot merge {self.synopsis_type.value} with "
-                f"{other.synopsis_type.value}"
-            )
-        if other.domain != self.domain or other.budget != self.budget:
-            raise MergeabilityError(
-                "cannot merge synopses with different domains or budgets"
-            )
 
     def _merge_all(self, others: Sequence["Synopsis"]) -> "Synopsis":
         """Fold pre-checked ``others`` into ``self``, left to right.

@@ -17,8 +17,11 @@ from bisect import bisect_left
 from typing import Any
 
 from repro.errors import SynopsisError
-from repro.synopses.base import Synopsis
+from repro.synopses.base import Synopsis, payload_counts, payload_domain, plain_ints
 from repro.types import Domain
+
+_INT64_MIN = -(1 << 63)
+_INT64_MAX = (1 << 63) - 1
 
 __all__ = ["BucketHistogram"]
 
@@ -53,6 +56,8 @@ class BucketHistogram(Synopsis):
                     "bucket borders must be strictly increasing"
                 )
             previous = border
+        if borders and not (_INT64_MIN <= borders[0] and borders[-1] <= _INT64_MAX):
+            raise SynopsisError("bucket borders must fit int64")
         super().__init__(domain, budget, total_count=sum(counts))
         self.first_left = first_left
         self.borders = borders
@@ -100,11 +105,19 @@ class BucketHistogram(Synopsis):
 
     @classmethod
     def from_payload(cls, payload: dict[str, Any]) -> "BucketHistogram":
-        """Inverse of :meth:`to_payload`."""
+        """Inverse of :meth:`to_payload`.
+
+        A payload's ``first_left``, borders and counts must be plain
+        ints and no count negative; the constructor checks the rest
+        (border order and int64 range, the total count).
+        """
+        first_left = payload["first_left"]
+        if type(first_left) is not int:
+            raise SynopsisError(f"first_left must be an int, got {first_left!r}")
         return cls(
-            Domain(*payload["domain"]),
+            payload_domain(payload["domain"]),
             payload["budget"],
-            payload["first_left"],
-            list(payload["borders"]),
-            list(payload["counts"]),
+            first_left,
+            plain_ints(payload["borders"], "bucket borders"),
+            payload_counts(payload["counts"], "bucket counts"),
         )

@@ -29,7 +29,7 @@ import bisect
 from typing import Any, Sequence
 
 from repro.errors import SynopsisError
-from repro.synopses.base import Synopsis, SynopsisBuilder, SynopsisType
+from repro.synopses.base import Synopsis, SynopsisBuilder, SynopsisType, payload_domain
 from repro.types import Domain
 
 __all__ = ["GKSketch", "GKSketchBuilder"]
@@ -159,7 +159,7 @@ class GKSketch(Synopsis):
     def from_payload(cls, payload: dict[str, Any]) -> "GKSketch":
         """Inverse of :meth:`to_payload`."""
         return cls(
-            Domain(*payload["domain"]),
+            payload_domain(payload["domain"]),
             payload["budget"],
             [tuple(entry) for entry in payload["entries"]],
             payload["total_count"],

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from typing import Any
 
-from repro.synopses.base import Synopsis, SynopsisBuilder, SynopsisType
+from repro.synopses.base import Synopsis, SynopsisBuilder, SynopsisType, payload_domain
 from repro.types import Domain
 
 __all__ = ["GroundTruthSynopsis", "GroundTruthBuilder"]
@@ -66,7 +66,7 @@ class GroundTruthSynopsis(Synopsis):
     def from_payload(cls, payload: dict[str, Any]) -> "GroundTruthSynopsis":
         """Inverse of :meth:`to_payload`."""
         return cls(
-            Domain(*payload["domain"]),
+            payload_domain(payload["domain"]),
             payload["budget"],
             {int(v): int(f) for v, f in payload["frequencies"]},
         )

@@ -41,12 +41,13 @@ import struct
 from array import array
 from functools import lru_cache
 from itertools import chain
+from operator import attrgetter
 from typing import Any, Sequence
 
 import numpy as np
 
 from repro.errors import DomainError, MergeabilityError, SynopsisError
-from repro.synopses.base import Synopsis, SynopsisBuilder, SynopsisType
+from repro.synopses.base import Synopsis, SynopsisBuilder, SynopsisType, payload_domain
 from repro.types import Domain
 from repro.util.hashing import splitmix64, splitmix64_column
 
@@ -69,6 +70,8 @@ _PLACEHOLDERS = bytes(byte for byte in range(256) if byte not in b"01")
 _PLACEHOLDER_BYTES = [_BYTES[byte] for byte in _PLACEHOLDERS]
 
 _POWERS_OF_TWO = np.array([1 << k for k in range(64)], dtype=np.uint64)
+_HARMONIC_TERMS = np.ldexp(1.0, -np.arange(256))
+"""``2.0 ** -r`` for every register value ``r`` (exact: powers of two)."""
 
 DEFAULT_HASH_SEED = 0x9E3779B97F4A7C15
 """Default hash seed (the 64-bit golden-ratio constant)."""
@@ -379,13 +382,21 @@ class HyperLogLogSynopsis(Synopsis):
         return self._cardinality
 
     def _estimate_cardinality(self) -> float:
+        """The raw estimator and its range corrections over one
+        vectorised register pass.
+
+        The harmonic sum ``sum(2.0 ** -register)`` is taken with
+        ``np.add.accumulate``: a sequential left-to-right sum starting
+        from the first term, the order of the scalar loop it replaced
+        (``tests/synopses/reference_hll.py``), so the estimate is the
+        same float.  Terms span ``2**-(64 - p + 1)`` to 1, so the order
+        shows: ``np.sum``'s pairwise tree keeps tail terms a running
+        sum rounds away.
+        """
         m = self.budget
-        harmonic = 0.0
-        zeros = 0
-        for register in self.registers:
-            harmonic += 2.0 ** -register
-            if register == 0:
-                zeros += 1
+        registers = np.frombuffer(self.registers, dtype=np.uint8)
+        harmonic = float(np.add.accumulate(_HARMONIC_TERMS[registers])[-1])
+        zeros = m - int(np.count_nonzero(registers))
         raw = _alpha(m) * m * m / harmonic
         if raw <= 2.5 * m and zeros:
             return m * math.log(m / zeros)  # small-range linear counting
@@ -413,23 +424,23 @@ class HyperLogLogSynopsis(Synopsis):
 
         Element-wise max is exactly associative, so this equals any
         fold of pairwise unions; register files are flat byte buffers,
-        so each input is one vectorised ``maximum`` into one fresh array.
+        so the inputs stack into one ``(n, m)`` matrix and the union is
+        one ``max`` down its columns, into a fresh array.
         """
-        total_count = self.total_count
-        for other in others:
-            if other.hash_seed != self.hash_seed:
-                raise MergeabilityError(
-                    "cannot union hll sketches built with different hash seeds"
-                )
-            total_count += other.total_count
-        merged = array("B", self.registers)
-        union = np.frombuffer(merged, dtype=np.uint8)
-        for other in others:
-            np.maximum(
-                union, np.frombuffer(other.registers, dtype=np.uint8), out=union
+        if not set(map(attrgetter("hash_seed"), others)) <= {self.hash_seed}:
+            raise MergeabilityError(
+                "cannot union hll sketches built with different hash seeds"
             )
+        stacked = np.frombuffer(
+            b"".join([self.registers, *map(attrgetter("registers"), others)]),
+            dtype=np.uint8,
+        ).reshape(len(others) + 1, self.budget)
         return HyperLogLogSynopsis(
-            self.domain, self.budget, merged, total_count, self.hash_seed
+            self.domain,
+            self.budget,
+            array("B", stacked.max(axis=0).tobytes()),
+            self.total_count + sum(map(attrgetter("total_count"), others)),
+            self.hash_seed,
         )
 
     def _encode(self) -> bytes:
@@ -453,7 +464,7 @@ class HyperLogLogSynopsis(Synopsis):
         budget = payload["budget"]
         registers = HBSCodec.decode(payload["hbs"], budget)
         return cls(
-            Domain(*payload["domain"]),
+            payload_domain(payload["domain"]),
             budget,
             registers,
             payload["total_count"],

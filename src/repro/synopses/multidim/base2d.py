@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import enum
 from abc import ABC, abstractmethod
-from typing import Any, ClassVar, Iterable
+from typing import Any, ClassVar, Iterable, Sequence
 
 from repro.errors import MergeabilityError, SynopsisError
 from repro.types import Domain
@@ -70,6 +70,15 @@ class Synopsis2D(ABC):
     @abstractmethod
     def estimate(self, lo_x: int, hi_x: int, lo_y: int, hi_y: int) -> float:
         """Estimated pairs inside the inclusive rectangle; never negative."""
+
+    @classmethod
+    def estimate_each(
+        cls, synopses: Sequence["Synopsis2D"], *bounds: int
+    ) -> list[float]:
+        """One :meth:`estimate` per synopsis -- the 1-D
+        :meth:`~repro.synopses.base.Synopsis.estimate_each` contract,
+        whose default walk the 2-D families keep."""
+        return [synopsis.estimate(*bounds) for synopsis in synopses]
 
     def merge_with(self, *others: "Synopsis2D") -> "Synopsis2D":
         """Combine synopses over disjoint record sets: the left fold of

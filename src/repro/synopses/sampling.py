@@ -29,7 +29,7 @@ from typing import Any, Sequence
 import numpy as np
 
 from repro.errors import SynopsisError
-from repro.synopses.base import Synopsis, SynopsisBuilder, SynopsisType
+from repro.synopses.base import Synopsis, SynopsisBuilder, SynopsisType, payload_domain
 from repro.types import Domain
 
 __all__ = ["ReservoirSample", "ReservoirSampleBuilder"]
@@ -84,7 +84,7 @@ class ReservoirSample(Synopsis):
     def from_payload(cls, payload: dict[str, Any]) -> "ReservoirSample":
         """Inverse of :meth:`to_payload`."""
         return cls(
-            Domain(*payload["domain"]),
+            payload_domain(payload["domain"]),
             payload["budget"],
             list(payload["sample"]),
             payload["total_count"],

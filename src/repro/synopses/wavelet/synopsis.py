@@ -20,7 +20,7 @@ from typing import Any, Sequence
 import numpy as np
 
 from repro.errors import DomainError, SynopsisError
-from repro.synopses.base import Synopsis, SynopsisBuilder, SynopsisType
+from repro.synopses.base import Synopsis, SynopsisBuilder, SynopsisType, payload_domain
 from repro.synopses.wavelet.coefficient import (
     WaveletCoefficient,
     normalized_weight,
@@ -144,7 +144,7 @@ class WaveletSynopsis(Synopsis):
             if len(coefficients) != len(pairs):
                 raise ValueError("duplicate coefficient index")
             return cls(
-                Domain(*payload["domain"]),
+                payload_domain(payload["domain"]),
                 payload["budget"],
                 coefficients,
                 payload["total_count"],

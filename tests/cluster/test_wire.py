@@ -411,6 +411,30 @@ class TestBadFramesAtTheMaster:
         assert master.catalog.entry_count() == 0
         assert master.stats_messages_received == 0
 
+    @pytest.mark.parametrize(
+        "synopsis",
+        [
+            {"type": "equi_width", "domain": [0, 99], "budget": 4,
+             "counts": [-5, 10, 1.5, 0]},
+            {"type": "equi_width", "domain": [0, 99], "budget": 4,
+             "counts": [True, 2**70, 0, 0]},
+            {"type": "equi_height", "domain": [0, 99], "budget": 4,
+             "first_left": -1, "borders": [10, 20.5, 30], "counts": [-3, 2.5, 4]},
+        ],
+    )  # fmt: skip
+    def test_impossible_histogram_counts_are_wire_errors(self, synopsis):
+        network, master, _frame = self._master()
+        good = {"type": "equi_width", "domain": [0, 99], "budget": 4, "counts": [0] * 4}
+        for matter, anti in ((synopsis, good), (good, synopsis)):
+            message = {
+                "kind": "stats.publish", "index": "i", "partition": 0,
+                "component_uid": 1, "synopsis": matter, "anti_synopsis": anti,
+            }  # fmt: skip
+            with pytest.raises(WireError):
+                network.send("n1", "cc", wire.encode(message))
+        assert master.catalog.entry_count() == 0
+        assert master.stats_messages_received == 0
+
 
 @pytest.mark.parametrize(
     "ndv_enabled, messages, bytes_sent",

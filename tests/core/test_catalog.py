@@ -171,3 +171,32 @@ def test_reset_partition_leaves_tombstones_intact():
     catalog.reset_partition("idx", "n1", 0, below_epoch=10)
     # The retract-before-publish fence still holds post-reset.
     assert _put(catalog, uid=7) is None
+
+
+def test_republish_moves_the_entry_to_the_end():
+    # Insertion-version order survives the cached ordering: a changed
+    # re-publish takes a new version, so it sorts last.
+    catalog = StatisticsCatalog()
+    for uid in (1, 2, 3):
+        _put(catalog, uid=uid)
+    assert [e.component_uid for e in catalog.entries_for("idx")] == [1, 2, 3]
+    _put(catalog, uid=1, values=(5, 6, 7))
+    assert [e.component_uid for e in catalog.entries_for("idx")] == [2, 3, 1]
+    _put(catalog, uid=2, values=(1, 2))  # identical payload: no move
+    assert [e.component_uid for e in catalog.entries_for("idx")] == [2, 3, 1]
+
+
+def test_entries_for_follows_every_version_move():
+    catalog = StatisticsCatalog()
+    for uid in (1, 2, 3):
+        _put(catalog, uid=uid)
+    _put(catalog, node="n2", uid=4, epoch=0)
+    first = catalog.entries_for("idx")
+    first.clear()  # callers get their own list
+    assert len(catalog.entries_for("idx")) == 4
+    catalog.retract("idx", "n1", 0, [2])
+    assert [e.component_uid for e in catalog.entries_for("idx")] == [1, 3, 4]
+    catalog.reset_partition("idx", "n2", 0, below_epoch=1)
+    assert [e.component_uid for e in catalog.entries_for("idx")] == [1, 3]
+    _put(catalog, uid=9)
+    assert [e.component_uid for e in catalog.entries_for("idx")] == [1, 3, 9]

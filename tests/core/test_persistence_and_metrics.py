@@ -194,6 +194,33 @@ class TestPersistence:
         with pytest.raises(CatalogError, match="entry 0"):
             load_catalog(path)
 
+    @pytest.mark.parametrize(
+        "counts", [[-5, 10, 1.5, 0], [True, 2**70, 0, 0], [0, 2**63, 0, 0]]
+    )
+    def test_impossible_histogram_counts_are_catalog_errors(self, tmp_path, counts):
+        good = {"type": "equi_width", "domain": [0, 99], "budget": 4, "counts": [0] * 4}
+        entry = {
+            "index": "idx",
+            "node": "n1",
+            "partition": 0,
+            "component_uid": 1,
+            "synopsis": {**good, "counts": counts},
+            "anti_synopsis": good,
+        }
+        frame = wire.encode([entry])
+        path = tmp_path / "counts.cat"
+        path.write_bytes(
+            wire.encode(
+                {
+                    "format": CATALOG_FORMAT_VERSION,
+                    "checksum": zlib.crc32(frame),
+                    "entries": frame,
+                }
+            )
+        )
+        with pytest.raises(CatalogError, match="entry 0"):
+            load_catalog(path)
+
     def test_epoch_survives_roundtrip(self, tmp_path):
         from repro.core.catalog import StatisticsCatalog
         from repro.synopses import create_builder

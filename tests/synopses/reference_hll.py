@@ -1,15 +1,22 @@
-"""Reference HyperLogLog register update: one value at a time.
+"""Reference HyperLogLog kernels: one value, one register at a time.
 
-This is the body ``repro.synopses.hll.HyperLogLogBuilder._add_many``
-shipped until it became a numpy splitmix64 kernel: :func:`hash64`
-inlined as Python big-int arithmetic masked to 64 bits, the rank read
-off ``int.bit_length``, one register compared and stored per value.  It
-stays here as the byte-identity oracle: the kernel must leave exactly
-these registers for every input (``test_hll.py``).  Not
-performance-sensitive; do not optimise it.
+``ReferenceHyperLogLogBuilder`` is the body
+``repro.synopses.hll.HyperLogLogBuilder._add_many`` shipped until it
+became a numpy splitmix64 kernel: :func:`hash64` inlined as Python
+big-int arithmetic masked to 64 bits, the rank read off
+``int.bit_length``, one register compared and stored per value.
+:func:`estimate_cardinality` is the scalar loop
+``HyperLogLogSynopsis._estimate_cardinality`` ran until its harmonic
+sum became one ``np.add.accumulate``.  Both stay here as the identity
+oracles: the kernels must leave exactly these registers and return
+exactly this float for every input (``test_hll.py``,
+``test_readpath.py``).  Not performance-sensitive; do not optimise
+them.
 """
 
-from repro.synopses.hll import HyperLogLogBuilder
+import math
+
+from repro.synopses.hll import _TWO64, HyperLogLogBuilder, _alpha
 
 _MASK64 = (1 << 64) - 1
 
@@ -34,3 +41,21 @@ class ReferenceHyperLogLogBuilder(HyperLogLogBuilder):
             if rank > registers[index]:
                 registers[index] = rank
         self._count += len(values)
+
+
+def estimate_cardinality(sketch):
+    """The bias-corrected NDV estimate, one register per loop step: the
+    harmonic sum runs left to right from ``0.0``."""
+    m = sketch.budget
+    harmonic = 0.0
+    zeros = 0
+    for register in sketch.registers:
+        harmonic += 2.0 ** -register
+        if register == 0:
+            zeros += 1
+    raw = _alpha(m) * m * m / harmonic
+    if raw <= 2.5 * m and zeros:
+        return m * math.log(m / zeros)  # small-range linear counting
+    if raw > _TWO64 / 30.0:
+        return -_TWO64 * math.log1p(-raw / _TWO64)  # large-range
+    return raw

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from repro.errors import SynopsisError
 from repro.synopses.equi_height import EquiHeightBuilder, EquiHeightHistogram
+from repro.synopses.factory import synopsis_from_payload
 from repro.types import Domain
 
 DOMAIN = Domain(0, 999)
@@ -56,6 +57,34 @@ class TestConstruction:
             EquiHeightHistogram(DOMAIN, 4, 0, [5], [1, 2])
         with pytest.raises(SynopsisError):
             EquiHeightHistogram(DOMAIN, 1, 0, [5, 6], [1, 1])
+
+    @pytest.mark.parametrize(
+        "change",
+        [
+            {"borders": [10, 20.5, 30], "counts": [-3, 2.5, 4]},
+            {"borders": [10, 20.5, 30]},
+            {"counts": [-3, 2, 4]},
+            {"counts": [3, 2.5, 4]},
+            {"counts": [3, True, 4]},
+            {"counts": [3, 2**63, 4]},
+            {"borders": [False, 20, 30]},
+            {"borders": [10, 20, 2**63]},
+            {"first_left": -1 - 2**70, "borders": [-(2**70), 20, 30]},
+            {"first_left": 0.5},
+        ],
+    )
+    def test_impossible_payloads_are_refused(self, change):
+        payload = {
+            "type": "equi_height",
+            "domain": [0, 999],
+            "budget": 4,
+            "first_left": -1,
+            "borders": [10, 20, 30],
+            "counts": [3, 2, 4],
+        }
+        assert synopsis_from_payload(payload).to_payload() == payload
+        with pytest.raises(SynopsisError):
+            synopsis_from_payload({**payload, **change})
 
     def test_overflow_absorbed_by_last_bucket(self):
         # Expected count lower than actual: the final bucket absorbs the

@@ -4,8 +4,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.errors import SynopsisError
+from repro.errors import MergeabilityError, SynopsisError
 from repro.synopses.equi_width import EquiWidthBuilder, EquiWidthHistogram
+from repro.synopses.factory import synopsis_from_payload
 from repro.types import Domain
 
 
@@ -42,6 +43,43 @@ class TestConstruction:
     def test_validates_bucket_count(self):
         with pytest.raises(SynopsisError):
             EquiWidthHistogram(Domain(0, 99), 10, [0] * 3)
+
+    @pytest.mark.parametrize(
+        "counts",
+        [
+            [-5, 10, 1.5, 0],
+            [0, 10, 1.5, 0],
+            [-5, 10, 1, 0],
+            [True, 2**70, 0, 0],
+            [True, 0, 0, 0],
+            [0, 2**70, 0, 0],
+            [0, 2**63, 0, 0],
+            [0, "3", 0, 0],
+            [0, None, 0, 0],
+        ],
+    )
+    def test_impossible_payload_counts_are_refused(self, counts):
+        payload = {"type": "equi_width", "domain": [0, 99], "budget": 4}
+        with pytest.raises(SynopsisError):
+            synopsis_from_payload({**payload, "counts": counts})
+
+    def test_payload_counts_up_to_int64_round_trip(self):
+        payload = {
+            "type": "equi_width",
+            "domain": [0, 99],
+            "budget": 4,
+            "counts": [0, 2**63 - 8, 0, 7],
+        }
+        assert synopsis_from_payload(payload).to_payload() == payload
+
+    def test_merge_refuses_counts_that_would_overflow_int64(self):
+        # The stacked column sum is int64: a total past it is refused
+        # before the sum could wrap, and the estimator keeps summing.
+        a = EquiWidthHistogram(Domain(0, 99), 4, [2**62, 0, 0, 1])
+        b = EquiWidthHistogram(Domain(0, 99), 4, [2**62 - 2, 0, 0, 0])
+        assert a.merge_with(b).counts == [2**63 - 2, 0, 0, 1]
+        with pytest.raises(MergeabilityError):
+            a.merge_with(b, b)
 
 
 class TestEstimate:

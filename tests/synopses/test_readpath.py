@@ -1,27 +1,42 @@
 """The read-path kernels against the bodies they replaced.
 
 ``merge_with`` is N-ary and two families (HLL, equi-width) fold all
-inputs in one pass; ``estimate`` of the equi-width and border
-histograms touches only the buckets a range covers.  Every one of them
-must equal ``reference_readpath`` exactly: payloads byte for byte,
-estimates with ``==``.
+inputs in one pass, stacked; ``estimate`` of the equi-width and border
+histograms touches only the buckets a range covers; a cache miss sums
+every catalog entry through one batched ``estimate_each`` per side; the
+HLL cardinality sums its registers in one ``np.add.accumulate``.  Every
+one of them must equal ``reference_readpath`` / ``reference_hll``
+exactly: payloads byte for byte, estimates with ``==``.
+
+Example budgets are tier-1's; under ``--hypothesis-profile nightly``
+(tests/conftest.py) each property runs the profile's 5 000 instead.
 """
 
+import math
+import random
+from array import array
 from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core.cache import MergedSynopsisCache
+from repro.core.catalog import StatisticsCatalog
+from repro.core.estimator import CardinalityEstimator
 from repro.errors import MergeabilityError
+from repro.obs.registry import MetricsRegistry
 from repro.synopses import SynopsisType, create_builder
+from repro.synopses.bucket import BucketHistogram
 from repro.synopses.equi_height import EquiHeightHistogram
 from repro.synopses.equi_width import EquiWidthHistogram
-from repro.synopses.hll import HyperLogLogBuilder
+from repro.synopses.hll import HyperLogLogBuilder, HyperLogLogSynopsis, _alpha
 from repro.synopses.maxdiff import MaxDiffHistogram
 from repro.synopses.multidim import Synopsis2DType, create_builder_2d
 from repro.synopses.voptimal import VOptimalHistogram
 from repro.types import Domain
+from tests.synopses import reference_hll
 from tests.synopses import reference_readpath as reference
 
 DOMAIN = Domain(0, 255)
@@ -33,6 +48,14 @@ UNMERGEABLE_BUCKET = [
     SynopsisType.V_OPTIMAL,
     SynopsisType.MAX_DIFF,
 ]
+
+
+def _examples(tier1: int) -> int:
+    """``tier1`` examples under the default profile; a profile that
+    raises the budget (nightly's 5 000) sets it instead."""
+    budget = settings.default.max_examples
+    return budget if budget > settings.get_profile("default").max_examples else tier1
+
 
 value_lists = st.lists(st.integers(DOMAIN.lo, DOMAIN.hi), max_size=40)
 pair_lists = st.lists(
@@ -63,7 +86,7 @@ def test_every_mergeable_family_is_covered():
 
 class TestFoldEqualsLeftFold:
     @pytest.mark.parametrize("synopsis_type", MERGEABLE_1D)
-    @settings(max_examples=40, deadline=None)
+    @settings(max_examples=_examples(40), deadline=None)
     @given(streams=st.lists(value_lists, min_size=1, max_size=13))
     def test_one_dimensional(self, synopsis_type, streams):
         first, *rest = (_build(synopsis_type, values) for values in streams)
@@ -73,7 +96,7 @@ class TestFoldEqualsLeftFold:
         assert merged.total_count == sum(len(values) for values in streams)
 
     @pytest.mark.parametrize("synopsis_type", list(Synopsis2DType))
-    @settings(max_examples=25, deadline=None)
+    @settings(max_examples=_examples(25), deadline=None)
     @given(streams=st.lists(pair_lists, min_size=1, max_size=13))
     def test_two_dimensional(self, synopsis_type, streams):
         first, *rest = (_build_2d(synopsis_type, pairs) for pairs in streams)
@@ -173,8 +196,11 @@ class TestIncompatibleInputAtAnyPosition:
 
 # -- estimate(lo, hi) ------------------------------------------------------
 
+# Counts past 2**53 make float rounding (and so summation order) show;
+# 2**57 keeps the total of the 40 buckets drawn at most inside int64,
+# which a histogram's total_count must fit.
 counts_values = st.one_of(
-    st.integers(0, 50), st.integers(0, 10**6), st.integers(0, 2**60)
+    st.integers(0, 50), st.integers(0, 10**6), st.integers(0, 2**57)
 )
 
 
@@ -218,7 +244,7 @@ def _ranges(domain):
 
 
 class TestEstimateEqualsTheWalk:
-    @settings(max_examples=300, deadline=None)
+    @settings(max_examples=_examples(300), deadline=None)
     @given(data=st.data(), histogram=equi_width_histograms())
     def test_equi_width(self, data, histogram):
         lo, hi = data.draw(_ranges(histogram.domain))
@@ -226,7 +252,7 @@ class TestEstimateEqualsTheWalk:
             histogram, lo, hi
         )
 
-    @settings(max_examples=300, deadline=None)
+    @settings(max_examples=_examples(300), deadline=None)
     @given(data=st.data(), histogram=bucket_histograms())
     def test_border_histograms(self, data, histogram):
         lo, hi = data.draw(_ranges(histogram.domain))
@@ -235,7 +261,7 @@ class TestEstimateEqualsTheWalk:
         )
 
     @pytest.mark.parametrize("synopsis_type", UNMERGEABLE_BUCKET)
-    @settings(max_examples=60, deadline=None)
+    @settings(max_examples=_examples(60), deadline=None)
     @given(data=st.data(), values=value_lists)
     def test_built_border_histograms(self, synopsis_type, data, values):
         histogram = _build(synopsis_type, values)
@@ -271,3 +297,255 @@ class TestEstimateEqualsTheWalk:
                     lo, hi
                 ) == reference.estimate_bucket_histogram(histogram, lo, hi), (lo, hi)
                 assert empty.estimate(lo, hi) == 0.0
+
+    def test_stacked_equi_width_estimates_every_range_like_the_walk(self):
+        # Five histograms over the clipped domain of the test above, with
+        # counts past 2**53 so float rounding (and so the summation
+        # order) shows; one batched call answers each range for all.
+        domain = Domain(10, 46)
+        stack = [
+            EquiWidthHistogram(domain, 5, counts)
+            for counts in (
+                [3, 0, 7, 11, 5],
+                [0] * 5,
+                [2**55 + 1, 1, 3, 2**54, 9],
+                [2**53 + 1, 2**53 - 1, 1, 2**60, 3],
+                [1, 1, 2**62, 1, 2**61],
+            )
+        ]
+        for lo in range(5, 52):
+            for hi in range(lo, 52):
+                assert EquiWidthHistogram.estimate_each(stack, lo, hi) == [
+                    reference.estimate_equi_width(histogram, lo, hi)
+                    for histogram in stack
+                ], (lo, hi)
+
+    def test_stacked_sum_keeps_the_walk_order(self):
+        # Counts up to 2**56 over 64 whole buckets: the running sum
+        # rounds at every step, so any other order -- np.sum's pairwise
+        # tree, say -- lands on other floats for some rows.
+        rng = random.Random(7)
+        domain = Domain(0, 255)
+        stack = [
+            EquiWidthHistogram(domain, 64, [rng.randrange(1, 2**56) for _ in range(64)])
+            for _ in range(8)
+        ]
+        walks = [reference.estimate_equi_width(h, 2, 253) for h in stack]
+        assert EquiWidthHistogram.estimate_each(stack, 2, 253) == walks
+        pairwise = [
+            float(np.sum([h.counts[0] * 0.5, *h.counts[1:63], h.counts[63] * 0.5]))
+            for h in stack
+        ]
+        assert pairwise != walks
+
+
+# -- Algorithm 2's summation path ------------------------------------------
+
+# 138 values: budget 16 makes the last bucket the domain-clipped one.
+SUMMED_DOMAINS = (DOMAIN, Domain(-37, 100))
+SUMMED_FAMILIES = (
+    SynopsisType.EQUI_WIDTH,
+    SynopsisType.EQUI_HEIGHT,
+    SynopsisType.HLL_SKETCH,
+    SynopsisType.WAVELET,
+)
+
+
+def _reference_estimate(synopsis, lo, hi):
+    """One catalog entry's answer through the bodies the kernels replaced."""
+    if isinstance(synopsis, EquiWidthHistogram):
+        return reference.estimate_equi_width(synopsis, lo, hi)
+    if isinstance(synopsis, BucketHistogram):
+        return reference.estimate_bucket_histogram(synopsis, lo, hi)
+    if isinstance(synopsis, HyperLogLogSynopsis):
+        clipped = synopsis.domain.intersect(lo, hi)
+        if clipped is None:
+            return 0.0
+        share = (clipped[1] - clipped[0] + 1) / synopsis.domain.length
+        return reference_hll.estimate_cardinality(synopsis) * share
+    return synopsis.estimate(lo, hi)  # no kernel: the family's own walk
+
+
+def _reference_total(entries, lo, hi):
+    """``math.fsum`` of the per-entry walks, matter minus anti-matter."""
+    return max(
+        math.fsum(
+            _reference_estimate(matter, lo, hi) - _reference_estimate(anti, lo, hi)
+            for matter, anti in entries
+        ),
+        0.0,
+    )
+
+
+@st.composite
+def _summed_synopsis(draw, synopsis_type, domain, budget):
+    """A built synopsis, or -- for equi-width -- one with counts large
+    enough that float rounding shows in the summation order."""
+    if synopsis_type is SynopsisType.EQUI_WIDTH and draw(st.booleans()):
+        width = -(-domain.length // budget)
+        buckets = -(-domain.length // width)
+        counts = draw(st.lists(counts_values, min_size=buckets, max_size=buckets))
+        return EquiWidthHistogram(domain, budget, counts)
+    values = draw(st.lists(st.integers(domain.lo, domain.hi), max_size=40))
+    return _build(synopsis_type, values, domain=domain, budget=budget)
+
+
+@st.composite
+def summed_catalogs(draw, mixed):
+    """``(matter, anti)`` pairs for one index: 0, 1 or many entries of
+    one family, domain and budget, or -- ``mixed`` -- each entry its own."""
+    shapes = st.tuples(
+        st.sampled_from(SUMMED_FAMILIES),
+        st.sampled_from(SUMMED_DOMAINS),
+        st.sampled_from([4, 16]),  # powers of two: legal HLL register counts
+    )
+    count = draw(st.sampled_from([0, 1, 2, 5, 12]))
+    shape = draw(shapes)
+    entries = []
+    for _ in range(count):
+        synopsis_type, domain, budget = draw(shapes) if mixed else shape
+        entries.append(
+            (
+                draw(_summed_synopsis(synopsis_type, domain, budget)),
+                draw(_summed_synopsis(synopsis_type, domain, budget)),
+            )
+        )
+    return entries
+
+
+def _summed_ranges():
+    """Ranges that matter to the walks: anywhere (also off the domain),
+    one value, inside one bucket, or in the domain-clipped last bucket."""
+    anywhere = st.tuples(st.integers(-80, 140), st.integers(-80, 140)).map(sorted)
+    point = st.integers(-40, 105).map(lambda value: (value, value))
+    near_top = st.tuples(st.integers(80, 100), st.integers(0, 30)).map(
+        lambda pair: (pair[0], pair[0] + pair[1])
+    )
+    return st.one_of(anywhere, point, near_top)
+
+
+def _catalog(entries):
+    catalog = StatisticsCatalog()
+    for uid, (matter, anti) in enumerate(entries):
+        catalog.put("idx", "n1", 0, uid, matter, anti)
+    return catalog
+
+
+def _summed(catalog, cache, lo, hi):
+    estimator = CardinalityEstimator(catalog, cache, registry=MetricsRegistry())
+    result = estimator.estimate_detailed("idx", lo, hi)
+    assert not result.from_cache
+    return result
+
+
+class TestSummationEqualsTheWalks:
+    @settings(deadline=None)  # example budget: the profile (tests/conftest.py)
+    @given(entries=summed_catalogs(mixed=False), bounds=_summed_ranges())
+    def test_one_family(self, entries, bounds):
+        catalog = _catalog(entries)
+        expected = _reference_total(entries, *bounds)
+        for cache in (None, MergedSynopsisCache(registry=MetricsRegistry())):
+            result = _summed(catalog, cache, *bounds)
+            assert result.estimate == expected
+            assert result.synopses_consulted == len(entries)
+
+    @settings(deadline=None)  # example budget: the profile (tests/conftest.py)
+    @given(entries=summed_catalogs(mixed=True), bounds=_summed_ranges())
+    def test_mixed_families_budgets_and_domains(self, entries, bounds):
+        cache = MergedSynopsisCache(registry=MetricsRegistry())
+        catalog = _catalog(entries)
+        assert _summed(catalog, cache, *bounds).estimate == _reference_total(
+            entries, *bounds
+        )
+        shapes = {
+            (type(synopsis), synopsis.domain, synopsis.budget)
+            for pair in entries
+            for synopsis in pair
+        }
+        if len(shapes) > 1:
+            # The fold's MergeabilityError was swallowed: nothing cached.
+            assert cache.get("idx", catalog.version_for("idx")) is None
+
+    def test_equal_catalogs_in_any_arrival_order_answer_alike(self):
+        # fsum is exact, so the catalog's order cannot show in the answer.
+        domain, budget = SUMMED_DOMAINS[1], 16
+        entries = [
+            (
+                EquiWidthHistogram(domain, budget, [2**60 + i] + [2**53 + 1] * 15),
+                EquiWidthHistogram(domain, budget, [i] * 16),
+            )
+            for i in range(7)
+        ]
+        answers = {
+            _summed(_catalog(order), None, -5, 97).estimate
+            for order in (entries, entries[::-1], entries[3:] + entries[:3])
+        }
+        assert answers == {_reference_total(entries, -5, 97)}
+
+
+# -- HyperLogLog cardinality -------------------------------------------------
+
+
+@st.composite
+def register_files(draw):
+    """``(budget, registers)`` with values up to ``64 - p + 1``, the
+    largest rank a ``2**p``-register sketch can store, in shapes from
+    real (geometric) to adversarial (mostly the extremes)."""
+    precision = draw(st.integers(1, 14))
+    budget, top = 1 << precision, 64 - precision + 1
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    shape = draw(st.sampled_from(["uniform", "geometric", "extremes", "sparse"]))
+    if shape == "uniform":
+        registers = rng.integers(0, top + 1, budget)
+    elif shape == "geometric":
+        offset = draw(st.integers(0, 20))
+        registers = np.minimum(rng.geometric(0.5, budget) + offset, top)
+    elif shape == "extremes":
+        registers = rng.choice([0, top], budget, p=[0.01, 0.99])
+    else:
+        spikes = rng.integers(1, top + 1, budget)
+        registers = np.where(rng.random(budget) < 0.02, spikes, 0)
+    return budget, array("B", registers.astype(np.uint8).tobytes())
+
+
+def _sketch(budget, registers):
+    return HyperLogLogSynopsis(DOMAIN, budget, registers, total_count=0)
+
+
+def _assert_same_cardinality(sketch):
+    """Kernel and loop give the same float -- or both fail alike: past
+    ``2**64`` the large-range correction leaves ``log1p``'s domain."""
+    try:
+        expected = reference_hll.estimate_cardinality(sketch)
+    except ValueError:
+        with pytest.raises(ValueError):
+            sketch.cardinality()
+        return
+    assert sketch.cardinality() == expected
+
+
+class TestCardinalityEqualsTheLoop:
+    @settings(deadline=None)  # example budget: the profile (tests/conftest.py)
+    @given(register_files())
+    def test_any_register_file(self, file):
+        _assert_same_cardinality(_sketch(*file))
+
+    @pytest.mark.parametrize("precision", [1, 4, 10, 14])
+    def test_uniform_register_files(self, precision):
+        budget = 1 << precision
+        for value in range(64 - precision + 2):
+            _assert_same_cardinality(_sketch(budget, array("B", [value] * budget)))
+
+    def test_summation_order_shows(self):
+        # One register at 0 (term 1.0), the rest at the top rank (term
+        # 2**-55): running left to right, 1.0 swallows every tail term;
+        # np.sum's pairwise tree adds the tail terms up first and keeps
+        # them.  A kernel summing with np.sum would answer ``pairwise``.
+        precision = 10
+        budget, top = 1 << precision, 64 - precision + 1
+        sketch = _sketch(budget, array("B", [0] + [top] * (budget - 1)))
+        expected = reference_hll.estimate_cardinality(sketch)
+        assert sketch.cardinality() == expected
+        terms = np.ldexp(1.0, -np.frombuffer(sketch.registers, np.uint8).astype(int))
+        pairwise = _alpha(budget) * budget * budget / float(np.sum(terms))
+        assert pairwise != expected
