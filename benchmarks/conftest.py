@@ -3,7 +3,9 @@
 Every figure benchmark runs its experiment once under pytest-benchmark
 timing, asserts the result *shape* the paper reports, and writes the
 formatted result table to ``benchmarks/results/`` so EXPERIMENTS.md can
-reference concrete numbers.
+reference concrete numbers.  ``REPRO_BENCH_RESULTS_DIR`` names another
+directory for the tables and the snapshot (CI points it at a temporary
+one, so a run never dirties the checkout).
 
 Scale is controlled by the ``REPRO_BENCH_SCALE`` environment variable:
 ``small`` (default, minutes for the whole directory) or ``medium``
@@ -36,7 +38,9 @@ from repro.eval.experiments.common import (
 from repro.obs.export import write_snapshot
 from repro.obs.registry import get_registry
 
-RESULTS_DIR = Path(__file__).parent / "results"
+RESULTS_DIR = Path(
+    os.environ.get("REPRO_BENCH_RESULTS_DIR") or Path(__file__).parent / "results"
+)
 
 
 def _scale_name() -> str:
@@ -56,7 +60,7 @@ def bench_scale() -> ExperimentScale:
 @pytest.fixture(scope="session")
 def results_dir() -> Path:
     """Directory the formatted result tables are written into."""
-    RESULTS_DIR.mkdir(exist_ok=True)
+    RESULTS_DIR.mkdir(parents=True, exist_ok=True)
     return RESULTS_DIR
 
 
@@ -70,7 +74,7 @@ def metrics_snapshot_dump(request: pytest.FixtureRequest) -> Iterator[None]:
     """
     yield
     scale = _scale_name()
-    RESULTS_DIR.mkdir(exist_ok=True)
+    RESULTS_DIR.mkdir(parents=True, exist_ok=True)
     target = RESULTS_DIR / f"metrics_snapshot_{scale}.json"
     write_snapshot(get_registry(), target)
     payload = json.loads(target.read_text())

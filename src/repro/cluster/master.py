@@ -4,25 +4,39 @@ Receives per-component synopses from storage nodes, persists them in
 the system catalog, and serves cardinality estimates to the query
 optimizer -- including the merged-synopsis cache of Algorithm 2.
 
-Message application is idempotent so the retrying sink's at-least-once
-delivery is safe: exact redeliveries are recognised by their
-``(node, partition, seq)`` stamp and skipped, the catalog itself
-tombstones retracted components against late publishes, and the merged-
-synopsis cache is invalidated only when the catalog actually changed.
+Two message kinds reach it (docs/ARCHITECTURE.md "Wire format"):
+
+* ``stats.apply`` -- one lifecycle event of one partition (a flush
+  transaction, a merge, a bulkload, a recovery's re-derivation): the
+  new components' synopsis pairs and the merged-away components' uids.
+  It is one catalog transition: every entry is decoded and validated
+  first, then one lock hold puts every entry and retracts every key,
+  so no estimate ever sees a merged component beside its inputs.  An
+  anti-matter payload of ``None`` means the twin saw no value; the
+  family's empty synopsis (:func:`~repro.synopses.factory.empty_twin`)
+  is installed in its place.
+* ``stats.reset`` -- a recovered node disowns its pre-crash entries.
+
+Anything else is refused as an unknown kind.  Application is
+idempotent so the retrying sink's at-least-once delivery is safe:
+exact redeliveries are recognised by their ``(node, partition, seq)``
+stamp and skipped, the catalog itself tombstones retracted components
+against late publishes, and the merged-synopsis cache is invalidated
+only for the indexes whose catalog version actually moved.
 
 ``stats_messages_received`` counts every statistics message handled --
-publishes *and* retracts -- and therefore always equals the
-``cluster.stats.messages`` metric (they moved at different rates before
-this was pinned down; tests assert the equality).
+applies *and* resets -- and therefore always equals the
+``cluster.stats.messages`` metric (tests assert the equality).
 """
 
 from __future__ import annotations
 
 import threading
-from functools import partial
+from typing import Any
 
 from repro.core.cache import MergedSynopsisCache
 from repro.core.catalog import StatisticsCatalog
+from repro.core.collector import StatisticsUpdate
 from repro.core.estimator import (
     CardinalityEstimator,
     EstimateResult,
@@ -30,9 +44,9 @@ from repro.core.estimator import (
 )
 from repro.cluster import wire
 from repro.cluster.network import Network
-from repro.errors import ClusterError, SynopsisError, WireError
+from repro.errors import ClusterError, DomainError, SynopsisError, WireError
 from repro.obs.registry import MetricsRegistry, get_registry
-from repro.synopses.factory import synopsis_from_payload
+from repro.synopses.factory import empty_twin, synopsis_from_payload
 
 __all__ = ["ClusterController"]
 
@@ -137,57 +151,28 @@ class ClusterController:
     def _on_message(self, source: str, frame: bytes) -> None:
         message = wire.decode(frame)
         kind = message.get("kind") if isinstance(message, dict) else None
-        if kind not in ("stats.publish", "stats.retract", "stats.reset"):
+        if kind not in ("stats.apply", "stats.reset"):
             raise ClusterError(f"unknown message kind {kind!r} from {source}")
         # Everything a frame can get wrong is read here, before the
         # fencing / dedup state or the catalog is touched: a rejected
         # frame leaves no trace, so a good copy of it still applies.
         try:
-            index_name = message["index"]
-            if not isinstance(index_name, str):
-                raise TypeError(f"index name {index_name!r} is not a string")
             partition = int(message["partition"])
             epoch = int(message.get("epoch", 0))
             seq = message.get("seq")
             if seq is not None:
                 seq = int(seq)
-            if kind == "stats.publish":
-                change = partial(
-                    self.catalog.put,
-                    index_name,
-                    source,
-                    partition,
-                    int(message["component_uid"]),
-                    synopsis_from_payload(message["synopsis"]),
-                    synopsis_from_payload(message["anti_synopsis"]),
-                    epoch=epoch,
-                )
-            elif kind == "stats.retract":
-                change = partial(
-                    self.catalog.retract,
-                    index_name,
-                    source,
-                    partition,
-                    list(map(int, message["component_uids"])),
-                )
+            if kind == "stats.apply":
+                update = self._parse_apply(message)
             else:
-                # A recovered node disowns its pre-crash statistics:
-                # every entry this node/partition published under an
-                # older epoch goes; the sink's FIFO outbox guarantees
-                # the reset precedes the new incarnation's re-publishes.
-                change = partial(
-                    self.catalog.reset_partition,
-                    index_name,
-                    source,
-                    partition,
-                    below_epoch=epoch,
-                )
-        except (KeyError, TypeError, ValueError, SynopsisError) as exc:
+                reset_key = message["index"]
+                if not isinstance(reset_key, str):
+                    raise TypeError(f"index name {reset_key!r} is not a string")
+        except (KeyError, TypeError, ValueError, DomainError, SynopsisError) as exc:
             raise WireError(f"malformed {kind} from {source}: {exc!r}") from exc
         with self._lock:
             # Legacy attribute and metric count the same thing: every
-            # statistics message handled, publishes, retracts and resets
-            # alike.
+            # statistics message handled, applies and resets alike.
             self.stats_messages_received += 1
             self._m_messages.inc()
             if self._is_stale_epoch(source, partition, epoch):
@@ -196,9 +181,55 @@ class ClusterController:
             if seq is not None and self._is_duplicate(source, partition, epoch, seq):
                 self._m_duplicates.inc()
                 return
-            if kind == "stats.reset":
+            if kind == "stats.apply":
+                moved = self.catalog.apply(update, source, partition, epoch)
+            else:
+                # A recovered node disowns its pre-crash statistics:
+                # every entry this node/partition published under an
+                # older epoch goes; the sink's FIFO outbox guarantees
+                # the reset precedes the new incarnation's re-publishes.
                 self._m_resets.inc()
-            self._apply(index_name, change)
+                removed = self.catalog.reset_partition(
+                    reset_key, source, partition, below_epoch=epoch
+                )
+                moved = [reset_key] if removed else []
+            if moved:
+                self._g_catalog_entries.set(self.catalog.entry_count())
+                if self.cache is not None:
+                    for index_name in moved:
+                        self.cache.invalidate(index_name)
+
+    @staticmethod
+    def _parse_apply(message: dict[str, Any]) -> StatisticsUpdate:
+        """A ``stats.apply`` frame's body as the update it carries, every
+        payload decoded and every empty twin resolved -- or the first
+        thing wrong with it raised, nothing having changed."""
+        entries, retracts = message["entries"], message["retracts"]
+        if not isinstance(entries, list) or not isinstance(retracts, list):
+            raise TypeError("entries and retracts must be lists")
+        parsed = []
+        for index_name, uid, payload, anti_payload in entries:
+            if not isinstance(index_name, str):
+                raise TypeError(f"index name {index_name!r} is not a string")
+            if type(uid) is not int:
+                raise TypeError(f"component uid {uid!r} is not an int")
+            if not isinstance(payload, dict):
+                raise TypeError(f"synopsis payload {payload!r} is not a dict")
+            synopsis = synopsis_from_payload(payload)
+            anti_synopsis = (
+                empty_twin(synopsis)
+                if anti_payload is None
+                else synopsis_from_payload(anti_payload)
+            )
+            parsed.append((index_name, uid, synopsis, anti_synopsis))
+        retracted = []
+        for index_name, uids in retracts:
+            if not isinstance(index_name, str):
+                raise TypeError(f"index name {index_name!r} is not a string")
+            if not isinstance(uids, list) or not set(map(type, uids)) <= {int}:
+                raise TypeError(f"retracted uids {uids!r} are not a list of ints")
+            retracted.append((index_name, tuple(uids)))
+        return StatisticsUpdate(tuple(parsed), tuple(retracted))
 
     def _is_stale_epoch(self, source: str, partition: int, epoch: int) -> bool:
         """Fence out a crashed incarnation's straggler messages.
@@ -232,14 +263,3 @@ class ClusterController:
             return True
         applied.add(seq)
         return False
-
-    def _apply(self, index_name: str, apply_change) -> None:
-        """Run a catalog mutation; refresh gauge and cache only when
-        the catalog version actually moved."""
-        before = self.catalog.version_for(index_name)
-        apply_change()
-        if self.catalog.version_for(index_name) == before:
-            return
-        self._g_catalog_entries.set(self.catalog.entry_count())
-        if self.cache is not None:
-            self.cache.invalidate(index_name)

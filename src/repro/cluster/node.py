@@ -15,7 +15,7 @@ import threading
 from collections import deque
 from typing import Any, Callable, Iterable
 
-from repro.core.collector import StatisticsCollector
+from repro.core.collector import StatisticsCollector, StatisticsUpdate
 from repro.core.config import StatisticsConfig
 from repro.cluster import wire
 from repro.cluster.network import Network
@@ -28,7 +28,6 @@ from repro.lsm.pacing import MergePacer
 from repro.lsm.scheduler import MaintenanceScheduler
 from repro.lsm.storage import SimulatedDisk
 from repro.obs.registry import MetricsRegistry, get_registry
-from repro.synopses.base import Synopsis
 from repro.types import Domain
 from repro.util.retry import RetryPolicy
 
@@ -110,43 +109,38 @@ class NetworkStatisticsSink:
         """Messages awaiting (re-)delivery."""
         return len(self._outbox)
 
-    def publish(
-        self,
-        index_name: str,
-        component_uid: int,
-        synopsis: Synopsis,
-        anti_synopsis: Synopsis,
-    ) -> None:
+    def publish(self, update: StatisticsUpdate) -> None:
+        """Ship one lifecycle event's statistics as one ``stats.apply``
+        frame: every entry as ``[key, uid, payload, anti payload or
+        None]``, then every retraction as ``[key, uids]``."""
         with self._mutex:
             self._enqueue(
                 {
-                    "kind": "stats.publish",
-                    "index": index_name,
+                    "kind": "stats.apply",
                     "partition": self._partition_id,
                     "seq": self._next_sequence(),
                     "epoch": self._epoch,
-                    "component_uid": component_uid,
-                    "synopsis": synopsis.to_payload(),
-                    "anti_synopsis": anti_synopsis.to_payload(),
+                    "entries": [
+                        [
+                            key,
+                            uid,
+                            synopsis.to_payload(),
+                            None if anti is None else anti.to_payload(),
+                        ]
+                        for key, uid, synopsis, anti in update.entries
+                    ],
+                    "retracts": [[key, list(uids)] for key, uids in update.retracts],
                 }
             )
-            self._m_shipped.inc(2)  # regular + anti-matter twin
+            # Regular + anti-matter twin per entry, shipped or implied.
+            self._m_shipped.inc(2 * len(update.entries))
+            self._m_retractions.inc(len(update.retracts))
             self._pump()
 
     def retract(self, index_name: str, component_uids: list[int]) -> None:
-        with self._mutex:
-            self._enqueue(
-                {
-                    "kind": "stats.retract",
-                    "index": index_name,
-                    "partition": self._partition_id,
-                    "seq": self._next_sequence(),
-                    "epoch": self._epoch,
-                    "component_uids": list(component_uids),
-                }
-            )
-            self._m_retractions.inc()
-            self._pump()
+        # A retract-only update.  Kept as a method because the benchmark's
+        # tracer (e2ebench/trace.py TABLE) names it.
+        self.publish(StatisticsUpdate(retracts=((index_name, tuple(component_uids)),)))
 
     def reset(self, index_name: str) -> None:
         """Tell the master to drop this partition's statistics from

@@ -29,9 +29,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from operator import attrgetter
+from typing import TYPE_CHECKING
 
 from repro.errors import CatalogError
 from repro.synopses.base import Synopsis
+from repro.synopses.factory import empty_twin
+
+if TYPE_CHECKING:
+    from repro.core.collector import StatisticsUpdate
 
 __all__ = ["StatisticsEntry", "StatisticsCatalog"]
 
@@ -151,6 +156,37 @@ class StatisticsCatalog:
         if removed:
             self._bump(index_name)
         return removed
+
+    def apply(
+        self,
+        update: "StatisticsUpdate",
+        node_id: str,
+        partition_id: int,
+        epoch: int = 0,
+    ) -> list[str]:
+        """Apply one lifecycle event's statistics from one node/partition
+        as one transition: :meth:`put` per entry, then :meth:`retract`
+        per key.  An anti-matter twin of ``None`` is the family's empty
+        synopsis (:func:`~repro.synopses.factory.empty_twin`).  Returns
+        the keys whose version moved -- the caches to invalidate."""
+        before = {key: self.version_for(key) for key in update.keys()}
+        for index_name, uid, synopsis, anti_synopsis in update.entries:
+            if anti_synopsis is None:
+                anti_synopsis = empty_twin(synopsis)
+            self.put(
+                index_name,
+                node_id,
+                partition_id,
+                uid,
+                synopsis,
+                anti_synopsis,
+                epoch=epoch,
+            )
+        for index_name, uids in update.retracts:
+            self.retract(index_name, node_id, partition_id, list(uids))
+        return [
+            key for key, version in before.items() if self.version_for(key) != version
+        ]
 
     def reset_partition(
         self,

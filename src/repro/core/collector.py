@@ -9,11 +9,20 @@ sealed, both synopses are handed to a :class:`StatisticsSink` --
 a local catalog in single-node setups, a network shipper in the
 cluster simulation.
 
-Merges publish a fresh synopsis built from the merge cursor's stream
-and retract the inputs' entries: "when computing local statistics
-during an LSM-merge we choose to create new synopses from scratch
-directly on the newly merged component, discarding earlier statistics
-altogether" (Section 3.5).
+Merges build a fresh synopsis from the merge cursor's stream and
+retract the inputs' entries: "when computing local statistics during
+an LSM-merge we choose to create new synopses from scratch directly on
+the newly merged component, discarding earlier statistics altogether"
+(Section 3.5).  "Altogether" is one transition: the sink is called
+once per lifecycle event (:meth:`repro.lsm.events.EventBus.group`)
+with a :class:`StatisticsUpdate` holding every new entry *and* every
+retraction, so no catalog ever holds a merged component beside the
+inputs it replaced.  A flush transaction over several indexes, a
+bulkload and a recovery's re-derivation are one update each too.  An
+anti-matter twin whose builder saw no value travels as ``None``;
+receivers install the family's empty synopsis
+(:func:`~repro.synopses.factory.empty_twin`), byte-identical to the
+build it replaces.
 
 Three kinds of registration, all riding the same tap, sinks, catalog
 and estimator:
@@ -43,7 +52,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Any, Callable, Protocol, Sequence
+from typing import Any, Callable, Iterable, Protocol, Sequence
 
 from repro.core.config import StatisticsConfig
 from repro.errors import ConfigurationError
@@ -54,7 +63,7 @@ from repro.lsm.columnar import (
     summary_column_fn,
 )
 from repro.lsm.component import DiskComponent
-from repro.lsm.events import ComponentWriteContext, RecordSink
+from repro.lsm.events import ComponentWriteContext, RecordSink, stage
 from repro.lsm.record import Record
 from repro.lsm.tree import DEFAULT_WRITE_BATCH_SIZE
 from repro.obs.registry import (
@@ -72,6 +81,7 @@ from repro.types import Domain
 
 __all__ = [
     "StatisticsSink",
+    "StatisticsUpdate",
     "StatisticsCollector",
     "CollectorMetrics",
     "attribute_statistics_key",
@@ -111,20 +121,46 @@ def attribute_statistics_key(index_name: str, attribute: str) -> str:
     return f"{index_name}#{attribute}"
 
 
+Entry = tuple[str, int, Synopsis, Synopsis | None]
+"""``(statistics key, component uid, synopsis, anti-matter twin or None)``."""
+
+
+@dataclass(frozen=True)
+class StatisticsUpdate:
+    """One lifecycle event's statistics, applied as one transition.
+
+    ``entries`` are the new components' synopsis pairs; an anti-matter
+    twin is ``None`` when its builder saw no value.  ``retracts`` are
+    the merged-away components' uids per statistics key.  A receiver
+    applies every entry, then every retract, with nothing in between.
+    """
+
+    entries: tuple[Entry, ...] = ()
+    retracts: tuple[tuple[str, tuple[int, ...]], ...] = ()
+
+    def keys(self) -> set[str]:
+        """Every statistics key the update touches."""
+        return {entry[0] for entry in self.entries} | {
+            key for key, _uids in self.retracts
+        }
+
+
 class StatisticsSink(Protocol):
     """Destination for freshly built per-component synopses."""
 
-    def publish(
-        self,
-        index_name: str,
-        component_uid: int,
-        synopsis: Synopsis,
-        anti_synopsis: Synopsis,
-    ) -> None:
-        """Deliver the statistics of a newly written component."""
+    def publish(self, update: StatisticsUpdate) -> None:
+        """Apply one lifecycle event's statistics (see
+        :class:`StatisticsUpdate`)."""
 
-    def retract(self, index_name: str, component_uids: list[int]) -> None:
-        """Drop the statistics of components superseded by a merge."""
+
+class _Staged:
+    """A collector's update under construction in an open event group."""
+
+    __slots__ = ("entries", "retracts")
+
+    def __init__(self) -> None:
+        self.entries: list[Entry] = []
+        self.retracts: list[tuple[str, tuple[int, ...]]] = []
 
 
 @dataclass(frozen=True)
@@ -185,14 +221,18 @@ def _note_sketch_shipment(
     metrics: CollectorMetrics,
     instruments: _Instruments,
     synopsis: Synopsis,
-    anti_synopsis: Synopsis,
+    anti_synopsis: Synopsis | None,
 ) -> None:
-    """Account a published HLL twin's dense vs wire (HBS) bytes."""
+    """Account a published HLL pair's dense vs wire (HBS) bytes (an
+    empty twin is not shipped, so it counts neither)."""
     if not isinstance(synopsis, HyperLogLogSynopsis):
         return
-    assert isinstance(anti_synopsis, HyperLogLogSynopsis)
-    dense = synopsis.register_bytes() + anti_synopsis.register_bytes()
-    wire = synopsis.encoded_bytes() + anti_synopsis.encoded_bytes()
+    dense = synopsis.register_bytes()
+    wire = synopsis.encoded_bytes()
+    if anti_synopsis is not None:
+        assert isinstance(anti_synopsis, HyperLogLogSynopsis)
+        dense += anti_synopsis.register_bytes()
+        wire += anti_synopsis.encoded_bytes()
     metrics.sketch_register_bytes += dense
     metrics.sketch_wire_bytes += wire
     instruments.sketch_register_bytes.inc(dense)
@@ -211,7 +251,7 @@ class _RegistrationSink:
         key_extractor: Callable[[Record], Any],
         builder: SynopsisBuilder,
         anti_builder: SynopsisBuilder,
-        sink: StatisticsSink,
+        emit: Callable[[Iterable[Entry]], None],
         metrics: CollectorMetrics,
         instruments: _Instruments,
     ) -> None:
@@ -226,7 +266,8 @@ class _RegistrationSink:
         summary_column_fn(self._extractor)
         self._builder = builder
         self._anti_builder = anti_builder
-        self._sink = sink
+        self._anti_seen = False
+        self._emit = emit
         self._metrics = metrics
         self._instruments = instruments
 
@@ -261,6 +302,7 @@ class _RegistrationSink:
             metrics.antimatter_records_observed += len(anti_seq)
             instruments.antimatter_records.inc(len(anti_seq))
             self._anti_builder.add_many(anti_seq)
+            self._anti_seen = True
         if matter_seq:
             metrics.matter_records_observed += len(matter_seq)
             instruments.matter_records.inc(len(matter_seq))
@@ -269,21 +311,17 @@ class _RegistrationSink:
     def finish(self, component: DiskComponent) -> None:
         started = time.perf_counter()
         synopsis = self._builder.build()
-        anti_synopsis = self._anti_builder.build()
+        # An anti-matter twin that saw no value is the family's empty
+        # synopsis: it is not built here, and it travels as None.
+        anti_synopsis = self._anti_builder.build() if self._anti_seen else None
         elapsed = time.perf_counter() - started
         self._metrics.finalize_seconds += elapsed
         self._instruments.build_seconds.observe(elapsed)
         _note_sketch_shipment(
             self._metrics, self._instruments, synopsis, anti_synopsis
         )
-        self._sink.publish(
-            self._registration.statistics_key,
-            component.uid,
-            synopsis,
-            anti_synopsis,
-        )
-        self._metrics.synopses_published += 2
-        self._instruments.synopses_published.inc(2)
+        key = self._registration.statistics_key
+        self._emit([(key, component.uid, synopsis, anti_synopsis)])
 
 
 class _CompositeSink:
@@ -491,7 +529,7 @@ class StatisticsCollector:
                 registration,
                 key_extractor,
                 *self._builder_pair(registration, expected_records),
-                self.sink,
+                self._emit,
                 self.metrics,
                 self._instruments,
             )
@@ -507,9 +545,43 @@ class StatisticsCollector:
         old_components: tuple[DiskComponent, ...],
         new_component: DiskComponent,
     ) -> None:
-        uids = [c.uid for c in old_components]
-        for registration in self._registrations.get(index_name, ()):
-            self.sink.retract(registration.statistics_key, uids)
+        uids = tuple(c.uid for c in old_components)
+        self._emit(
+            retracts=[
+                (registration.statistics_key, uids)
+                for registration in self._registrations.get(index_name, ())
+            ]
+        )
+
+    def _emit(
+        self,
+        entries: Iterable[Entry] = (),
+        retracts: Iterable[tuple[str, tuple[int, ...]]] = (),
+    ) -> None:
+        """Stage entries and retracts into this thread's open event
+        group, or -- outside any group -- publish them at once."""
+        staged = stage(self, _Staged)
+        if staged is None:
+            self._publish(tuple(entries), tuple(retracts))
+        else:
+            staged.entries.extend(entries)
+            staged.retracts.extend(retracts)
+
+    def close_group(self, staged: _Staged, committed: bool) -> None:
+        """The event group closed: one sink call for all it staged."""
+        if committed:
+            self._publish(tuple(staged.entries), tuple(staged.retracts))
+
+    def _publish(
+        self,
+        entries: tuple[Entry, ...],
+        retracts: tuple[tuple[str, tuple[int, ...]], ...],
+    ) -> None:
+        if not entries and not retracts:
+            return
+        self.sink.publish(StatisticsUpdate(entries, retracts))
+        self.metrics.synopses_published += 2 * len(entries)
+        self._instruments.synopses_published.inc(2 * len(entries))
 
     def components_recovered(
         self,

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from repro.core.cache import MergedSynopsisCache
 from repro.core.catalog import StatisticsCatalog
-from repro.core.collector import StatisticsCollector
+from repro.core.collector import StatisticsCollector, StatisticsUpdate
 from repro.core.config import StatisticsConfig
 from repro.core.estimator import (
     CardinalityEstimator,
@@ -20,7 +20,6 @@ from repro.core.estimator import (
 )
 from repro.lsm.dataset import Dataset
 from repro.obs.registry import MetricsRegistry, get_registry
-from repro.synopses.base import Synopsis
 from repro.synopses.multidim import Synopsis2DType
 
 __all__ = ["LocalStatisticsSink", "StatisticsManager"]
@@ -43,30 +42,13 @@ class LocalStatisticsSink:
         self.node_id = node_id
         self.partition_id = partition_id
 
-    def publish(
-        self,
-        index_name: str,
-        component_uid: int,
-        synopsis: Synopsis,
-        anti_synopsis: Synopsis,
-    ) -> None:
-        self.catalog.put(
-            index_name,
-            self.node_id,
-            self.partition_id,
-            component_uid,
-            synopsis,
-            anti_synopsis,
-        )
+    def publish(self, update: StatisticsUpdate) -> None:
+        """Apply one lifecycle event's statistics as one catalog
+        transition; drop the cached merge of every index it moved."""
+        moved = self.catalog.apply(update, self.node_id, self.partition_id)
         if self.cache is not None:
-            self.cache.invalidate(index_name)
-
-    def retract(self, index_name: str, component_uids: list[int]) -> None:
-        self.catalog.retract(
-            index_name, self.node_id, self.partition_id, component_uids
-        )
-        if self.cache is not None:
-            self.cache.invalidate(index_name)
+            for index_name in moved:
+                self.cache.invalidate(index_name)
 
 
 class StatisticsManager:

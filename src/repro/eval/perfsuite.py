@@ -347,12 +347,9 @@ _BUDGET_CEILINGS: dict[str, float] = {
 
 
 class _NullSink:
-    """Statistics sink that discards publishes (collector cost only)."""
+    """Statistics sink that discards updates (collector cost only)."""
 
-    def publish(self, *_args: Any) -> None:
-        pass
-
-    def retract(self, *_args: Any) -> None:
+    def publish(self, _update: Any) -> None:
         pass
 
 
@@ -495,6 +492,7 @@ def _bench_ship(
 ) -> dict[str, float]:
     """Publish synopsis pairs through the (perfect) cluster wire."""
     from repro.cluster.node import NetworkStatisticsSink, RetryPolicy
+    from repro.core.collector import StatisticsUpdate
 
     network = Network()
     received: list[Any] = []
@@ -512,7 +510,7 @@ def _bench_ship(
     messages = scale.ship_messages
     started = timer()
     for uid in range(messages):
-        sink.publish("bench_index", uid, synopsis, synopsis)
+        sink.publish(StatisticsUpdate((("bench_index", uid, synopsis, synopsis),)))
     elapsed = max(timer() - started, 1e-9)
     assert len(received) == messages
     return {"ship.throughput": messages / elapsed}

@@ -415,12 +415,13 @@ class Dataset:
             raise RecoveryError(
                 f"complete_recovery on non-durable dataset {self.name!r}"
             )
-        for tree in self._all_trees():
-            components = tree.components  # newest first
-            if components:
-                self.event_bus.notify_recovered(
-                    tree.name, list(reversed(components)), tree.key_extractor
-                )
+        with self.event_bus.group():
+            for tree in self._all_trees():
+                components = tree.components  # newest first
+                if components:
+                    self.event_bus.notify_recovered(
+                        tree.name, list(reversed(components)), tree.key_extractor
+                    )
         # Replay the logged operations through the live write path's
         # flush decision, so the recovered component boundaries (and
         # their statistics) match a run that never crashed -- even when
@@ -569,21 +570,22 @@ class Dataset:
         txn = None
         if self._manifest is not None:
             txn = self._manifest.begin_txn()
-        self.primary.bulkload(
-            map(Record.matter, pks, documents),
-            expected_records=len(documents),
-            txn=txn,
-        )
-        for name, entries in secondary_entries.items():
-            entries.sort()
-            self._secondary[name].bulkload(
-                (Record.matter(key) for key in entries),
-                expected_records=len(entries),
+        with self.event_bus.group():
+            self.primary.bulkload(
+                map(Record.matter, pks, documents),
+                expected_records=len(documents),
                 txn=txn,
             )
-        if self._manifest is not None:
-            assert txn is not None
-            self._manifest.commit_txn(txn)
+            for name, entries in secondary_entries.items():
+                entries.sort()
+                self._secondary[name].bulkload(
+                    (Record.matter(key) for key in entries),
+                    expected_records=len(entries),
+                    txn=txn,
+                )
+            if self._manifest is not None:
+                assert txn is not None
+                self._manifest.commit_txn(txn)
         self._publish_memory()
 
     def flush(self) -> None:
@@ -665,7 +667,8 @@ class Dataset:
         tree's component commit is stamped with the transaction id and
         none takes effect until the ``txn.commit`` entry is durable, so
         a crash mid-flush can never install the primary's component
-        without its secondaries'.
+        without its secondaries'.  It is one event group too: observers
+        forward every tree's new component together.
         """
         trees = list(self._all_trees())
         txn = None
@@ -673,11 +676,12 @@ class Dataset:
             if self._wal is not None:
                 self._wal.sync()
             txn = self._manifest.begin_txn()
-        for tree in trees:
-            if tree.immutable_count:
-                tree.flush_one_immutable(txn)
-        if self._manifest is not None and txn is not None:
-            self._manifest.commit_txn(txn)
+        with self.event_bus.group():
+            for tree in trees:
+                if tree.immutable_count:
+                    tree.flush_one_immutable(txn)
+            if self._manifest is not None and txn is not None:
+                self._manifest.commit_txn(txn)
         # The shared WAL may only truncate once *every* acknowledged
         # write is on disk; with writes still buffered (or more rotated
         # generations queued) replay still needs the log.  Deferral

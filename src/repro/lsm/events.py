@@ -13,14 +13,23 @@ precisely the paper's design.
 The stream arrives as columnar chunks
 (:class:`repro.lsm.columnar.ColumnarChunk`, docs/DATAPATH.md); a sink
 reads the columns it needs.
+
+One lifecycle event may write several components -- a dataset's flush
+writes one per index, a merge writes its output and then retires its
+inputs -- and an observer that forwards what it saw (the statistics
+collector) must forward the event whole, never half of it.  So an event
+runs inside :meth:`EventBus.group`: observers :func:`stage` what they
+would have sent into the thread's open group, and when the outermost
+group closes each one is handed its staged work once.
 """
 
 from __future__ import annotations
 
 import enum
 import threading
+from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Any, Callable, Protocol, Sequence
+from typing import Any, Callable, Iterator, Protocol, Sequence, TypeVar
 
 from repro.lsm.columnar import ColumnarChunk
 from repro.lsm.component import DiskComponent
@@ -32,8 +41,12 @@ __all__ = [
     "ComponentWriteContext",
     "RecordSink",
     "LSMEventObserver",
+    "GroupMember",
     "EventBus",
+    "stage",
 ]
+
+T = TypeVar("T")
 
 
 class LSMEventType(enum.Enum):
@@ -99,6 +112,44 @@ class LSMEventObserver(Protocol):
         """A merge superseded ``old_components`` with ``new_component``."""
 
 
+class GroupMember(Protocol):
+    """An owner of work staged in an event group (see :func:`stage`)."""
+
+    def close_group(self, staged: Any, committed: bool) -> None:
+        """The outermost group closed: act on ``staged`` when
+        ``committed``, drop it when the event raised."""
+
+
+class _OpenGroup(threading.local):
+    """One thread's open event group: nesting depth and staged work.
+
+    Per thread because flushes and merges of different datasets run on
+    different maintenance threads under a concurrent scheduler; one
+    thread runs one event at a time, so its groups nest rather than
+    interleave.
+    """
+
+    def __init__(self) -> None:
+        self.depth = 0
+        self.staged: dict[GroupMember, Any] = {}
+
+
+_OPEN = _OpenGroup()
+
+
+def stage(owner: GroupMember, new: Callable[[], T]) -> T | None:
+    """``owner``'s staged work in this thread's open event group --
+    made by ``new`` on first use -- or ``None`` outside any group (the
+    caller then acts at once: a bare write is a group of one)."""
+    state = _OPEN
+    if not state.depth:
+        return None
+    staged = state.staged.get(owner)
+    if staged is None:
+        staged = state.staged[owner] = new()
+    return staged
+
+
 class EventBus:
     """Fan-out of LSM lifecycle notifications to registered observers.
 
@@ -121,6 +172,35 @@ class EventBus:
         self._m_replacements = obs.counter("lsm.events.replacements")
         self._m_recoveries = obs.counter("lsm.events.recoveries")
         self._g_observers = obs.gauge("lsm.events.observers")
+        self._m_observer_failures = obs.counter("lsm.observer.failures")
+
+    @contextmanager
+    def group(self) -> Iterator[None]:
+        """One lifecycle event (nestable, per thread).
+
+        Work staged while the group is open (:func:`stage`) is handed to
+        its owners once, when the *outermost* group on this thread
+        closes: committed if the event completed, dropped if it raised
+        -- a crashed process ships nothing, and a failed event installs
+        nothing.  An owner that raises while closing is counted in
+        ``lsm.observer.failures`` and skipped, like a sink that raises
+        mid-write: observers never fail the event they ride.
+        """
+        state = _OPEN
+        state.depth += 1
+        committed = False
+        try:
+            yield
+            committed = True
+        finally:
+            state.depth -= 1
+            if not state.depth and state.staged:
+                staged, state.staged = state.staged, {}
+                for owner, work in staged.items():
+                    try:
+                        owner.close_group(work, committed)
+                    except Exception:
+                        self._m_observer_failures.inc()
 
     def subscribe(self, observer: LSMEventObserver) -> None:
         """Register an observer (idempotent)."""

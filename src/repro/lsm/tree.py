@@ -473,37 +473,42 @@ class LSMTree:
                 "merge", self.name, payload={"inputs": list(replaced_files)}
             )
         with span("lsm.merge", self._obs):
-            component = self._write_component(
-                LSMEventType.MERGE,
-                ComponentId.merged([c.component_id for c in ordered]),
-                merged_chunks,
-                expected_records=sum(c.record_count for c in ordered),
-                merged_components=tuple(ordered),
-                pacer=self.merge_pacer,
-            )
-            self._fire("merge.build")
-            if self._manifest is not None:
-                self._manifest.commit(
-                    "merge",
-                    self.name,
-                    self._descriptor(component),
-                    replaces=replaced_files,
+            # One event group: observers forward the merged component
+            # and the retirement of its inputs as one transition.
+            with self.event_bus.group():
+                component = self._write_component(
+                    LSMEventType.MERGE,
+                    ComponentId.merged([c.component_id for c in ordered]),
+                    merged_chunks,
+                    expected_records=sum(c.record_count for c in ordered),
+                    merged_components=tuple(ordered),
+                    pacer=self.merge_pacer,
                 )
-            # The replacement is durable; a crash before the in-memory
-            # splice must recover the merged component from the manifest.
-            self._fire("merge.splice")
-            # Splice the new component in place of the merged run --
-            # atomically under the tree lock, so a concurrent reader
-            # pinning a snapshot sees either the full run or its
-            # replacement, never a half-spliced list.  Indices are
-            # recomputed: a background flush may have installed newer
-            # components at the head since selection.
-            with self._lock:
-                start = self._components.index(ordered[0])
-                self._components[start : start + len(ordered)] = [component]
-            for old in ordered:
-                old.mark_merged()
-            self.event_bus.notify_replaced(self.name, tuple(ordered), component)
+                self._fire("merge.build")
+                if self._manifest is not None:
+                    self._manifest.commit(
+                        "merge",
+                        self.name,
+                        self._descriptor(component),
+                        replaces=replaced_files,
+                    )
+                # The replacement is durable; a crash before the in-memory
+                # splice must recover the merged component from the manifest.
+                self._fire("merge.splice")
+                # Splice the new component in place of the merged run --
+                # atomically under the tree lock, so a concurrent reader
+                # pinning a snapshot sees either the full run or its
+                # replacement, never a half-spliced list.  Indices are
+                # recomputed: a background flush may have installed newer
+                # components at the head since selection.
+                with self._lock:
+                    start = self._components.index(ordered[0])
+                    self._components[start : start + len(ordered)] = [component]
+                for old in ordered:
+                    old.mark_merged()
+                self.event_bus.notify_replaced(
+                    self.name, tuple(ordered), component
+                )
             # The commit made the replacement durable; the old files are
             # garbage either way, so a crash here leaves orphans for
             # recovery to GC rather than dangling live components.

@@ -17,7 +17,10 @@ from repro.synopses.voptimal import VOptimalBuilder, VOptimalHistogram
 from repro.synopses.wavelet.synopsis import WaveletBuilder, WaveletSynopsis
 from repro.types import Domain
 
-__all__ = ["create_builder", "synopsis_from_payload"]
+__all__ = ["create_builder", "empty_twin", "synopsis_from_payload"]
+
+_EMPTY_TWINS: dict[tuple[Any, ...], Any] = {}
+_EMPTY_TWINS_CAP = 1024
 
 _SYNOPSIS_CLASSES: dict[SynopsisType, type[Synopsis]] = {
     SynopsisType.EQUI_WIDTH: EquiWidthHistogram,
@@ -73,3 +76,38 @@ def synopsis_from_payload(payload: dict[str, Any]) -> Synopsis:
         raise SynopsisError(f"malformed synopsis payload: {exc}") from exc
     cls = _SYNOPSIS_CLASSES[synopsis_type]
     return cls.from_payload(payload)  # type: ignore[attr-defined]
+
+
+def empty_twin(synopsis: Any) -> Any:
+    """The synopsis a builder of ``synopsis``'s shape builds from no
+    value at all: what an anti-matter twin is when its component holds
+    no anti-matter.
+
+    The wire and the statistics sinks carry such a twin as ``None`` and
+    every receiver installs this instead.  An empty build depends only
+    on the family, domain, budget and (HLL) hash seed -- never on the
+    record count a builder was sized for -- so this is byte-identical
+    to the twin the collector would have built
+    (``tests/synopses/test_empty_twin.py`` holds every family to it).
+    Memoised per shape; synopses are immutable, so catalog entries may
+    share one.  2-D synopses (local-only) are rebuilt the same way.
+    """
+    family = synopsis.synopsis_type
+    seed = getattr(synopsis, "hash_seed", None)
+    domain = getattr(synopsis, "domains", None) or synopsis.domain
+    key = (family, domain, synopsis.budget, seed)
+    twin = _EMPTY_TWINS.get(key)
+    if twin is None:
+        if isinstance(family, SynopsisType):
+            if family is SynopsisType.HLL_SKETCH:
+                builder: Any = HyperLogLogBuilder(domain, synopsis.budget, seed)
+            else:
+                builder = create_builder(family, domain, synopsis.budget, 0)
+        else:
+            from repro.synopses.multidim import create_builder_2d
+
+            builder = create_builder_2d(family, domain, synopsis.budget)
+        if len(_EMPTY_TWINS) >= _EMPTY_TWINS_CAP:
+            _EMPTY_TWINS.clear()
+        twin = _EMPTY_TWINS[key] = builder.build()
+    return twin

@@ -169,12 +169,17 @@ class HBSCodec:
         )
 
     @classmethod
-    def decode(cls, data: bytes, register_count: int) -> "array[int]":
+    def decode(
+        cls, data: bytes, register_count: int, max_register: int = 255
+    ) -> "array[int]":
         """The ``register_count`` registers of an :meth:`encode` frame.
 
         The frame's own count must equal ``register_count`` (the budget
         the caller expects) -- checked before anything is sized by it,
-        so a corrupt count is an error, never an allocation.
+        so a corrupt count is an error, never an allocation.  A frame
+        naming a register value above ``max_register`` is refused too
+        (a sketch's ranks stop at ``64 - p + 1``; the symbol table lists
+        every value the frame holds).
         """
         if not isinstance(data, bytes):
             raise SynopsisError(f"an HBS frame is bytes, got {type(data).__name__}")
@@ -188,6 +193,7 @@ class HBSCodec:
             )
         offset = cls._HEADER.size
         if frame == cls._UNIFORM:
+            cls._check_register(arg, max_register)
             return array("B", bytes([arg]) * count)
         if frame != cls._HUFFMAN:
             raise SynopsisError(f"unknown HBS frame type {frame}")
@@ -195,6 +201,7 @@ class HBSCodec:
         if len(table) != 2 * arg:
             raise SynopsisError(f"truncated HBS symbol table ({arg} symbols)")
         pattern, ranks_of, symbols = cls._decoder(table)
+        cls._check_register(max(table[0::2]), max_register)
         payload = data[offset + 2 * arg :]
         bits = format(int.from_bytes(payload, "big"), f"0{8 * len(payload)}b")
         ranks = b"".join(map(ranks_of.__getitem__, pattern.findall(bits)))
@@ -203,6 +210,14 @@ class HBSCodec:
                 f"HBS frame exhausted after {len(ranks)}/{count} registers"
             )
         return array("B", ranks[:count].translate(symbols))
+
+    @staticmethod
+    def _check_register(value: int, max_register: int) -> None:
+        if value > max_register:
+            raise SynopsisError(
+                f"HBS frame holds register value {value}, above the "
+                f"sketch's highest rank {max_register}"
+            )
 
     @staticmethod
     def _ranks(table: bytes) -> bytes:
@@ -400,6 +415,10 @@ class HyperLogLogSynopsis(Synopsis):
         raw = _alpha(m) * m * m / harmonic
         if raw <= 2.5 * m and zeros:
             return m * math.log(m / zeros)  # small-range linear counting
+        if raw >= _TWO64:
+            # Past the hash space: the large-range correction's log1p
+            # has no value here, and no count can exceed 2**64 anyway.
+            return _TWO64
         if raw > _TWO64 / 30.0:
             return -_TWO64 * math.log1p(-raw / _TWO64)  # large-range
         return raw
@@ -462,7 +481,8 @@ class HyperLogLogSynopsis(Synopsis):
     def from_payload(cls, payload: dict[str, Any]) -> "HyperLogLogSynopsis":
         """Inverse of :meth:`to_payload` (decodes the HBS frame)."""
         budget = payload["budget"]
-        registers = HBSCodec.decode(payload["hbs"], budget)
+        precision = _check_register_budget(budget)
+        registers = HBSCodec.decode(payload["hbs"], budget, 64 - precision + 1)
         return cls(
             payload_domain(payload["domain"]),
             budget,

@@ -118,14 +118,19 @@ def test_stale_epoch_messages_are_fenced_out():
         cluster.nodes[0].node_id,
         wire.encode(
             {
-                "kind": "stats.publish",
-                "index": index_name,
+                "kind": "stats.apply",
                 "partition": 0,
                 "seq": 10**6,
                 "epoch": 0,
-                "component_uid": 10**6,
-                "synopsis": straggler.synopsis.to_payload(),
-                "anti_synopsis": straggler.anti_synopsis.to_payload(),
+                "entries": [
+                    [
+                        index_name,
+                        10**6,
+                        straggler.synopsis.to_payload(),
+                        straggler.anti_synopsis.to_payload(),
+                    ]
+                ],
+                "retracts": [],
             }
         ),
     )

@@ -8,6 +8,7 @@ from repro.cluster.faults import FaultDecision, FaultPlan, LinkFaults
 from repro.cluster.master import ClusterController
 from repro.cluster.network import Network
 from repro.cluster.node import NetworkStatisticsSink, RetryPolicy
+from repro.core.collector import StatisticsUpdate
 from repro.errors import NetworkUnavailableError
 from repro.obs.registry import MetricsRegistry
 from repro.synopses import SynopsisType, create_builder
@@ -23,30 +24,30 @@ def _synopsis(values=(1, 2)):
     return builder.build()
 
 
-def _publish_message(uid=1, seq=None, partition=0, values=(1, 2)):
+def _update(uid):
+    """One new ``idx`` component's pair, its twin shipped in full."""
+    return StatisticsUpdate((("idx", uid, _synopsis(), _synopsis(())),))
+
+
+def _apply_message(entries, retracts, seq, partition):
     message = {
-        "kind": "stats.publish",
-        "index": "idx",
+        "kind": "stats.apply",
         "partition": partition,
-        "component_uid": uid,
-        "synopsis": _synopsis(values).to_payload(),
-        "anti_synopsis": _synopsis(()).to_payload(),
+        "entries": entries,
+        "retracts": retracts,
     }
     if seq is not None:
         message["seq"] = seq
     return wire.encode(message)
+
+
+def _publish_message(uid=1, seq=None, partition=0, values=(1, 2)):
+    entry = ["idx", uid, _synopsis(values).to_payload(), _synopsis(()).to_payload()]
+    return _apply_message([entry], [], seq, partition)
 
 
 def _retract_message(uids, seq=None, partition=0):
-    message = {
-        "kind": "stats.retract",
-        "index": "idx",
-        "partition": partition,
-        "component_uids": list(uids),
-    }
-    if seq is not None:
-        message["seq"] = seq
-    return wire.encode(message)
+    return _apply_message([], [["idx", list(uids)]], seq, partition)
 
 
 # -- FaultPlan policy ---------------------------------------------------------
@@ -201,7 +202,7 @@ def test_sink_retries_through_outage_window():
     registry = MetricsRegistry()
     plan = FaultPlan(unavailable={"cc": [(0, 2)]})
     _network, master, sink = _sink_fixture(plan, registry)
-    sink.publish("idx", 1, _synopsis(), _synopsis(()))
+    sink.publish(_update(1))
     assert sink.outbox_depth == 0
     assert master.catalog.entry_count("idx") == 1
     assert registry.counter("sink.retries").value == 2
@@ -212,7 +213,7 @@ def test_sink_parks_message_and_flushes_after_recovery():
     registry = MetricsRegistry()
     plan = FaultPlan(unavailable={"cc": [(0, 6)]})
     _network, master, sink = _sink_fixture(plan, registry, max_attempts=2)
-    sink.publish("idx", 1, _synopsis(), _synopsis(()))  # ticks 0-1: parked
+    sink.publish(_update(1))  # ticks 0-1: parked
     assert sink.outbox_depth == 1
     assert master.catalog.entry_count("idx") == 0
     assert registry.counter("sink.send.failures").value == 1
@@ -231,7 +232,7 @@ def test_sink_outbox_sheds_oldest_on_overflow():
         plan, registry, max_attempts=1, outbox_limit=2
     )
     for uid in (1, 2, 3):
-        sink.publish("idx", uid, _synopsis(), _synopsis(()))
+        sink.publish(_update(uid))
     assert sink.outbox_depth == 2
     assert registry.counter("sink.outbox.dropped").value == 1
     assert registry.gauge("sink.outbox.depth").value == 2
@@ -244,11 +245,11 @@ def test_sink_preserves_fifo_order_across_parking():
     order = []
     original = network._handlers["cc"]
     network._handlers["cc"] = lambda s, frame: (
-        order.append(wire.decode(frame)["component_uid"]),
+        order.append(wire.decode(frame)["entries"][0][1]),
         original(s, frame),
     )
-    sink.publish("idx", 1, _synopsis(), _synopsis(()))  # tick 0: parked
-    sink.publish("idx", 2, _synopsis(), _synopsis(()))  # tick 1: parked behind 1
+    sink.publish(_update(1))  # tick 0: parked
+    sink.publish(_update(2))  # tick 1: parked behind 1
     assert sink.outbox_depth == 2
     while sink.flush_outbox():
         pass
@@ -261,9 +262,9 @@ def test_sink_sequences_are_unique_and_monotone():
     seen = []
     network.register("cc", lambda s, frame: seen.append(wire.decode(frame)["seq"]))
     sink = NetworkStatisticsSink(network, "n1", "cc", 0, registry=registry)
-    sink.publish("idx", 1, _synopsis(), _synopsis(()))
+    sink.publish(_update(1))
     sink.retract("idx", [1])
-    sink.publish("idx", 2, _synopsis(), _synopsis(()))
+    sink.publish(_update(2))
     assert seen == [1, 2, 3]
 
 

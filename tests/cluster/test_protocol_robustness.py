@@ -47,12 +47,10 @@ def test_publish_retract_roundtrip_over_wire():
         "cc",
         wire.encode(
             {
-                "kind": "stats.publish",
-                "index": "idx",
+                "kind": "stats.apply",
                 "partition": 0,
-                "component_uid": 7,
-                "synopsis": _payload(),
-                "anti_synopsis": _payload(()),
+                "entries": [["idx", 7, _payload(), _payload(())]],
+                "retracts": [],
             }
         ),
     )
@@ -63,10 +61,10 @@ def test_publish_retract_roundtrip_over_wire():
         "cc",
         wire.encode(
             {
-                "kind": "stats.retract",
-                "index": "idx",
+                "kind": "stats.apply",
                 "partition": 0,
-                "component_uids": [7],
+                "entries": [],
+                "retracts": [["idx", [7]]],
             }
         ),
     )
@@ -80,12 +78,10 @@ def test_retract_from_other_node_is_isolated():
     network = Network()
     master = ClusterController(network)
     message = {
-        "kind": "stats.publish",
-        "index": "idx",
+        "kind": "stats.apply",
         "partition": 0,
-        "component_uid": 1,
-        "synopsis": _payload(),
-        "anti_synopsis": _payload(()),
+        "entries": [["idx", 1, _payload(), None]],
+        "retracts": [],
     }
     network.send("nc1", "cc", wire.encode(message))
     network.send(
@@ -93,10 +89,10 @@ def test_retract_from_other_node_is_isolated():
         "cc",
         wire.encode(
             {
-                "kind": "stats.retract",
-                "index": "idx",
+                "kind": "stats.apply",
                 "partition": 0,
-                "component_uids": [1],
+                "entries": [],
+                "retracts": [["idx", [1]]],
             }
         ),
     )

@@ -34,6 +34,7 @@ from repro.cluster.faults import FaultPlan, LinkFaults
 from repro.cluster.master import ClusterController
 from repro.cluster.network import Network
 from repro.cluster.node import NetworkStatisticsSink, RetryPolicy
+from repro.core.collector import StatisticsUpdate
 from repro.core.config import StatisticsConfig
 from repro.errors import ClusterError, WireError
 from repro.lsm import component
@@ -173,7 +174,7 @@ class TestHostileFrames:
 
     def test_non_bytes_is_a_wire_error(self):
         with pytest.raises(WireError):
-            wire.decode({"kind": "stats.publish"})
+            wire.decode({"kind": "stats.apply"})
 
 
 small_lists = st.lists(
@@ -279,11 +280,17 @@ def _sketch(values, budget=256):
     return builder.build()
 
 
+def _one(key, uid, synopsis, anti_synopsis):
+    """A one-entry statistics update."""
+    return StatisticsUpdate(((key, uid, synopsis, anti_synopsis),))
+
+
 ENVELOPE_BOUND = 288
-"""Bytes a publish frame may spend beyond the two HBS frames: the
-message's key names and stamps (~105) plus two payload headers of type,
-domain, budget, total_count and the 64-bit seed, key names included
-(~80 each).  Measured 262 at budget 256."""
+"""Bytes a one-entry apply frame may spend beyond the two HBS frames:
+the message's key names, stamps and entry row (~80) plus two payload
+headers of type, domain, budget, total_count and the 64-bit seed, key
+names included (~80 each).  Measured 240 at budget 256 (262 as the
+retired ``stats.publish`` frame)."""
 
 
 class TestWhatTheWireCarries:
@@ -301,7 +308,7 @@ class TestWhatTheWireCarries:
     def test_hll_publish_frame_holds_both_hbs_frames_verbatim(self):
         matter, anti = _sketch(range(0, 40_000, 7)), _sketch(range(0, 900, 3))
         network, sink, frames = self._capture()
-        sink.publish("idx#ndv", 1, matter, anti)
+        sink.publish(_one("idx#ndv", 1, matter, anti))
         (frame,) = frames
         matter_hbs, anti_hbs = matter.to_payload()["hbs"], anti.to_payload()["hbs"]
         assert type(matter_hbs) is bytes and matter_hbs in frame
@@ -323,7 +330,7 @@ class TestWhatTheWireCarries:
         network, sink, frames = self._capture(plan)
         sketch = _sketch(range(500))
         for uid in range(20):
-            sink.publish("idx#ndv", uid, sketch, sketch)
+            sink.publish(_one("idx#ndv", uid, sketch, sketch))
         sink.retract("idx#ndv", [0, 1])
         while sink.flush_outbox():
             pass
@@ -335,14 +342,14 @@ class TestWhatTheWireCarries:
         plan = FaultPlan(default=LinkFaults(duplicate=1.0))
         _network, sink, frames = self._capture(plan)
         sketch = _sketch(range(500))
-        sink.publish("idx#ndv", 1, sketch, sketch)
+        sink.publish(_one("idx#ndv", 1, sketch, sketch))
         first, second = frames
         assert first == second and type(first) is bytes
         # Each delivery decodes to its own message: a handler that
         # scribbles on one cannot reach the other (or the outbox).
         one, two = wire.decode(first), wire.decode(second)
-        one["synopsis"]["budget"] = -1
-        assert two["synopsis"]["budget"] == 256 and wire.decode(first) == two
+        one["entries"][0][2]["budget"] = -1
+        assert two["entries"][0][2]["budget"] == 256 and wire.decode(first) == two
 
 
 class TestBadFramesAtTheMaster:
@@ -354,7 +361,7 @@ class TestBadFramesAtTheMaster:
         captured = []
         network.register("tap", lambda source, frame: captured.append(frame))
         sink = NetworkStatisticsSink(network, "n1", "tap", 0, registry=registry)
-        sink.publish("idx#ndv", 1, sketch, sketch)
+        sink.publish(_one("idx#ndv", 1, sketch, sketch))
         return network, master, captured[0]
 
     @staticmethod
@@ -395,21 +402,93 @@ class TestBadFramesAtTheMaster:
 
     def test_well_framed_nonsense_is_one_typed_error(self):
         network, master, _frame = self._master()
+        good = _sketch(range(10)).to_payload()
         for message in (
-            {"kind": "stats.publish"},
-            {"kind": "stats.publish", "index": "i", "partition": 0, "component_uid": 1,
-             "synopsis": {"type": "hll_sketch"}, "anti_synopsis": {}},
-            {"kind": "stats.publish", "index": ["i"], "partition": 0},
-            {"kind": "stats.retract", "index": "i", "partition": "zero",
-             "component_uids": [1]},
-            {"kind": "stats.retract", "index": "i", "partition": 0, "seq": [1],
-             "component_uids": 5},
+            {"kind": "stats.apply"},
+            {"kind": "stats.apply", "partition": 0, "entries": [
+                ["i", 1, {"type": "hll_sketch"}, {}]], "retracts": []},
+            {"kind": "stats.apply", "partition": 0, "entries": [
+                [["i"], 1, good, None]], "retracts": []},
+            {"kind": "stats.apply", "partition": 0, "entries": [["i", 1, good]],
+             "retracts": []},
+            {"kind": "stats.apply", "partition": "zero", "entries": [],
+             "retracts": [["i", [1]]]},
+            {"kind": "stats.apply", "partition": 0, "seq": [1], "entries": [],
+             "retracts": [["i", 5]]},
+            {"kind": "stats.apply", "partition": 0, "entries": {}, "retracts": []},
+            {"kind": "stats.apply", "partition": 0, "entries": [
+                ["i", 1, dict(good, domain=[5, 3]), None]], "retracts": []},
+            {"kind": "stats.apply", "partition": 0, "entries": [
+                ["i", 1.5, good, None]], "retracts": []},
+            {"kind": "stats.apply", "partition": 0, "entries": [],
+             "retracts": [["i", [1, True]]]},
             {"kind": "stats.reset", "index": "i"},
         ):  # fmt: skip
             with pytest.raises(WireError):
                 network.send("n1", "cc", wire.encode(message))
         assert master.catalog.entry_count() == 0
         assert master.stats_messages_received == 0
+
+    def test_one_bad_entry_rejects_the_whole_apply(self):
+        network, master, _frame = self._master()
+        good = _sketch(range(10)).to_payload()
+        bad = dict(good, hbs=b"\x07")  # an unknown HBS frame type
+        for entries in (
+            [["i", 1, good, None], ["i", 2, bad, None], ["i", 3, good, None]],
+            [["i", 1, good, None], ["i", 2, None, good]],  # no matter payload
+            [["i", 1, good, None], ["i", 2, good, bad]],
+        ):
+            before = self._state(master)
+            message = {"kind": "stats.apply", "partition": 0, "seq": 9,
+                       "entries": entries, "retracts": [["i", [7]]]}  # fmt: skip
+            with pytest.raises(WireError):
+                network.send("n1", "cc", wire.encode(message))
+            assert self._state(master) == before
+        # Neither the seq nor the retract's tombstone stuck: the good
+        # copy of the same stamp applies, uid 7 included.
+        message = {"kind": "stats.apply", "partition": 0, "seq": 9,
+                   "entries": [["i", 7, good, None]], "retracts": []}  # fmt: skip
+        network.send("n1", "cc", wire.encode(message))
+        assert master.catalog.entry_count("i") == 1
+
+    def test_over_rank_hll_registers_are_refused_whole(self):
+        """A rank above 64 - p + 1 is no sketch's register, and its
+        large-range estimate would leave every float behind."""
+        network, master, _frame = self._master()
+        budget = 256  # p = 8: ranks 0..57
+        top = _sketch(range(10), budget).to_payload()
+        for rank in (57, 58, 255):
+            top["hbs"] = struct.pack(">BIB", 0, budget, rank)  # uniform frame
+            before = self._state(master)
+            message = {"kind": "stats.apply", "partition": 0, "seq": rank,
+                       "entries": [["i#ndv", rank, top, None]], "retracts": []}  # fmt: skip
+            if rank == 57:
+                network.send("n1", "cc", wire.encode(message))
+                assert math.isfinite(master.estimate_ndv("i"))
+                continue
+            with pytest.raises(WireError, match="register"):
+                network.send("n1", "cc", wire.encode(message))
+            assert self._state(master) == before
+
+    def test_a_retract_of_an_unknown_key_changes_nothing(self):
+        network, master, _frame = self._master()
+        version = master.catalog.version_for("idx#ndv")
+        message = {"kind": "stats.apply", "partition": 0, "seq": 5,
+                   "entries": [], "retracts": [["nope", [1, 2]], ["idx#ndv", [99]]]}  # fmt: skip
+        network.send("n1", "cc", wire.encode(message))
+        assert master.catalog.index_names() == []
+        assert master.catalog.version_for("idx#ndv") == version
+        assert master.stats_messages_received == 1
+
+    @pytest.mark.parametrize("kind", ["stats.publish", "stats.retract"])
+    def test_the_old_message_kinds_are_refused(self, kind):
+        network, master, _frame = self._master()
+        good = _sketch(range(10)).to_payload()
+        message = {"kind": kind, "index": "i", "partition": 0, "component_uid": 1,
+                   "component_uids": [1], "synopsis": good, "anti_synopsis": good}  # fmt: skip
+        with pytest.raises(ClusterError, match="unknown message kind"):
+            network.send("n1", "cc", wire.encode(message))
+        assert self._state(master) == (0, 0, {}, {})
 
     @pytest.mark.parametrize(
         "synopsis",
@@ -427,8 +506,8 @@ class TestBadFramesAtTheMaster:
         good = {"type": "equi_width", "domain": [0, 99], "budget": 4, "counts": [0] * 4}
         for matter, anti in ((synopsis, good), (good, synopsis)):
             message = {
-                "kind": "stats.publish", "index": "i", "partition": 0,
-                "component_uid": 1, "synopsis": matter, "anti_synopsis": anti,
+                "kind": "stats.apply", "partition": 0,
+                "entries": [["i", 1, matter, anti]], "retracts": [],
             }  # fmt: skip
             with pytest.raises(WireError):
                 network.send("n1", "cc", wire.encode(message))
@@ -438,7 +517,13 @@ class TestBadFramesAtTheMaster:
 
 @pytest.mark.parametrize(
     "ndv_enabled, messages, bytes_sent",
-    [(False, 118, 26_740), (True, 236, 73_364)],  # the JSON wire: 40 112 and 111 812
+    [
+        # One frame per (publish | retract) per statistics key, before
+        # stats.apply: 118 / 26 740 and 236 / 73 364 (the JSON wire
+        # before that: 40 112 and 111 812).
+        pytest.param(False, 59, 15_987, id="equi_width"),
+        pytest.param(True, 59, 45_147, id="equi_width+ndv"),
+    ],
 )
 def test_wire_budget_of_the_canonical_op_script_is_pinned(
     monkeypatch, ndv_enabled, messages, bytes_sent

@@ -11,7 +11,7 @@ from types import SimpleNamespace
 
 from repro.lsm.bloom import BloomFilter
 from repro.lsm.record import Record
-from repro.synopses.factory import create_builder
+from repro.synopses.factory import create_builder, empty_twin
 from repro.synopses.multidim import Synopsis2DType, create_builder_2d
 
 
@@ -84,10 +84,15 @@ class ReferenceObserver:
         self.actual = {}
         self.expected = {}
 
-    def publish(self, key, uid, synopsis, anti_synopsis):
-        self.actual[key, uid] = synopsis.to_payload(), anti_synopsis.to_payload()
+    def publish(self, update):
+        # A twin that travels as None is what every receiver installs:
+        # the family's empty synopsis, held to the reference's build.
+        for key, uid, synopsis, anti_synopsis in update.entries:
+            if anti_synopsis is None:
+                anti_synopsis = empty_twin(synopsis)
+            self.actual[key, uid] = synopsis.to_payload(), anti_synopsis.to_payload()
 
-    retract = component_replaced = lambda self, *args: None
+    component_replaced = lambda self, *args: None
 
     def begin_component_write(self, context):
         records = []

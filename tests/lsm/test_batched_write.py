@@ -21,7 +21,7 @@ from repro.lsm.rtree import build_rtree
 from repro.lsm.storage import SimulatedDisk
 from repro.lsm.tree import LSMTree, _default_key_extractor
 from repro.synopses.base import SynopsisType
-from repro.synopses.factory import create_builder
+from repro.synopses.factory import create_builder, empty_twin
 from repro.types import Domain
 from tests.lsm.reference import (
     ReferenceObserver,
@@ -218,8 +218,11 @@ class TestCollectorBatchedTap:
         published = {}
 
         class _Sink:
-            def publish(self, key, uid, synopsis, anti_synopsis):
-                published[key] = synopsis.to_payload(), anti_synopsis.to_payload()
+            def publish(self, update):
+                for key, _uid, synopsis, anti_synopsis in update.entries:
+                    if anti_synopsis is None:
+                        anti_synopsis = empty_twin(synopsis)
+                    published[key] = synopsis.to_payload(), anti_synopsis.to_payload()
 
         collector = StatisticsCollector(
             StatisticsConfig(SynopsisType.EQUI_WIDTH, budget=32), _Sink()
