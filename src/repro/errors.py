@@ -53,6 +53,11 @@ class SchedulerError(StorageError):
     """A background maintenance task failed or the scheduler was misused."""
 
 
+class WaitUnderLockError(SchedulerError):
+    """A thread entered the scheduler's backpressure wait while holding a
+    dataset's DML lock, which the flush task it waits for must take."""
+
+
 class SynopsisError(ReproError):
     """A statistical synopsis was built or queried incorrectly."""
 

@@ -102,6 +102,20 @@ class ColumnarLeafPage:
             ]
         return self._records
 
+    def record_at(self, index: int) -> Record:
+        """Row ``index`` as a ``Record``, without materialising the
+        rest of the leaf (a point lookup reads one row)."""
+        if self._records is not None:
+            return self._records[index]
+        values = self.values
+        anti = self.anti
+        return Record(
+            self.keys[index],
+            values[index] if values is not None else None,
+            anti[index] if anti is not None else False,
+            self.seqnums[index],
+        )
+
 
 class _InteriorPage:
     """An interior node: separator keys and child page numbers.
@@ -179,7 +193,7 @@ class DiskBTree:
         page = self._descend(key)
         index = bisect_left(page.keys, key)
         if index < len(page.keys) and page.keys[index] == key:
-            return page.records[index]
+            return page.record_at(index)
         return None
 
     def scan(self, lo: Any = None, hi: Any = None) -> Iterator[Record]:

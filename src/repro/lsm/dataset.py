@@ -176,6 +176,33 @@ register_summary_extractor(
 )
 
 
+class _GroupCommit:
+    """The DML lock around one WAL group: whatever the body logged is
+    committed before the lock is released -- also when the body raises
+    an ordinary exception, so the operations applied before it stay
+    durable.  A :class:`~repro.lsm.crashpoints.SimulatedCrash` is
+    process death and commits nothing.  (A class rather than a
+    generator context manager: it wraps every DML call.)"""
+
+    __slots__ = ("_lock", "_wal")
+
+    def __init__(self, lock: threading.RLock, wal: WriteAheadLog | None) -> None:
+        self._lock = lock
+        self._wal = wal
+
+    def __enter__(self) -> None:
+        self._lock.acquire()
+
+    def __exit__(self, exc_type: Any, _exc: Any, _tb: Any) -> None:
+        try:
+            if self._wal is not None and (
+                exc_type is None or issubclass(exc_type, Exception)
+            ):
+                self._wal.sync()
+        finally:
+            self._lock.release()
+
+
 class Dataset:
     """A collection of records with a primary and secondary indexes."""
 
@@ -250,11 +277,13 @@ class Dataset:
         self._h_ingest_op = get_registry().histogram("ingest.op.seconds")
         # Serialises multi-index DML (and the rotation step of a
         # scheduled flush) so one operation's records always land in the
-        # same memtable generation across all trees.  Maintenance tasks
-        # take it only for the WAL-truncation decision (a quick check,
-        # never during a flush or merge build), so writers never wait
-        # out background I/O.
+        # same memtable generation across all trees; one hold is one WAL
+        # group (_GroupCommit).  Maintenance tasks take it only for the
+        # WAL-truncation decision (a quick check, never during a flush
+        # or merge build), so writers never wait out background I/O.
+        # The scheduler refuses to wait on a thread that holds it.
         self._dml_lock = threading.RLock()
+        self._scheduler.witness_lock(self._dml_lock)
         merge_policy = merge_policy if merge_policy is not None else NoMergePolicy()
 
         # Durability: a manifest makes every flush/merge/bulkload
@@ -291,6 +320,7 @@ class Dataset:
             raise RecoveryError(
                 f"dataset {name!r} cannot recover without durable=True"
             )
+        self._group_commit = _GroupCommit(self._dml_lock, self._wal)
 
         # Resume sequence numbers past everything that survived the
         # crash so replayed and new operations never collide.
@@ -462,42 +492,56 @@ class Dataset:
 
     def insert(self, document: dict[str, Any]) -> None:
         """Insert a new record (the caller guarantees PK uniqueness)."""
-        started = time.perf_counter()
-        with self._dml_lock:
-            pk = self._pk_of(document)
-            keys = self._index_keys(document)
-            seqnum = self.sequence.next()
-            writes = [(self.primary, Record.matter(pk, document, seqnum=seqnum))]
-            for spec, key in keys:
-                writes.append(
-                    (
-                        self._secondary[spec.name],
-                        Record.matter((*key, pk), seqnum=seqnum),
-                    )
-                )
-            rotated = self._apply(seqnum, writes)
-        if rotated:
-            self._await_flush_capacity()
-        self._h_ingest_op.observe(time.perf_counter() - started)
+        self.insert_many((document,))
 
     def insert_many(self, documents: Iterable[dict[str, Any]]) -> int:
         """Insert a batch of new records; returns the number inserted.
 
-        Exactly :meth:`insert` per document -- one sequence number, one
-        WAL entry when durable, and one flush decision per operation --
-        on the durable and the non-durable path alike.
+        Each document is one operation -- its own sequence number, WAL
+        entry and flush decision, so component boundaries do not depend
+        on how documents are batched -- but the call takes the DML lock
+        once per *segment* and commits one WAL group per segment.  A
+        segment ends where a rotation was queued to a background
+        scheduler: the lock is released for :meth:`_await_flush_capacity`
+        and the next segment resumes after it.  When the call returns,
+        every document is durable; if it raises, the documents applied
+        before the failure are.
         """
+        started = time.perf_counter()
+        documents = iter(documents)
         inserted = 0
-        for document in documents:
-            self.insert(document)
-            inserted += 1
+        queued = True
+        while queued:
+            queued = False
+            with self._group_commit:
+                for document in documents:
+                    pk = self._pk_of(document)
+                    keys = self._index_keys(document)
+                    seqnum = self.sequence.next()
+                    writes = [
+                        (self.primary, Record.matter(pk, document, seqnum=seqnum))
+                    ]
+                    for spec, key in keys:
+                        writes.append(
+                            (
+                                self._secondary[spec.name],
+                                Record.matter((*key, pk), seqnum=seqnum),
+                            )
+                        )
+                    queued = self._apply(seqnum, writes)
+                    inserted += 1
+                    if queued:
+                        break
+            if queued:
+                self._await_flush_capacity()
+        self._h_ingest_op.observe(time.perf_counter() - started)
         return inserted
 
     def update(self, document: dict[str, Any]) -> bool:
         """Replace the record with the same PK; returns False when the
         PK does not exist (AsterixDB enforces existence on updates)."""
         started = time.perf_counter()
-        with self._dml_lock:
+        with self._group_commit:
             pk = self._pk_of(document)
             keys = self._index_keys(document)
             old = self.primary.get(pk)
@@ -515,8 +559,8 @@ class Dataset:
                 tree = self._secondary[spec.name]
                 writes.append((tree, Record.anti((*old_sk, pk), seqnum=seqnum)))
                 writes.append((tree, Record.matter((*new_sk, pk), seqnum=seqnum)))
-            rotated = self._apply(seqnum, writes)
-        if rotated:
+            queued = self._apply(seqnum, writes)
+        if queued:
             self._await_flush_capacity()
         self._h_ingest_op.observe(time.perf_counter() - started)
         return True
@@ -525,7 +569,7 @@ class Dataset:
         """Delete by PK; returns False when the PK does not exist."""
         started = time.perf_counter()
         _check_key(pk, "primary key")
-        with self._dml_lock:
+        with self._group_commit:
             old = self.primary.get(pk)
             if old is None:
                 return False
@@ -538,8 +582,8 @@ class Dataset:
                         Record.anti((*spec.key_of(old), pk), seqnum=seqnum),
                     )
                 )
-            rotated = self._apply(seqnum, writes)
-        if rotated:
+            queued = self._apply(seqnum, writes)
+        if queued:
             self._await_flush_capacity()
         self._h_ingest_op.observe(time.perf_counter() - started)
         return True
@@ -619,6 +663,10 @@ class Dataset:
         :meth:`_await_flush_capacity` once it released the DML lock.
         """
         with self._dml_lock:
+            # Rotation cuts the log's coverage: everything the closing
+            # generation holds must be committed before it is sealed.
+            if self._wal is not None:
+                self._wal.sync()
             self._pending_writes = 0
             rotated = False
             for tree in self._all_trees():
@@ -673,8 +721,6 @@ class Dataset:
         trees = list(self._all_trees())
         txn = None
         if self._manifest is not None:
-            if self._wal is not None:
-                self._wal.sync()
             txn = self._manifest.begin_txn()
         with self.event_bus.group():
             for tree in trees:
@@ -736,8 +782,9 @@ class Dataset:
         self, seqnum: int, writes: "list[tuple[LSMTree, Record]]"
     ) -> bool:
         """Apply one operation's records to the memtables -- after, with
-        a WAL attached, durably logging them (all trees, one seqnum,
-        one atomic WAL entry).  Returns :meth:`_after_write`'s answer."""
+        a WAL attached, logging them (all trees, one seqnum, one atomic
+        WAL entry, committed by the caller's :class:`_GroupCommit`).
+        Returns :meth:`_after_write`'s answer."""
         if self._wal is not None:
             self._wal.log_op(
                 seqnum, [(tree.name, record) for tree, record in writes]

@@ -54,7 +54,7 @@ from abc import ABC, abstractmethod
 from collections import deque
 from typing import Callable
 
-from repro.errors import ConfigurationError, SchedulerError
+from repro.errors import ConfigurationError, SchedulerError, WaitUnderLockError
 from repro.obs.registry import MetricsRegistry, get_registry
 
 __all__ = [
@@ -63,6 +63,7 @@ __all__ = [
     "ThreadPoolScheduler",
     "VirtualScheduler",
     "SchedulerError",
+    "WaitUnderLockError",
     "SCHEDULER_MODES",
     "make_scheduler",
     "DEFAULT_MAX_WORKERS",
@@ -102,6 +103,7 @@ class MaintenanceScheduler(ABC):
         self._h_task = obs.histogram("scheduler.task.seconds")
         self._h_stall = obs.histogram("scheduler.stall.seconds")
         self._pressure_probes: list[Callable[[], bool]] = []
+        self._witnessed: list[threading.RLock] = []
 
     @property
     def inline(self) -> bool:
@@ -139,6 +141,15 @@ class MaintenanceScheduler(ABC):
                 continue  # a dead probe must never wedge dispatch
         return False
 
+    def witness_lock(self, lock: threading.RLock) -> None:
+        """Register a lock :meth:`wait` refuses to run under: a
+        dataset's DML lock, which the flush task a writer waits for
+        takes.  Held across the wait, it deadlocks the thread-pool mode;
+        the deterministic modes run that task on the waiting thread and
+        would never notice, so the witness makes the mistake fail in
+        every mode."""
+        self._witnessed.append(lock)
+
     @abstractmethod
     def drain(self) -> None:
         """Run/await every pending task (including ones submitted while
@@ -156,7 +167,17 @@ class MaintenanceScheduler(ABC):
         the scheduler could actually make progress -- with nothing
         pending (sync mode always, idle virtual/threads) nothing can
         flip the predicate, so counting a stall would report phantom
-        backpressure."""
+        backpressure.
+
+        Raises :class:`WaitUnderLockError` when the calling thread holds
+        a witnessed lock (:meth:`witness_lock`), whether or not it would
+        have had to wait."""
+        for lock in self._witnessed:
+            if lock._is_owned():  # type: ignore[attr-defined]
+                raise WaitUnderLockError(
+                    "backpressure wait entered while holding a dataset's "
+                    "DML lock; release it first"
+                )
         if predicate():
             return
         if self.pending_count() == 0:

@@ -252,7 +252,8 @@ class LSMTree:
     def write_record(self, record: Record) -> None:
         """Apply a pre-built record (used by the dataset layer, which
         assigns one sequence number to all index entries of an op)."""
-        self._write(record)
+        with self._lock:
+            self.memtable.write(record)
 
     def _write(self, record: Record) -> None:
         with self._lock:

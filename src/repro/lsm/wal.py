@@ -11,21 +11,26 @@ points mirror the real thing:
   number.  The log stores all of them as a single entry, so replay can
   never observe a *torn* operation (primary updated, secondary not).
 
-* **Group commit.**  Entries buffer in memory and are committed to one
-  log page per group (the same notion of a chunk as the component-write
-  path's ``write_batch_size``), amortising the page write the way group
-  commit amortises the fsync.  The crash model keeps this honest: a
-  buffered-but-uncommitted group is lost on crash, and crash points
-  only exist at instants where the buffer is empty (see
-  :mod:`repro.lsm.crashpoints`).
+* **Group commit.**  :meth:`WriteAheadLog.log_op` only buffers; one
+  :meth:`~WriteAheadLog.sync` commits the buffer as one group.  The
+  dataset syncs once per DML call before acknowledging it (an
+  ``insert_many`` batch is one group, a single insert, update or delete
+  is a group of one) and before every memtable rotation, so
+  *acknowledged == durable* and a flush never finds a buffered entry.
+  A group is charged ``ceil(encoded bytes / page_bytes)`` log pages,
+  each holding a slice of its entries under its own checksum, so a
+  large batch pays for its size rather than hiding in one nominal
+  page.  The crash model keeps this honest: a buffered-but-uncommitted
+  group is lost on crash, and the ``wal.commit`` crash point fires once
+  per group, after its last page (see :mod:`repro.lsm.crashpoints`).
 
 * **Truncate at flush.**  Once a flush transaction commits, the logged
   operations live in disk components and the log restarts as a fresh
   file; the superblock pointer flips first, so a crash between the flip
   and the old file's deletion leaves an orphan that recovery GCs.
 
-Each committed page carries a checksum over its entries; replay
-verifies it and raises :class:`~repro.errors.WALError` on corruption.
+Replay verifies each page's checksum and raises
+:class:`~repro.errors.WALError` on corruption.
 """
 
 from __future__ import annotations
@@ -40,22 +45,7 @@ from repro.lsm.record import Record
 from repro.lsm.storage import FileHandle, SimulatedDisk
 from repro.obs.registry import MetricsRegistry, get_registry
 
-__all__ = ["WriteAheadLog", "DEFAULT_WAL_GROUP_SIZE"]
-
-DEFAULT_WAL_GROUP_SIZE = 1
-"""Operations buffered per group commit (one log page per group).
-
-The default of 1 makes *acknowledged == durable*: every operation's
-entry is committed before the op returns.  Real group commit amortises
-the fsync across concurrent writers while each of them still blocks
-until its group is durable; this simulation has a single logical
-writer, so honest group commit degenerates to one commit per op.
-Larger sizes are the async-WAL trade (RocksDB ``sync=false``): the log
-page write is amortised, but a crash between group commits loses the
-acknowledged ops still sitting in the buffer.  Lifecycle crash points
-never observe a non-empty buffer either way, because every flush path
-syncs the log first.
-"""
+__all__ = ["WriteAheadLog"]
 
 
 def _group_checksum(entries: list[tuple[int, list[tuple[str, tuple]]]]) -> int:
@@ -70,7 +60,6 @@ class WriteAheadLog:
         name: Namespace of this log (e.g. ``"orders.p3"``); the current
             log file id is kept under ``wal:<name>`` in the disk's
             superblock so recovery can find it.
-        group_size: Operations per group commit.
         recover: Reopen the existing log named in the superblock
             instead of starting a fresh one.
     """
@@ -79,20 +68,16 @@ class WriteAheadLog:
         self,
         disk: SimulatedDisk,
         name: str,
-        group_size: int = DEFAULT_WAL_GROUP_SIZE,
         recover: bool = False,
         crash_injector: CrashInjector | None = None,
         registry: MetricsRegistry | None = None,
     ) -> None:
-        if group_size < 1:
-            raise WALError(f"group_size must be >= 1, got {group_size}")
         self.disk = disk
         self.name = name
-        self.group_size = group_size
         self._injector = crash_injector
-        # The application thread appends operations while a background
-        # flush task syncs and truncates the same log; the mutex keeps
-        # the pending buffer and the current-file switch atomic.
+        # A dataset logs, syncs and truncates under its DML lock; the
+        # mutex keeps the buffer and the current-file switch atomic for
+        # any other caller too.
         self._mutex = threading.Lock()
         self._pending: list[tuple[int, list[tuple[str, tuple]]]] = []
         obs = registry if registry is not None else get_registry()
@@ -128,7 +113,8 @@ class WriteAheadLog:
     # -- write path ------------------------------------------------------
 
     def log_op(self, seqnum: int, writes: list[tuple[str, Record]]) -> None:
-        """Log one operation: every index's record under one seqnum.
+        """Buffer one operation: every index's record under one seqnum.
+        Nothing is durable until the next :meth:`sync`.
 
         Records are stored by value (the frozen dataclass fields), not
         by reference, mirroring serialisation onto the log page.
@@ -143,25 +129,30 @@ class WriteAheadLog:
         with self._mutex:
             self._pending.append(entry)
             self._m_appends.inc()
-            if len(self._pending) >= self.group_size:
-                self._commit_group()
-
-    def append(self, tree_name: str, record: Record) -> None:
-        """Log a single-index write (standalone-tree convenience)."""
-        self.log_op(record.seqnum, [(tree_name, record)])
 
     def sync(self) -> None:
-        """Force-commit the buffered group (e.g. before a flush)."""
+        """Commit the buffered operations as one group (a no-op when
+        nothing is buffered)."""
         with self._mutex:
             if self._pending:
                 self._commit_group()
 
     def _commit_group(self) -> None:
+        """Write the buffer as ``ceil(encoded bytes / page_bytes)``
+        pages, each a slice of the group under its own checksum."""
         group = self._pending
         self._pending = []
-        self._file.append_page(
-            {"entries": group, "crc": _group_checksum(group)}
-        )
+        encoded = repr(group).encode()
+        pages = -(-len(encoded) // self.disk.page_bytes)
+        if pages == 1:
+            self._file.append_page({"entries": group, "crc": zlib.crc32(encoded)})
+        else:
+            count = len(group)
+            for page in range(pages):
+                part = group[page * count // pages : (page + 1) * count // pages]
+                self._file.append_page(
+                    {"entries": part, "crc": _group_checksum(part)}
+                )
         self._m_commits.inc()
         self._fire("wal.commit")
 
@@ -187,7 +178,7 @@ class WriteAheadLog:
 
     def replay(self) -> Iterator[tuple[int, str, Record]]:
         """Yield ``(seqnum, tree_name, record)`` for every logged write,
-        in log order, verifying each group's checksum."""
+        in log order, verifying each page's checksum."""
         for page_no in range(self._file.num_pages):
             page = self._file.read_page(page_no)
             entries = self._read_group(page, page_no)

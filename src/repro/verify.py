@@ -51,6 +51,7 @@ from repro.util.retry import RetryPolicy
 __all__ = [
     "DATASET",
     "Observed",
+    "BATCH",
     "apply",
     "build_cluster",
     "compare",
@@ -67,6 +68,8 @@ __all__ = [
 DATASET = "verify"
 _INDEX = "value_idx"
 _BULKLOAD_COUNT = 64
+BATCH = 8
+"""Documents per ``insert_many`` op in the second half of the script."""
 
 Op = tuple[str, Any]
 
@@ -112,14 +115,21 @@ def build_cluster(**perturbations: Any) -> LSMCluster:
 def ops(records: int) -> list[Op]:
     """The scripted workload: an initial bulkload, inserts with one
     explicit flush in their midst (it exercises the drain barrier while
-    merge continuations may still be queued behind it), a delete of
-    every 17th key (anti-matter) and a final flush -- enough lifecycle
-    traffic to pass every registered crash point several times."""
+    merge continuations may still be queued behind it) -- one document
+    per call before it, :data:`BATCH` per ``insert_many`` call after
+    it -- a delete of every 17th key (anti-matter) and a final flush:
+    enough lifecycle traffic to pass every registered crash point
+    several times."""
     script: list[Op] = [("bulkload", tuple(range(_BULKLOAD_COUNT)))]
-    for pk in range(_BULKLOAD_COUNT, records):
+    middle = _BULKLOAD_COUNT + records // 2
+    for pk in range(_BULKLOAD_COUNT, min(middle + 1, records)):
         script.append(("insert", pk))
-        if pk == _BULKLOAD_COUNT + records // 2:
-            script.append(("flush", None))
+    if middle < records:
+        script.append(("flush", None))
+        for start in range(middle + 1, records, BATCH):
+            script.append(
+                ("insert_many", tuple(range(start, min(start + BATCH, records))))
+            )
     script.extend(("delete", pk) for pk in range(0, records, 17))
     script.append(("flush", None))
     return script
@@ -130,6 +140,8 @@ def apply(cluster: LSMCluster, op: str, arg: Any) -> None:
         cluster.bulkload(DATASET, [doc(pk) for pk in arg])
     elif op == "insert":
         cluster.insert(DATASET, doc(arg))
+    elif op == "insert_many":
+        cluster.insert_many(DATASET, [doc(pk) for pk in arg])
     elif op == "delete":
         cluster.delete(DATASET, arg)
     else:
@@ -145,6 +157,11 @@ def retry(cluster: LSMCluster, op: str, arg: Any) -> None:
     elif op == "insert":
         if cluster.get(DATASET, arg) is None:
             cluster.insert(DATASET, doc(arg))
+    elif op == "insert_many":
+        # Per partition the durable part of an interrupted batch is a
+        # prefix, so the absent documents are each partition's suffix.
+        absent = [doc(pk) for pk in arg if cluster.get(DATASET, pk) is None]
+        cluster.insert_many(DATASET, absent)
     elif op == "delete":
         if cluster.get(DATASET, arg) is not None:
             cluster.delete(DATASET, arg)
@@ -204,6 +221,10 @@ def feed_records(records: int) -> list[FeedRecord]:
             )
         elif op == "insert":
             stream.append(FeedRecord(FeedOperation.INSERT, doc(arg)))
+        elif op == "insert_many":
+            stream.extend(
+                FeedRecord(FeedOperation.INSERT, doc(pk)) for pk in arg
+            )
         elif op == "delete":
             stream.append(FeedRecord(FeedOperation.DELETE, {"id": arg}))
     return stream

@@ -79,6 +79,25 @@ class TestLookup:
         assert delta.pages_read == tree.height + 1
 
 
+    @pytest.mark.parametrize("values", ["some", "none"])
+    def test_lookup_equals_scan_on_every_key(self, values):
+        # Anti-matter, None payloads and distinct seqnums all survive
+        # the single-row path; cold leaves first, then memoized ones.
+        records = [
+            Record.anti(k, seqnum=k)
+            if k % 3 == 0
+            else Record.matter(k, f"v{k}" if values == "some" else None, seqnum=k)
+            for k in range(0, 300, 2)
+        ]
+        disk = SimulatedDisk()
+        tree = build_btree(disk, records, leaf_capacity=8, fanout=4)
+        cold = [tree.lookup(r.key) for r in records]
+        scanned = list(tree.scan())
+        assert cold == scanned == records
+        assert [tree.lookup(r.key) for r in records] == scanned  # memoized
+        assert all(tree.lookup(r.key + 1) is None for r in records)
+
+
 class TestScan:
     def test_full_scan_in_order(self):
         _disk, tree = _tree(range(0, 50))

@@ -9,7 +9,9 @@ import threading
 
 import pytest
 
-from repro.errors import ConfigurationError, SchedulerError
+from repro.errors import ConfigurationError, SchedulerError, WaitUnderLockError
+from repro.lsm.dataset import Dataset
+from repro.lsm.storage import SimulatedDisk
 from repro.lsm.scheduler import (
     DEFAULT_MAX_WORKERS,
     MERGE_STARVATION_LIMIT,
@@ -20,6 +22,7 @@ from repro.lsm.scheduler import (
     make_scheduler,
 )
 from repro.obs.registry import MetricsRegistry
+from repro.types import Domain
 
 
 class _Boom(Exception):
@@ -490,3 +493,52 @@ def test_broken_pressure_probe_never_wedges_dispatch():
         assert sorted(ran) == [1, 2]
     finally:
         scheduler.shutdown()
+
+
+# ------------------------------------------------------------ lock witness
+
+
+@pytest.mark.parametrize("mode", SCHEDULER_MODES)
+def test_wait_under_a_datasets_dml_lock_raises(mode):
+    """The backpressure wait refuses a caller holding the DML lock the
+    flush task it waits for must take -- in every mode, not only where
+    it would deadlock."""
+    scheduler = make_scheduler(mode, registry=_registry())
+    dataset = Dataset(
+        "orders",
+        SimulatedDisk(),
+        primary_key="id",
+        primary_domain=Domain(0, 1023),
+        scheduler=scheduler,
+    )
+    try:
+        with dataset._dml_lock:
+            with pytest.raises(WaitUnderLockError):
+                dataset._await_flush_capacity()
+            with pytest.raises(WaitUnderLockError):
+                scheduler.wait(lambda: True)
+        dataset._await_flush_capacity()  # released: no error
+    finally:
+        scheduler.shutdown()
+
+
+def test_lock_held_by_another_thread_is_not_the_callers():
+    scheduler = VirtualScheduler(registry=_registry())
+    lock = threading.RLock()
+    scheduler.witness_lock(lock)
+    held, release = threading.Event(), threading.Event()
+
+    def hold():
+        with lock:
+            held.set()
+            release.wait(5.0)
+
+    holder = threading.Thread(target=hold)
+    holder.start()
+    try:
+        assert held.wait(5.0)
+        scheduler.wait(lambda: True)  # the lock is not this thread's
+    finally:
+        release.set()
+        holder.join(5.0)
+    assert not holder.is_alive()

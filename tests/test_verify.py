@@ -19,7 +19,7 @@ from repro import verify
 from repro.cluster.faults import FaultPlan, LinkFaults
 from repro.cluster.serving import EstimateService
 from repro.core.config import StatisticsConfig
-from repro.lsm.crashpoints import CrashInjector, CrashPlan
+from repro.lsm.crashpoints import CrashInjector, CrashPlan, SimulatedCrash
 from repro.synopses.base import SynopsisType
 
 RECORDS = 256
@@ -285,3 +285,124 @@ def test_compare_reports_each_kind_of_divergence():
     )
     assert len(problems) == 1
     assert problems[0].startswith("retracted: catalog entries differ (missing [(")
+
+
+# -- the batch path: one op per document, one WAL group per call ------------------
+
+
+def _expanded_script(records=RECORDS):
+    """The op script with every ``insert_many`` batch sent one
+    document per ``insert`` call."""
+
+    def drive(cluster):
+        for op, arg in verify.ops(records):
+            if op == "insert_many":
+                for pk in arg:
+                    verify.apply(cluster, "insert", pk)
+            else:
+                verify.apply(cluster, op, arg)
+
+    return drive
+
+
+def test_batches_image_like_their_documents_one_by_one():
+    assert sum(op == "insert_many" for op, _ in verify.ops(RECORDS)) > 1
+    single = verify.observe("single", _expanded_script())
+    batched = verify.observe("batched", _script())
+    # One WAL group per partition per call instead of one per document.
+    assert batched.counters["wal.appends"] == single.counters["wal.appends"]
+    assert batched.counters["wal.commits"] < single.counters["wal.commits"]
+    _assert_converged("batched", single, batched)
+
+
+BATCH_CRASH_RECORDS = 512
+
+
+def _in_batch_hits(mode):
+    """Every (point, hit) a crash-free run passes inside an
+    ``insert_many`` op, at most eight evenly spaced hits per point."""
+    injector = CrashInjector()
+    inside: dict[str, list[int]] = {}
+
+    def drive(cluster):
+        for op, arg in verify.ops(BATCH_CRASH_RECORDS):
+            before = dict(injector.hits)
+            verify.apply(cluster, op, arg)
+            if op == "insert_many":
+                for point, hits in injector.hits.items():
+                    inside.setdefault(point, []).extend(
+                        range(before.get(point, 0) + 1, hits + 1)
+                    )
+
+    verify.observe("count", drive, crash_injector=injector, scheduler=mode)
+    return [
+        (point, hits[i * len(hits) // min(len(hits), 8)])
+        for point, hits in sorted(inside.items())
+        for i in range(min(len(hits), 8))
+    ]
+
+
+def _live(cluster):
+    return {
+        record.key: record.value
+        for node in cluster.nodes
+        for partition_id in node.partition_ids
+        for record in node.dataset(verify.DATASET, partition_id).primary.scan()
+    }
+
+
+@pytest.mark.parametrize("mode", ["sync", "virtual"])
+def test_a_crash_inside_a_batch_keeps_a_prefix_of_it(mode):
+    """At each crash point passed inside a batch: recovery holds every
+    acknowledged call, plus a prefix of the interrupted batch in the
+    order its partitions' calls ran (per partition, a seqnum prefix);
+    retrying the absent documents then converges to the crash-free run."""
+    baseline = verify.observe("sync", _script(BATCH_CRASH_RECORDS))
+    targets = _in_batch_hits(mode)
+    points = {point for point, _hit in targets}
+    if mode == "sync":
+        assert points >= {"wal.commit", "flush.rotate", "flush.build", "merge.build"}
+    else:
+        assert points >= {"wal.commit", "flush.rotate"}
+    script = verify.ops(BATCH_CRASH_RECORDS)
+    for point, hit in targets:
+        injector = CrashInjector(CrashPlan(point, hit))
+
+        def drive(cluster):
+            acknowledged: dict[int, dict] = {}
+            for position, (op, arg) in enumerate(script):
+                try:
+                    verify.apply(cluster, op, arg)
+                except SimulatedCrash:
+                    break
+                if op in ("bulkload", "insert_many"):
+                    acknowledged.update((pk, verify.doc(pk)) for pk in arg)
+                elif op == "insert":
+                    acknowledged[arg] = verify.doc(arg)
+                elif op == "delete":
+                    acknowledged.pop(arg, None)
+            op, batch = script[position]
+            assert op == "insert_many"
+            cluster.restart_nodes()
+            cluster.recover_statistics()
+            # cluster.insert_many runs one call per partition, in order
+            # of each partition's first document.
+            groups: dict[int, list[int]] = {}
+            for pk in batch:
+                groups.setdefault(cluster.partitioner.partition_of(pk), []).append(pk)
+            call_order = [pk for group in groups.values() for pk in group]
+            live = _live(cluster)
+            kept = [pk for pk in call_order if pk in live]
+            assert kept == call_order[: len(kept)]
+            assert live == {
+                **acknowledged, **{pk: verify.doc(pk) for pk in kept}
+            }
+            verify.retry(cluster, op, batch)
+            for later in script[position + 1 :]:
+                verify.apply(cluster, *later)
+
+        run = verify.observe(
+            f"{point}#{hit}", drive, crash_injector=injector, scheduler=mode
+        )
+        assert injector.fired is not None
+        _assert_converged(f"{point}#{hit}", baseline, run)
