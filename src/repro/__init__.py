@@ -45,7 +45,6 @@ from repro.obs import (
     get_registry,
     set_registry,
     span,
-    traced,
     use_registry,
 )
 from repro.lsm import (
@@ -107,5 +106,4 @@ __all__ = [
     "set_registry",
     "use_registry",
     "span",
-    "traced",
 ]

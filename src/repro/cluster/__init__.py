@@ -20,9 +20,10 @@ from repro.cluster.feeds import (
 )
 from repro.cluster.master import ClusterController
 from repro.cluster.network import Network, NetworkStats
-from repro.cluster.node import NetworkStatisticsSink, RetryPolicy, StorageNode
+from repro.cluster.node import NetworkStatisticsSink, StorageNode
 from repro.cluster.partitioner import HashPartitioner
 from repro.cluster.serving import EstimateService
+from repro.util.retry import RetryPolicy
 
 __all__ = [
     "LSMCluster",

@@ -16,7 +16,7 @@ from repro.core.config import StatisticsConfig
 from repro.cluster.faults import FaultPlan
 from repro.cluster.master import ClusterController
 from repro.cluster.network import Network
-from repro.cluster.node import DEFAULT_OUTBOX_LIMIT, RetryPolicy, StorageNode
+from repro.cluster.node import DEFAULT_OUTBOX_LIMIT, StorageNode
 from repro.cluster.partitioner import HashPartitioner
 from repro.core.estimator import EstimateResult, NDVEstimate
 from repro.errors import ClusterError
@@ -31,6 +31,7 @@ from repro.lsm.merge_policy import MergePolicy
 from repro.lsm.pacing import MergePacer
 from repro.lsm.scheduler import make_scheduler
 from repro.types import Domain
+from repro.util.retry import RetryPolicy
 
 __all__ = ["LSMCluster"]
 

@@ -530,9 +530,6 @@ class ResumableFeedConsumer:
         self._m_invalid = obs.counter("feed.records.invalid")
         self._m_replayed = obs.counter("feed.resume.replayed")
         self._m_dedup = obs.counter("feed.records.deduplicated")
-        self._m_failed = obs.counter("feed.records.failed")
-        self._m_backfilled = obs.counter("feed.records.backfilled")
-        self._m_tailed = obs.counter("feed.records.tailed")
         self._m_checkpoints = obs.counter("feed.cursor.checkpoints")
         self._m_disconnects = obs.counter("feed.source.disconnects")
         self._m_reconnects = obs.counter("feed.source.reconnects")
@@ -608,7 +605,6 @@ class ResumableFeedConsumer:
                         continue
                     if not self._apply(record):
                         failed += 1
-                        self._m_failed.inc()
                     applied_mark = seqno
                     self._cursor_store.mark_applied(self.feed_id, seqno)
                     applied += 1
@@ -616,10 +612,8 @@ class ResumableFeedConsumer:
                     since_checkpoint += 1
                     if backfill_head is not None and seqno > backfill_head:
                         tailed += 1
-                        self._m_tailed.inc()
                     else:
                         backfilled += 1
-                        self._m_backfilled.inc()
                     if (
                         self.flush_every is not None
                         and applied_mark % self.flush_every == 0

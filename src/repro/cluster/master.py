@@ -45,7 +45,7 @@ from repro.core.estimator import (
 from repro.cluster import wire
 from repro.cluster.network import Network
 from repro.errors import ClusterError, DomainError, SynopsisError, WireError
-from repro.obs.registry import MetricsRegistry, get_registry
+from repro.obs.registry import get_registry
 from repro.synopses.factory import empty_twin, synopsis_from_payload
 
 __all__ = ["ClusterController"]
@@ -59,7 +59,6 @@ class ClusterController:
         network: Network,
         node_id: str = "cc",
         cache_merged: bool = True,
-        registry: MetricsRegistry | None = None,
     ) -> None:
         self.node_id = node_id
         # Statistics publishes may arrive from background maintenance
@@ -67,10 +66,10 @@ class ClusterController:
         # lock keeps catalog/cache/dedup state consistent between the
         # two.  RLock: the estimator may consult the catalog re-entrantly.
         self._lock = threading.RLock()
-        obs = registry if registry is not None else get_registry()
+        obs = get_registry()
         self.catalog = StatisticsCatalog()
-        self.cache = MergedSynopsisCache(obs) if cache_merged else None
-        self.estimator = CardinalityEstimator(self.catalog, self.cache, obs)
+        self.cache = MergedSynopsisCache() if cache_merged else None
+        self.estimator = CardinalityEstimator(self.catalog, self.cache)
         self.stats_messages_received = 0
         # (source node, partition, epoch) -> seqs already applied;
         # messages re-delivered by the at-least-once transport are

@@ -24,11 +24,13 @@ plan is installed, so the perfect-wire byte accounting of the figure
 benchmarks is unchanged.
 
 Traffic is observable twice over: the :class:`NetworkStats` attribute
-(per-destination byte accounting, used by the figure benchmarks) and
-the ``network.*`` metrics of the injected
-:class:`~repro.obs.registry.MetricsRegistry` (docs/OBSERVABILITY.md),
-including the fault counters ``network.dropped`` /
-``network.duplicated`` / ``network.reordered`` / ``network.delayed``.
+and the ``network.*`` metrics of the registry bound at construction
+(docs/OBSERVABILITY.md), including the fault counters
+``network.dropped`` / ``network.duplicated`` / ``network.reordered`` /
+``network.delayed``.  The attribute stays beside the registry because
+it counts per network, not per registry: e2ebench and
+:mod:`repro.eval.pipeline` read ``network.stats.bytes_sent`` of one
+cluster by name.
 """
 
 from __future__ import annotations
@@ -39,7 +41,7 @@ from typing import Callable
 
 from repro.cluster.faults import FaultDecision, FaultPlan
 from repro.errors import ClusterError, NetworkUnavailableError
-from repro.obs.registry import MetricsRegistry, get_registry
+from repro.obs.registry import get_registry
 
 __all__ = ["NetworkStats", "Network"]
 
@@ -78,17 +80,12 @@ class Network:
     """Registry of node endpoints with synchronous message delivery.
 
     Args:
-        registry: Metrics registry (default: the process-global one).
         fault_plan: Optional seeded :class:`FaultPlan`; ``None`` (the
             default) keeps the wire perfect and the hot path identical
             to the pre-fault implementation.
     """
 
-    def __init__(
-        self,
-        registry: MetricsRegistry | None = None,
-        fault_plan: FaultPlan | None = None,
-    ) -> None:
+    def __init__(self, fault_plan: FaultPlan | None = None) -> None:
         self._handlers: dict[str, MessageHandler] = {}
         self.stats = NetworkStats()
         self.fault_plan = fault_plan
@@ -102,7 +99,7 @@ class Network:
         # and ordered, matching the single-wire model.  Reentrant
         # because a delivered message's handler may itself send.
         self._wire_lock = threading.RLock()
-        obs = registry if registry is not None else get_registry()
+        obs = get_registry()
         self._m_messages = obs.counter("network.messages")
         self._m_bytes = obs.counter("network.bytes")
         self._m_dropped = obs.counter("network.dropped")

@@ -27,15 +27,11 @@ from repro.lsm.merge_policy import MergePolicy
 from repro.lsm.pacing import MergePacer
 from repro.lsm.scheduler import MaintenanceScheduler
 from repro.lsm.storage import SimulatedDisk
-from repro.obs.registry import MetricsRegistry, get_registry
+from repro.obs.registry import get_registry
 from repro.types import Domain
 from repro.util.retry import RetryPolicy
 
-__all__ = ["RetryPolicy", "NetworkStatisticsSink", "StorageNode"]
-
-# RetryPolicy moved to repro.util.retry so the feed consumers and the
-# statistics sink share one seeded backoff implementation; it is
-# re-exported here because this was its historical home.
+__all__ = ["NetworkStatisticsSink", "StorageNode"]
 
 
 DEFAULT_OUTBOX_LIMIT = 1024
@@ -65,7 +61,6 @@ class NetworkStatisticsSink:
         node_id: str,
         master_id: str,
         partition_id: int,
-        registry: MetricsRegistry | None = None,
         retry_policy: RetryPolicy | None = None,
         outbox_limit: int = DEFAULT_OUTBOX_LIMIT,
         sequence_source: Callable[[], int] | None = None,
@@ -92,7 +87,7 @@ class NetworkStatisticsSink:
         )
         # Deterministic jitter: seeded from the sink's identity.
         self._rng = random.Random(f"{node_id}:{partition_id}")
-        obs = registry if registry is not None else get_registry()
+        obs = get_registry()
         self._m_shipped = obs.counter("cluster.synopses.shipped")
         self._m_retractions = obs.counter("cluster.retractions.sent")
         self._m_retries = obs.counter("sink.retries")
@@ -277,7 +272,6 @@ class StorageNode:
         self._seq_lock = threading.Lock()
         self._sinks: list[NetworkStatisticsSink] = []
         obs = get_registry()
-        self._m_restarts = obs.counter("recovery.restarts")
         self._m_orphans = obs.counter("recovery.orphans.deleted")
         network.register(node_id, self._on_message)
 
@@ -428,7 +422,6 @@ class StorageNode:
             for dataset in per_partition.values():
                 live.update(dataset.live_file_ids())
         orphans = self.disk.delete_files_except(live)
-        self._m_restarts.inc()
         if orphans:
             self._m_orphans.inc(len(orphans))
         return orphans

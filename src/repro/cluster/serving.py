@@ -46,7 +46,7 @@ from typing import Any
 
 from repro.core.estimator import EstimateResult
 from repro.errors import ConfigurationError, OverloadedError
-from repro.obs.registry import MetricsRegistry, get_registry
+from repro.obs.registry import get_registry
 from repro.util.retry import RetryPolicy
 
 __all__ = ["EstimateService"]
@@ -91,7 +91,6 @@ class EstimateService:
         default_timeout: float = DEFAULT_TIMEOUT_SECONDS,
         retry_policy: RetryPolicy | None = None,
         degraded_mode: bool = False,
-        registry: MetricsRegistry | None = None,
     ) -> None:
         if max_queue_depth < 1:
             raise ConfigurationError(
@@ -115,12 +114,11 @@ class EstimateService:
         self._running = 0
         self.peak_queue_depth = 0
         self._stopping = False
-        obs = registry if registry is not None else get_registry()
+        obs = get_registry()
         self._m_requests = obs.counter("serve.requests")
         self._m_rejected = obs.counter("serve.rejected")
         self._m_degraded = obs.counter("serve.degraded")
         self._m_timeouts = obs.counter("serve.timeouts")
-        self._m_retries = obs.counter("serve.retries")
         self._g_depth = obs.gauge("serve.queue.depth")
         self._h_latency = obs.histogram("serve.latency.seconds")
         self._h_queue_wait = obs.histogram("serve.queue_wait.seconds")
@@ -203,7 +201,6 @@ class EstimateService:
             if pause is None:
                 self._m_rejected.inc()
                 return "admission queue full"
-            self._m_retries.inc()
             self.retry_policy.sleep(pause)
 
     def _wait_for_slot(self, client_id: str, timeout: float | None) -> str | None:

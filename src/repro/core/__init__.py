@@ -3,7 +3,6 @@
 from repro.core.cache import CachedMergedSynopsis, MergedSynopsisCache
 from repro.core.catalog import StatisticsCatalog, StatisticsEntry
 from repro.core.collector import (
-    CollectorMetrics,
     StatisticsCollector,
     StatisticsSink,
     attribute_statistics_key,
@@ -22,7 +21,6 @@ __all__ = [
     "CachedMergedSynopsis",
     "StatisticsCollector",
     "StatisticsSink",
-    "CollectorMetrics",
     "attribute_statistics_key",
     "save_catalog",
     "load_catalog",

@@ -31,19 +31,21 @@ construction: a victim merely costs one deterministic re-merge on the
 next estimate for its index, so cache pressure can never change an
 estimate's value (``racecheck --memory`` exercises exactly this).
 
-Cache traffic is observable twice over: the legacy ``hits`` /
-``misses`` / ``invalidations`` / ``evictions`` attributes (kept for the
-ablation benchmarks) and the ``cache.*`` metrics of the injected
-:class:`~repro.obs.registry.MetricsRegistry` (docs/OBSERVABILITY.md),
+Cache traffic is observable twice over: the ``hits`` / ``misses`` /
+``invalidations`` / ``evictions`` attributes and the ``cache.*``
+metrics of the registry bound at construction (docs/OBSERVABILITY.md),
 which let a ``repro stats`` snapshot report the hit ratio that makes
-Figure 6b's flat overhead curve possible.
+Figure 6b's flat overhead curve possible.  The attributes stay beside
+the registry because they count per cache, not per registry:
+e2ebench's ``estimate_mix`` reads ``hits`` and ``misses`` of the
+master's cache by name.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.obs.registry import MetricsRegistry, get_registry
+from repro.obs.registry import get_registry
 from repro.synopses.base import Synopsis
 
 __all__ = ["CachedMergedSynopsis", "MergedSynopsisCache"]
@@ -78,11 +80,7 @@ class MergedSynopsisCache:
     a single oversized merge must not wedge the fast path off entirely.
     """
 
-    def __init__(
-        self,
-        registry: MetricsRegistry | None = None,
-        capacity_bytes: int | None = None,
-    ) -> None:
+    def __init__(self, capacity_bytes: int | None = None) -> None:
         # Insertion order doubles as recency order: hits reinsert.
         self._cache: dict[str, CachedMergedSynopsis] = {}
         self._capacity = capacity_bytes
@@ -92,7 +90,7 @@ class MergedSynopsisCache:
         self.misses = 0
         self.invalidations = 0
         self.evictions = 0
-        obs = registry if registry is not None else get_registry()
+        obs = get_registry()
         self._m_hit = obs.counter("cache.merged.hit")
         self._m_miss = obs.counter("cache.merged.miss")
         self._m_invalidation = obs.counter("cache.merged.invalidation")

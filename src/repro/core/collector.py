@@ -51,7 +51,7 @@ and estimator:
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Callable, Iterable, Protocol, Sequence
 
 from repro.core.config import StatisticsConfig
@@ -70,7 +70,6 @@ from repro.obs.registry import (
     Counter,
     Gauge,
     Histogram,
-    MetricsRegistry,
     get_registry,
 )
 from repro.synopses.base import Synopsis, SynopsisBuilder, SynopsisType
@@ -83,37 +82,9 @@ __all__ = [
     "StatisticsSink",
     "StatisticsUpdate",
     "StatisticsCollector",
-    "CollectorMetrics",
     "attribute_statistics_key",
     "ndv_statistics_key",
 ]
-
-
-@dataclass
-class CollectorMetrics:
-    """Observability counters of one collector.
-
-    The paper's overhead argument is made in wall-clock and I/O terms;
-    these counters expose the collector's own share of the work so
-    operators (and the fig2 harness) can attribute it precisely.
-    """
-
-    component_writes: int = 0
-    synopses_published: int = 0
-    matter_records_observed: int = 0
-    antimatter_records_observed: int = 0
-    values_skipped: int = 0
-    finalize_seconds: float = 0.0
-    sketch_register_bytes: int = 0
-    sketch_wire_bytes: int = 0
-    writes_by_event: dict[str, int] = field(default_factory=dict)
-
-    def record_event(self, event_name: str) -> None:
-        """Count one component write by its lifecycle event."""
-        self.component_writes += 1
-        self.writes_by_event[event_name] = (
-            self.writes_by_event.get(event_name, 0) + 1
-        )
 
 
 def attribute_statistics_key(index_name: str, attribute: str) -> str:
@@ -165,7 +136,7 @@ class _Staged:
 
 @dataclass(frozen=True)
 class _Instruments:
-    """Registry instruments bound once per collector.
+    """Registry instruments bound once per collector, its only counts.
 
     The tap (:meth:`_RegistrationSink.accept_many`) runs inside the
     ingestion hot path, so it only touches pre-bound counters -- with
@@ -177,25 +148,24 @@ class _Instruments:
     synopses_rederived: Counter
     matter_records: Counter
     antimatter_records: Counter
-    values_skipped: Counter
     build_seconds: Histogram
     sketch_register_bytes: Counter
     sketch_wire_bytes: Counter
     sketch_compression_ratio: Gauge
 
     @classmethod
-    def bind(cls, registry: MetricsRegistry) -> "_Instruments":
+    def bind(cls) -> "_Instruments":
+        obs = get_registry()
         return cls(
-            component_writes=registry.counter("collector.component_writes"),
-            synopses_published=registry.counter("collector.synopses.published"),
-            synopses_rederived=registry.counter("collector.synopses.rederived"),
-            matter_records=registry.counter("collector.records.matter"),
-            antimatter_records=registry.counter("collector.records.antimatter"),
-            values_skipped=registry.counter("collector.values.skipped"),
-            build_seconds=registry.histogram("synopsis.build.seconds"),
-            sketch_register_bytes=registry.counter("sketch.registers.bytes"),
-            sketch_wire_bytes=registry.counter("sketch.wire.bytes"),
-            sketch_compression_ratio=registry.gauge("sketch.compression.ratio"),
+            component_writes=obs.counter("collector.component_writes"),
+            synopses_published=obs.counter("collector.synopses.published"),
+            synopses_rederived=obs.counter("collector.synopses.rederived"),
+            matter_records=obs.counter("collector.records.matter"),
+            antimatter_records=obs.counter("collector.records.antimatter"),
+            build_seconds=obs.histogram("synopsis.build.seconds"),
+            sketch_register_bytes=obs.counter("sketch.registers.bytes"),
+            sketch_wire_bytes=obs.counter("sketch.wire.bytes"),
+            sketch_compression_ratio=obs.gauge("sketch.compression.ratio"),
         )
 
 
@@ -218,13 +188,15 @@ class _Registration:
 
 
 def _note_sketch_shipment(
-    metrics: CollectorMetrics,
     instruments: _Instruments,
     synopsis: Synopsis,
     anti_synopsis: Synopsis | None,
 ) -> None:
     """Account a published HLL pair's dense vs wire (HBS) bytes (an
-    empty twin is not shipped, so it counts neither)."""
+    empty twin is not shipped, so it counts neither).  The ratio gauge
+    is read off the registry's two counters, which every collector on
+    the registry feeds, so it is the registry-wide ratio and not the
+    last publisher's own."""
     if not isinstance(synopsis, HyperLogLogSynopsis):
         return
     dense = synopsis.register_bytes()
@@ -233,13 +205,13 @@ def _note_sketch_shipment(
         assert isinstance(anti_synopsis, HyperLogLogSynopsis)
         dense += anti_synopsis.register_bytes()
         wire += anti_synopsis.encoded_bytes()
-    metrics.sketch_register_bytes += dense
-    metrics.sketch_wire_bytes += wire
     instruments.sketch_register_bytes.inc(dense)
     instruments.sketch_wire_bytes.inc(wire)
-    instruments.sketch_compression_ratio.set(
-        metrics.sketch_register_bytes / metrics.sketch_wire_bytes
-    )
+    wire_total = instruments.sketch_wire_bytes.value
+    if wire_total:  # a no-op registry's counters stay at zero
+        instruments.sketch_compression_ratio.set(
+            instruments.sketch_register_bytes.value / wire_total
+        )
 
 
 class _RegistrationSink:
@@ -252,7 +224,6 @@ class _RegistrationSink:
         builder: SynopsisBuilder,
         anti_builder: SynopsisBuilder,
         emit: Callable[[Iterable[Entry]], None],
-        metrics: CollectorMetrics,
         instruments: _Instruments,
     ) -> None:
         self._registration = registration
@@ -268,7 +239,6 @@ class _RegistrationSink:
         self._anti_builder = anti_builder
         self._anti_seen = False
         self._emit = emit
-        self._metrics = metrics
         self._instruments = instruments
 
     def accept(self, record: Record) -> None:
@@ -289,22 +259,16 @@ class _RegistrationSink:
         """
         self.observe(split_matter_anti(chunk, self._extractor))
 
-    def observe(self, split: tuple[Sequence[Any], Sequence[Any], int]) -> None:
-        """Feed one chunk's (matter, anti-matter, skipped) split to the
-        builders; the values are read, never mutated."""
-        matter_seq, anti_seq, skipped = split
-        metrics = self._metrics
+    def observe(self, split: tuple[Sequence[Any], Sequence[Any]]) -> None:
+        """Feed one chunk's (matter, anti-matter) split to the builders;
+        the values are read, never mutated."""
+        matter_seq, anti_seq = split
         instruments = self._instruments
-        if skipped:
-            metrics.values_skipped += skipped
-            instruments.values_skipped.inc(skipped)
         if anti_seq:
-            metrics.antimatter_records_observed += len(anti_seq)
             instruments.antimatter_records.inc(len(anti_seq))
             self._anti_builder.add_many(anti_seq)
             self._anti_seen = True
         if matter_seq:
-            metrics.matter_records_observed += len(matter_seq)
             instruments.matter_records.inc(len(matter_seq))
             self._builder.add_many(matter_seq)
 
@@ -314,12 +278,8 @@ class _RegistrationSink:
         # An anti-matter twin that saw no value is the family's empty
         # synopsis: it is not built here, and it travels as None.
         anti_synopsis = self._anti_builder.build() if self._anti_seen else None
-        elapsed = time.perf_counter() - started
-        self._metrics.finalize_seconds += elapsed
-        self._instruments.build_seconds.observe(elapsed)
-        _note_sketch_shipment(
-            self._metrics, self._instruments, synopsis, anti_synopsis
-        )
+        self._instruments.build_seconds.observe(time.perf_counter() - started)
+        _note_sketch_shipment(self._instruments, synopsis, anti_synopsis)
         key = self._registration.statistics_key
         self._emit([(key, component.uid, synopsis, anti_synopsis)])
 
@@ -336,7 +296,7 @@ class _CompositeSink:
     def accept_many(self, chunk: ColumnarChunk) -> None:
         # Registrations on one index share its extractor (a family and
         # its #ndv lane): split the chunk once per extractor.
-        splits: dict[Any, tuple[Sequence[Any], Sequence[Any], int]] = {}
+        splits: dict[Any, tuple[Sequence[Any], Sequence[Any]]] = {}
         for sink in self._sinks:
             split = splits.get(sink._extractor)
             if split is None:
@@ -353,12 +313,7 @@ class _CompositeSink:
 class StatisticsCollector:
     """LSM event observer building synopses for registered targets."""
 
-    def __init__(
-        self,
-        config: StatisticsConfig,
-        sink: StatisticsSink,
-        registry: MetricsRegistry | None = None,
-    ) -> None:
+    def __init__(self, config: StatisticsConfig, sink: StatisticsSink) -> None:
         if not config.enabled:
             raise ConfigurationError(
                 "StatisticsCollector requires an enabled configuration; "
@@ -366,10 +321,7 @@ class StatisticsCollector:
             )
         self.config = config
         self.sink = sink
-        self.metrics = CollectorMetrics()
-        self._instruments = _Instruments.bind(
-            registry if registry is not None else get_registry()
-        )
+        self._instruments = _Instruments.bind()
         # index name -> registrations tapping that index's stream
         self._registrations: dict[str, list[_Registration]] = {}
 
@@ -509,7 +461,6 @@ class StatisticsCollector:
             context.index_name, context.key_extractor, context.expected_records
         )
         if sink is not None:
-            self.metrics.record_event(context.event_type.value)
             self._instruments.component_writes.inc()
         return sink
 
@@ -530,7 +481,6 @@ class StatisticsCollector:
                 key_extractor,
                 *self._builder_pair(registration, expected_records),
                 self._emit,
-                self.metrics,
                 self._instruments,
             )
             for registration in registrations
@@ -580,7 +530,6 @@ class StatisticsCollector:
         if not entries and not retracts:
             return
         self.sink.publish(StatisticsUpdate(entries, retracts))
-        self.metrics.synopses_published += 2 * len(entries)
         self._instruments.synopses_published.inc(2 * len(entries))
 
     def components_recovered(

@@ -33,12 +33,7 @@ from typing import Sequence
 from repro.core.cache import MergedSynopsisCache
 from repro.core.catalog import StatisticsCatalog
 from repro.errors import MergeabilityError, SynopsisError
-from repro.obs.registry import (
-    Histogram,
-    MetricsRegistry,
-    get_registry,
-    sanitize_segment,
-)
+from repro.obs.registry import Histogram, get_registry, sanitize_segment
 from repro.synopses.base import Synopsis
 from repro.synopses.hll import HyperLogLogSynopsis, ndv_statistics_key
 
@@ -107,11 +102,10 @@ class CardinalityEstimator:
         self,
         catalog: StatisticsCatalog,
         cache: MergedSynopsisCache | None = None,
-        registry: MetricsRegistry | None = None,
     ) -> None:
         self.catalog = catalog
         self.cache = cache
-        self._obs = registry if registry is not None else get_registry()
+        self._obs = get_registry()
         self._m_estimates = self._obs.counter("estimator.estimate.count")
         self._m_cache_hits = self._obs.counter("estimator.cache_hit.count")
         self._m_lazy_merges = self._obs.counter("estimator.lazy_merge.count")

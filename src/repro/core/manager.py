@@ -19,7 +19,6 @@ from repro.core.estimator import (
     NDVEstimate,
 )
 from repro.lsm.dataset import Dataset
-from repro.obs.registry import MetricsRegistry, get_registry
 from repro.synopses.multidim import Synopsis2DType
 
 __all__ = ["LocalStatisticsSink", "StatisticsManager"]
@@ -54,24 +53,15 @@ class LocalStatisticsSink:
 class StatisticsManager:
     """Catalog + cache + collector + estimator for a local deployment."""
 
-    def __init__(
-        self,
-        config: StatisticsConfig,
-        registry: MetricsRegistry | None = None,
-    ) -> None:
+    def __init__(self, config: StatisticsConfig) -> None:
         self.config = config
-        self.registry = registry if registry is not None else get_registry()
         self.catalog = StatisticsCatalog()
-        self.cache = (
-            MergedSynopsisCache(self.registry) if config.cache_merged else None
-        )
+        self.cache = MergedSynopsisCache() if config.cache_merged else None
         self.collector: StatisticsCollector | None = None
         if config.enabled:
             sink = LocalStatisticsSink(self.catalog, self.cache)
-            self.collector = StatisticsCollector(config, sink, self.registry)
-        self.estimator = CardinalityEstimator(
-            self.catalog, self.cache, self.registry
-        )
+            self.collector = StatisticsCollector(config, sink)
+        self.estimator = CardinalityEstimator(self.catalog, self.cache)
 
     def attach(self, dataset: Dataset) -> None:
         """Enable statistics for a dataset's primary and secondary keys.

@@ -491,7 +491,7 @@ def _bench_ship(
     scale: PerfScale, seed: int, timer: Callable[[], float]
 ) -> dict[str, float]:
     """Publish synopsis pairs through the (perfect) cluster wire."""
-    from repro.cluster.node import NetworkStatisticsSink, RetryPolicy
+    from repro.cluster.node import NetworkStatisticsSink
     from repro.core.collector import StatisticsUpdate
 
     network = Network()

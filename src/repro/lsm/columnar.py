@@ -261,9 +261,9 @@ _NO_VALUES: tuple[Any, ...] = ()
 
 def split_matter_anti(
     chunk: ColumnarChunk, extractor: Callable[[Record], Any]
-) -> tuple[Sequence[Any], Sequence[Any], int]:
-    """Split a chunk into (matter values, anti values, skipped count)
-    for one statistics registration, reading columns only.
+) -> tuple[Sequence[Any], Sequence[Any]]:
+    """Split a chunk into (matter values, anti values) for one
+    statistics registration, reading columns only.
 
     Row order is preserved within each class and ``None`` values are
     skipped, so feeding the results to ``add_many`` is bit-identical
@@ -276,20 +276,18 @@ def split_matter_anti(
     ):
         # Pure matter, int keys, raw-key registration: the typed
         # column *is* the matter value sequence; no copy at all.
-        return chunk.typed_keys, _NO_VALUES, 0
+        return chunk.typed_keys, _NO_VALUES
     column = summary_column_fn(extractor)(chunk)
     anti = chunk.anti
     if anti is None:
-        matter_values = [value for value in column if value is not None]
-        return matter_values, _NO_VALUES, len(column) - len(matter_values)
+        return [value for value in column if value is not None], _NO_VALUES
     matter_values = []
     anti_values: list[Any] = []
-    skipped = 0
     for value, is_anti in zip(column, anti):
         if value is None:
-            skipped += 1
-        elif is_anti:
+            continue
+        if is_anti:
             anti_values.append(value)
         else:
             matter_values.append(value)
-    return matter_values, anti_values, skipped
+    return matter_values, anti_values

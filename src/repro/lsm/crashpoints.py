@@ -26,7 +26,7 @@ import random
 from dataclasses import dataclass
 
 from repro.errors import ConfigurationError
-from repro.obs.registry import MetricsRegistry, get_registry
+from repro.obs.registry import get_registry
 
 __all__ = ["CRASH_POINTS", "SimulatedCrash", "CrashPlan", "CrashInjector"]
 
@@ -118,30 +118,20 @@ class CrashInjector:
     can assert a point was actually exercised.
     """
 
-    def __init__(
-        self,
-        plan: CrashPlan | None = None,
-        registry: MetricsRegistry | None = None,
-    ) -> None:
+    def __init__(self, plan: CrashPlan | None = None) -> None:
         self.plan = plan
         self.fired: SimulatedCrash | None = None
         self.hits: dict[str, int] = {}
-        obs = registry if registry is not None else get_registry()
+        obs = get_registry()
         self._m_crashes = obs.counter("crash.injected")
 
     @classmethod
-    def seeded(
-        cls,
-        seed: int,
-        point: str,
-        max_hit: int = 3,
-        registry: MetricsRegistry | None = None,
-    ) -> "CrashInjector":
+    def seeded(cls, seed: int, point: str, max_hit: int = 3) -> "CrashInjector":
         """A plan for ``point`` whose hit number is drawn from
         ``random.Random(seed)`` in ``[1, max_hit]`` -- deterministic per
         seed, so a failing crashcheck run is replayable."""
         rng = random.Random(f"{seed}:{point}")
-        return cls(CrashPlan(point, rng.randint(1, max_hit)), registry=registry)
+        return cls(CrashPlan(point, rng.randint(1, max_hit)))
 
     def reached(self, point: str) -> None:
         """Record a passage through ``point``; crash if the plan says so."""

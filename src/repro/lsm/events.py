@@ -34,7 +34,7 @@ from typing import Any, Callable, Iterator, Protocol, Sequence, TypeVar
 from repro.lsm.columnar import ColumnarChunk
 from repro.lsm.component import DiskComponent
 from repro.lsm.record import Record
-from repro.obs.registry import MetricsRegistry, get_registry
+from repro.obs.registry import get_registry
 
 __all__ = [
     "LSMEventType",
@@ -154,12 +154,12 @@ class EventBus:
     """Fan-out of LSM lifecycle notifications to registered observers.
 
     Emits the ``lsm.events.*`` metrics (docs/OBSERVABILITY.md): one
-    count per component-write offer and per merge replacement notice,
-    plus an observer-population gauge -- enough to see whether a
-    statistics framework is actually riding the lifecycle.
+    count per component-write offer and per recovery notice -- enough
+    to see whether a statistics framework is actually riding the
+    lifecycle.
     """
 
-    def __init__(self, registry: MetricsRegistry | None = None) -> None:
+    def __init__(self) -> None:
         self._observers: list[LSMEventObserver] = []
         # Notifications may fire from background maintenance threads
         # while the application (un)subscribes; the guard keeps the
@@ -167,11 +167,9 @@ class EventBus:
         # RLock, because an observer callback may legally re-enter the
         # bus (e.g. a collector publishing triggers another tap offer).
         self._guard = threading.RLock()
-        obs = registry if registry is not None else get_registry()
+        obs = get_registry()
         self._m_writes = obs.counter("lsm.events.component_writes")
-        self._m_replacements = obs.counter("lsm.events.replacements")
         self._m_recoveries = obs.counter("lsm.events.recoveries")
-        self._g_observers = obs.gauge("lsm.events.observers")
         self._m_observer_failures = obs.counter("lsm.observer.failures")
 
     @contextmanager
@@ -207,14 +205,12 @@ class EventBus:
         with self._guard:
             if observer not in self._observers:
                 self._observers.append(observer)
-                self._g_observers.inc()
 
     def unsubscribe(self, observer: LSMEventObserver) -> None:
         """Remove an observer if registered."""
         with self._guard:
             if observer in self._observers:
                 self._observers.remove(observer)
-                self._g_observers.inc(-1)
 
     def open_sinks(self, context: ComponentWriteContext) -> list[RecordSink]:
         """Collect sinks from all observers for one component write."""
@@ -235,7 +231,6 @@ class EventBus:
     ) -> None:
         """Broadcast that a merge superseded components."""
         with self._guard:
-            self._m_replacements.inc()
             for observer in self._observers:
                 observer.component_replaced(
                     index_name, old_components, new_component

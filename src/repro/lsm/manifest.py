@@ -32,7 +32,7 @@ from typing import Any
 from repro.errors import ManifestError
 from repro.lsm.crashpoints import CrashInjector
 from repro.lsm.storage import FileHandle, SimulatedDisk
-from repro.obs.registry import MetricsRegistry, get_registry
+from repro.obs.registry import get_registry
 
 __all__ = ["Manifest", "ManifestState", "ComponentDescriptor", "MANIFEST_EVENTS"]
 
@@ -123,14 +123,11 @@ class Manifest:
         name: str,
         recover: bool = False,
         crash_injector: CrashInjector | None = None,
-        registry: MetricsRegistry | None = None,
     ) -> None:
         self.disk = disk
         self.name = name
         self._injector = crash_injector
-        obs = registry if registry is not None else get_registry()
-        self._m_entries = obs.counter("manifest.entries")
-        self._m_txns = obs.counter("manifest.txns")
+        self._m_txns = get_registry().counter("manifest.txns")
         superblock_key = self._superblock_key
         if recover and superblock_key in disk.superblock:
             self._file = FileHandle(disk, disk.superblock[superblock_key])
@@ -172,7 +169,6 @@ class Manifest:
                 "crc": _entry_checksum(kind, tree, txn, payload),
             }
         )
-        self._m_entries.inc()
 
     # -- write path ------------------------------------------------------
 

@@ -45,7 +45,7 @@ import threading
 from typing import TYPE_CHECKING, Any
 
 from repro.errors import ConfigurationError
-from repro.obs.registry import MetricsRegistry, get_registry
+from repro.obs.registry import get_registry
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.cache import MergedSynopsisCache
@@ -135,9 +135,7 @@ class MemoryArbiter:
     #: Cache capacity floor (one small merged pair stays admissible).
     MIN_CACHE_BYTES = 4096
 
-    def __init__(
-        self, budget_bytes: int, registry: MetricsRegistry | None = None
-    ) -> None:
+    def __init__(self, budget_bytes: int) -> None:
         if budget_bytes < 1:
             raise ConfigurationError(
                 f"memory budget must be >= 1 byte, got {budget_bytes}"
@@ -150,11 +148,10 @@ class MemoryArbiter:
         self._usage: dict[str, MemoryUsage] = {}
         self._cache: "MergedSynopsisCache | None" = None
         self._peak = 0
-        obs = registry if registry is not None else get_registry()
+        obs = get_registry()
         self._m_early_flush = obs.counter("memory.pressure.early_flush")
         self._m_stall = obs.counter("memory.pressure.stall")
         self._g_budget = obs.gauge("memory.budget.bytes")
-        self._g_accounted = obs.gauge("memory.accounted.bytes")
         self._g_peak = obs.gauge("memory.peak.bytes")
         self._g_write_pool = obs.gauge("memory.pool.write.bytes")
         self._g_cache_pool = obs.gauge("memory.pool.cache.bytes")
@@ -184,12 +181,12 @@ class MemoryArbiter:
         with self._lock:
             self._cache = cache
             cache.add_bytes_listener(self._on_cache_bytes)
-            self._publish_accounted_locked()
+            self._track_peak_locked()
             cache.set_capacity(self._cache_pool_locked())
 
     def _on_cache_bytes(self, _bytes: int) -> None:
         with self._lock:
-            self._publish_accounted_locked()
+            self._track_peak_locked()
 
     # -- pool geometry ---------------------------------------------------
 
@@ -265,7 +262,7 @@ class MemoryArbiter:
         with self._lock:
             previous = self._usage.get(key)
             self._usage[key] = MemoryUsage(active, immutable, bloom, resident)
-            self._publish_accounted_locked()
+            self._track_peak_locked()
             # (only bloom bytes move the cache pool -- at flushes and
             # merges, not per write: keep the per-write section short)
             if previous is None or previous.bloom != bloom:
@@ -287,9 +284,8 @@ class MemoryArbiter:
             total += self._cache.memory_bytes()
         return total
 
-    def _publish_accounted_locked(self) -> None:
+    def _track_peak_locked(self) -> None:
         total = self._accounted_locked()
-        self._publish(self._g_accounted, "accounted", total)
         if total > self._peak:
             self._peak = total
             self._publish(self._g_peak, "peak", self._peak)

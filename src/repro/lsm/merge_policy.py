@@ -23,7 +23,6 @@ from typing import Sequence
 
 from repro.errors import ConfigurationError
 from repro.lsm.component import DiskComponent
-from repro.obs.registry import get_registry
 
 __all__ = [
     "MergePolicy",
@@ -47,7 +46,6 @@ class MergePolicy(ABC):
     def __init__(self) -> None:
         self._in_flight: set[int] = set()  # uids of components mid-merge
         self._slot_lock = threading.Lock()
-        self._g_in_flight = get_registry().gauge("merge.slots.in_flight")
 
     @abstractmethod
     def select_merge(
@@ -75,7 +73,6 @@ class MergePolicy(ABC):
             selected = self.select_merge(eligible)
             if selected:
                 self._in_flight.update(c.uid for c in selected)
-                self._g_in_flight.inc(len(selected))
                 return selected
             return None
 
@@ -83,13 +80,8 @@ class MergePolicy(ABC):
         """Return the slots claimed by :meth:`acquire_merge` (called when
         the merge completes or fails)."""
         with self._slot_lock:
-            released = 0
             for component in components:
-                if component.uid in self._in_flight:
-                    self._in_flight.discard(component.uid)
-                    released += 1
-            if released:
-                self._g_in_flight.inc(-released)
+                self._in_flight.discard(component.uid)
 
     @property
     def in_flight_count(self) -> int:

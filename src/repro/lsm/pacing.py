@@ -35,7 +35,7 @@ import time
 from typing import Callable
 
 from repro.errors import ConfigurationError
-from repro.obs.registry import MetricsRegistry, get_registry
+from repro.obs.registry import get_registry
 
 __all__ = ["MergePacer", "DEFAULT_MERGE_PACE_SLICE"]
 
@@ -70,7 +70,6 @@ class MergePacer:
         rate: float,
         burst: float | None = None,
         blocking: bool = True,
-        registry: MetricsRegistry | None = None,
         clock: Callable[[], float] = time.monotonic,
         sleep: Callable[[float], None] = time.sleep,
         max_sleep: float = DEFAULT_MERGE_PACE_SLICE,
@@ -91,7 +90,7 @@ class MergePacer:
         self._lock = threading.Lock()
         self._tokens = self.burst  # start full: the first chunks are free
         self._last = clock()
-        obs = registry if registry is not None else get_registry()
+        obs = get_registry()
         self._m_tokens = obs.counter("merge.pacing.tokens")
         self._m_waits = obs.counter("merge.pacing.waits")
         self._h_wait = obs.histogram("merge.pacing.wait.seconds")

@@ -55,7 +55,7 @@ from collections import deque
 from typing import Callable
 
 from repro.errors import ConfigurationError, SchedulerError, WaitUnderLockError
-from repro.obs.registry import MetricsRegistry, get_registry
+from repro.obs.registry import get_registry
 
 __all__ = [
     "MaintenanceScheduler",
@@ -92,8 +92,8 @@ class MaintenanceScheduler(ABC):
     #: One of :data:`SCHEDULER_MODES`; also keys ``make_scheduler``.
     mode: str = "abstract"
 
-    def __init__(self, registry: MetricsRegistry | None = None) -> None:
-        obs = registry if registry is not None else get_registry()
+    def __init__(self) -> None:
+        obs = get_registry()
         self._m_submitted = obs.counter("scheduler.tasks.submitted")
         self._m_completed = obs.counter("scheduler.tasks.completed")
         self._m_failed = obs.counter("scheduler.tasks.failed")
@@ -261,10 +261,8 @@ class VirtualScheduler(MaintenanceScheduler):
 
     mode = "virtual"
 
-    def __init__(
-        self, seed: int | str = 0, registry: MetricsRegistry | None = None
-    ) -> None:
-        super().__init__(registry)
+    def __init__(self, seed: int | str = 0) -> None:
+        super().__init__()
         self._rng = random.Random(f"scheduler:{seed}")
         self._lanes: dict[str, deque[Task]] = {}
 
@@ -339,16 +337,12 @@ class ThreadPoolScheduler(MaintenanceScheduler):
 
     mode = "threads"
 
-    def __init__(
-        self,
-        max_workers: int = DEFAULT_MAX_WORKERS,
-        registry: MetricsRegistry | None = None,
-    ) -> None:
+    def __init__(self, max_workers: int = DEFAULT_MAX_WORKERS) -> None:
         if max_workers < 1:
             raise ConfigurationError(
                 f"max_workers must be >= 1, got {max_workers}"
             )
-        super().__init__(registry)
+        super().__init__()
         self._mutex = threading.Lock()
         self._changed = threading.Condition(self._mutex)
         self._lanes: dict[str, deque[tuple[Task, str]]] = {}
@@ -492,17 +486,16 @@ def make_scheduler(
     mode: str,
     seed: int | str = 0,
     max_workers: int = DEFAULT_MAX_WORKERS,
-    registry: MetricsRegistry | None = None,
 ) -> MaintenanceScheduler:
     """Build a scheduler from its mode name (``"sync"`` | ``"threads"``
     | ``"virtual"``), the form the dataset/cluster constructors and the
     README document."""
     if mode == "sync":
-        return SyncScheduler(registry=registry)
+        return SyncScheduler()
     if mode == "threads":
-        return ThreadPoolScheduler(max_workers=max_workers, registry=registry)
+        return ThreadPoolScheduler(max_workers=max_workers)
     if mode == "virtual":
-        return VirtualScheduler(seed=seed, registry=registry)
+        return VirtualScheduler(seed=seed)
     raise ConfigurationError(
         f"unknown scheduler mode {mode!r}; expected one of {SCHEDULER_MODES}"
     )

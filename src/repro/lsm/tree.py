@@ -45,7 +45,7 @@ from repro.lsm.pacing import MergePacer
 from repro.lsm.record import Record
 from repro.lsm.rtree import build_rtree, build_rtree_chunks
 from repro.lsm.storage import SimulatedDisk
-from repro.obs.registry import MetricsRegistry, get_registry, sanitize_segment
+from repro.obs.registry import get_registry, sanitize_segment
 from repro.obs.tracing import span
 
 __all__ = [
@@ -140,7 +140,6 @@ class LSMTree:
         fanout: int = DEFAULT_FANOUT,
         bloom_fpp: float | None = 0.01,
         index_builder: Callable[..., Any] | None = None,
-        registry: MetricsRegistry | None = None,
         write_batch_size: int = DEFAULT_WRITE_BATCH_SIZE,
         manifest: Manifest | None = None,
         crash_injector: CrashInjector | None = None,
@@ -214,12 +213,11 @@ class LSMTree:
         self.observer_failures = 0
         # Instruments bind once at construction (docs/OBSERVABILITY.md);
         # record counts are added in bulk when a component seals.
-        self._obs = registry if registry is not None else get_registry()
+        self._obs = get_registry()
         self._m_flush = self._obs.counter("lsm.flush.count")
         self._m_merge = self._obs.counter("lsm.merge.count")
         self._m_bulkload = self._obs.counter("lsm.bulkload.count")
         self._m_matter = self._obs.counter("lsm.records.matter")
-        self._m_anti = self._obs.counter("lsm.records.antimatter")
         self._m_observer_failures = self._obs.counter("lsm.observer.failures")
         self._m_recovered = self._obs.counter("recovery.components")
         self._g_components = self._obs.gauge(
@@ -673,7 +671,6 @@ class LSMTree:
             expected_records=expected_records,
         )
         self._m_matter.inc(total - anti)
-        self._m_anti.inc(anti)
         self._finish_sinks(live_sinks, component)
         return component
 

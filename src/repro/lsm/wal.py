@@ -43,7 +43,7 @@ from repro.errors import WALError
 from repro.lsm.crashpoints import CrashInjector
 from repro.lsm.record import Record
 from repro.lsm.storage import FileHandle, SimulatedDisk
-from repro.obs.registry import MetricsRegistry, get_registry
+from repro.obs.registry import get_registry
 
 __all__ = ["WriteAheadLog"]
 
@@ -70,7 +70,6 @@ class WriteAheadLog:
         name: str,
         recover: bool = False,
         crash_injector: CrashInjector | None = None,
-        registry: MetricsRegistry | None = None,
     ) -> None:
         self.disk = disk
         self.name = name
@@ -80,7 +79,7 @@ class WriteAheadLog:
         # any other caller too.
         self._mutex = threading.Lock()
         self._pending: list[tuple[int, list[tuple[str, tuple]]]] = []
-        obs = registry if registry is not None else get_registry()
+        obs = get_registry()
         self._m_appends = obs.counter("wal.appends")
         self._m_commits = obs.counter("wal.commits")
         self._m_truncations = obs.counter("wal.truncations")

@@ -5,13 +5,15 @@ The paper's central claim is that statistics collection is
 I/O.  This package provides the instruments to measure that claim from
 inside the system: a dependency-free :class:`MetricsRegistry` (counters,
 gauges, fixed-bucket histograms with cheap percentiles), a structured
-tracing API (:func:`span` / :func:`traced`) that records wall-time spans
-of the LSM lifecycle and the estimation path, and JSON/text exporters.
+tracing API (:func:`span`) that records wall-time spans of the LSM
+lifecycle, and JSON/text exporters.
 
 Design rules (the full contract lives in ``docs/OBSERVABILITY.md``):
 
-* Instruments are *injectable* everywhere and default to a
-  process-global registry (:func:`get_registry`).
+* Every instrumented object binds the process-global registry
+  (:func:`get_registry`) at construction; :func:`use_registry` /
+  :func:`set_registry` before construction is the one way to choose
+  another.
 * Instrumentation is zero-cost-when-disabled: install
   :data:`NOOP_REGISTRY` (or any registry with ``enabled=False``) and
   every instrument becomes a shared do-nothing object; spans skip the
@@ -34,7 +36,7 @@ from repro.obs.registry import (
     set_registry,
     use_registry,
 )
-from repro.obs.tracing import span, traced
+from repro.obs.tracing import span
 
 __all__ = [
     "Counter",
@@ -48,7 +50,6 @@ __all__ = [
     "set_registry",
     "use_registry",
     "span",
-    "traced",
     "render_json",
     "render_text",
     "write_snapshot",

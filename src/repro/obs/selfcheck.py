@@ -68,17 +68,15 @@ EXPECTED_HISTOGRAMS = (
 _DOCS_PATH = Path(__file__).resolve().parents[3] / "docs" / "OBSERVABILITY.md"
 
 
-def run_scripted_ingest(
-    registry: MetricsRegistry | None = None,
-) -> dict[str, Any]:
+def run_scripted_ingest() -> dict[str, Any]:
     """Drive bulkload + flushes + merges + deletes + estimates and
     return the metrics snapshot (plus a ``derived`` section).
 
-    Runs against ``registry`` (default: a fresh one) installed as the
-    process-global registry for the duration, so every layer's
-    constructor-bound instruments land in the same snapshot.
+    Runs against a fresh registry installed as the process-global one
+    for the duration, so every layer's constructor-bound instruments
+    land in the same snapshot.
     """
-    reg = registry if registry is not None else MetricsRegistry()
+    reg = MetricsRegistry()
     with use_registry(reg):
         dataset = Dataset(
             "readings",
@@ -96,7 +94,6 @@ def run_scripted_ingest(
                 ndv_enabled=True,
                 ndv_precision=6,
             ),
-            reg,
         )
         stats.attach(dataset)
 

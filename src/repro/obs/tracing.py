@@ -2,11 +2,10 @@
 
 A *span* is a named wall-clock measurement recorded into the metric
 ``<name>.seconds`` (a latency histogram) of a registry; a failed span
-additionally bumps ``<name>.errors``.  Two entry points:
-
-* :func:`span` -- a context manager for inline blocks, used by the
-  instrumented flush/merge/bulkload paths.
-* :func:`traced` -- a decorator for whole functions.
+additionally bumps ``<name>.errors``.  :func:`span` is a context
+manager for inline blocks, used by the instrumented
+flush/merge/bulkload paths, which pass the registry their tree bound at
+construction.
 
 When the effective registry is disabled (``enabled`` is False) the span
 machinery skips the clock reads entirely, keeping the instrumentation
@@ -16,16 +15,13 @@ against.
 
 from __future__ import annotations
 
-import functools
 import time
 from contextlib import contextmanager
-from typing import Any, Callable, Iterator, TypeVar
+from typing import Iterator
 
 from repro.obs.registry import MetricsRegistry, get_registry
 
-__all__ = ["span", "traced"]
-
-F = TypeVar("F", bound=Callable[..., Any])
+__all__ = ["span"]
 
 
 @contextmanager
@@ -48,24 +44,3 @@ def span(name: str, registry: MetricsRegistry | None = None) -> Iterator[None]:
         reg.histogram(f"{name}.seconds").observe(time.perf_counter() - started)
         raise
     reg.histogram(f"{name}.seconds").observe(time.perf_counter() - started)
-
-
-def traced(
-    name: str, registry: MetricsRegistry | None = None
-) -> Callable[[F], F]:
-    """Decorator form of :func:`span`.
-
-    The registry is resolved *per call* (unless one is bound
-    explicitly), so tests that swap the global registry see decorated
-    functions follow along.
-    """
-
-    def decorate(func: F) -> F:
-        @functools.wraps(func)
-        def wrapper(*args: Any, **kwargs: Any) -> Any:
-            with span(name, registry):
-                return func(*args, **kwargs)
-
-        return wrapper  # type: ignore[return-value]
-
-    return decorate

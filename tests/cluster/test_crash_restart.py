@@ -7,7 +7,7 @@ from repro.cluster import wire
 from repro.cluster.cluster import LSMCluster
 from repro.cluster.crashcheck import format_report, run_crashcheck
 from repro.cluster.faults import FaultPlan, LinkFaults
-from repro.cluster.node import RetryPolicy
+from repro.util.retry import RetryPolicy
 from repro.core.config import StatisticsConfig
 from repro.errors import ClusterError
 from repro.lsm.dataset import IndexSpec

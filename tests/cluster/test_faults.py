@@ -7,10 +7,11 @@ from repro.cluster.faultcheck import run_faultcheck
 from repro.cluster.faults import FaultDecision, FaultPlan, LinkFaults
 from repro.cluster.master import ClusterController
 from repro.cluster.network import Network
-from repro.cluster.node import NetworkStatisticsSink, RetryPolicy
+from repro.cluster.node import NetworkStatisticsSink
+from repro.util.retry import RetryPolicy
 from repro.core.collector import StatisticsUpdate
 from repro.errors import NetworkUnavailableError
-from repro.obs.registry import MetricsRegistry
+from repro.obs.registry import MetricsRegistry, use_registry
 from repro.synopses import SynopsisType, create_builder
 from repro.types import Domain
 
@@ -112,9 +113,8 @@ def test_same_seed_same_decisions():
 
 def test_drop_raises_and_counts():
     registry = MetricsRegistry()
-    network = Network(
-        registry=registry, fault_plan=FaultPlan(default=LinkFaults(drop=1.0))
-    )
+    with use_registry(registry):
+        network = Network(fault_plan=FaultPlan(default=LinkFaults(drop=1.0)))
     received = []
     network.register("m", lambda s, frame: received.append(wire.decode(frame)))
     with pytest.raises(NetworkUnavailableError):
@@ -126,9 +126,8 @@ def test_drop_raises_and_counts():
 
 def test_duplicate_delivers_twice():
     registry = MetricsRegistry()
-    network = Network(
-        registry=registry, fault_plan=FaultPlan(default=LinkFaults(duplicate=1.0))
-    )
+    with use_registry(registry):
+        network = Network(fault_plan=FaultPlan(default=LinkFaults(duplicate=1.0)))
     received = []
     network.register("m", lambda s, frame: received.append(wire.decode(frame)))
     network.send("a", "m", wire.encode({"x": 1}))
@@ -140,7 +139,8 @@ def test_duplicate_delivers_twice():
 def test_reordering_swaps_past_later_traffic():
     registry = MetricsRegistry()
     plan = FaultPlan(links={("a", "m"): LinkFaults(reorder=1.0)})
-    network = Network(registry=registry, fault_plan=plan)
+    with use_registry(registry):
+        network = Network(fault_plan=plan)
     received = []
     network.register(
         "m", lambda s, frame: received.append((s, wire.decode(frame)["x"]))
@@ -157,7 +157,8 @@ def test_delay_parks_until_drain():
     plan = FaultPlan(
         links={("a", "m"): LinkFaults(delay=1.0)}, max_delay_ticks=100
     )
-    network = Network(registry=registry, fault_plan=plan)
+    with use_registry(registry):
+        network = Network(fault_plan=plan)
     received = []
     network.register("m", lambda s, frame: received.append(wire.decode(frame)["x"]))
     network.send("a", "m", wire.encode({"x": 1}))
@@ -184,17 +185,17 @@ def test_sends_fail_during_unavailability_then_recover():
 
 
 def _sink_fixture(plan, registry, max_attempts=4, outbox_limit=64):
-    network = Network(registry=registry, fault_plan=plan)
-    master = ClusterController(network, registry=registry)
-    sink = NetworkStatisticsSink(
-        network,
-        "n1",
-        "cc",
-        0,
-        registry=registry,
-        retry_policy=RetryPolicy.immediate(max_attempts=max_attempts),
-        outbox_limit=outbox_limit,
-    )
+    with use_registry(registry):
+        network = Network(fault_plan=plan)
+        master = ClusterController(network)
+        sink = NetworkStatisticsSink(
+            network,
+            "n1",
+            "cc",
+            0,
+            retry_policy=RetryPolicy.immediate(max_attempts=max_attempts),
+            outbox_limit=outbox_limit,
+        )
     return network, master, sink
 
 
@@ -258,10 +259,12 @@ def test_sink_preserves_fifo_order_across_parking():
 
 def test_sink_sequences_are_unique_and_monotone():
     registry = MetricsRegistry()
-    network = Network(registry=registry)
+    with use_registry(registry):
+        network = Network()
     seen = []
     network.register("cc", lambda s, frame: seen.append(wire.decode(frame)["seq"]))
-    sink = NetworkStatisticsSink(network, "n1", "cc", 0, registry=registry)
+    with use_registry(registry):
+        sink = NetworkStatisticsSink(network, "n1", "cc", 0)
     sink.publish(_update(1))
     sink.retract("idx", [1])
     sink.publish(_update(2))
@@ -273,8 +276,9 @@ def test_sink_sequences_are_unique_and_monotone():
 
 def test_master_skips_duplicate_deliveries_by_seq():
     registry = MetricsRegistry()
-    network = Network(registry=registry)
-    master = ClusterController(network, registry=registry)
+    with use_registry(registry):
+        network = Network()
+        master = ClusterController(network)
     message = _publish_message(uid=1, seq=1)
     network.send("n1", "cc", message)
     network.send("n1", "cc", message)  # transport-level redelivery
@@ -286,8 +290,9 @@ def test_master_skips_duplicate_deliveries_by_seq():
 
 def test_master_dedup_channels_are_per_node_and_partition():
     registry = MetricsRegistry()
-    network = Network(registry=registry)
-    master = ClusterController(network, registry=registry)
+    with use_registry(registry):
+        network = Network()
+        master = ClusterController(network)
     network.send("n1", "cc", _publish_message(uid=1, seq=1, partition=0))
     network.send("n1", "cc", _publish_message(uid=2, seq=1, partition=1))
     network.send("n2", "cc", _publish_message(uid=3, seq=1, partition=0))
@@ -297,8 +302,9 @@ def test_master_dedup_channels_are_per_node_and_partition():
 
 def test_late_publish_cannot_resurrect_retracted_component():
     registry = MetricsRegistry()
-    network = Network(registry=registry)
-    master = ClusterController(network, registry=registry)
+    with use_registry(registry):
+        network = Network()
+        master = ClusterController(network)
     network.send("n1", "cc", _publish_message(uid=1, seq=1))
     network.send("n1", "cc", _retract_message([1, 2], seq=2))
     # A delayed publish of the already-retracted component 2 arrives late.
@@ -308,8 +314,9 @@ def test_late_publish_cannot_resurrect_retracted_component():
 
 
 def test_duplicate_retract_does_not_bump_version():
-    network = Network(registry=MetricsRegistry())
-    master = ClusterController(network, registry=MetricsRegistry())
+    with use_registry(MetricsRegistry()):
+        network = Network()
+        master = ClusterController(network)
     network.send("n1", "cc", _publish_message(uid=1, seq=1))
     network.send("n1", "cc", _retract_message([1], seq=2))
     version = master.catalog.version_for("idx")
@@ -319,8 +326,9 @@ def test_duplicate_retract_does_not_bump_version():
 
 def test_catalog_gauge_tracks_only_actual_change():
     registry = MetricsRegistry()
-    network = Network(registry=registry)
-    master = ClusterController(network, registry=registry)
+    with use_registry(registry):
+        network = Network()
+        master = ClusterController(network)
     network.send("n1", "cc", _publish_message(uid=1, seq=1))
     assert registry.gauge("cluster.catalog.entries").value == 1
     # Identical payload under a fresh seq: passes dedup, no-ops in the

@@ -9,7 +9,7 @@ perfect wire would have produced.
 
 from repro.cluster.cluster import LSMCluster
 from repro.cluster.faults import FaultPlan, LinkFaults
-from repro.cluster.node import RetryPolicy
+from repro.util.retry import RetryPolicy
 from repro.core.config import StatisticsConfig
 from repro.lsm.dataset import IndexSpec, secondary_index_name
 from repro.synopses.base import SynopsisType

@@ -20,7 +20,7 @@ from repro.core import StatisticsConfig
 from repro.errors import ConfigurationError, OverloadedError
 from repro.lsm.dataset import IndexSpec
 from repro.lsm.merge_policy import ConstantMergePolicy
-from repro.obs.registry import MetricsRegistry
+from repro.obs.registry import MetricsRegistry, use_registry
 from repro.synopses import SynopsisType
 from repro.types import Domain
 from repro.util.retry import RetryPolicy
@@ -164,13 +164,13 @@ class TestAdmission:
         # are deterministic rejections, never queue growth.
         stub = _StubCluster(gated=True)
         registry = MetricsRegistry()
-        service = EstimateService(
-            stub,
-            max_queue_depth=4,
-            workers=1,
-            retry_policy=RetryPolicy.immediate(max_attempts=1),
-            registry=registry,
-        )
+        with use_registry(registry):
+            service = EstimateService(
+                stub,
+                max_queue_depth=4,
+                workers=1,
+                retry_policy=RetryPolicy.immediate(max_attempts=1),
+            )
         staged = [_hold(service, stub)] + [_queue(service, "c1", i) for i in range(4)]
         for _ in range(5):
             with pytest.raises(OverloadedError, match="admission queue full"):
@@ -193,9 +193,8 @@ class TestAdmission:
     def test_timeout_is_typed_and_counted(self):
         stub = _StubCluster(gated=True)
         registry = MetricsRegistry()
-        service = EstimateService(
-            stub, workers=1, default_timeout=0.01, registry=registry
-        )
+        with use_registry(registry):
+            service = EstimateService(stub, workers=1, default_timeout=0.01)
         holder = _hold(service, stub)
         with pytest.raises(OverloadedError, match="no slot within"):
             service.estimate("c1", "ds", "idx", 0, 100)
@@ -239,7 +238,8 @@ class TestAdmission:
     def test_an_expired_waiter_leaves_the_queue_while_the_slots_stay_held(self):
         stub = _StubCluster(gated=True)
         registry = MetricsRegistry()
-        service = EstimateService(stub, workers=1, registry=registry)
+        with use_registry(registry):
+            service = EstimateService(stub, workers=1)
         holder = _hold(service, stub)
         waiters = [_queue(service, "c1", i) for i in range(2)]
         with pytest.raises(OverloadedError, match="no slot within"):
@@ -274,7 +274,7 @@ class TestCallerRuns:
     def test_idle_service_answers_on_the_callers_thread(self):
         stub = _StubCluster()
         registry = MetricsRegistry()
-        with EstimateService(stub, workers=2, registry=registry) as service:
+        with use_registry(registry), EstimateService(stub, workers=2) as service:
             assert service.estimate("c1", "ds", "idx", 7, 9) == 7
             assert service.estimate("c1", "ds", "idx", 8, 9) == 8
         me = threading.current_thread().name
@@ -289,9 +289,9 @@ class TestCallerRuns:
         stub = _StubCluster(gated=True)
         registry = MetricsRegistry()
         release = threading.Timer(0.05, stub.gate.set)
-        with EstimateService(
-            stub, default_timeout=0.001, degraded_mode=True, registry=registry
-        ) as service:
+        with use_registry(registry):
+            service = EstimateService(stub, default_timeout=0.001, degraded_mode=True)
+        with service:
             release.start()
             started = time.perf_counter()
             assert service.estimate("c1", "ds", "idx", 3, 4, timeout=0.001) == 3
@@ -315,9 +315,10 @@ class TestCallerRuns:
         workers, clients, per_client = 2, 6, 5
         stub = _StubCluster(gated=True)
         registry = MetricsRegistry()
-        service = EstimateService(
-            stub, workers=workers, default_timeout=STRESS_TIMEOUT, registry=registry
-        )
+        with use_registry(registry):
+            service = EstimateService(
+                stub, workers=workers, default_timeout=STRESS_TIMEOUT
+            )
         outcomes = []
 
         def client(name):
@@ -365,13 +366,13 @@ class TestCallerRuns:
         workers, clients, per_client = 2, 8, 40
         stub = _StubCluster(delay=2e-4)
         registry = MetricsRegistry()
-        service = EstimateService(
-            stub,
-            workers=workers,
-            max_queue_depth=4,
-            retry_policy=RetryPolicy.immediate(max_attempts=2),
-            registry=registry,
-        )
+        with use_registry(registry):
+            service = EstimateService(
+                stub,
+                workers=workers,
+                max_queue_depth=4,
+                retry_policy=RetryPolicy.immediate(max_attempts=2),
+            )
         outcomes = []
 
         def client(name):

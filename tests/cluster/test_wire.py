@@ -33,12 +33,13 @@ from repro.cluster import wire
 from repro.cluster.faults import FaultPlan, LinkFaults
 from repro.cluster.master import ClusterController
 from repro.cluster.network import Network
-from repro.cluster.node import NetworkStatisticsSink, RetryPolicy
+from repro.cluster.node import NetworkStatisticsSink
+from repro.util.retry import RetryPolicy
 from repro.core.collector import StatisticsUpdate
 from repro.core.config import StatisticsConfig
 from repro.errors import ClusterError, WireError
 from repro.lsm import component
-from repro.obs.registry import MetricsRegistry
+from repro.obs.registry import MetricsRegistry, use_registry
 from repro.synopses import SynopsisType, create_builder
 from repro.synopses.factory import _SYNOPSIS_CLASSES, synopsis_from_payload
 from repro.types import Domain
@@ -295,14 +296,14 @@ retired ``stats.publish`` frame)."""
 
 class TestWhatTheWireCarries:
     def _capture(self, plan=None, **sink_args):
-        registry = MetricsRegistry()
-        network = Network(registry=registry, fault_plan=plan)
+        with use_registry(MetricsRegistry()):
+            network = Network(fault_plan=plan)
+            sink = NetworkStatisticsSink(
+                network, "n1", "cc", 0,
+                retry_policy=RetryPolicy.immediate(max_attempts=8), **sink_args,
+            )  # fmt: skip
         frames = []
         network.register("cc", lambda source, frame: frames.append(frame))
-        sink = NetworkStatisticsSink(
-            network, "n1", "cc", 0, registry=registry,
-            retry_policy=RetryPolicy.immediate(max_attempts=8), **sink_args,
-        )  # fmt: skip
         return network, sink, frames
 
     def test_hll_publish_frame_holds_both_hbs_frames_verbatim(self):
@@ -354,13 +355,13 @@ class TestWhatTheWireCarries:
 
 class TestBadFramesAtTheMaster:
     def _master(self):
-        registry = MetricsRegistry()
-        network = Network(registry=registry)
-        master = ClusterController(network, registry=registry)
+        with use_registry(MetricsRegistry()):
+            network = Network()
+            master = ClusterController(network)
+            sink = NetworkStatisticsSink(network, "n1", "tap", 0)
         sketch = _sketch(range(0, 5_000, 3))
         captured = []
         network.register("tap", lambda source, frame: captured.append(frame))
-        sink = NetworkStatisticsSink(network, "n1", "tap", 0, registry=registry)
         sink.publish(_one("idx#ndv", 1, sketch, sketch))
         return network, master, captured[0]
 

@@ -1,7 +1,7 @@
 """Tests for the merged-synopsis cache."""
 
 from repro.core.cache import MergedSynopsisCache
-from repro.obs.registry import MetricsRegistry
+from repro.obs.registry import MetricsRegistry, use_registry
 from repro.synopses import SynopsisType, create_builder
 from repro.types import Domain
 
@@ -148,12 +148,14 @@ def test_readmission_after_stale_drop():
 def test_eviction_and_bytes_metrics():
     entry = _entry_bytes()
     registry = MetricsRegistry()
-    cache = MergedSynopsisCache(registry=registry, capacity_bytes=2 * entry)
+    with use_registry(registry):
+        cache = MergedSynopsisCache(capacity_bytes=2 * entry)
     for name in ("a", "b", "c"):
         cache.put(name, _synopsis(), _synopsis(), version=1)
     snapshot = registry.snapshot()
     assert snapshot["counters"]["cache.evictions"] == cache.evictions == 1
     assert snapshot["gauges"]["cache.bytes"] == cache.memory_bytes() == 2 * entry
+    assert snapshot["gauges"]["cache.merged.size"] == len(cache) == 2
 
 
 def test_bytes_listener_fires_on_every_change():

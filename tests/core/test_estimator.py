@@ -5,7 +5,7 @@ import pytest
 from repro.core.cache import MergedSynopsisCache
 from repro.core.catalog import StatisticsCatalog
 from repro.core.estimator import CardinalityEstimator
-from repro.obs.registry import MetricsRegistry
+from repro.obs.registry import MetricsRegistry, use_registry
 from repro.synopses import SynopsisType, create_builder
 from repro.types import Domain
 
@@ -19,11 +19,9 @@ def _synopsis(values=(), synopsis_type=SynopsisType.EQUI_WIDTH, budget=10):
     return builder.build()
 
 
-def _estimator(cache=True, registry=None):
+def _estimator(cache=True):
     catalog = StatisticsCatalog()
-    estimator = CardinalityEstimator(
-        catalog, MergedSynopsisCache(registry) if cache else None, registry
-    )
+    estimator = CardinalityEstimator(catalog, MergedSynopsisCache() if cache else None)
     return catalog, estimator
 
 
@@ -109,7 +107,8 @@ def test_single_entry_counts_no_lazy_merge():
     lazy-merge counter/histogram must not move and the catalog-owned
     synopsis objects must not be aliased into the cache."""
     registry = MetricsRegistry()
-    catalog, estimator = _estimator(registry=registry)
+    with use_registry(registry):
+        catalog, estimator = _estimator()
     catalog.put("idx", "n", 0, 1, _synopsis([10, 20, 30]), _synopsis())
     estimator.estimate("idx", 0, 99)
     counters = registry.snapshot()["counters"]
@@ -121,7 +120,8 @@ def test_single_entry_counts_no_lazy_merge():
 
 def test_multi_entry_counts_one_lazy_merge_and_does_not_alias():
     registry = MetricsRegistry()
-    catalog, estimator = _estimator(registry=registry)
+    with use_registry(registry):
+        catalog, estimator = _estimator()
     entry1 = catalog.put("idx", "n", 0, 1, _synopsis([1, 2]), _synopsis())
     entry2 = catalog.put("idx", "n", 0, 2, _synopsis([3]), _synopsis([1]))
     estimator.estimate("idx", 0, 99)

@@ -11,7 +11,7 @@ compared with ``==``: same requests, same cache behaviour, same floats.
 from repro.core.cache import MergedSynopsisCache
 from repro.core.catalog import StatisticsCatalog
 from repro.core.estimator import CardinalityEstimator
-from repro.obs.registry import MetricsRegistry
+from repro.obs.registry import MetricsRegistry, use_registry
 from repro.synopses import SynopsisType, create_builder
 from repro.synopses.hll import ndv_statistics_key
 from repro.types import Domain
@@ -44,8 +44,9 @@ def _put(catalog, index, component, synopsis_type, budget=16, anti=0):
 def _script():
     registry = MetricsRegistry()
     catalog = StatisticsCatalog()
-    cache = MergedSynopsisCache(registry)
-    estimator = CardinalityEstimator(catalog, cache, registry)
+    with use_registry(registry):
+        cache = MergedSynopsisCache()
+        estimator = CardinalityEstimator(catalog, cache)
     ndv_key = ndv_statistics_key("ew")
     log = []
 

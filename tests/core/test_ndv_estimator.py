@@ -11,6 +11,7 @@ from repro.core import StatisticsConfig, StatisticsManager
 from repro.errors import SynopsisError
 from repro.lsm.dataset import Dataset, IndexSpec
 from repro.lsm.storage import SimulatedDisk
+from repro.obs.registry import MetricsRegistry, use_registry
 from repro.synopses import SynopsisType
 from repro.synopses.hll import HyperLogLogSynopsis, ndv_statistics_key
 from repro.types import Domain
@@ -179,13 +180,13 @@ class TestLazyUnionCache:
         assert bytes(cached_after.anti_synopsis.registers) == anti_registers
 
     def test_union_counter_moves_on_slow_path_only(self):
-        dataset, manager = _setup()
+        with use_registry(MetricsRegistry()) as registry:
+            dataset, manager = _setup()
         _ingest(dataset)
-        counter = manager.registry.snapshot()["counters"]
-        before = counter.get("sketch.union.count", 0)
+        counter = registry.counter("sketch.union.count")
+        assert counter.value == 0
         manager.estimate_ndv(dataset)
-        mid = manager.registry.snapshot()["counters"]["sketch.union.count"]
-        assert mid > before
+        mid = counter.value
+        assert mid > 0
         manager.estimate_ndv(dataset)  # cache hit: no further unions
-        after = manager.registry.snapshot()["counters"]["sketch.union.count"]
-        assert after == mid
+        assert counter.value == mid

@@ -16,6 +16,7 @@ from repro.errors import CatalogError
 from repro.lsm.dataset import Dataset, IndexSpec
 from repro.lsm.merge_policy import ConstantMergePolicy
 from repro.lsm.storage import SimulatedDisk
+from repro.obs.registry import MetricsRegistry, use_registry
 from repro.synopses import SynopsisType
 from repro.types import Domain
 
@@ -237,21 +238,29 @@ class TestPersistence:
 
 
 class TestCollectorMetrics:
+    """The collector's counts are its registry instruments."""
+
     def test_counters_track_workload(self):
-        dataset, manager = _populated_manager()
-        metrics = manager.collector.metrics
-        assert metrics.component_writes > 0
-        assert metrics.writes_by_event.get("flush", 0) > 0
-        assert metrics.synopses_published == 2 * metrics.component_writes
+        with use_registry(MetricsRegistry()) as registry:
+            _populated_manager()
+        counters = registry.snapshot()["counters"]
+        writes = counters["collector.component_writes"]
+        assert writes > 0
+        assert counters["lsm.flush.count"] > 0
+        assert counters["collector.synopses.published"] == 2 * writes
         # 500 inserts into primary + secondary observations; deletes add
         # anti-matter on both indexes.
-        assert metrics.matter_records_observed > 0
-        assert metrics.antimatter_records_observed > 0
-        assert metrics.finalize_seconds > 0
+        assert counters["collector.records.matter"] > 0
+        assert counters["collector.records.antimatter"] > 0
+        assert registry.histogram("synopsis.build.seconds").sum > 0
 
     def test_merge_events_counted(self):
-        dataset, manager = _populated_manager(
-            merge_policy=ConstantMergePolicy(2)
+        with use_registry(MetricsRegistry()) as registry:
+            _populated_manager(merge_policy=ConstantMergePolicy(2))
+        counters = registry.snapshot()["counters"]
+        assert counters["lsm.merge.count"] > 0
+        # Statistics ride every index, so the collector taps every
+        # component write: flushes and merges alike.
+        assert counters["collector.component_writes"] == (
+            counters["lsm.flush.count"] + counters["lsm.merge.count"]
         )
-        metrics = manager.collector.metrics
-        assert metrics.writes_by_event.get("merge", 0) > 0

@@ -40,7 +40,8 @@ def interleaved_dataset(fresh_registry):
     built = []
 
     def build(seed=0, **kwargs):
-        scheduler = VirtualScheduler(seed=seed, registry=fresh_registry)
+        with use_registry(fresh_registry):
+            scheduler = VirtualScheduler(seed=seed)
         kwargs.setdefault("memtable_capacity", 8)
         kwargs.setdefault(
             "merge_policy", ConstantMergePolicy(max_components=3)

@@ -20,6 +20,7 @@ from repro.lsm.record import Record
 from repro.lsm.rtree import build_rtree
 from repro.lsm.storage import SimulatedDisk
 from repro.lsm.tree import LSMTree, _default_key_extractor
+from repro.obs.registry import MetricsRegistry, use_registry
 from repro.synopses.base import SynopsisType
 from repro.synopses.factory import create_builder, empty_twin
 from repro.types import Domain
@@ -243,7 +244,8 @@ class TestCollectorBatchedTap:
             uid = 0
 
         for chunked in (True, False):
-            collector, tap, published = self._tap(6)
+            with use_registry(MetricsRegistry()) as registry:
+                _collector, tap, published = self._tap(6)
             if chunked:
                 tap.accept_many(ColumnarChunk.from_records(self.RECORDS[:3]))
                 tap.accept_many(ColumnarChunk.from_records(self.RECORDS[3:]))
@@ -256,8 +258,8 @@ class TestCollectorBatchedTap:
                 lambda record: record.key,
                 lambda: create_builder(SynopsisType.EQUI_WIDTH, DOMAIN, 32, 6),
             )
-            assert collector.metrics.matter_records_observed == 4
-            assert collector.metrics.antimatter_records_observed == 2
+            assert registry.counter("collector.records.matter").value == 4
+            assert registry.counter("collector.records.antimatter").value == 2
 
     def test_sorted_family_rejects_unsorted_batch(self):
         _collector, tap, _published = self._tap(2)

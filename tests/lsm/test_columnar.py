@@ -81,20 +81,17 @@ class TestColumnarChunk:
 class TestSplitMatterAnti:
     def test_raw_key_fast_path_is_zero_copy(self):
         chunk = ColumnarChunk.from_columns([1, 2, 3])
-        matter, anti, skipped = split_matter_anti(chunk, _default_key_extractor)
+        matter, anti = split_matter_anti(chunk, _default_key_extractor)
         assert matter is chunk.typed_keys  # the typed buffer itself
-        assert len(anti) == 0 and skipped == 0
+        assert len(anti) == 0
 
     def test_mixed_chunk_splits_in_row_order(self):
         chunk = ColumnarChunk.from_records(
             [Record.matter(1), Record.anti(2), Record.matter(3)]
         )
-        matter, anti, skipped = split_matter_anti(
-            chunk, _default_key_extractor
-        )
+        matter, anti = split_matter_anti(chunk, _default_key_extractor)
         assert list(matter) == [1, 3]
         assert list(anti) == [2]
-        assert skipped == 0
 
     def test_payload_field_extractor_skips_nones(self):
         def extractor(record):
@@ -105,9 +102,9 @@ class TestSplitMatterAnti:
         chunk = ColumnarChunk.from_columns(
             [1, 2, 3], values=[{"v": 10}, None, {"v": 30}]
         )
-        matter, anti, skipped = split_matter_anti(chunk, extractor)
+        matter, anti = split_matter_anti(chunk, extractor)
         assert list(matter) == [10, 30]
-        assert skipped == 1
+        assert len(anti) == 0
 
     def test_unknown_extractor_is_a_typed_error(self):
         chunk = ColumnarChunk.from_records([Record.matter(1), Record.anti(2)])
@@ -160,7 +157,6 @@ class TestColumnarInstruments:
                 SimulatedDisk(),
                 event_bus=EventBus(),
                 write_batch_size=32,
-                registry=registry,
             )
             tree.bulkload(
                 (Record.matter(k) for k in range(100)), expected_records=100

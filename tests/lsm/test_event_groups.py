@@ -18,7 +18,7 @@ from repro.lsm.events import EventBus, stage
 from repro.lsm.merge_policy import ConstantMergePolicy
 from repro.lsm.storage import SimulatedDisk
 from repro.lsm.tree import LSMTree
-from repro.obs.registry import MetricsRegistry
+from repro.obs.registry import MetricsRegistry, use_registry
 from repro.synopses.base import SynopsisType
 from repro.types import Domain
 
@@ -75,7 +75,8 @@ def test_groups_are_per_thread():
 
 def test_an_owner_raising_on_close_is_counted_not_raised():
     registry = MetricsRegistry()
-    bus = EventBus(registry)
+    with use_registry(registry):
+        bus = EventBus()
 
     class _Broken:
         def close_group(self, staged, committed):

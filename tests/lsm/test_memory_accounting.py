@@ -140,7 +140,8 @@ def test_arbiter_rejects_non_positive_budget():
 
 
 def test_early_flush_decision_is_a_pure_allowance_comparison():
-    arbiter = MemoryArbiter(_BUDGET, registry=MetricsRegistry())
+    with use_registry(MetricsRegistry()):
+        arbiter = MemoryArbiter(_BUDGET)
     arbiter.register_dataset("a")
     allowance = arbiter.write_allowance()
     assert not arbiter.should_early_flush(allowance)
@@ -168,8 +169,9 @@ def test_shares_sum_to_the_budget():
     )
 )
 def test_allowance_moves_only_with_registration(calls):
-    arbiter = MemoryArbiter(_BUDGET, registry=MetricsRegistry())
-    cache = MergedSynopsisCache(registry=MetricsRegistry())
+    with use_registry(MetricsRegistry()):
+        arbiter = MemoryArbiter(_BUDGET)
+        cache = MergedSynopsisCache()
     arbiter.attach_cache(cache)
     arbiter.register_dataset("a")
     allowance = arbiter.write_allowance()

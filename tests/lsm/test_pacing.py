@@ -33,14 +33,14 @@ class _FakeTime:
 
 
 def _pacer(rate, burst, fake, **kwargs):
-    return MergePacer(
-        rate,
-        burst=burst,
-        registry=MetricsRegistry(),
-        clock=fake.clock,
-        sleep=fake.sleep,
-        **kwargs,
-    )
+    with use_registry(MetricsRegistry()):
+        return MergePacer(
+            rate,
+            burst=burst,
+            clock=fake.clock,
+            sleep=fake.sleep,
+            **kwargs,
+        )
 
 
 # ------------------------------------------------------------ construction
@@ -49,19 +49,22 @@ def _pacer(rate, burst, fake, **kwargs):
 def test_rejects_non_positive_rate():
     for rate in (0, -1, -0.5):
         with pytest.raises(ConfigurationError, match="rate"):
-            MergePacer(rate, registry=MetricsRegistry())
+            with use_registry(MetricsRegistry()):
+                MergePacer(rate)
 
 
 def test_rejects_non_positive_burst():
     with pytest.raises(ConfigurationError, match="burst"):
-        MergePacer(100.0, burst=0, registry=MetricsRegistry())
+        with use_registry(MetricsRegistry()):
+            MergePacer(100.0, burst=0)
 
 
 def test_default_burst_covers_a_write_batch():
     # Never below one typical chunk, or a single chunk could exceed the
     # bucket and (without the charge cap) wait forever.
-    assert MergePacer(10.0, registry=MetricsRegistry()).burst == 1024.0
-    assert MergePacer(100_000.0, registry=MetricsRegistry()).burst == 10_000.0
+    with use_registry(MetricsRegistry()):
+        assert MergePacer(10.0).burst == 1024.0
+        assert MergePacer(100_000.0).burst == 10_000.0
 
 
 # ------------------------------------------------------------- token math
@@ -152,13 +155,13 @@ def test_set_blocking_toggles():
 def test_pacer_metrics_account_tokens_and_waits():
     registry = MetricsRegistry()
     fake = _FakeTime()
-    pacer = MergePacer(
-        100.0,
-        burst=50.0,
-        registry=registry,
-        clock=fake.clock,
-        sleep=fake.sleep,
-    )
+    with use_registry(registry):
+        pacer = MergePacer(
+            100.0,
+            burst=50.0,
+            clock=fake.clock,
+            sleep=fake.sleep,
+        )
     pacer.pace(50)  # free
     pacer.pace(50)  # one paced wait
     snapshot = registry.snapshot()
@@ -211,7 +214,8 @@ def test_virtual_runs_with_and_without_pacing_are_bit_identical():
     are processed, never their bytes, so a paced deterministic run ends
     identical to an unpaced one."""
     unpaced = _ingest(None)
-    paced_pacer = MergePacer(1_000.0, burst=64.0, registry=MetricsRegistry())
+    with use_registry(MetricsRegistry()):
+        paced_pacer = MergePacer(1_000.0, burst=64.0)
     paced = _ingest(paced_pacer)
     assert paced[0] == unpaced[0]  # same component structure
     assert paced[1] == unpaced[1]  # same reconciled contents
@@ -219,7 +223,8 @@ def test_virtual_runs_with_and_without_pacing_are_bit_identical():
 
 def test_merges_charge_the_pacer():
     registry = MetricsRegistry()
-    pacer = MergePacer(1_000_000.0, registry=registry)
+    with use_registry(registry):
+        pacer = MergePacer(1_000_000.0)
     structure, _scan, _run_registry = _ingest(pacer)
     assert structure  # the workload actually produced components
     assert registry.snapshot()["counters"]["merge.pacing.tokens"] > 0
@@ -227,7 +232,8 @@ def test_merges_charge_the_pacer():
 
 def test_flushes_are_never_paced():
     registry = MetricsRegistry()
-    pacer = MergePacer(1_000_000.0, registry=registry)
+    with use_registry(registry):
+        pacer = MergePacer(1_000_000.0)
     with use_registry(MetricsRegistry()):
         dataset = Dataset(
             "flush-only",

@@ -21,7 +21,7 @@ from repro.lsm.scheduler import (
     VirtualScheduler,
     make_scheduler,
 )
-from repro.obs.registry import MetricsRegistry
+from repro.obs.registry import MetricsRegistry, use_registry
 from repro.types import Domain
 
 
@@ -42,26 +42,30 @@ def _registry():
 
 def test_make_scheduler_dispatches_every_mode():
     for mode in SCHEDULER_MODES:
-        scheduler = make_scheduler(mode, registry=_registry())
+        with use_registry(_registry()):
+            scheduler = make_scheduler(mode)
         assert scheduler.mode == mode
         scheduler.shutdown()
 
 
 def test_make_scheduler_rejects_unknown_mode():
     with pytest.raises(ConfigurationError, match="unknown scheduler mode"):
-        make_scheduler("fibers", registry=_registry())
+        with use_registry(_registry()):
+            make_scheduler("fibers")
 
 
 def test_thread_pool_rejects_zero_workers():
     with pytest.raises(ConfigurationError):
-        ThreadPoolScheduler(max_workers=0, registry=_registry())
+        with use_registry(_registry()):
+            ThreadPoolScheduler(max_workers=0)
 
 
 # ------------------------------------------------------------------- sync
 
 
 def test_sync_runs_inline_and_raises_at_submit():
-    scheduler = SyncScheduler(registry=_registry())
+    with use_registry(_registry()):
+        scheduler = SyncScheduler()
     assert scheduler.inline
     ran = []
     scheduler.submit(lambda: ran.append(1))
@@ -75,7 +79,8 @@ def test_sync_runs_inline_and_raises_at_submit():
 
 
 def test_virtual_defers_until_stepped():
-    scheduler = VirtualScheduler(registry=_registry())
+    with use_registry(_registry()):
+        scheduler = VirtualScheduler()
     ran = []
     scheduler.submit(lambda: ran.append("a"))
     scheduler.submit(lambda: ran.append("b"))
@@ -89,7 +94,8 @@ def test_virtual_defers_until_stepped():
 
 
 def test_virtual_lane_is_fifo_and_front_jumps_the_queue():
-    scheduler = VirtualScheduler(registry=_registry())
+    with use_registry(_registry()):
+        scheduler = VirtualScheduler()
     ran = []
     scheduler.submit(lambda: ran.append(1), lane="l")
     scheduler.submit(lambda: ran.append(2), lane="l")
@@ -100,7 +106,8 @@ def test_virtual_lane_is_fifo_and_front_jumps_the_queue():
 
 def test_virtual_same_seed_replays_same_interleaving():
     def run(seed):
-        scheduler = VirtualScheduler(seed=seed, registry=_registry())
+        with use_registry(_registry()):
+            scheduler = VirtualScheduler(seed=seed)
         order = []
         for lane in ("a", "b", "c"):
             for index in range(4):
@@ -123,7 +130,8 @@ def test_virtual_same_seed_replays_same_interleaving():
 
 
 def test_virtual_failure_raises_at_the_step_that_ran_it():
-    scheduler = VirtualScheduler(registry=_registry())
+    with use_registry(_registry()):
+        scheduler = VirtualScheduler()
     scheduler.submit(lambda: (_ for _ in ()).throw(_Boom()))
     with pytest.raises(_Boom):
         scheduler.drain()
@@ -131,7 +139,8 @@ def test_virtual_failure_raises_at_the_step_that_ran_it():
 
 def test_virtual_wait_runs_pending_tasks_until_predicate_holds():
     registry = _registry()
-    scheduler = VirtualScheduler(registry=registry)
+    with use_registry(registry):
+        scheduler = VirtualScheduler()
     state = []
     for _ in range(3):
         scheduler.submit(lambda: state.append(1))
@@ -142,7 +151,8 @@ def test_virtual_wait_runs_pending_tasks_until_predicate_holds():
 
 
 def test_virtual_wait_returns_when_idle_and_predicate_still_false():
-    scheduler = VirtualScheduler(registry=_registry())
+    with use_registry(_registry()):
+        scheduler = VirtualScheduler()
     scheduler.wait(lambda: False)  # must not hang
 
 
@@ -150,7 +160,8 @@ def test_virtual_wait_returns_when_idle_and_predicate_still_false():
 
 
 def test_threads_runs_off_the_calling_thread():
-    scheduler = ThreadPoolScheduler(registry=_registry())
+    with use_registry(_registry()):
+        scheduler = ThreadPoolScheduler()
     try:
         threads = []
         scheduler.submit(lambda: threads.append(threading.current_thread()))
@@ -161,7 +172,8 @@ def test_threads_runs_off_the_calling_thread():
 
 
 def test_threads_lane_never_runs_two_tasks_concurrently():
-    scheduler = ThreadPoolScheduler(max_workers=4, registry=_registry())
+    with use_registry(_registry()):
+        scheduler = ThreadPoolScheduler(max_workers=4)
     try:
         active = 0
         overlap = []
@@ -188,7 +200,8 @@ def test_threads_lane_never_runs_two_tasks_concurrently():
 
 
 def test_threads_failure_is_captured_and_reraised_at_drain():
-    scheduler = ThreadPoolScheduler(registry=_registry())
+    with use_registry(_registry()):
+        scheduler = ThreadPoolScheduler()
     try:
         scheduler.submit(lambda: (_ for _ in ()).throw(_Boom("bg")))
         with pytest.raises(SchedulerError, match="maintenance task"):
@@ -199,7 +212,8 @@ def test_threads_failure_is_captured_and_reraised_at_drain():
 
 
 def test_threads_base_exception_is_reraised_raw():
-    scheduler = ThreadPoolScheduler(registry=_registry())
+    with use_registry(_registry()):
+        scheduler = ThreadPoolScheduler()
     try:
         def die():
             raise _FakeCrash()
@@ -212,7 +226,8 @@ def test_threads_base_exception_is_reraised_raw():
 
 
 def test_threads_submit_after_shutdown_raises():
-    scheduler = ThreadPoolScheduler(registry=_registry())
+    with use_registry(_registry()):
+        scheduler = ThreadPoolScheduler()
     scheduler.shutdown()
     with pytest.raises(SchedulerError, match="shut-down"):
         scheduler.submit(lambda: None)
@@ -220,7 +235,8 @@ def test_threads_submit_after_shutdown_raises():
 
 def test_threads_wait_observes_background_progress():
     registry = _registry()
-    scheduler = ThreadPoolScheduler(registry=registry)
+    with use_registry(registry):
+        scheduler = ThreadPoolScheduler()
     try:
         done = []
         release = threading.Event()
@@ -243,7 +259,8 @@ def test_threads_wait_observes_background_progress():
 def test_scheduler_metrics_balance_after_drain():
     for mode in ("virtual", "threads"):
         registry = _registry()
-        scheduler = make_scheduler(mode, registry=registry)
+        with use_registry(registry):
+            scheduler = make_scheduler(mode)
         try:
             for _ in range(5):
                 scheduler.submit(lambda: None)
@@ -264,7 +281,8 @@ def test_default_worker_count_is_sane():
 
 def test_sync_completed_counts_successes_only():
     registry = _registry()
-    scheduler = SyncScheduler(registry=registry)
+    with use_registry(registry):
+        scheduler = SyncScheduler()
     scheduler.submit(lambda: None)
     with pytest.raises(_Boom):
         scheduler.submit(lambda: (_ for _ in ()).throw(_Boom()))
@@ -280,7 +298,8 @@ def test_submitted_equals_completed_plus_failed_plus_pending():
     task lands in exactly one of completed/failed, never both."""
     for mode in ("virtual", "threads"):
         registry = _registry()
-        scheduler = make_scheduler(mode, registry=registry)
+        with use_registry(registry):
+            scheduler = make_scheduler(mode)
         try:
             for index in range(6):
                 if index % 3 == 0:
@@ -312,7 +331,8 @@ def test_submitted_equals_completed_plus_failed_plus_pending():
 
 def test_virtual_shutdown_discards_pending_and_zeroes_depth():
     registry = _registry()
-    scheduler = VirtualScheduler(registry=registry)
+    with use_registry(registry):
+        scheduler = VirtualScheduler()
     for _ in range(4):
         scheduler.submit(lambda: None)
     assert scheduler.pending_count() == 4
@@ -323,7 +343,8 @@ def test_virtual_shutdown_discards_pending_and_zeroes_depth():
 
 def test_threads_shutdown_discards_queued_tasks_and_zeroes_depth():
     registry = _registry()
-    scheduler = ThreadPoolScheduler(max_workers=2, registry=registry)
+    with use_registry(registry):
+        scheduler = ThreadPoolScheduler(max_workers=2)
     release = threading.Event()
     started = threading.Event()
 
@@ -352,7 +373,8 @@ def test_sync_wait_records_no_stall():
     """Sync mode has no background tasks, so a false predicate can
     never flip -- recording a stall would be phantom backpressure."""
     registry = _registry()
-    scheduler = SyncScheduler(registry=registry)
+    with use_registry(registry):
+        scheduler = SyncScheduler()
     scheduler.wait(lambda: False)
     scheduler.wait(lambda: True)
     counters = registry.snapshot()["counters"]
@@ -364,14 +386,16 @@ def test_sync_wait_records_no_stall():
 
 def test_virtual_idle_wait_records_no_stall():
     registry = _registry()
-    scheduler = VirtualScheduler(registry=registry)
+    with use_registry(registry):
+        scheduler = VirtualScheduler()
     scheduler.wait(lambda: False)  # idle: nothing can change the predicate
     assert registry.snapshot()["counters"].get("scheduler.stalls", 0) == 0
 
 
 def test_virtual_blocked_wait_stalls_once_with_duration():
     registry = _registry()
-    scheduler = VirtualScheduler(registry=registry)
+    with use_registry(registry):
+        scheduler = VirtualScheduler()
     state = []
     scheduler.submit(lambda: state.append(1))
     scheduler.wait(lambda: bool(state))
@@ -382,7 +406,8 @@ def test_virtual_blocked_wait_stalls_once_with_duration():
 
 def test_threads_blocked_wait_stalls_once_and_wakes_on_predicate_flip():
     registry = _registry()
-    scheduler = ThreadPoolScheduler(registry=registry)
+    with use_registry(registry):
+        scheduler = ThreadPoolScheduler()
     try:
         done = []
         release = threading.Event()
@@ -420,7 +445,8 @@ def _block_the_only_worker(scheduler):
 
 def test_threads_flush_lane_jumps_merge_lanes_under_pressure():
     registry = _registry()
-    scheduler = ThreadPoolScheduler(max_workers=1, registry=registry)
+    with use_registry(registry):
+        scheduler = ThreadPoolScheduler(max_workers=1)
     try:
         scheduler.add_pressure_probe(lambda: True)
         order = []
@@ -441,7 +467,8 @@ def test_threads_flush_lane_jumps_merge_lanes_under_pressure():
 
 def test_threads_fair_dispatch_respects_starvation_limit():
     registry = _registry()
-    scheduler = ThreadPoolScheduler(max_workers=1, registry=registry)
+    with use_registry(registry):
+        scheduler = ThreadPoolScheduler(max_workers=1)
     try:
         scheduler.add_pressure_probe(lambda: True)
         order = []
@@ -464,7 +491,8 @@ def test_threads_fair_dispatch_respects_starvation_limit():
 
 def test_threads_without_pressure_keeps_fifo_across_lanes():
     registry = _registry()
-    scheduler = ThreadPoolScheduler(max_workers=1, registry=registry)
+    with use_registry(registry):
+        scheduler = ThreadPoolScheduler(max_workers=1)
     try:
         order = []
         gate = _block_the_only_worker(scheduler)
@@ -481,7 +509,8 @@ def test_threads_without_pressure_keeps_fifo_across_lanes():
 
 def test_broken_pressure_probe_never_wedges_dispatch():
     registry = _registry()
-    scheduler = ThreadPoolScheduler(max_workers=1, registry=registry)
+    with use_registry(registry):
+        scheduler = ThreadPoolScheduler(max_workers=1)
     try:
         scheduler.add_pressure_probe(
             lambda: (_ for _ in ()).throw(_Boom())
@@ -503,7 +532,8 @@ def test_wait_under_a_datasets_dml_lock_raises(mode):
     """The backpressure wait refuses a caller holding the DML lock the
     flush task it waits for must take -- in every mode, not only where
     it would deadlock."""
-    scheduler = make_scheduler(mode, registry=_registry())
+    with use_registry(_registry()):
+        scheduler = make_scheduler(mode)
     dataset = Dataset(
         "orders",
         SimulatedDisk(),
@@ -523,7 +553,8 @@ def test_wait_under_a_datasets_dml_lock_raises(mode):
 
 
 def test_lock_held_by_another_thread_is_not_the_callers():
-    scheduler = VirtualScheduler(registry=_registry())
+    with use_registry(_registry()):
+        scheduler = VirtualScheduler()
     lock = threading.RLock()
     scheduler.witness_lock(lock)
     held, release = threading.Event(), threading.Event()

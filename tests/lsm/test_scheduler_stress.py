@@ -45,7 +45,8 @@ def watchdog():
 
 
 def _build(registry):
-    scheduler = ThreadPoolScheduler(max_workers=3, registry=registry)
+    with use_registry(registry):
+        scheduler = ThreadPoolScheduler(max_workers=3)
     dataset = Dataset(
         "stress",
         SimulatedDisk(),

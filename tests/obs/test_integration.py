@@ -36,9 +36,7 @@ def ingest(registry) -> None:
             memtable_capacity=64,
             merge_policy=ConstantMergePolicy(max_components=2),
         )
-        stats = StatisticsManager(
-            StatisticsConfig(SynopsisType.EQUI_WIDTH, budget=16), registry
-        )
+        stats = StatisticsManager(StatisticsConfig(SynopsisType.EQUI_WIDTH, budget=16))
         stats.attach(dataset)
         dataset.bulkload({"id": pk, "v": pk % 256} for pk in range(128))
         for pk in range(128, 384):
@@ -202,3 +200,67 @@ class TestClusterCounterAgreement:
             cluster.master.stats_messages_received
             == counters["cluster.stats.messages"]
         )
+
+
+class TestSketchCompressionRatio:
+    """``sketch.compression.ratio`` is the registry-wide
+    ``sketch.registers.bytes / sketch.wire.bytes``, not the ratio of
+    whichever collector published last."""
+
+    @staticmethod
+    def _ship(values, registry):
+        """One collector with the NDV lane on ``registry`` ships one
+        component holding ``values``."""
+        from repro.core.collector import StatisticsCollector
+        from repro.lsm.columnar import ColumnarChunk
+        from repro.lsm.events import ComponentWriteContext, LSMEventType
+        from repro.lsm.record import Record
+        from repro.lsm.tree import _default_key_extractor
+
+        class _Component:
+            uid = 0
+
+        class _Sink:
+            def publish(self, update):
+                pass
+
+        with use_registry(registry):
+            collector = StatisticsCollector(
+                StatisticsConfig(
+                    SynopsisType.EQUI_WIDTH, budget=16, ndv_enabled=True
+                ),
+                _Sink(),
+            )
+        collector.register_index("idx", Domain(0, 2**20 - 1))
+        tap = collector.begin_component_write(
+            ComponentWriteContext(
+                index_name="idx",
+                event_type=LSMEventType.FLUSH,
+                expected_records=len(values),
+                key_extractor=_default_key_extractor,
+            )
+        )
+        tap.accept_many(
+            ColumnarChunk.from_records([Record.matter(v, None, 1) for v in values])
+        )
+        tap.finish(_Component())
+
+    def test_two_collectors_on_one_registry(self):
+        sparse, dense = list(range(4)), list(range(0, 2**20, 97))
+        ratios = []
+        for values in (sparse, dense):
+            alone = MetricsRegistry()
+            self._ship(values, alone)
+            ratios.append(alone.gauge("sketch.compression.ratio").value)
+        assert ratios[0] != ratios[1]  # the two publishers disagree
+
+        registry = MetricsRegistry()
+        self._ship(sparse, registry)
+        self._ship(dense, registry)
+        counters = registry.snapshot()["counters"]
+        assert registry.gauge("sketch.compression.ratio").value == (
+            counters["sketch.registers.bytes"] / counters["sketch.wire.bytes"]
+        )
+
+    def test_noop_registry_ships_without_a_ratio(self):
+        self._ship(list(range(4)), NOOP_REGISTRY)

@@ -1,9 +1,9 @@
-"""Span/traced semantics: timing, error counting, disabled mode."""
+"""Span semantics: timing, error counting, disabled mode."""
 
 import pytest
 
 from repro.obs.registry import MetricsRegistry, NoopRegistry
-from repro.obs.tracing import span, traced
+from repro.obs.tracing import span
 
 
 def test_span_records_into_seconds_histogram():
@@ -33,33 +33,3 @@ def test_span_disabled_registry_records_nothing():
         "gauges": {},
         "histograms": {},
     }
-
-
-def test_traced_decorator_wraps_and_records():
-    registry = MetricsRegistry()
-
-    @traced("func", registry)
-    def add(a, b):
-        return a + b
-
-    assert add(2, 3) == 5
-    assert add(1, 1) == 2
-    assert add.__name__ == "add"
-    assert registry.histogram("func.seconds").count == 2
-
-
-def test_traced_follows_global_registry_per_call():
-    from repro.obs.registry import use_registry
-
-    @traced("func")
-    def noop():
-        return None
-
-    first, second = MetricsRegistry(), MetricsRegistry()
-    with use_registry(first):
-        noop()
-    with use_registry(second):
-        noop()
-        noop()
-    assert first.histogram("func.seconds").count == 1
-    assert second.histogram("func.seconds").count == 2

@@ -26,7 +26,6 @@ from repro.core.cache import MergedSynopsisCache
 from repro.core.catalog import StatisticsCatalog
 from repro.core.estimator import CardinalityEstimator
 from repro.errors import MergeabilityError
-from repro.obs.registry import MetricsRegistry
 from repro.synopses import SynopsisType, create_builder
 from repro.synopses.bucket import BucketHistogram
 from repro.synopses.equi_height import EquiHeightHistogram
@@ -432,7 +431,7 @@ def _catalog(entries):
 
 
 def _summed(catalog, cache, lo, hi):
-    estimator = CardinalityEstimator(catalog, cache, registry=MetricsRegistry())
+    estimator = CardinalityEstimator(catalog, cache)
     result = estimator.estimate_detailed("idx", lo, hi)
     assert not result.from_cache
     return result
@@ -444,7 +443,7 @@ class TestSummationEqualsTheWalks:
     def test_one_family(self, entries, bounds):
         catalog = _catalog(entries)
         expected = _reference_total(entries, *bounds)
-        for cache in (None, MergedSynopsisCache(registry=MetricsRegistry())):
+        for cache in (None, MergedSynopsisCache()):
             result = _summed(catalog, cache, *bounds)
             assert result.estimate == expected
             assert result.synopses_consulted == len(entries)
@@ -452,7 +451,7 @@ class TestSummationEqualsTheWalks:
     @settings(deadline=None)  # example budget: the profile (tests/conftest.py)
     @given(entries=summed_catalogs(mixed=True), bounds=_summed_ranges())
     def test_mixed_families_budgets_and_domains(self, entries, bounds):
-        cache = MergedSynopsisCache(registry=MetricsRegistry())
+        cache = MergedSynopsisCache()
         catalog = _catalog(entries)
         assert _summed(catalog, cache, *bounds).estimate == _reference_total(
             entries, *bounds

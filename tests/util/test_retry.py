@@ -77,9 +77,3 @@ def test_sleep_hook_is_injectable():
     policy = RetryPolicy(sleep=slept.append)
     policy.sleep(policy.backoff_for(1, random.Random(3)))
     assert len(slept) == 1 and slept[0] > 0
-
-
-def test_reexported_from_historical_home():
-    from repro.cluster.node import RetryPolicy as NodeRetryPolicy
-
-    assert NodeRetryPolicy is RetryPolicy
